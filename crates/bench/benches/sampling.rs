@@ -77,10 +77,12 @@ fn main() {
             live
         });
         // Block: the same 64 worlds as transposed lane words, eagerly
-        // (force_edges) so the phase excludes traversal effects.
+        // (force_nodes + force_edges) so the phase excludes traversal
+        // effects.
         let mut block = WorldBlock::new(&g);
         let block_mat = measure(&format!("{name}/materialize/block_per_64_worlds"), || {
             block.materialize(&g, &table, 42, 0, LANES);
+            block.force_nodes(&table);
             block.force_edges(&table);
             block.lane_mask()
         });

@@ -94,6 +94,7 @@ fn main() {
     let mut block = WorldBlock::new(&g);
     let blockwise = measure("perf_sanity/block_transposed_materialize_64_worlds", || {
         block.materialize(&g, &table, 7, 0, LANES);
+        block.force_nodes(&table);
         block.force_edges(&table);
         block.lane_mask()
     });

@@ -366,10 +366,13 @@ impl Algorithm for BoundedSampleReverse {
 /// when candidates saturate), so it cannot share a prefix with the other
 /// algorithms; it still reuses the session's bounds and reduction.
 ///
-/// Worlds are evaluated through the bit-parallel block kernel, 64 per
-/// [`WorldBlock`] in hash order, and then replayed lane by lane so the
-/// early-stop bookkeeping (counters, k-th hashes, `samples_used`) is
-/// identical to processing the samples one at a time.
+/// Worlds are evaluated through the bit-parallel block kernel, up to 64
+/// per [`WorldBlock`] in hash order, and then replayed lane by lane so
+/// the early-stop bookkeeping (counters, k-th hashes, `samples_used`) is
+/// identical to processing the samples one at a time. Chunks grow from
+/// `min(bk, 64)` lanes by doubling (see `growing_chunks`): the stop
+/// rule cannot fire before `bk` samples, and it usually fires soon
+/// after, so a full first chunk would mostly draw worlds nobody replays.
 pub struct BottomKEarlyStop;
 
 impl Algorithm for BottomKEarlyStop {
@@ -407,9 +410,9 @@ impl Algorithm for BottomKEarlyStop {
         let cancel = req.cancel.clone();
         let cap = req.sample_cap.unwrap_or(u64::MAX);
 
-        // The order build is O(t log t) before the first world is
-        // drawn; an already-expired deadline (or a server drain) must
-        // not pay for it.
+        // The order build is O(t) before the first world is drawn; an
+        // already-expired deadline (or a server drain) must not pay for
+        // it.
         if cancel.as_ref().is_some_and(vulnds_sampling::CancelToken::is_cancelled) {
             return Err(VulnError::Cancelled);
         }
@@ -432,11 +435,10 @@ impl Algorithm for BottomKEarlyStop {
         let mut active: Vec<(usize, NodeId)> = Vec::with_capacity(candidates.len());
         let mut hit_words: Vec<u64> = Vec::with_capacity(candidates.len());
 
-        'outer: for chunk in order.chunks(LANES) {
-            // Polled once per 64-world chunk, like the kernel samplers
-            // poll per superblock: the clock-driven cut never lands
-            // mid-chunk, and `samples_used` is an exact replayable cut
-            // either way.
+        'outer: for chunk in growing_chunks(&order, bk) {
+            // Polled once per chunk, like the kernel samplers poll per
+            // superblock: the clock-driven cut never lands mid-chunk,
+            // and `samples_used` is an exact replayable cut either way.
             if cancel.as_ref().is_some_and(vulnds_sampling::CancelToken::is_cancelled) {
                 break 'outer;
             }
@@ -445,7 +447,7 @@ impl Algorithm for BottomKEarlyStop {
             block.materialize_ids(graph, &coins, req.seed, &ids);
             kernel.begin_block();
             // One bit-parallel reverse BFS per still-unsaturated
-            // candidate decides all 64 worlds of the chunk at once …
+            // candidate decides every world of the chunk at once …
             active.clear();
             active.extend(
                 candidates.iter().enumerate().filter(|(i, _)| !saturated[*i]).map(|(i, &v)| (i, v)),
@@ -553,9 +555,38 @@ impl Algorithm for BottomKEarlyStop {
     }
 }
 
+/// Splits `order` into consecutive chunks of `min(first, 64)` lanes,
+/// then twice that, and so on up to [`LANES`]. Lanes stay in order, so
+/// replaying the chunks back to back visits exactly `order`.
+fn growing_chunks<T>(order: &[T], first: usize) -> impl Iterator<Item = &[T]> {
+    let mut size = first.clamp(1, LANES);
+    let mut rest = order;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (chunk, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        size = (size * 2).min(LANES);
+        Some(chunk)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn growing_chunks_double_up_to_a_block_and_cover_the_order() {
+        let order: Vec<u32> = (0..200).collect();
+        let sizes: Vec<usize> = growing_chunks(&order, 16).map(<[u32]>::len).collect();
+        assert_eq!(sizes, vec![16, 32, 64, 64, 24]);
+        assert_eq!(growing_chunks(&order, 16).flatten().copied().collect::<Vec<_>>(), order);
+        let sizes: Vec<usize> = growing_chunks(&order[..5], 0).map(<[u32]>::len).collect();
+        assert_eq!(sizes, vec![1, 2, 2]);
+        assert_eq!(growing_chunks(&order, 500).next().map(<[u32]>::len), Some(LANES));
+        assert_eq!(growing_chunks::<u32>(&[], 16).count(), 0);
+    }
 
     #[test]
     fn dispatch_covers_all_kinds() {

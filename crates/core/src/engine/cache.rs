@@ -244,24 +244,24 @@ fn evict_one<K: Ord + Clone, V>(map: &mut BTreeMap<K, V>, keep: &K) {
 pub(crate) struct StreamCell {
     pub(crate) drawing: AtomicBool,
     pub(crate) cache: Mutex<SampleCache>,
-    /// Union of the edge coins every draw into this cell ever
+    /// Union of the node and edge coins every draw into this cell ever
     /// materialized — the survival witness for delta-aware
-    /// revalidation: counts are independent of every unmarked edge's
-    /// coin, so a delta that only touches unmarked edges leaves the
+    /// revalidation: counts are independent of every unmarked item's
+    /// coin, so a delta that only touches unmarked items leaves the
     /// cached prefix bit-identical to a cold post-delta draw.
     ledger: OnceLock<TouchLedger>,
 }
 
 impl StreamCell {
     /// The cell's touch ledger, created on first draw.
-    pub(crate) fn ledger(&self, num_edges: usize) -> &TouchLedger {
-        self.ledger.get_or_init(|| TouchLedger::new(num_edges))
+    pub(crate) fn ledger(&self, num_nodes: usize, num_edges: usize) -> &TouchLedger {
+        self.ledger.get_or_init(|| TouchLedger::new(num_nodes, num_edges))
     }
 
-    /// True if any dirty edge was ever materialized by a draw into this
-    /// cell (a never-drawn cell intersects nothing).
-    pub(crate) fn ledger_intersects(&self, edges: &[u32]) -> bool {
-        self.ledger.get().is_some_and(|ledger| ledger.intersects(edges))
+    /// True if any dirty node or dirty edge was ever materialized by a
+    /// draw into this cell (a never-drawn cell intersects nothing).
+    pub(crate) fn ledger_intersects(&self, nodes: &[u32], edges: &[u32]) -> bool {
+        self.ledger.get().is_some_and(|ledger| ledger.intersects(nodes, edges))
     }
 }
 

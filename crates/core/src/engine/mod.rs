@@ -101,9 +101,12 @@
 //! table re-quantizes only the dirty items, cached bound vectors are
 //! repaired through [`IncrementalBounds`] (`O(|dirty z-ball|)` instead
 //! of `O(z (n + m))`), and a cached sample stream survives whenever its
-//! touch ledger proves no draw ever materialized a dirty edge — all
-//! bit-identical to a cold rebuild against the post-delta graph, which
-//! the tests assert.
+//! touch ledger proves no draw ever materialized a dirty node's or a
+//! dirty edge's coin — all bit-identical to a cold rebuild against the
+//! post-delta graph, which the tests assert. Node coins are as
+//! frontier-lazy as edge coins, so a reverse stream (SR, BSR) survives
+//! a self-risk change to any node its searches never reached; forward
+//! streams (N, SN) draw every node's coin and are redrawn.
 
 mod algorithms;
 mod cache;
@@ -591,14 +594,14 @@ impl EngineState {
         // vectors.
         invalidated += self.reductions.retain(|&(version, ..)| version == next.version());
 
-        // Sample streams: node coin words are synthesized for every
-        // node of every superblock, so any self-risk change invalidates
-        // all of them; an edge-only delta keeps exactly the streams
-        // whose ledger proves no draw ever materialized a dirty edge.
-        // Locking the cell waits out in-flight draws, so the ledger is
-        // complete when inspected, and survivors are re-stamped to the
-        // next version under the same lock.
-        let all_dirty = !dirty_nodes.is_empty();
+        // Sample streams: a stream survives when its ledger proves no
+        // draw ever materialized a dirty node's or a dirty edge's coin.
+        // Reverse streams record only the nodes their frontiers reached,
+        // so they usually outlive a self-risk change elsewhere; forward
+        // streams force every node word, so any self-risk change drops
+        // them. Locking the cell waits out in-flight draws, so the
+        // ledger is complete when inspected, and survivors are
+        // re-stamped to the next version under the same lock.
         let mut verdict = |cell: &Arc<cache::StreamCell>| -> bool {
             let (mut cache, _) = lock_tracked(&cell.cache);
             match cache.graph_version {
@@ -606,8 +609,7 @@ impl EngineState {
                 None => true,
                 Some(version)
                     if version == prev.version()
-                        && !all_dirty
-                        && !cell.ledger_intersects(dirty_edges) =>
+                        && !cell.ledger_intersects(dirty_nodes, dirty_edges) =>
                 {
                     cache.graph_version = Some(next.version());
                     revalidated += 1;
@@ -897,14 +899,15 @@ impl<'a> EngineCtx<'a> {
     ) -> Arc<DefaultCounts> {
         let threads = self.config.threads;
         let width = self.plan_block_words(t);
-        let (version, num_edges) = (self.graph.version(), self.graph.num_edges());
+        let version = self.graph.version();
+        let (num_nodes, num_edges) = (self.graph.num_nodes(), self.graph.num_edges());
         // ORDERING: Acquire pairs with the Release store in the serve
         // closure; the marker only classifies this query's wait — all
         // counts are transferred under the cell mutex.
         let draw_in_flight = stream.drawing.load(Ordering::Acquire);
         let (mut cache, waited) = lock_tracked(&stream.cache);
         let stale = cache.graph_version.is_some_and(|v| v != version);
-        let ledger = (!stale).then(|| stream.ledger(num_edges));
+        let ledger = (!stale).then(|| stream.ledger(num_nodes, num_edges));
         let mut scratch = SampleCache::default();
         let serve_cache: &mut SampleCache = if stale {
             &mut scratch
@@ -1165,7 +1168,7 @@ impl Detector {
     /// the *revalidated* caches — the coin table patched in place,
     /// bound vectors repaired through their incremental maintainers,
     /// and every sample stream whose touch ledger proves independence
-    /// of the dirty edges carried over. All surviving state is
+    /// of the dirty nodes and edges carried over. All surviving state is
     /// bit-identical to a cold rebuild against the post-delta graph.
     ///
     /// Deltas address the session's **working graph**: under
@@ -2087,6 +2090,68 @@ mod tests {
             d.session_stats().samples_drawn > drawn_before,
             "invalidated streams must be redrawn"
         );
+    }
+
+    #[test]
+    fn reverse_streams_survive_a_self_risk_delta_on_an_unread_node() {
+        // `random_graph(60, 120, 5)` plus an isolated node 60 of tiny
+        // self-risk: no reverse search from another node can reach it,
+        // and its upper bound keeps it out of every candidate set, so
+        // SR and BSR never read its coin.
+        let base = random_graph(60, 120, 5);
+        let mut risks: Vec<f64> = base.nodes().map(|v| base.self_risk(v)).collect();
+        risks.push(0.01);
+        let edges: Vec<(u32, u32, f64)> = base
+            .edges()
+            .map(|e| {
+                let (u, v) = base.edge_endpoints(e);
+                (u.0, v.0, base.edge_prob(e))
+            })
+            .collect();
+        let g = ugraph::from_parts(&risks, &edges, ugraph::DuplicateEdgePolicy::Error).unwrap();
+        let isolated = NodeId(60);
+        let kinds = [AlgorithmKind::SampleReverse, AlgorithmKind::BoundedSampleReverse];
+        let requests: Vec<DetectRequest> = kinds
+            .iter()
+            .flat_map(|&kind| (0..3u64).map(move |s| DetectRequest::new(3, kind).with_seed(s)))
+            .collect();
+
+        let matches_cold = |warm: &Detector, graph: &UncertainGraph| {
+            let cold = session(graph);
+            for req in &requests {
+                let (w, c) = (warm.detect(req).unwrap(), cold.detect(req).unwrap());
+                assert_eq!(w.top_k, c.top_k, "{req:?}");
+                assert_eq!(w.stats.samples_used, c.stats.samples_used, "{req:?}");
+            }
+        };
+
+        let warm = session(&g);
+        for req in &requests {
+            let response = warm.detect(req).unwrap();
+            assert!(response.stats.samples_used > 0, "{req:?} must sample");
+            assert!(response.top_k.iter().all(|s| s.node != isolated));
+        }
+        let drawn_before = warm.session_stats().samples_drawn;
+        let delta = GraphDelta::default().set_self_risk(isolated, 0.02);
+        warm.apply_delta(&delta).unwrap();
+
+        let mut post = g.clone();
+        delta.apply(&mut post).unwrap();
+        matches_cold(&warm, &post);
+        assert_eq!(
+            warm.session_stats().samples_drawn,
+            drawn_before,
+            "surviving reverse streams must serve the replay without redrawing"
+        );
+
+        // A nudge to the top node, whose own search reads its coin,
+        // must drop the streams that read it — and stay bit-identical.
+        let top = warm.detect(&requests[0]).unwrap().top_k[0].node;
+        let nudge = GraphDelta::default().set_self_risk(top, post.self_risk(top) + 0.01);
+        warm.apply_delta(&nudge).unwrap();
+        nudge.apply(&mut post).unwrap();
+        matches_cold(&warm, &post);
+        assert!(warm.session_stats().samples_drawn > drawn_before, "read-node streams must redraw");
     }
 
     #[test]

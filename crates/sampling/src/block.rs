@@ -21,11 +21,13 @@
 //! transposed, straight from the stateless `(seed, block, item, level)`
 //! generator of [`crate::coins`], **per home block** — a superblock
 //! holds `W` independent home-block syntheses side by side, which is
-//! what keeps counts bit-identical across widths. Edge word-vectors are
-//! **frontier-lazy**: [`SuperBlock::edge_word`] synthesizes all `W`
-//! words of an edge the first time a traversal touches it, so a
-//! superblock costs `O(W·n + W·(edges reached))` coins instead of
-//! `O(W·(n + m))`.
+//! what keeps counts bit-identical across widths. Node and edge
+//! word-vectors are both **frontier-lazy**: [`SuperBlock::node_word_lazy`]
+//! and [`SuperBlock::edge_word`] synthesize all `W` words of an item the
+//! first time a traversal reaches it, so a reverse pass costs
+//! `O(W·(nodes + edges reached))` coins instead of `O(W·(n + m))`. The
+//! forward kernel needs every node's seeds and forces them up front
+//! ([`SuperBlock::force_nodes`]).
 //!
 //! # The `(seed, block, lane)` stream contract
 //!
@@ -50,7 +52,7 @@
 use crate::coins::{bernoulli_bit, bernoulli_words, block_key, edge_key, node_key};
 use crate::coins::{CoinTable, CoinUsage};
 use crate::direction::Direction;
-use crate::touch::TouchedEdges;
+use crate::touch::TouchSet;
 use crate::world::PossibleWorld;
 use ugraph::{NodeId, UncertainGraph};
 
@@ -124,12 +126,12 @@ enum LaneSource<const W: usize> {
 /// word-vectors (stored transposed-contiguously in flat stride-`W`
 /// buffers).
 ///
-/// Node word-vectors are synthesized eagerly at
-/// [`materialize`](Self::materialize) time (the forward kernel needs
-/// every node's seeds); edge word-vectors are **frontier-lazy** —
-/// synthesized by [`edge_word`](Self::edge_word) on first touch and
-/// cached for the rest of the superblock via epoch stamps, so untouched
-/// edges cost nothing.
+/// Both node and edge word-vectors are **frontier-lazy** — synthesized
+/// by [`node_word_lazy`](Self::node_word_lazy) and
+/// [`edge_word`](Self::edge_word) on first touch and cached for the rest
+/// of the superblock via epoch stamps, so untouched items cost nothing.
+/// Every word is a pure function of `(block key, item, lane)`, so the
+/// order of first touches can never change a value.
 ///
 /// Buffers are reusable: materialization overwrites them in place, so a
 /// sampling loop allocates once per run. [`WorldBlock`] is the `W = 1`
@@ -137,8 +139,11 @@ enum LaneSource<const W: usize> {
 #[derive(Debug, Clone)]
 pub struct SuperBlock<const W: usize> {
     /// `node_words[v·W + w]` bit `j` — node `v` self-defaulted in lane
-    /// `j` of home block `w`.
+    /// `j` of home block `w`. Valid only where `node_epoch[v] == epoch`.
     node_words: Vec<u64>,
+    /// Lazy-materialization stamps for nodes, sharing `epoch` with the
+    /// edge stamps.
+    node_epoch: Vec<u32>,
     /// `edge_words[e·W + w]` bit `j` — edge `e` (canonical id) survived
     /// in lane `j` of home block `w`. Valid only where
     /// `edge_epoch[e] == epoch`.
@@ -158,10 +163,12 @@ pub struct SuperBlock<const W: usize> {
     /// begins).
     pending_edge_words: u64,
     usage: CoinUsage,
-    /// Every edge whose survival words this block ever synthesized, in
-    /// any superblock — the revalidation ledger: counts are independent
-    /// of every unmarked edge's coin (see [`crate::touch`]).
-    touched: TouchedEdges,
+    /// Every node and every edge whose words this block ever
+    /// synthesized, in any superblock — the revalidation ledger: counts
+    /// are independent of every unmarked item's coin (see
+    /// [`crate::touch`]).
+    touched_nodes: TouchSet,
+    touched_edges: TouchSet,
 }
 
 /// The classic 64-lane world block — a [`SuperBlock`] of width 1.
@@ -173,11 +180,12 @@ impl<const W: usize> SuperBlock<W> {
         assert!(W >= 1 && W <= crate::width::MAX_BLOCK_WORDS && W.is_power_of_two());
         SuperBlock {
             node_words: vec![0; graph.num_nodes() * W],
-            edge_words: vec![0; graph.num_edges() * W],
             // Stamps start unequal to every epoch the block can reach,
-            // so an edge_word() call before the first materialize()
-            // hits the LaneSource::Empty panic instead of silently
-            // serving an all-zero word.
+            // so a lazy read before the first materialize() hits the
+            // LaneSource::Empty panic instead of silently serving an
+            // all-zero word.
+            node_epoch: vec![u32::MAX; graph.num_nodes()],
+            edge_words: vec![0; graph.num_edges() * W],
             edge_epoch: vec![u32::MAX; graph.num_edges()],
             epoch: 0,
             lane_masks: [0; W],
@@ -185,12 +193,13 @@ impl<const W: usize> SuperBlock<W> {
             source: LaneSource::Empty,
             pending_edge_words: 0,
             usage: CoinUsage::default(),
-            touched: TouchedEdges::new(graph.num_edges()),
+            touched_nodes: TouchSet::new(graph.num_nodes()),
+            touched_edges: TouchSet::new(graph.num_edges()),
         }
     }
 
     /// Starts a new superblock: flushes lazy-skip accounting and
-    /// invalidates all cached edge word-vectors.
+    /// invalidates all cached node and edge word-vectors.
     fn begin_block(&mut self, covered_words: u64) {
         self.usage.edge_words_skipped += self.pending_edge_words;
         self.covered_words = covered_words;
@@ -199,6 +208,7 @@ impl<const W: usize> SuperBlock<W> {
         // `u32::MAX` is reserved as the never-materialized sentinel, so
         // recycle one step early.
         if self.epoch >= u32::MAX - 1 {
+            self.node_epoch.fill(0);
             self.edge_epoch.fill(0);
             self.epoch = 0;
         }
@@ -214,8 +224,10 @@ impl<const W: usize> SuperBlock<W> {
     /// each covered home block, which is what keeps every width
     /// bit-identical.
     ///
-    /// Node word-vectors are synthesized now; edge word-vectors wait for
+    /// No coin is drawn here: node and edge word-vectors wait for
+    /// [`node_word_lazy`](Self::node_word_lazy) and
     /// [`edge_word`](Self::edge_word) (call
+    /// [`force_nodes`](Self::force_nodes) and
     /// [`force_edges`](Self::force_edges) for the eager equivalent).
     pub fn materialize(
         &mut self,
@@ -239,15 +251,6 @@ impl<const W: usize> SuperBlock<W> {
         }
         let masks = word_masks::<W>(first_id, lanes);
         self.begin_block(masks.iter().filter(|&&m| m != 0).count() as u64);
-        for (v, out) in self.node_words.chunks_exact_mut(W).enumerate() {
-            let t = coins.node_threshold(v);
-            let mut item_keys = [0u64; W];
-            for w in 0..W {
-                item_keys[w] = node_key(keys[w], v);
-            }
-            let vec = bernoulli_words::<W>(t, &item_keys, &masks, &mut self.usage.words);
-            out.copy_from_slice(&vec);
-        }
         self.source = LaneSource::Aligned { keys };
         self.lane_masks = masks;
     }
@@ -265,38 +268,93 @@ impl<const W: usize> SuperBlock<W> {
     }
 
     fn materialize_edge(&mut self, coins: &CoinTable, e: usize) -> [u64; W] {
+        let vec = self.synthesize(coins.edge_threshold(e), edge_key, e, "edge_word");
         self.edge_epoch[e] = self.epoch;
-        self.touched.mark(e);
+        self.touched_edges.mark(e);
         // Saturating: a `take_usage` mid-block already flushed the
         // remaining edge words as skipped, so later touches must not
         // underflow the pending count.
         self.pending_edge_words = self.pending_edge_words.saturating_sub(self.covered_words);
         self.usage.edge_words_materialized += self.covered_words;
-        let t = coins.edge_threshold(e);
+        wv_mut::<W>(&mut self.edge_words, e).copy_from_slice(&vec);
+        vec
+    }
+
+    /// The self-default word-vector of node `v` in the current
+    /// superblock, synthesized on first touch (frontier-lazy, all `W`
+    /// words at once) and cached for the rest of the superblock.
+    #[inline]
+    pub fn node_word_lazy(&mut self, coins: &CoinTable, v: usize) -> [u64; W] {
+        if self.node_epoch[v] == self.epoch {
+            *wv::<W>(&self.node_words, v)
+        } else {
+            self.materialize_node(coins, v)
+        }
+    }
+
+    fn materialize_node(&mut self, coins: &CoinTable, v: usize) -> [u64; W] {
+        let vec = self.synthesize(coins.node_threshold(v), node_key, v, "node_word_lazy");
+        self.node_epoch[v] = self.epoch;
+        self.touched_nodes.mark(v);
+        wv_mut::<W>(&mut self.node_words, v).copy_from_slice(&vec);
+        vec
+    }
+
+    /// Draws item `item`'s word-vector for the current lanes: one
+    /// transposed synthesis per home block on the aligned path, one
+    /// projected bit per lane on the scattered path. `caller` names the
+    /// public accessor in the read-before-materialize panic.
+    #[inline]
+    fn synthesize(
+        &mut self,
+        threshold: u64,
+        item_key: impl Fn(u64, usize) -> u64,
+        item: usize,
+        caller: &str,
+    ) -> [u64; W] {
         let mut vec = [0u64; W];
         match &self.source {
             LaneSource::Aligned { keys } => {
                 let mut item_keys = [0u64; W];
                 for w in 0..W {
-                    item_keys[w] = edge_key(keys[w], e);
+                    item_keys[w] = item_key(keys[w], item);
                 }
-                vec = bernoulli_words::<W>(t, &item_keys, &self.lane_masks, &mut self.usage.words);
+                vec = bernoulli_words::<W>(
+                    threshold,
+                    &item_keys,
+                    &self.lane_masks,
+                    &mut self.usage.words,
+                );
             }
             LaneSource::Scattered { keys } => {
                 let mut word = 0u64;
-                if t != 0 {
+                if threshold != 0 {
                     for (j, &(key, lane)) in keys.iter().enumerate() {
-                        let coin =
-                            bernoulli_bit(t, edge_key(key, e), lane, false, &mut self.usage.words);
+                        let coin = bernoulli_bit(
+                            threshold,
+                            item_key(key, item),
+                            lane,
+                            false,
+                            &mut self.usage.words,
+                        );
                         word |= (coin as u64) << j;
                     }
                 }
                 vec[0] = word;
             }
-            LaneSource::Empty => panic!("edge_word before materialize"),
+            LaneSource::Empty => panic!("{caller} before materialize"),
         }
-        wv_mut::<W>(&mut self.edge_words, e).copy_from_slice(&vec);
         vec
+    }
+
+    /// Eagerly synthesizes every node word-vector of the current
+    /// superblock that no traversal has touched yet — bit-identical to
+    /// what the lazy path would produce. The forward kernel calls this
+    /// first: it seeds its frontier from every self-defaulted node.
+    pub fn force_nodes(&mut self, coins: &CoinTable) {
+        for v in 0..self.node_epoch.len() {
+            let _ = self.node_word_lazy(coins, v);
+        }
     }
 
     /// Eagerly synthesizes every edge word-vector of the current
@@ -311,15 +369,24 @@ impl<const W: usize> SuperBlock<W> {
 
     /// Per-node self-default word-vectors as a flat stride-`W` slice:
     /// node `v`'s words are `node_words()[v·W .. v·W + W]`. At `W = 1`
-    /// this is the classic one-word-per-node layout.
+    /// this is the classic one-word-per-node layout. Valid only after
+    /// [`force_nodes`](Self::force_nodes) in the current superblock.
     #[inline]
     pub fn node_words(&self) -> &[u64] {
+        debug_assert!(
+            self.node_epoch.iter().all(|&e| e == self.epoch),
+            "node words read before force_nodes"
+        );
         &self.node_words
     }
 
-    /// Self-default word-vector of node `v` (always materialized).
+    /// Self-default word-vector of node `v`, which must already be
+    /// synthesized in the current superblock (by
+    /// [`node_word_lazy`](Self::node_word_lazy) or
+    /// [`force_nodes`](Self::force_nodes)).
     #[inline]
     pub fn node_word_vec(&self, v: usize) -> &[u64; W] {
+        debug_assert_eq!(self.node_epoch[v], self.epoch, "node {v} read before synthesis");
         wv::<W>(&self.node_words, v)
     }
 
@@ -346,23 +413,31 @@ impl<const W: usize> SuperBlock<W> {
         std::mem::take(&mut self.usage)
     }
 
+    /// Every node this block has ever materialized a self-default word
+    /// for (across all superblocks since construction) — half of the
+    /// revalidation ledger consumed by delta-aware caches.
+    pub fn touched_nodes(&self) -> &TouchSet {
+        &self.touched_nodes
+    }
+
     /// Every edge this block has ever materialized a survival word for
-    /// (across all superblocks since construction) — the revalidation
-    /// ledger consumed by delta-aware caches.
-    pub fn touched_edges(&self) -> &TouchedEdges {
-        &self.touched
+    /// (across all superblocks since construction) — the other half of
+    /// the revalidation ledger.
+    pub fn touched_edges(&self) -> &TouchSet {
+        &self.touched_edges
     }
 
     /// Unpacks one lane (`lane < W · 64`, indexing the superblock's
     /// worlds in sample order) into a [`PossibleWorld`] — a test/debug
     /// helper, bit-identical to sampling that world directly. Forces
-    /// every edge word of the superblock.
+    /// every node and edge word of the superblock.
     pub fn lane_world(&mut self, coins: &CoinTable, lane: usize) -> PossibleWorld {
         let (word, bit_index) = (lane / LANES, lane % LANES);
         assert!(
             word < W && self.lane_masks[word] >> bit_index & 1 == 1,
             "lane {lane} is not materialized"
         );
+        self.force_nodes(coins);
         self.force_edges(coins);
         let bit = 1u64 << bit_index;
         PossibleWorld {
@@ -387,7 +462,8 @@ impl WorldBlock {
     /// projects one bit out of its home block's synthesis, so scattered
     /// blocks remain bit-identical to the aligned path and the oracle.
     /// Scattered replay is inherently single-word, so this only exists
-    /// at `W = 1`.
+    /// at `W = 1`. Like [`materialize`](SuperBlock::materialize), it
+    /// draws no coin: node and edge words synthesize on first touch.
     pub fn materialize_ids(
         &mut self,
         graph: &UncertainGraph,
@@ -402,18 +478,6 @@ impl WorldBlock {
             .iter()
             .map(|&id| (block_key(seed, id / LANES as u64), (id % LANES as u64) as u32))
             .collect();
-        for (v, word) in self.node_words.iter_mut().enumerate() {
-            let t = coins.node_threshold(v);
-            let mut w = 0u64;
-            if t != 0 {
-                for (j, &(key, lane)) in keys.iter().enumerate() {
-                    let coin =
-                        bernoulli_bit(t, node_key(key, v), lane, false, &mut self.usage.words);
-                    w |= (coin as u64) << j;
-                }
-            }
-            *word = w;
-        }
         self.lane_masks = [lane_mask(keys.len())];
         self.source = LaneSource::Scattered { keys };
     }
@@ -424,10 +488,12 @@ impl WorldBlock {
         self.lane_masks[0]
     }
 
-    /// Self-default lane mask of node `v` (always materialized).
+    /// Self-default lane mask of node `v`, which must already be
+    /// synthesized in the current block (see
+    /// [`node_word_vec`](SuperBlock::node_word_vec)).
     #[inline]
     pub fn node_word(&self, v: usize) -> u64 {
-        self.node_words[v]
+        self.node_word_vec(v)[0]
     }
 }
 
@@ -530,6 +596,9 @@ impl<const W: usize> SuperKernel<W> {
     ) -> &[u64] {
         debug_assert_eq!(block.node_words.len(), self.defaulted.len(), "block/kernel mismatch");
         debug_assert_eq!(block.edge_epoch.len(), graph.num_edges(), "block/graph edge mismatch");
+        // Every self-defaulted node seeds the frontier, so this pass
+        // needs all node words.
+        block.force_nodes(coins);
         self.defaulted.copy_from_slice(block.node_words());
         self.queue.clear();
         self.live_lanes = 0;
@@ -701,10 +770,10 @@ impl<const W: usize> SuperKernel<W> {
     /// candidate `v` defaults in that lane's world: a reverse BFS over
     /// **in**-edges from `v` looks for a self-defaulted ancestor
     /// reachable through surviving edges, with per-lane frontiers.
-    /// Returns the word-vector of worlds where `v` defaults. Edge
-    /// word-vectors materialize lazily as the reverse frontier first
-    /// crosses them, so the superblock's coin cost is
-    /// `O(W · edges reached)`, not `O(W · m)`.
+    /// Returns the word-vector of worlds where `v` defaults. Node and
+    /// edge word-vectors materialize lazily as the reverse frontier first
+    /// reaches them, so the superblock's coin cost is
+    /// `O(W · (nodes + edges reached))`, not `O(W · (n + m))`.
     ///
     /// Results are pure functions of the superblock's worlds, so the
     /// per-superblock caches filled by earlier candidates only skip work
@@ -759,7 +828,7 @@ impl<const W: usize> SuperKernel<W> {
                 let mut hits_here = [0u64; W];
                 let mut any_hits = 0u64;
                 {
-                    let node = block.node_word_vec(u);
+                    let node = block.node_word_lazy(coins, u);
                     let known_hit = wv::<W>(&self.hit_known, u);
                     for w in 0..W {
                         hits_here[w] = active[w] & (node[w] | known_hit[w]);
@@ -965,10 +1034,12 @@ mod tests {
         let coins = CoinTable::new(&g);
         let mut wide = SuperBlock::<4>::new(&g);
         wide.materialize(&g, &coins, 9, 256, 256);
+        wide.force_nodes(&coins);
         wide.force_edges(&coins);
         for w in 0..4usize {
             let mut narrow = WorldBlock::new(&g);
             narrow.materialize(&g, &coins, 9, 256 + (w * LANES) as u64, LANES);
+            narrow.force_nodes(&coins);
             narrow.force_edges(&coins);
             for v in 0..g.num_nodes() {
                 assert_eq!(wide.node_word_vec(v)[w], narrow.node_word(v), "node {v} word {w}");
@@ -991,6 +1062,7 @@ mod tests {
         block.materialize(&g, &coins, 7, 0, 5);
         assert_eq!(block.lane_mask(), 0b11111);
         assert_eq!(block.lane_count(), 5);
+        block.force_nodes(&coins);
         block.force_edges(&coins);
         // High lanes read as all-zero coins.
         for w in block.node_words().iter().chain(&block.edge_words) {
@@ -1007,6 +1079,7 @@ mod tests {
         block.materialize(&g, &coins, 7, 0, 70);
         assert_eq!(block.lane_masks(), &[u64::MAX, 0b111111, 0, 0]);
         assert_eq!(block.lane_count(), 70);
+        block.force_nodes(&coins);
         block.force_edges(&coins);
         for words in block.node_words.chunks_exact(4).chain(block.edge_words.chunks_exact(4)) {
             assert_eq!(words[1] & !0b111111, 0);
@@ -1025,8 +1098,10 @@ mod tests {
         let mut block = SuperBlock::<4>::new(&g);
         block.materialize(&g, &coins, 7, 64, 192);
         assert_eq!(block.lane_masks(), &[0, u64::MAX, u64::MAX, u64::MAX]);
+        block.force_nodes(&coins);
         let mut full = SuperBlock::<4>::new(&g);
         full.materialize(&g, &coins, 7, 0, 256);
+        full.force_nodes(&coins);
         for v in 0..g.num_nodes() {
             assert_eq!(&block.node_word_vec(v)[1..], &full.node_word_vec(v)[1..], "node {v}");
             assert_eq!(block.node_word_vec(v)[0], 0, "node {v} word 0");
@@ -1041,9 +1116,11 @@ mod tests {
         let coins = CoinTable::new(&g);
         let mut full = WorldBlock::new(&g);
         full.materialize(&g, &coins, 9, 64, 64);
+        full.force_nodes(&coins);
         full.force_edges(&coins);
         let mut partial = WorldBlock::new(&g);
         partial.materialize(&g, &coins, 9, 70, 5);
+        partial.force_nodes(&coins);
         partial.force_edges(&coins);
         assert_eq!(partial.lane_mask(), 0b11111 << 6);
         for v in 0..g.num_nodes() {
@@ -1066,6 +1143,79 @@ mod tests {
         for e in [3usize, 0, 4, 1, 2, 3] {
             assert_eq!(lazy.edge_word(&coins, e), eager.edge_word(&coins, e), "edge {e}");
         }
+    }
+
+    #[test]
+    fn lazy_nodes_match_eager_nodes_bitwise() {
+        let g = mesh();
+        let coins = CoinTable::new(&g);
+        let mut eager = SuperBlock::<2>::new(&g);
+        eager.materialize(&g, &coins, 5, 0, 100);
+        eager.force_nodes(&coins);
+        let mut lazy = SuperBlock::<2>::new(&g);
+        lazy.materialize(&g, &coins, 5, 0, 100);
+        for v in [4usize, 0, 2, 4, 1, 3] {
+            assert_eq!(&lazy.node_word_lazy(&coins, v), eager.node_word_vec(v), "node {v}");
+        }
+        // Scattered lanes take the same path, one projected bit a lane.
+        let ids = [900u64, 3, 64, 65, 4000];
+        let mut eager = WorldBlock::new(&g);
+        eager.materialize_ids(&g, &coins, 5, &ids);
+        eager.force_nodes(&coins);
+        let mut lazy = WorldBlock::new(&g);
+        lazy.materialize_ids(&g, &coins, 5, &ids);
+        for v in [3usize, 1, 3, 0] {
+            assert_eq!(lazy.node_word_lazy(&coins, v)[0], eager.node_word(v), "node {v}");
+        }
+    }
+
+    #[test]
+    fn reverse_pass_draws_only_reached_node_words() {
+        // Node 0 has no in-edges: its reverse search reads its own word
+        // and nothing else, so the block draws one node word-vector,
+        // not all three — on aligned and scattered lanes alike.
+        let g = from_parts(&[0.5, 0.5, 0.5], &[(0, 1, 0.5)], DuplicateEdgePolicy::Error).unwrap();
+        let coins = CoinTable::new(&g);
+        let ids: Vec<u64> = (0..64).map(|i| i * 7 + 3).collect();
+        for scattered in [false, true] {
+            let fresh = || {
+                let mut block = WorldBlock::new(&g);
+                if scattered {
+                    block.materialize_ids(&g, &coins, 3, &ids);
+                } else {
+                    block.materialize(&g, &coins, 3, 0, 64);
+                }
+                block
+            };
+            let mut eager = fresh();
+            eager.force_nodes(&coins);
+            let eager_words = eager.take_usage().words;
+            let mut lazy = fresh();
+            assert_eq!(lazy.take_usage().words, 0, "materializing draws no coins");
+            let mut kernel = BlockKernel::new(&g);
+            kernel.begin_block();
+            let _ = kernel.reverse_hit_word(&g, &coins, &mut lazy, NodeId(0));
+            let lazy_words = lazy.take_usage().words;
+            assert!(lazy_words > 0);
+            assert!(lazy_words < eager_words, "untouched nodes must draw no coins");
+            let touched = lazy.touched_nodes();
+            assert!(touched.contains(0) && touched.count() == 1, "scattered = {scattered}");
+            assert_eq!(lazy.touched_edges().count(), 0);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read before synthesis")]
+    fn stale_node_words_are_caught() {
+        let g = chain();
+        let coins = CoinTable::new(&g);
+        let mut block = WorldBlock::new(&g);
+        block.materialize(&g, &coins, 1, 0, 64);
+        block.force_nodes(&coins);
+        // A fresh block invalidates every node word.
+        block.materialize(&g, &coins, 1, 64, 64);
+        let _ = block.node_word(0);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! *superblock* — one BFS step advances all `W·64` worlds with bitwise
 //! AND/OR the compiler autovectorizes, and the lane words themselves
 //! are synthesized transposed from a stateless `(seed, block, item,
-//! level)` generator, with edge word-vectors materialized lazily when a
-//! traversal first touches them. See [`coins`] for the generator,
-//! [`block`] for the data path, and [`width`] for runtime width
-//! selection (counts are bit-identical at every width).
+//! level)` generator, with node and edge word-vectors materialized
+//! lazily when a traversal first touches them. See [`coins`] for the
+//! generator, [`block`] for the data path, and [`width`] for runtime
+//! width selection (counts are bit-identical at every width).
 //!
 //! * [`CoinTable`] / [`coins`] — per-graph dyadic thresholds plus the
 //!   stateless bit-sliced Bernoulli synthesis.
@@ -86,6 +86,6 @@ pub use reverse::{
     ReverseSampler,
 };
 pub use rng::Xoshiro256pp;
-pub use touch::{TouchLedger, TouchedEdges};
+pub use touch::{TouchLedger, TouchSet};
 pub use width::{BlockWords, MAX_BLOCK_WORDS};
 pub use world::{PossibleWorld, WorldEnumerator};

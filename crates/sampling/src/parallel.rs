@@ -175,7 +175,7 @@ pub fn parallel_forward_counts_range_width_cancellable(
 }
 
 /// [`parallel_forward_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched-edge set into `ledger` — the
+/// folds every worker's touched node and edge sets into `ledger` — the
 /// revalidation bookkeeping for delta-aware sampled-state caches. The
 /// counts are bit-identical with or without a ledger.
 #[allow(clippy::too_many_arguments)]
@@ -254,7 +254,7 @@ fn forward_partitioned<const W: usize>(
                         );
                     }
                     if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_edges());
+                        ledger.absorb(block.touched_nodes(), block.touched_edges());
                     }
                     (counts, block.take_usage())
                 })
@@ -379,7 +379,7 @@ pub fn parallel_reverse_counts_range_width_cancellable(
 }
 
 /// [`parallel_reverse_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched-edge set into `ledger` (see
+/// folds every worker's touched node and edge sets into `ledger` (see
 /// [`parallel_forward_counts_range_width_traced`]).
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_reverse_counts_range_width_traced(
@@ -451,7 +451,7 @@ fn reverse_partitioned<const W: usize>(
                         );
                     }
                     if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_edges());
+                        ledger.absorb(block.touched_nodes(), block.touched_edges());
                     }
                     (counts, block.take_usage())
                 })
@@ -694,7 +694,7 @@ mod tests {
         let g = graph();
         let coins = CoinTable::new(&g);
         let plain = parallel_forward_counts_range_width(&g, &coins, 0..900, 3, 2, BlockWords::W2).0;
-        let ledger = TouchLedger::new(g.num_edges());
+        let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
         for threads in [1, 3] {
             let (traced, _) = parallel_forward_counts_range_width_traced(
                 &g,
@@ -712,12 +712,12 @@ mod tests {
         // Every self-risk here is positive and every edge p = 0.5, so at
         // 900 worlds each edge's source defaults somewhere: all edges
         // must appear in the ledger.
-        assert_eq!(ledger.count(), g.num_edges());
+        assert_eq!(ledger.edge_count(), g.num_edges());
 
         let cands: Vec<NodeId> = g.nodes().collect();
         let rplain =
             parallel_reverse_counts_range_width(&g, &coins, &cands, 0..900, 3, 2, BlockWords::W1).0;
-        let rledger = TouchLedger::new(g.num_edges());
+        let rledger = TouchLedger::new(g.num_nodes(), g.num_edges());
         let (rtraced, _) = parallel_reverse_counts_range_width_traced(
             &g,
             &coins,
@@ -730,7 +730,7 @@ mod tests {
             Some(&rledger),
         );
         assert_eq!(rtraced, rplain);
-        assert!(rledger.count() > 0);
+        assert!(rledger.edge_count() > 0);
     }
 
     #[test]
@@ -748,7 +748,7 @@ mod tests {
         )
         .unwrap();
         let coins = CoinTable::new(&g);
-        let ledger = TouchLedger::new(g.num_edges());
+        let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
         let before = parallel_forward_counts_range_width_traced(
             &g,
             &coins,
@@ -762,7 +762,7 @@ mod tests {
         )
         .0;
         let dormant = g.find_edge(NodeId(4), NodeId(0)).unwrap();
-        assert!(!ledger.intersects(&[dormant.0]), "dormant edge must never materialize");
+        assert!(!ledger.intersects(&[], &[dormant.0]), "dormant edge must never materialize");
 
         g.set_edge_prob(dormant, 0.01).unwrap();
         let mut patched = coins.clone();
@@ -770,6 +770,64 @@ mod tests {
         let after =
             parallel_forward_counts_range_width(&g, &patched, 0..2000, 21, 3, BlockWords::W2).0;
         assert_eq!(after, before, "untouched-edge delta changed sampled counts");
+    }
+
+    #[test]
+    fn untouched_nodes_cannot_change_reverse_counts() {
+        // Node 4 is no ancestor of candidates 1..=3, so their reverse
+        // searches never read its self-default word; the forward pass
+        // reads every node's.
+        let mut g = from_parts(
+            &[0.3, 0.2, 0.1, 0.4, 0.3],
+            &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.9)],
+            DuplicateEdgePolicy::Error,
+        )
+        .unwrap();
+        let coins = CoinTable::new(&g);
+        let cands = [NodeId(1), NodeId(2), NodeId(3)];
+        let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
+        let before = parallel_reverse_counts_range_width_traced(
+            &g,
+            &coins,
+            &cands,
+            0..2000,
+            21,
+            3,
+            BlockWords::W2,
+            None,
+            Some(&ledger),
+        )
+        .0;
+        assert!(ledger.intersects(&[0, 1, 2, 3], &[]), "ancestors must be recorded");
+        assert!(!ledger.intersects(&[4], &[]), "node 4 must never materialize");
+        let forward = TouchLedger::new(g.num_nodes(), g.num_edges());
+        let _ = parallel_forward_counts_range_width_traced(
+            &g,
+            &coins,
+            0..64,
+            21,
+            1,
+            BlockWords::W1,
+            Direction::Push,
+            None,
+            Some(&forward),
+        );
+        assert_eq!(forward.node_count(), g.num_nodes(), "forward passes read every node");
+
+        g.set_self_risk(NodeId(4), 0.8).unwrap();
+        let mut patched = coins.clone();
+        patched.patch(&g, &[4], &[]);
+        let after = parallel_reverse_counts_range_width(
+            &g,
+            &patched,
+            &cands,
+            0..2000,
+            21,
+            3,
+            BlockWords::W2,
+        )
+        .0;
+        assert_eq!(after, before, "untouched-node delta changed sampled counts");
     }
 
     #[test]

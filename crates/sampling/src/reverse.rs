@@ -20,9 +20,9 @@
 //!   stateless generator.
 //! * [`reverse_counts_range`] — the **runtime path** on the bit-parallel
 //!   [`BlockKernel`](crate::BlockKernel): one reverse BFS per candidate advances all 64
-//!   worlds of a block at once, and an edge's 64-lane word is
-//!   synthesized only when some candidate's frontier first crosses it —
-//!   `O(edges reached)` coins per block, not `O(m)`.
+//!   worlds of a block at once, and a node's or an edge's 64-lane word
+//!   is synthesized only when some candidate's frontier first reaches
+//!   it — `O(nodes + edges reached)` coins per block, not `O(n + m)`.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
 use crate::cancel::CancelToken;
@@ -201,7 +201,7 @@ pub fn reverse_counts_range(
 
 /// Runs reverse samples for the given range of sample ids on the block
 /// kernel: 64 worlds per [`WorldBlock`](crate::WorldBlock), one bit-parallel reverse BFS
-/// per candidate per block, frontier-lazy edge words. Returns the
+/// per candidate per block, frontier-lazy node and edge words. Returns the
 /// counts plus the materialization-cost counters.
 ///
 /// Sample `i` always draws from the counter-RNG stream derived from

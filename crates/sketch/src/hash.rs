@@ -39,30 +39,69 @@ impl UnitHasher {
     #[inline]
     pub fn hash_unit(&self, key: u64) -> f64 {
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let bits = self.hash_u64(key) >> 11; // 53 significant bits
-        let x = bits as f64 * SCALE;
-        if x == 0.0 {
-            SCALE
-        } else {
-            x
-        }
+        self.unit_rank(key) as f64 * SCALE
+    }
+
+    /// `hash_unit(key) · 2⁵³` as an integer in `1..2⁵³`: the top 53 bits
+    /// of the hash, with zero nudged up to one. The conversion to `f64`
+    /// is exact, so ranks order keys exactly as their unit hashes do.
+    #[inline]
+    fn unit_rank(&self, key: u64) -> u64 {
+        (self.hash_u64(key) >> 11).max(1)
     }
 }
+
+/// Bits per digit of [`hash_order`]'s radix sort: five passes cover the
+/// 53-bit ranks.
+const RADIX_BITS: u32 = 11;
+const RADIX_PASSES: usize = 53usize.div_ceil(RADIX_BITS as usize);
 
 /// Hashes the integers `0..t` and returns a permutation of `0..t` ordered
 /// by ascending hash value.
 ///
 /// This is exactly the order in which the BSRBK algorithm materializes
 /// samples: it "sorts the samples in ascending order based on the hash
-/// value" (paper §3.3) without materializing them first. `O(t log t)`.
+/// value" (paper §3.3) without materializing them first. `O(t)`: an
+/// LSD radix sort over the integer ranks behind
+/// [`UnitHasher::hash_unit`]. Samples whose hashes tie (about `t²/2⁵⁴`
+/// expected pairs) are ordered by id.
 pub fn hash_order(hasher: &UnitHasher, t: usize) -> Vec<u32> {
-    // Keys are cached up front: recomputing two hashes inside the
-    // comparator costs `2·t·log t` hash evaluations and dominated query
-    // start-up for multi-million-sample budgets.
-    let keys: Vec<f64> = (0..t as u64).map(|i| hasher.hash_unit(i)).collect();
-    let mut idx: Vec<u32> = (0..t as u32).collect();
-    idx.sort_unstable_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
-    idx
+    radix_order(t, |i| hasher.unit_rank(u64::from(i)))
+}
+
+/// Indices `0..t` ordered by ascending `rank` (below `2⁵⁵`), ties by
+/// ascending index. Ranks are recomputed in every pass instead of
+/// stored, so the sort holds 8 bytes per index: the order and its
+/// scatter buffer.
+fn radix_order(t: usize, rank: impl Fn(u32) -> u64) -> Vec<u32> {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    let digit = |r: u64, pass: usize| (r >> (pass as u32 * RADIX_BITS) & MASK) as usize;
+    // One counting sweep fills every pass's histogram.
+    let mut slots = vec![[0usize; 1 << RADIX_BITS]; RADIX_PASSES];
+    for i in 0..t as u32 {
+        let r = rank(i);
+        debug_assert!(r >> (RADIX_PASSES as u32 * RADIX_BITS) == 0, "rank {r} too wide");
+        for (pass, slot) in slots.iter_mut().enumerate() {
+            slot[digit(r, pass)] += 1;
+        }
+    }
+    let mut order: Vec<u32> = (0..t as u32).collect();
+    let mut next = vec![0u32; t];
+    for (pass, slot) in slots.iter_mut().enumerate() {
+        let mut start = 0;
+        for s in slot.iter_mut() {
+            (*s, start) = (start, start + *s);
+        }
+        // Stable scatter: equal digits keep their order, so equal ranks
+        // stay in index order from the identity start.
+        for &i in &order {
+            let s = &mut slot[digit(rank(i), pass)];
+            next[*s] = i;
+            *s += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
 }
 
 #[cfg(test)]
@@ -132,6 +171,24 @@ mod tests {
         for w in order.windows(2) {
             assert!(h.hash_unit(w[0] as u64) <= h.hash_unit(w[1] as u64));
         }
+    }
+
+    #[test]
+    fn hash_order_matches_the_comparison_sort() {
+        for (seed, t) in [(0u64, 1usize), (5, 2048), (11, 2049), (99, 20_000)] {
+            let h = UnitHasher::new(seed);
+            let keys: Vec<f64> = (0..t as u64).map(|i| h.hash_unit(i)).collect();
+            let mut reference: Vec<u32> = (0..t as u32).collect();
+            reference.sort_unstable_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+            assert_eq!(hash_order(&h, t), reference, "seed {seed}, t {t}");
+        }
+    }
+
+    #[test]
+    fn radix_order_sorts_full_width_ranks_and_orders_ties_by_index() {
+        let ranks = [1 << 52, 3, (1 << 52) + 1, 1, 1 << 11, 2047, 2048 << 22, 3];
+        assert_eq!(radix_order(ranks.len(), |i| ranks[i as usize]), vec![3, 1, 7, 5, 4, 6, 0, 2]);
+        assert_eq!(radix_order(0, |_| 0), Vec::<u32>::new());
     }
 
     #[test]

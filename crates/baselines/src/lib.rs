@@ -8,8 +8,9 @@
 //!   (≈ Wide&Deep / CNN-max / crDNN), gradient-boosted stumps (≈ GBDT),
 //!   all over local-graph features, scored by ROC-AUC.
 //! * **Labels** — synthetic multi-period default labels drawn from the
-//!   uncertain-graph process (the substitute for the bank's delinquency
-//!   records; see DESIGN.md).
+//!   uncertain-graph process (the substitute for the bank's private
+//!   delinquency records; [`labels`] explains why it preserves the
+//!   experiment).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

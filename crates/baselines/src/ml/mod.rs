@@ -1,5 +1,6 @@
 //! From-scratch ML classifiers standing in for the paper's TensorFlow
-//! baselines (see DESIGN.md §3 for the substitution rationale).
+//! baselines: the workspace has no external dependencies, and Table 3
+//! only needs each model family's ranking over the same graph features.
 
 pub mod auc;
 pub mod features;

@@ -1,4 +1,4 @@
-//! Ablations of design choices called out in DESIGN.md §6:
+//! Ablations of design choices, each run with and without the choice:
 //! negative-result caching in the reverse sampler, bottom-k early stop
 //! vs the full Equation-4 budget, incremental bounds, and antithetic
 //! sampling.

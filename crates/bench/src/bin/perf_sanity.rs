@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Four regressions fail this binary (and CI):
+//! Five regressions fail this binary (and CI):
 //!
 //! 1. **Materialization**: the transposed bit-sliced coin synthesis
 //!    (eager block materialization) must beat the scalar per-lane path
@@ -36,6 +36,13 @@
 //!    (measured ≈ 0.96–1.2× run-to-run, pure noise), while the flat
 //!    erdos degree profile makes neighbor locality — exactly what
 //!    relabeling buys — the dominant cache effect.
+//! 5. **Reverse search cost**: on Guarantee at scale 0.1 (k = 1% of n,
+//!    ε 0.1), SR must draw fewer than [`SR_MAX_COIN_WORDS_RATIO`] times
+//!    BSR's coin words per sample. SR's candidate set keeps the
+//!    bound-verified in-degree hubs; a reverse search that scans a hub's
+//!    in-edges past the in-neighbour that already decides its lanes pays
+//!    ~4.9× (discovery-time verdicts give ~1.6×). This gate counts coins
+//!    and measures no time, so it cannot flake with machine speed.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
@@ -43,8 +50,9 @@
 
 use ugraph::NodeOrder;
 use vulnds_bench::microbench::measure;
+use vulnds_core::{AlgorithmKind, DetectRequest, Detector};
 use vulnds_datasets::gen::erdos;
-use vulnds_datasets::{attach_probabilities, ProbabilityModel};
+use vulnds_datasets::{attach_probabilities, Dataset, ProbabilityModel};
 use vulnds_sampling::{
     forward_counts_range_width, forward_counts_range_width_directed, BlockWords, CoinTable,
     Direction, PossibleWorld, WorldBlock, Xoshiro256pp, LANES,
@@ -70,6 +78,20 @@ const DIRECTION_REQUIRED_SPEEDUP: f64 = 1.1;
 /// The BFS-order relabel must beat the scrambled node order by at least
 /// this factor on the fixed-budget forward workload, or the gate fails.
 const RELABEL_REQUIRED_SPEEDUP: f64 = 1.05;
+
+/// SR's coin words per sample must stay below this multiple of BSR's on
+/// the Guarantee workload, or the gate fails.
+const SR_MAX_COIN_WORDS_RATIO: f64 = 2.5;
+
+/// Coin words one fresh single-threaded session draws per sample it
+/// uses, answering `kind` at k = 1% of n and ε 0.1.
+fn coin_words_per_sample(graph: &ugraph::UncertainGraph, kind: AlgorithmKind) -> f64 {
+    let detector = Detector::builder(graph).seed(1).threads(1).build().expect("valid session");
+    let k = (graph.num_nodes() / 100).max(1);
+    let response =
+        detector.detect(&DetectRequest::new(k, kind).with_epsilon(0.1)).expect("query answers");
+    response.engine.coin_words_synthesized as f64 / response.stats.samples_used.max(1) as f64
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -272,6 +294,24 @@ fn main() {
              {RELABEL_REQUIRED_SPEEDUP}x faster than the scrambled node order ({:.3} ms)",
             after * 1e3,
             before * 1e3,
+        );
+        failed = true;
+    }
+
+    // Reverse-search gate: coin counts are deterministic, so one run
+    // per algorithm decides it.
+    let guarantee = Dataset::Guarantee.generate_scaled(3, 0.1);
+    let sr = coin_words_per_sample(&guarantee, AlgorithmKind::SampleReverse);
+    let bsr = coin_words_per_sample(&guarantee, AlgorithmKind::BoundedSampleReverse);
+    let ratio = sr / bsr;
+    println!(
+        "perf_sanity: SR draws {sr:.0} coin words per sample, {ratio:.2}x BSR's {bsr:.0} \
+         (required < {SR_MAX_COIN_WORDS_RATIO}x)"
+    );
+    if ratio.is_nan() || ratio >= SR_MAX_COIN_WORDS_RATIO {
+        eprintln!(
+            "perf_sanity FAILED: SR draws {ratio:.2}x BSR's coin words per sample on Guarantee \
+             (scale 0.1, k = 1% of n, ε 0.1), not < {SR_MAX_COIN_WORDS_RATIO}x"
         );
         failed = true;
     }

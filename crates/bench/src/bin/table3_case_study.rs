@@ -1,8 +1,9 @@
 //! Reproduces **Table 3**: default-prediction AUC on the Guarantee
 //! network over three test periods ("years").
 //!
-//! Labels come from the uncertain-graph process itself (see
-//! `vulnds_baselines::labels` and DESIGN.md §3); the training period fits
+//! Labels come from the uncertain-graph process itself, standing in for
+//! the paper's private delinquency records (see `vulnds_baselines::labels`
+//! for why that preserves the experiment); the training period fits
 //! the feature models, then every method scores all nodes and is
 //! evaluated by ROC-AUC against each test period.
 //!

@@ -7,7 +7,7 @@
 //! order `z` tightens the interval at `O(z (n + m))` cost; the paper's
 //! Figure 5 shows order 2 suffices on its datasets.
 //!
-//! **Validity caveat (documented in DESIGN.md):** the upper recursion is a
+//! **Validity caveat:** the upper recursion is a
 //! true upper bound on every graph — default indicators are increasing
 //! functions of independent coins, so by positive association (FKG) the
 //! probability that no in-neighbor transmits is at least the product of

@@ -596,10 +596,10 @@ impl EngineState {
 
         // Sample streams: a stream survives when its ledger proves no
         // draw ever materialized a dirty node's or a dirty edge's coin.
-        // Reverse streams record only the nodes their frontiers reached,
-        // so they usually outlive a self-risk change elsewhere; forward
-        // streams force every node word, so any self-risk change drops
-        // them. Locking the cell waits out in-flight draws, so the
+        // Reverse searches record only the nodes and in-edges they read
+        // before every lane was decided, so reverse streams usually
+        // outlive self-risk and edge changes elsewhere; forward streams
+        // force every node word, so any self-risk change drops them. Locking the cell waits out in-flight draws, so the
         // ledger is complete when inspected, and survivors are
         // re-stamped to the next version under the same lock.
         let mut verdict = |cell: &Arc<cache::StreamCell>| -> bool {
@@ -2152,6 +2152,37 @@ mod tests {
         nudge.apply(&mut post).unwrap();
         matches_cold(&warm, &post);
         assert!(warm.session_stats().samples_drawn > drawn_before, "read-node streams must redraw");
+    }
+
+    #[test]
+    fn reverse_streams_survive_an_edge_delta_past_the_deciding_in_edge() {
+        // Hub 6 never self-defaults; its first in-neighbour, node 0,
+        // always defaults over a certain edge. Every lane of the hub's
+        // search is decided by that edge, so the other in-edges are
+        // never read and a delta on one of them cannot move the stream.
+        let mut risks = vec![0.3; 7];
+        risks[0] = 1.0;
+        risks[6] = 0.0;
+        let edges: Vec<(u32, u32, f64)> =
+            (0..6).map(|s| (s, 6, if s == 0 { 1.0 } else { 0.5 })).collect();
+        let g = ugraph::from_parts(&risks, &edges, ugraph::DuplicateEdgePolicy::Error).unwrap();
+        let hub = NodeId(6);
+        assert_eq!(g.in_neighbors(hub)[0], 0, "node 0 is scanned first");
+        let unread = g.find_edge(NodeId(3), hub).unwrap();
+        let req = DetectRequest::new(1, AlgorithmKind::SampleReverse)
+            .with_candidates(vec![hub, NodeId(2)]);
+
+        let warm = session(&g);
+        assert!(warm.detect(&req).unwrap().stats.samples_used > 0, "SR must sample");
+        let delta = GraphDelta::default().set_edge_prob(unread, 0.9);
+        warm.apply_delta(&delta).unwrap();
+
+        let mut post = g.clone();
+        delta.apply(&mut post).unwrap();
+        let (w, c) = (warm.detect(&req).unwrap(), session(&post).detect(&req).unwrap());
+        assert_eq!(w.top_k, c.top_k);
+        assert_eq!(w.stats.samples_used, c.stats.samples_used);
+        assert_eq!(w.engine.samples_drawn, 0, "the surviving stream must serve the replay");
     }
 
     #[test]

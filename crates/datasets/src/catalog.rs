@@ -1,6 +1,7 @@
 //! The eight evaluation datasets of the paper's Table 2, as synthetic
-//! generators matching the published shapes (see DESIGN.md for the
-//! substitution rationale).
+//! generators matching the published shapes: the guarantee and fraud
+//! networks are private bank records, and seeded generators keep every
+//! experiment offline and reproducible.
 
 use crate::gen::{bipartite, chung_lu, erdos, interbank, pref_attach};
 use crate::probs::ProbabilityModel;

@@ -4,9 +4,9 @@
 //! The paper's Fraud dataset is built from credit-card transactions: each
 //! edge is a trade between a consumer and a merchant. Its reported max
 //! degree (85,074) exceeds the simple-graph bound, so the original counts
-//! multi-edges (repeat purchases); we generate the *simple* projection and
-//! document the substitution in DESIGN.md — the detection algorithms are
-//! defined on simple uncertain graphs either way.
+//! multi-edges (repeat purchases); we generate the *simple* projection,
+//! because the detection algorithms are defined on simple uncertain
+//! graphs either way.
 
 use super::dedup_edges;
 use crate::weighted::AliasTable;

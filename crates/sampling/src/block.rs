@@ -24,9 +24,11 @@
 //! what keeps counts bit-identical across widths. Node and edge
 //! word-vectors are both **frontier-lazy**: [`SuperBlock::node_word_lazy`]
 //! and [`SuperBlock::edge_word`] synthesize all `W` words of an item the
-//! first time a traversal reaches it, so a reverse pass costs
-//! `O(W·(nodes + edges reached))` coins instead of `O(W·(n + m))`. The
-//! forward kernel needs every node's seeds and forces them up front
+//! first time a traversal reads it. A reverse search decides lanes as it
+//! discovers ancestors and stops once every lane is decided, so it pays
+//! only for the nodes and edges it read up to that point — at most the
+//! ones reachable from its candidate, never `O(W·(n + m))`. The forward
+//! kernel needs every node's seeds and forces them up front
 //! ([`SuperBlock::force_nodes`]).
 //!
 //! # The `(seed, block, lane)` stream contract
@@ -770,14 +772,22 @@ impl<const W: usize> SuperKernel<W> {
     /// candidate `v` defaults in that lane's world: a reverse BFS over
     /// **in**-edges from `v` looks for a self-defaulted ancestor
     /// reachable through surviving edges, with per-lane frontiers.
-    /// Returns the word-vector of worlds where `v` defaults. Node and
-    /// edge word-vectors materialize lazily as the reverse frontier first
-    /// reaches them, so the superblock's coin cost is
-    /// `O(W · (nodes + edges reached))`, not `O(W · (n + m))`.
+    /// Returns the word-vector of worlds where `v` defaults.
     ///
-    /// Results are pure functions of the superblock's worlds, so the
-    /// per-superblock caches filled by earlier candidates only skip work
-    /// — they can never change an answer.
+    /// Lanes are decided when a node is **discovered**, not when it is
+    /// dequeued (the bottom-up check of Beamer et al.): the first time an
+    /// in-edge carries lanes to a source, the source's node word and the
+    /// hit cache settle them on the spot, every later in-edge is gated to
+    /// the lanes still undecided, and the search stops as soon as none is
+    /// left. A hub whose first in-neighbour defaults therefore scans one
+    /// in-edge, not all of them. Node and edge word-vectors materialize
+    /// lazily as the search reads them, so the superblock pays coins only
+    /// for the items read before every lane is decided — bounded by, and
+    /// usually far below, everything reachable from `v`.
+    ///
+    /// Results are pure functions of the superblock's worlds, so neither
+    /// the discovery order nor the per-superblock caches filled by
+    /// earlier candidates can change an answer — they only skip work.
     pub fn reverse_hit_words(
         &mut self,
         graph: &UncertainGraph,
@@ -802,58 +812,23 @@ impl<const W: usize> SuperKernel<W> {
         if any_undecided != 0 {
             self.queue.clear();
             self.touched.clear();
-            wv_mut::<W>(&mut self.reached, v.index()).copy_from_slice(&undecided);
-            self.touched.push(v.0);
-            self.queue.push(v.0);
-            self.in_queue[v.index()] = true;
+            // The candidate is its own first discovery.
+            let open = self.discover(coins, block, v.index(), undecided, &mut hit, &mut undecided);
             let mut head = 0;
-            'bfs: while head < self.queue.len() {
+            'bfs: while open && head < self.queue.len() {
                 let u = self.queue[head] as usize;
                 head += 1;
                 self.in_queue[u] = false;
-                let mut active = [0u64; W];
-                let mut any_active = 0u64;
-                {
-                    let reached = wv::<W>(&self.reached, u);
-                    for w in 0..W {
-                        active[w] = reached[w] & undecided[w];
-                        any_active |= active[w];
-                    }
-                }
-                if any_active == 0 {
-                    continue;
-                }
-                // A self-defaulted (or known-defaulted) ancestor decides
-                // its lanes immediately.
-                let mut hits_here = [0u64; W];
-                let mut any_hits = 0u64;
-                {
-                    let node = block.node_word_lazy(coins, u);
-                    let known_hit = wv::<W>(&self.hit_known, u);
-                    for w in 0..W {
-                        hits_here[w] = active[w] & (node[w] | known_hit[w]);
-                        any_hits |= hits_here[w];
-                    }
-                }
-                if any_hits != 0 {
-                    let mut left = 0u64;
-                    for w in 0..W {
-                        hit[w] |= hits_here[w];
-                        undecided[w] &= !hits_here[w];
-                        left |= undecided[w];
-                    }
-                    if left == 0 {
-                        break 'bfs;
-                    }
-                }
-                // Known-safe lanes cannot contain a defaulted ancestor:
-                // do not expand them.
+                // Open lanes that reached `u`; its own verdict was taken
+                // at discovery. Known-safe lanes cannot contain a
+                // defaulted ancestor: do not expand them.
                 let mut expand = [0u64; W];
                 let mut any_expand = 0u64;
                 {
+                    let reached = wv::<W>(&self.reached, u);
                     let known_safe = wv::<W>(&self.safe_known, u);
                     for w in 0..W {
-                        expand[w] = active[w] & !hits_here[w] & !known_safe[w];
+                        expand[w] = reached[w] & undecided[w] & !known_safe[w];
                         any_expand |= expand[w];
                     }
                 }
@@ -865,34 +840,37 @@ impl<const W: usize> SuperKernel<W> {
                     let s = s as usize;
                     let mut gate = [0u64; W];
                     let mut any_gate = 0u64;
-                    let mut was_reached = 0u64;
                     {
                         let reached = wv::<W>(&self.reached, s);
                         for w in 0..W {
                             gate[w] = expand[w] & !reached[w];
                             any_gate |= gate[w];
-                            was_reached |= reached[w];
                         }
                     }
                     if any_gate == 0 {
                         continue;
                     }
                     let edge = block.edge_word(coins, e as usize);
-                    let reached = wv_mut::<W>(&mut self.reached, s);
+                    let mut new = [0u64; W];
                     let mut any_new = 0u64;
                     for w in 0..W {
-                        let new = gate[w] & edge[w];
-                        any_new |= new;
-                        reached[w] |= new;
+                        new[w] = gate[w] & edge[w];
+                        any_new |= new[w];
                     }
-                    if any_new != 0 {
-                        if was_reached == 0 {
-                            self.touched.push(s as u32);
-                        }
-                        if !self.in_queue[s] {
-                            self.in_queue[s] = true;
-                            self.queue.push(s as u32);
-                        }
+                    if any_new == 0 {
+                        continue;
+                    }
+                    if !self.discover(coins, block, s, new, &mut hit, &mut undecided) {
+                        break 'bfs;
+                    }
+                    // Later in-edges only carry lanes still undecided.
+                    let mut any_left = 0u64;
+                    for w in 0..W {
+                        expand[w] &= undecided[w];
+                        any_left |= expand[w];
+                    }
+                    if any_left == 0 {
+                        break;
                     }
                 }
             }
@@ -914,6 +892,67 @@ impl<const W: usize> SuperKernel<W> {
             known_safe[w] |= want[w] & !hit[w];
         }
         hit
+    }
+
+    /// Records lanes `new` as reaching node `s` in the current reverse
+    /// search and decides them on the spot: lanes where `s` defaults —
+    /// cached as a hit by an earlier candidate, or self-defaulted — move
+    /// from `undecided` to `hit`. Lanes cached safe for `s` need no coin
+    /// (a safe node does not self-default) and are not expanded; the
+    /// rest queue `s` for its in-edge scan. Returns whether any lane of
+    /// the search is still undecided.
+    #[inline]
+    fn discover(
+        &mut self,
+        coins: &CoinTable,
+        block: &mut SuperBlock<W>,
+        s: usize,
+        new: [u64; W],
+        hit: &mut [u64; W],
+        undecided: &mut [u64; W],
+    ) -> bool {
+        let mut was_reached = 0u64;
+        {
+            let reached = wv_mut::<W>(&mut self.reached, s);
+            for w in 0..W {
+                was_reached |= reached[w];
+                reached[w] |= new[w];
+            }
+        }
+        if was_reached == 0 {
+            self.touched.push(s as u32);
+        }
+        let mut hits = [0u64; W];
+        let mut unknown = [0u64; W];
+        let mut any_unknown = 0u64;
+        {
+            let known_hit = wv::<W>(&self.hit_known, s);
+            let known_safe = wv::<W>(&self.safe_known, s);
+            for w in 0..W {
+                hits[w] = new[w] & known_hit[w];
+                unknown[w] = new[w] & !known_hit[w] & !known_safe[w];
+                any_unknown |= unknown[w];
+            }
+        }
+        let mut any_expand = 0u64;
+        if any_unknown != 0 {
+            let node = block.node_word_lazy(coins, s);
+            for w in 0..W {
+                hits[w] |= unknown[w] & node[w];
+                any_expand |= unknown[w] & !node[w];
+            }
+        }
+        let mut left = 0u64;
+        for w in 0..W {
+            hit[w] |= hits[w];
+            undecided[w] &= !hits[w];
+            left |= undecided[w];
+        }
+        if any_expand != 0 && left != 0 && !self.in_queue[s] {
+            self.in_queue[s] = true;
+            self.queue.push(s as u32);
+        }
+        left != 0
     }
 
     /// [`Self::reverse_hit_words`] over a candidate list, writing one
@@ -1202,6 +1241,47 @@ mod tests {
             assert!(touched.contains(0) && touched.count() == 1, "scattered = {scattered}");
             assert_eq!(lazy.touched_edges().count(), 0);
         }
+    }
+
+    /// A star into hub 8: source 0 always defaults over a certain edge,
+    /// sources 1–7 are coin flips. The hub never self-defaults.
+    fn star() -> UncertainGraph {
+        let mut risks = vec![0.5; 9];
+        risks[0] = 1.0;
+        risks[8] = 0.0;
+        let edges: Vec<(u32, u32, f64)> =
+            (0..8).map(|s| (s, 8, if s == 0 { 1.0 } else { 0.5 })).collect();
+        from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap()
+    }
+
+    fn hub_search_touches_one_edge<const W: usize>(g: &UncertainGraph, block: &mut SuperBlock<W>) {
+        let coins = CoinTable::new(g);
+        let hub = NodeId(8);
+        let mut kernel = SuperKernel::<W>::new(g);
+        kernel.begin_block();
+        let hit = kernel.reverse_hit_words(g, &coins, block, hub);
+        assert_eq!(&hit, block.lane_masks(), "the first in-neighbour decides every lane");
+        assert_eq!(block.touched_edges().count(), 1, "no in-edge past the deciding one");
+        assert!(block.touched_edges().contains(0));
+        let nodes = block.touched_nodes();
+        assert!(nodes.contains(8) && nodes.contains(0) && nodes.count() == 2);
+    }
+
+    #[test]
+    fn reverse_search_stops_at_the_first_deciding_in_edge() {
+        let g = star();
+        assert_eq!(g.in_neighbors(NodeId(8))[0], 0, "source 0 is scanned first");
+        let coins = CoinTable::new(&g);
+        let mut aligned = WorldBlock::new(&g);
+        aligned.materialize(&g, &coins, 5, 0, 64);
+        hub_search_touches_one_edge(&g, &mut aligned);
+        let mut wide = SuperBlock::<4>::new(&g);
+        wide.materialize(&g, &coins, 5, 64, 3 * 64 - 7);
+        hub_search_touches_one_edge(&g, &mut wide);
+        let ids: Vec<u64> = (0..40).map(|i| i * 11 + 2).collect();
+        let mut scattered = WorldBlock::new(&g);
+        scattered.materialize_ids(&g, &coins, 5, &ids);
+        hub_search_touches_one_edge(&g, &mut scattered);
     }
 
     #[test]

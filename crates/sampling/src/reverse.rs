@@ -14,15 +14,17 @@
 //!
 //! * [`ReverseSampler`] — the **scalar reference**: one world at a time,
 //!   with the paper's positive/negative result caches (epoch-stamped
-//!   dense arrays; the negative cache is the ablation toggle from
-//!   DESIGN.md). Coins are drawn lazily where the reverse BFS touches
-//!   them — the paper's original lazy-coin regime, restored by the
-//!   stateless generator.
+//!   dense arrays; the negative cache can be switched off, which
+//!   `benches/ablation.rs` measures). Coins are drawn lazily where the
+//!   reverse BFS touches them — the paper's original lazy-coin regime,
+//!   restored by the stateless generator.
 //! * [`reverse_counts_range`] — the **runtime path** on the bit-parallel
-//!   [`BlockKernel`](crate::BlockKernel): one reverse BFS per candidate advances all 64
-//!   worlds of a block at once, and a node's or an edge's 64-lane word
-//!   is synthesized only when some candidate's frontier first reaches
-//!   it — `O(nodes + edges reached)` coins per block, not `O(n + m)`.
+//!   [`BlockKernel`](crate::BlockKernel): one reverse BFS per candidate
+//!   advances all 64 worlds of a block at once and decides a lane as
+//!   soon as an in-edge discovers a defaulted ancestor, so a node's or an
+//!   edge's 64-lane word is synthesized only when a search reads it
+//!   before its lanes are all decided — usually far fewer items than the
+//!   candidates can reach, never more, and never `O(n + m)`.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
 use crate::cancel::CancelToken;

@@ -9,9 +9,11 @@
 //! cannot alter what a cold re-run would have produced, and the cached
 //! stream may survive the epoch bit-identically.
 //!
-//! Reverse streams read only the nodes their frontiers dequeue, so they
-//! usually survive a self-risk change to a node they never reached.
-//! Forward streams force every node word (each self-defaulted node
+//! Reverse searches read a node's coin when they discover it and stop
+//! scanning in-edges once every lane is decided, so reverse streams
+//! usually survive a self-risk change to a node they never reached and
+//! an edge-probability change to an in-edge past the one that decided a
+//! hub. Forward streams force every node word (each self-defaulted node
 //! seeds the frontier), so their node set is full and any self-risk
 //! change drops them.
 //!

@@ -16,7 +16,7 @@ fn main() {
     println!("Trade network: {} accounts, {} trades", stats.nodes, stats.edges);
 
     // Observed fraud labels for one audit period, generated by the
-    // contagion process (see DESIGN.md for the substitution).
+    // contagion process, standing in for private audit records.
     let labels = &draw_period_labels(&graph, 1, 0.1, 424242)[0];
     println!("fraud rate this period: {:.1}%", labels.positive_rate() * 100.0);
 

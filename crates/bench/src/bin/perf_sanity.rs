@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Five regressions fail this binary (and CI):
+//! Six regressions fail this binary (and CI):
 //!
 //! 1. **Materialization**: the transposed bit-sliced coin synthesis
 //!    (eager block materialization) must beat the scalar per-lane path
@@ -43,12 +43,21 @@
 //!    in-edges past the in-neighbour that already decides its lanes pays
 //!    ~4.9× (discovery-time verdicts give ~1.6×). This gate counts coins
 //!    and measures no time, so it cannot flake with machine speed.
+//! 6. **Delta repair cost**: on the same graph, a warm SN stream hit by
+//!    one seeded delta of two self-risks and three edge probabilities
+//!    must cost — `apply_delta` plus the next SN read — less than
+//!    [`REPAIR_MAX_COIN_WORDS_SHARE`] of the cold SN draw's coin words.
+//!    A delta can only move the counts of nodes downstream of it, so a
+//!    repair recounts those and the read draws nothing. Here the
+//!    downstream set holds the graph's in-degree hub, whose recount
+//!    alone makes the share ~9%; an engine that redraws the stream pays
+//!    100%. Like gate 5 it counts coins, not time.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
 //! seconds.
 
-use ugraph::NodeOrder;
+use ugraph::{EdgeId, GraphDelta, NodeId, NodeOrder};
 use vulnds_bench::microbench::measure;
 use vulnds_core::{AlgorithmKind, DetectRequest, Detector};
 use vulnds_datasets::gen::erdos;
@@ -83,6 +92,11 @@ const RELABEL_REQUIRED_SPEEDUP: f64 = 1.05;
 /// the Guarantee workload, or the gate fails.
 const SR_MAX_COIN_WORDS_RATIO: f64 = 2.5;
 
+/// A warm SN stream's repair after one delta, plus the next SN read,
+/// must synthesize less than this share of the cold SN draw's coin
+/// words, or the gate fails.
+const REPAIR_MAX_COIN_WORDS_SHARE: f64 = 0.1;
+
 /// Coin words one fresh single-threaded session draws per sample it
 /// uses, answering `kind` at k = 1% of n and ε 0.1.
 fn coin_words_per_sample(graph: &ugraph::UncertainGraph, kind: AlgorithmKind) -> f64 {
@@ -91,6 +105,33 @@ fn coin_words_per_sample(graph: &ugraph::UncertainGraph, kind: AlgorithmKind) ->
     let response =
         detector.detect(&DetectRequest::new(k, kind).with_epsilon(0.1)).expect("query answers");
     response.engine.coin_words_synthesized as f64 / response.stats.samples_used.max(1) as f64
+}
+
+/// Coin words a fresh single-threaded session spends on SN (k = 1% of
+/// n, ε 0.1): its cold draw, and then — after one seeded delta of two
+/// self-risks and three edge probabilities — `apply_delta` plus the
+/// next SN read together.
+fn sn_coin_words_around_a_delta(graph: &ugraph::UncertainGraph) -> (u64, u64) {
+    let detector = Detector::builder(graph).seed(1).threads(1).build().expect("valid session");
+    let k = (graph.num_nodes() / 100).max(1);
+    let sn = DetectRequest::new(k, AlgorithmKind::SampledNaive).with_epsilon(0.1);
+    let cold = detector.detect(&sn).expect("query answers").engine.coin_words_synthesized;
+
+    let mut rng = Xoshiro256pp::new(0xDE17A);
+    let mut delta = GraphDelta::new();
+    for _ in 0..2 {
+        let v = rng.next_bounded(graph.num_nodes() as u64) as u32;
+        delta = delta.set_self_risk(NodeId(v), 0.05 + 0.45 * rng.next_f64());
+    }
+    for _ in 0..3 {
+        let e = rng.next_bounded(graph.num_edges() as u64) as u32;
+        delta = delta.set_edge_prob(EdgeId(e), 0.05 + 0.45 * rng.next_f64());
+    }
+    let before = detector.session_stats().coin_words_synthesized;
+    detector.apply_delta(&delta).expect("delta applies");
+    let repair = detector.session_stats().coin_words_synthesized - before;
+    let read = detector.detect(&sn).expect("query answers").engine.coin_words_synthesized;
+    (cold, repair + read)
 }
 
 fn main() {
@@ -312,6 +353,25 @@ fn main() {
         eprintln!(
             "perf_sanity FAILED: SR draws {ratio:.2}x BSR's coin words per sample on Guarantee \
              (scale 0.1, k = 1% of n, ε 0.1), not < {SR_MAX_COIN_WORDS_RATIO}x"
+        );
+        failed = true;
+    }
+
+    // Delta-repair gate: deterministic coin counts again. The delta has
+    // the `serve-update` benchmark's shape.
+    let (cold, repaired) = sn_coin_words_around_a_delta(&guarantee);
+    let share = repaired as f64 / cold as f64;
+    println!(
+        "perf_sanity: a delta costs SN {repaired} coin words (repair plus read), {:.1}% of its \
+         cold draw's {cold} (required < {:.0}%)",
+        100.0 * share,
+        100.0 * REPAIR_MAX_COIN_WORDS_SHARE
+    );
+    if share.is_nan() || share >= REPAIR_MAX_COIN_WORDS_SHARE {
+        eprintln!(
+            "perf_sanity FAILED: after one delta, SN's repair plus read drew {repaired} coin \
+             words on Guarantee (scale 0.1, k = 1% of n, ε 0.1), not < \
+             {REPAIR_MAX_COIN_WORDS_SHARE} of its cold draw's {cold}"
         );
         failed = true;
     }

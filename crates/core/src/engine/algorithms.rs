@@ -494,19 +494,16 @@ impl Algorithm for BottomKEarlyStop {
         if samples_used == 0 {
             return Err(VulnError::Cancelled);
         }
-        // An early stop is success, not degradation: the stop rule's
-        // contract is satisfied. Only an unfinished budget without the
-        // stop firing widens ε.
+        // An early stop is not degradation — no budget was cut, so
+        // `degraded` stays false and `early_stopped` marks the answer —
+        // but the stop rule only fixes each sketch's `bk`-th hit, not
+        // the requested ε. The ε it delivers is the Eq. 4 inversion at
+        // the samples actually used, as for a degraded answer.
+        let (a, b) = (k_rem as u64, candidates.len().saturating_sub(k_rem) as u64);
         let (degraded, achieved) = if early_stopped {
-            (false, req.approx.epsilon())
+            (false, achieved_epsilon(a, b, req.approx.delta(), samples_used))
         } else {
-            epsilon_outcome(
-                req,
-                k_rem as u64,
-                candidates.len().saturating_sub(k_rem) as u64,
-                t,
-                samples_used,
-            )
+            epsilon_outcome(req, a, b, t, samples_used)
         };
 
         let chosen = if early_stopped {

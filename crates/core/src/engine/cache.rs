@@ -244,11 +244,11 @@ fn evict_one<K: Ord + Clone, V>(map: &mut BTreeMap<K, V>, keep: &K) {
 pub(crate) struct StreamCell {
     pub(crate) drawing: AtomicBool,
     pub(crate) cache: Mutex<SampleCache>,
-    /// Union of the node and edge coins every draw into this cell ever
-    /// materialized — the survival witness for delta-aware
-    /// revalidation: counts are independent of every unmarked item's
-    /// coin, so a delta that only touches unmarked items leaves the
-    /// cached prefix bit-identical to a cold post-delta draw.
+    /// Union of the node and edge coins every draw (and delta repair)
+    /// into this cell ever materialized — the survival witness for
+    /// delta-aware revalidation: counts are independent of every
+    /// unmarked item's coin, so a delta that only touches unmarked items
+    /// leaves the cached prefix bit-identical to a cold post-delta draw.
     ledger: OnceLock<TouchLedger>,
 }
 
@@ -321,8 +321,8 @@ impl<K: Ord + Clone> StreamMap<K> {
     /// mid-draw keeps its detached cell and finishes on its pinned
     /// snapshot). `keep` typically locks the cell, which waits out any
     /// in-flight draw — so the ledger it inspects is complete.
-    pub(crate) fn retain(&self, mut keep: impl FnMut(&Arc<StreamCell>) -> bool) {
-        lock_tracked(&self.streams).0.retain(|_, cell| keep(cell));
+    pub(crate) fn retain(&self, mut keep: impl FnMut(&K, &StreamCell) -> bool) {
+        lock_tracked(&self.streams).0.retain(|key, cell| keep(key, cell));
     }
 }
 
@@ -419,6 +419,9 @@ pub(crate) struct SampleCache {
     /// version must not touch the snapshots (see
     /// `EngineCtx::stream_counts`).
     pub(crate) graph_version: Option<u64>,
+    /// Delta repairs since a query last read the snapshots — the
+    /// idleness signal that stops repairs of a stream nobody reads.
+    pub(crate) unread_repairs: u32,
 }
 
 impl SampleCache {
@@ -486,6 +489,33 @@ impl SampleCache {
             };
         }
         (counts, reached - t0, t0)
+    }
+
+    /// Delta repair: recounts only `slots` in every snapshot and keeps
+    /// every other slot's count. `recount` is handed the snapshot keys
+    /// in ascending order and returns, in one pass over `0..t_max`, the
+    /// counts of exactly `slots` (in order) over each segment between
+    /// consecutive keys; their running sums are the repaired prefixes.
+    /// Each snapshot is replaced by a fresh `Arc` — an in-flight query of
+    /// the old epoch may still hold the old one.
+    pub(crate) fn repair(
+        &mut self,
+        slots: &[usize],
+        recount: impl FnOnce(&[u64]) -> Vec<DefaultCounts>,
+    ) {
+        if slots.is_empty() {
+            return;
+        }
+        let keys: Vec<u64> = self.snapshots.keys().copied().collect();
+        let segments = recount(&keys);
+        assert_eq!(segments.len(), keys.len(), "one segment per snapshot");
+        let mut prefix = DefaultCounts::new(slots.len());
+        for (snapshot, segment) in self.snapshots.values_mut().zip(&segments) {
+            prefix.merge(segment);
+            let mut fresh = (**snapshot).clone();
+            fresh.overwrite(slots, &prefix);
+            *snapshot = Arc::new(fresh);
+        }
     }
 }
 
@@ -744,6 +774,45 @@ mod tests {
         cache.serve(10, 64, draw);
         let (c, drawn, reused) = cache.serve(25, 64, draw_until(0));
         assert_eq!((c.samples(), drawn, reused), (10, 0, 10));
+    }
+
+    #[test]
+    fn repair_rewrites_the_listed_slots_of_every_snapshot_in_fresh_arcs() {
+        // Two slots; the fake recount marks slot 1 in every sample.
+        let draw2 = |range: Range<u64>| {
+            let mut c = DefaultCounts::new(2);
+            for _ in range {
+                c.begin_sample();
+                c.bump(0);
+            }
+            c
+        };
+        let mut cache = SampleCache::default();
+        cache.serve(100, 64, draw2);
+        let held = cache.snapshots[&100].clone();
+        let mut seen = Vec::new();
+        cache.repair(&[1], |keys: &[u64]| {
+            seen.extend_from_slice(keys);
+            let mut start = 0;
+            keys.iter()
+                .map(|&end| {
+                    let mut c = DefaultCounts::new(1);
+                    for _ in start..end {
+                        c.begin_sample();
+                        c.bump(0);
+                    }
+                    start = end;
+                    c
+                })
+                .collect()
+        });
+        assert_eq!(seen, vec![64, 100], "one pass, split at the snapshot keys");
+        for (&t, snapshot) in &cache.snapshots {
+            assert_eq!((snapshot.count(0), snapshot.count(1), snapshot.samples()), (t, t, t));
+        }
+        assert_eq!(held.count(1), 0, "a held snapshot must not change under its reader");
+        let (c, drawn, _) = cache.serve(100, 64, draw2);
+        assert_eq!((c.count(1), drawn), (100, 0), "repaired snapshots serve later hits");
     }
 
     #[test]

@@ -284,15 +284,18 @@ pub struct DetectResponse {
     /// the wider [`achieved_epsilon`](DetectResponse::achieved_epsilon),
     /// and replaying the request with `stats.samples_used` as its
     /// `sample_cap` reproduces it bit-identically. BSRBK's early stop is
-    /// *not* degradation: stopping early with a satisfied contract keeps
-    /// `degraded = false`.
+    /// *not* degradation — no budget was cut, so it keeps
+    /// `degraded = false` — but it still reports the wider `ε` it
+    /// achieved (see `stats.early_stopped`).
     pub degraded: bool,
     /// The `ε` the request's `δ` guarantee holds at, given the samples
     /// actually used: the requested `ε` for a full pass, the inverted
     /// Hoeffding/union bound (Eq. 3/4 solved for `ε` at
-    /// `stats.samples_used`) for a degraded one. Not meaningful for
-    /// fixed-budget `N` runs, which have no requested contract; the
-    /// inversion is still reported against the session's `(ε, δ)`.
+    /// `stats.samples_used`) for a degraded one and for a BSRBK early
+    /// stop — which is not degraded, but whose stop rule does not
+    /// deliver the requested `ε`. Not meaningful for fixed-budget `N`
+    /// runs, which have no requested contract; the inversion is still
+    /// reported against the session's `(ε, δ)`.
     pub achieved_epsilon: f64,
 }
 

@@ -102,6 +102,17 @@ impl DefaultCounts {
             *a += b;
         }
     }
+
+    /// Overwrites slot `slots[j]` with `part`'s slot `j`, for every `j`:
+    /// the write half of a partial recount, where `part` counted just
+    /// those slots over the same samples `self` covers.
+    pub fn overwrite(&mut self, slots: &[usize], part: &DefaultCounts) {
+        assert_eq!(self.samples, part.samples, "sample count mismatch");
+        assert_eq!(slots.len(), part.counts.len(), "slot count mismatch");
+        for (&slot, &count) in slots.iter().zip(&part.counts) {
+            self.counts[slot] = count;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +191,27 @@ mod tests {
     fn record_block_checks_width() {
         let mut c = DefaultCounts::new(2);
         c.record_block(&[0u64], u64::MAX);
+    }
+
+    #[test]
+    fn overwrite_replaces_only_the_listed_slots() {
+        let mut full = DefaultCounts::new(3);
+        full.record_mask(&[true, true, false]);
+        full.record_mask(&[true, false, false]);
+        let mut part = DefaultCounts::new(2);
+        part.record_mask(&[false, true]);
+        part.record_mask(&[false, true]);
+        full.overwrite(&[0, 2], &part);
+        assert_eq!((full.count(0), full.count(1), full.count(2)), (0, 1, 2));
+        assert_eq!(full.samples(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample count mismatch")]
+    fn overwrite_checks_sample_counts() {
+        let mut full = DefaultCounts::new(2);
+        full.record_mask(&[true, false]);
+        full.overwrite(&[0], &DefaultCounts::new(1));
     }
 
     #[test]

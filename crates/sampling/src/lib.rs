@@ -79,6 +79,7 @@ pub use parallel::{
     parallel_forward_counts_range_with, parallel_reverse_counts, parallel_reverse_counts_range,
     parallel_reverse_counts_range_width, parallel_reverse_counts_range_width_cancellable,
     parallel_reverse_counts_range_width_traced, parallel_reverse_counts_range_with,
+    parallel_reverse_counts_split_traced,
 };
 pub use reverse::{
     reverse_counts, reverse_counts_range, reverse_counts_range_wide,

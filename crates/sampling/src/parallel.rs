@@ -406,6 +406,41 @@ pub fn parallel_reverse_counts_range_width_traced(
     })
 }
 
+/// [`parallel_reverse_counts_range_width_traced`] over `0..ends.last()`
+/// in a single pass, returning the counts of each segment
+/// `ends[i - 1]..ends[i]` (from 0) separately: a caller that needs
+/// several prefixes pays for one pass — one kernel set-up per worker —
+/// instead of one pass per prefix. `ends` must be ascending; chunks are
+/// split at every end, so each segment's counts are exact.
+#[allow(clippy::too_many_arguments)]
+pub fn parallel_reverse_counts_split_traced(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: &[NodeId],
+    ends: &[u64],
+    seed: u64,
+    threads: usize,
+    width: BlockWords,
+    ledger: Option<&TouchLedger>,
+) -> (Vec<DefaultCounts>, CoinUsage) {
+    debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]), "segment ends must ascend");
+    let width = fit_width(&(0..ends.last().copied().unwrap_or(0)), width, threads);
+    with_block_words!(width, W, {
+        let mut start = 0;
+        let mut chunks: Vec<std::ops::Range<u64>> = Vec::new();
+        for &end in ends {
+            chunks.extend(superblock_chunks(start..end, W));
+            start = end;
+        }
+        let threads = effective_threads(threads, chunks.len() as u64);
+        let (mut segments, usage) = reverse_segments::<W>(
+            graph, coins, candidates, &chunks, ends, seed, threads, None, ledger,
+        );
+        segments.truncate(ends.len());
+        (segments, usage)
+    })
+}
+
 /// The claim-based multi-thread reverse runner, taking `threads` as-is
 /// (see [`forward_partitioned`] for why it is split out and how
 /// cancellation keeps the completed set a contiguous prefix).
@@ -420,6 +455,27 @@ fn reverse_partitioned<const W: usize>(
     cancel: Option<&CancelToken>,
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
+    let (mut segments, usage) =
+        reverse_segments::<W>(graph, coins, candidates, chunks, &[], seed, threads, cancel, ledger);
+    (segments.swap_remove(0), usage)
+}
+
+/// [`reverse_partitioned`] accumulating each chunk into the segment its
+/// start falls in: segment `i` ends at `ends[i]`, and the last one
+/// (index `ends.len()`) takes every chunk past the final end.
+#[allow(clippy::too_many_arguments)]
+fn reverse_segments<const W: usize>(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: &[NodeId],
+    chunks: &[std::ops::Range<u64>],
+    ends: &[u64],
+    seed: u64,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    ledger: Option<&TouchLedger>,
+) -> (Vec<DefaultCounts>, CoinUsage) {
+    let fresh = || vec![DefaultCounts::new(candidates.len()); ends.len() + 1];
     let next = AtomicUsize::new(0);
     let partials = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -429,7 +485,7 @@ fn reverse_partitioned<const W: usize>(
                     let mut block = SuperBlock::<W>::new(graph);
                     let mut kernel = SuperKernel::<W>::new(graph);
                     let mut hits = Vec::with_capacity(candidates.len() * W);
-                    let mut counts = DefaultCounts::new(candidates.len());
+                    let mut segments = fresh();
                     loop {
                         if cancel.is_some_and(CancelToken::is_cancelled) {
                             break;
@@ -438,6 +494,7 @@ fn reverse_partitioned<const W: usize>(
                         // results synchronize through thread join.
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(chunk) = chunks.get(i) else { break };
+                        let segment = ends.partition_point(|&end| end <= chunk.start);
                         crate::reverse::accumulate_reverse_chunk(
                             graph,
                             coins,
@@ -447,13 +504,13 @@ fn reverse_partitioned<const W: usize>(
                             &mut block,
                             &mut kernel,
                             &mut hits,
-                            &mut counts,
+                            &mut segments[segment],
                         );
                     }
                     if let Some(ledger) = ledger {
                         ledger.absorb(block.touched_nodes(), block.touched_edges());
                     }
-                    (counts, block.take_usage())
+                    (segments, block.take_usage())
                 })
             })
             .collect();
@@ -463,10 +520,12 @@ fn reverse_partitioned<const W: usize>(
             .collect::<Vec<_>>()
     });
 
-    let mut total = DefaultCounts::new(candidates.len());
+    let mut total = fresh();
     let mut usage = CoinUsage::default();
-    for (p, u) in &partials {
-        total.merge(p);
+    for (segments, u) in &partials {
+        for (t, p) in total.iter_mut().zip(segments) {
+            t.merge(p);
+        }
         usage.merge(u);
     }
     (total, usage)
@@ -734,6 +793,35 @@ mod tests {
     }
 
     #[test]
+    fn split_runs_count_each_segment_exactly_in_one_pass() {
+        let g = graph();
+        let coins = CoinTable::new(&g);
+        let cands: Vec<NodeId> = g.nodes().collect();
+        let ends = [37, 37, 300, 1100];
+        for threads in [1, 3] {
+            let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
+            let (segments, _) = parallel_reverse_counts_split_traced(
+                &g,
+                &coins,
+                &cands,
+                &ends,
+                5,
+                threads,
+                BlockWords::W4,
+                Some(&ledger),
+            );
+            assert_eq!(segments.len(), ends.len());
+            let mut start = 0;
+            for (segment, &end) in segments.iter().zip(&ends) {
+                let want = crate::reverse::reverse_counts_range(&g, &cands, start..end, 5);
+                assert_eq!(*segment, want, "{start}..{end}, threads = {threads}");
+                start = end;
+            }
+            assert!(ledger.node_count() > 0, "the pass must record its touches");
+        }
+    }
+
+    #[test]
     fn untouched_edges_cannot_change_counts() {
         // Node 4 has zero self-risk and no in-edges, so no world ever
         // defaults it and the frontier never reaches edge 4 → 0: that
@@ -828,6 +916,61 @@ mod tests {
         )
         .0;
         assert_eq!(after, before, "untouched-node delta changed sampled counts");
+    }
+
+    #[test]
+    fn deltas_move_only_the_counts_downstream_of_them() {
+        // A node's default reads only the coins of the node, its
+        // ancestors, and the edges into them, so a delta can move only
+        // the counts of nodes downstream of it — and recounting those
+        // with the reverse kernel reproduces a post-delta forward pass.
+        // This is the invariant delta-scoped stream repair rests on.
+        ugraph::testkit::check(24, |rng| {
+            let mut g = ugraph::testkit::random_graph(rng, 12, 24);
+            let coins = CoinTable::new(&g);
+            let (t, seed) = (200, rng.next_u64());
+            let forward = |g: &UncertainGraph, coins: &CoinTable| {
+                parallel_forward_counts_range_width(g, coins, 0..t, seed, 2, BlockWords::W2).0
+            };
+            let before = forward(&g, &coins);
+
+            let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+            for _ in 0..rng.range_usize(1, 3) {
+                let p = rng.next_f64();
+                if g.num_edges() > 0 && rng.next_bounded(2) == 0 {
+                    let e = rng.next_bounded(g.num_edges() as u64) as u32;
+                    g.set_edge_prob(ugraph::EdgeId(e), p).unwrap();
+                    edges.push(e);
+                } else {
+                    let v = rng.next_bounded(g.num_nodes() as u64) as u32;
+                    g.set_self_risk(NodeId(v), p).unwrap();
+                    nodes.push(v);
+                }
+            }
+            let mut patched = coins.clone();
+            patched.patch(&g, &nodes, &edges);
+            let after = forward(&g, &patched);
+
+            let reach = ugraph::traversal::downstream(&g, &nodes, &edges, g.num_nodes()).unwrap();
+            for v in 0..g.num_nodes() {
+                if reach.binary_search(&(v as u32)).is_err() {
+                    assert_eq!(after.count(v), before.count(v), "node {v} is not downstream");
+                }
+            }
+            let reach_nodes: Vec<NodeId> = reach.iter().map(|&v| NodeId(v)).collect();
+            let (recount, _) = parallel_reverse_counts_range_width(
+                &g,
+                &patched,
+                &reach_nodes,
+                0..t,
+                seed,
+                2,
+                BlockWords::W2,
+            );
+            for (i, v) in reach_nodes.iter().enumerate() {
+                assert_eq!(recount.count(i), after.count(v.index()), "node {v:?}");
+            }
+        });
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! an edge-probability change to an in-edge past the one that decided a
 //! hub. Forward streams force every node word (each self-defaulted node
 //! seeds the frontier), so their node set is full and any self-risk
-//! change drops them.
+//! change reaches them; the session then recounts only the nodes
+//! downstream of the change, or drops the stream.
 //!
 //! [`TouchSet`] is the plain per-kernel bitset — one for nodes, one for
 //! edges; [`TouchLedger`] is the shared, thread-safe union of both a

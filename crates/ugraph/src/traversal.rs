@@ -6,7 +6,7 @@
 //! checks, reachability counts).
 
 use crate::graph::UncertainGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use std::collections::VecDeque;
 
 /// Direction of a traversal.
@@ -83,6 +83,31 @@ pub fn reachable_mask(graph: &UncertainGraph, root: NodeId, direction: Direction
 /// Counts nodes reachable from `root` (inclusive).
 pub fn reachable_count(graph: &UncertainGraph, root: NodeId, direction: Direction) -> usize {
     Bfs::new(graph, root, direction).count()
+}
+
+/// The nodes whose default can depend on the coins of `nodes` or of
+/// `edges`: everything reachable over out-edges from `nodes` and from
+/// the heads of `edges`, those roots included, sorted ascending. An
+/// edge's tail is not a root — the edge only carries defaults into its
+/// head. Returns `None` as soon as the set grows past `cap` nodes, so a
+/// caller probing a large reach pays for at most `cap + 1` visits.
+pub fn downstream(
+    graph: &UncertainGraph,
+    nodes: &[u32],
+    edges: &[u32],
+    cap: usize,
+) -> Option<Vec<u32>> {
+    let heads = edges.iter().map(|&e| graph.edge_endpoints(EdgeId(e)).1);
+    let roots = nodes.iter().map(|&v| NodeId(v)).chain(heads);
+    let mut reach = Vec::new();
+    for (v, _) in Bfs::from_roots(graph, roots, Direction::Forward) {
+        if reach.len() == cap {
+            return None;
+        }
+        reach.push(v.0);
+    }
+    reach.sort_unstable();
+    Some(reach)
 }
 
 /// Number of weakly-connected components (edges treated as undirected).
@@ -199,6 +224,20 @@ mod tests {
         assert_eq!(reachable_count(&g, NodeId(3), Direction::Reverse), 4);
         let mask = reachable_mask(&g, NodeId(1), Direction::Forward);
         assert_eq!(mask, vec![false, true, false, true]);
+    }
+
+    #[test]
+    fn downstream_follows_out_edges_from_nodes_and_edge_heads() {
+        let g = diamond();
+        assert_eq!(downstream(&g, &[1], &[], 4), Some(vec![1, 3]));
+        // Edge 0 → 2 roots at its head: the tail 0 is upstream.
+        let e = g.find_edge(NodeId(0), NodeId(2)).unwrap();
+        assert_eq!(downstream(&g, &[], &[e.0], 4), Some(vec![2, 3]));
+        assert_eq!(downstream(&g, &[3], &[e.0], 4), Some(vec![2, 3]));
+        assert_eq!(downstream(&g, &[0], &[], 4), Some(vec![0, 1, 2, 3]));
+        // Past the cap the probe gives up.
+        assert_eq!(downstream(&g, &[0], &[], 3), None);
+        assert_eq!(downstream(&g, &[], &[], 0), Some(vec![]));
     }
 
     #[test]

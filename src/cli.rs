@@ -673,7 +673,8 @@ pub fn run(command: Command) -> Result<String, VulnError> {
             let _ = writeln!(
                 out,
                 "# traffic queries {} | degraded {} | cancelled {} | shed {} | in-flight {} | \
-                 epoch {} | graph-version {} | caches revalidated {} | invalidated {}",
+                 epoch {} | graph-version {} | caches revalidated {} | repaired {} | \
+                 invalidated {}",
                 session.queries,
                 session.queries_degraded,
                 session.queries_cancelled,
@@ -682,6 +683,7 @@ pub fn run(command: Command) -> Result<String, VulnError> {
                 session.epoch,
                 session.graph_version,
                 session.caches_revalidated,
+                session.caches_repaired,
                 session.caches_invalidated
             );
             let _ = writeln!(out, "# rank node score");

@@ -782,6 +782,7 @@ fn dispatch(ctx: &ServeCtx<'_>, request: &Json) -> Result<Json, VulnError> {
                 ("epoch", (offset + outcome.epoch).into()),
                 ("graph_version", outcome.graph_version.into()),
                 ("revalidated", outcome.revalidated.into()),
+                ("repaired", outcome.repaired.into()),
                 ("invalidated", outcome.invalidated.into()),
                 ("durable", ctx.updates.is_some().into()),
             ]))
@@ -1021,6 +1022,7 @@ pub fn session_stats_json(session: &SessionStats) -> Json {
         ("deltas_applied", session.deltas_applied.into()),
         ("caches_revalidated", session.caches_revalidated.into()),
         ("caches_invalidated", session.caches_invalidated.into()),
+        ("caches_repaired", session.caches_repaired.into()),
     ])
 }
 
@@ -1568,6 +1570,7 @@ mod tests {
         assert_eq!(update.get("durable").and_then(Json::as_bool), Some(false));
         assert!(update.get("graph_version").and_then(Json::as_u64).unwrap() > 0);
         assert!(update.get("revalidated").is_some() && update.get("invalidated").is_some());
+        assert!(update.get("repaired").and_then(Json::as_u64).is_some());
 
         // The post-update answer is bit-identical to a fresh session on
         // the mutated graph: epoch swap plus revalidation never change
@@ -1608,6 +1611,7 @@ mod tests {
         assert_eq!(session.get("epoch").and_then(Json::as_u64), Some(1));
         assert_eq!(session.get("deltas_applied").and_then(Json::as_u64), Some(1));
         assert!(session.get("caches_revalidated").and_then(Json::as_u64).is_some());
+        assert!(session.get("caches_repaired").and_then(Json::as_u64).is_some());
     }
 
     #[test]

@@ -199,3 +199,27 @@ fn deadline_edges_behave() {
     assert_eq!(warm_full.top_k, r.top_k);
     assert!(!warm_full.degraded);
 }
+
+/// A BSRBK early stop is not degraded (no budget was cut), but its stop
+/// rule does not deliver the requested ε: the answer reports the Eq. 4
+/// inversion at the samples it actually used.
+#[test]
+fn bsrbk_early_stop_reports_the_epsilon_its_samples_deliver() {
+    use vulnds::core::sample_size::achieved_epsilon;
+    let g = Dataset::Guarantee.generate_scaled(3, 0.1);
+    let k = (g.num_nodes() / 100).max(1);
+    let (epsilon, delta) = (0.1, 0.1);
+    let request = DetectRequest::new(k, AlgorithmKind::BottomK).with_epsilon(epsilon);
+    let r = session(&g, 1).detect(&request.with_delta(delta)).unwrap();
+    assert!(r.stats.early_stopped, "BSRBK must stop early on Guarantee");
+    assert!(!r.degraded, "an early stop is not degradation");
+    let k_rem = (k - r.stats.verified) as u64;
+    let b = r.stats.candidates as u64 - k_rem;
+    let want = achieved_epsilon(k_rem, b, delta, r.stats.samples_used);
+    assert_eq!(r.achieved_epsilon.to_bits(), want.to_bits());
+    assert!(
+        r.achieved_epsilon > epsilon,
+        "{} samples cannot deliver ε {epsilon}",
+        r.stats.samples_used
+    );
+}

@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Six regressions fail this binary (and CI):
+//! Seven regressions fail this binary (and CI):
 //!
 //! 1. **Materialization**: the transposed bit-sliced coin synthesis
 //!    (eager block materialization) must beat the scalar per-lane path
@@ -52,6 +52,15 @@
 //!    downstream set holds the graph's in-degree hub, whose recount
 //!    alone makes the share ~9%; an engine that redraws the stream pays
 //!    100%. Like gate 5 it counts coins, not time.
+//! 7. **Reverse scratch**: on the same graph, a width-8 kernel that has
+//!    run SR's candidate set `B` (k = 1% of n, ε 0.1) over two
+//!    superblocks must hold at most `n·W + n + 2·|B|·W` words of
+//!    scratch, not counting its frontier queues: its `reached` vectors,
+//!    the verdict-slot index and queue flags, and one hit/safe slot per
+//!    candidate. A kernel that sizes its verdict caches for the whole
+//!    graph, or allocates the forward pass's buffer for a reverse pass,
+//!    holds up to `4·n·W` and fails. Like gates 5 and 6 it counts words
+//!    and measures no time.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
@@ -59,12 +68,14 @@
 
 use ugraph::{EdgeId, GraphDelta, NodeId, NodeOrder};
 use vulnds_bench::microbench::measure;
-use vulnds_core::{AlgorithmKind, DetectRequest, Detector};
+use vulnds_core::{
+    compute_bounds, reduce_candidates, AlgorithmKind, DetectRequest, Detector, VulnConfig,
+};
 use vulnds_datasets::gen::erdos;
 use vulnds_datasets::{attach_probabilities, Dataset, ProbabilityModel};
 use vulnds_sampling::{
     forward_counts_range_width, forward_counts_range_width_directed, BlockWords, CoinTable,
-    Direction, PossibleWorld, WorldBlock, Xoshiro256pp, LANES,
+    Direction, PossibleWorld, SuperBlock, SuperKernel, WorldBlock, Xoshiro256pp, LANES,
 };
 
 /// Block materialization must beat the scalar per-lane path by at least
@@ -132,6 +143,39 @@ fn sn_coin_words_around_a_delta(graph: &ugraph::UncertainGraph) -> (u64, u64) {
     let repair = detector.session_stats().coin_words_synthesized - before;
     let read = detector.detect(&sn).expect("query answers").engine.coin_words_synthesized;
     (cold, repair + read)
+}
+
+/// Superblock width of the reverse-scratch gate: the planner's widest,
+/// where whole-graph scratch costs the most.
+const SCRATCH_GATE_WORDS: usize = 8;
+
+/// Words of scratch a width-8 kernel holds after answering SR's
+/// candidate set on `graph` (k = 1% of n, ε 0.1, the engine's default
+/// bounds) over two superblocks, and the size of that set.
+fn sr_kernel_scratch_words(graph: &ugraph::UncertainGraph) -> (usize, usize) {
+    const W: usize = SCRATCH_GATE_WORDS;
+    let config = VulnConfig::default();
+    let k = (graph.num_nodes() / 100).max(1);
+    let (lower, upper) = compute_bounds(graph, config.bound_order, config.bounds_method);
+    let reduction = reduce_candidates(&lower, &upper, k);
+    // SR ranks the verified nodes alongside the rest.
+    let mut candidates = reduction.verified;
+    candidates.extend(reduction.candidates);
+    candidates.sort_unstable_by_key(|v| v.0);
+    let detector = Detector::builder(graph).seed(1).threads(1).build().expect("valid session");
+    let sr = DetectRequest::new(k, AlgorithmKind::SampleReverse).with_epsilon(0.1);
+    let engine_candidates = detector.detect(&sr).expect("query answers").stats.candidates;
+    assert_eq!(candidates.len(), engine_candidates, "the gate must replay SR's candidate set");
+
+    let coins = CoinTable::new(graph);
+    let mut block = SuperBlock::<W>::new(graph);
+    let mut kernel = SuperKernel::<W>::new(graph);
+    let mut hits = Vec::new();
+    for superblock in 0..2 {
+        block.materialize(graph, &coins, 1, (superblock * W * LANES) as u64, W * LANES);
+        kernel.reverse_hits_into(graph, &coins, &mut block, &candidates, &mut hits);
+    }
+    (kernel.scratch_words(), candidates.len())
 }
 
 fn main() {
@@ -372,6 +416,24 @@ fn main() {
             "perf_sanity FAILED: after one delta, SN's repair plus read drew {repaired} coin \
              words on Guarantee (scale 0.1, k = 1% of n, ε 0.1), not < \
              {REPAIR_MAX_COIN_WORDS_SHARE} of its cold draw's {cold}"
+        );
+        failed = true;
+    }
+
+    // Reverse-scratch gate: allocation sizes are deterministic, so one
+    // run decides it.
+    let (scratch, candidates) = sr_kernel_scratch_words(&guarantee);
+    let (n, w) = (guarantee.num_nodes(), SCRATCH_GATE_WORDS);
+    let bound = n * w + n + 2 * candidates * w;
+    println!(
+        "perf_sanity: a w{w} reverse kernel over SR's {candidates} candidates holds {scratch} \
+         scratch words, {:.2}·n·W (required ≤ n·W + n + 2·|B|·W = {bound})",
+        scratch as f64 / (n * w) as f64
+    );
+    if scratch > bound {
+        eprintln!(
+            "perf_sanity FAILED: a w{w} reverse kernel holds {scratch} scratch words on Guarantee \
+             (scale 0.1, n = {n}, |B| = {candidates}), not ≤ n·W + n + 2·|B|·W = {bound}"
         );
         failed = true;
     }

@@ -504,17 +504,44 @@ impl WorldBlock {
 /// allocate nothing. Takes the superblock mutably: edge word-vectors
 /// materialize lazily as the traversal first touches them.
 /// [`BlockKernel`] is the `W = 1` alias.
+///
+/// Scratch is sized by what a pass reads, not by the whole graph:
+///
+/// * Each direction allocates its per-node buffer on first use — the
+///   forward pass its `defaulted` vectors, the reverse pass its
+///   `reached` vectors and verdict-slot index — so a kernel that runs
+///   only one direction never holds the other's.
+/// * The reverse pass's positive/negative result caches (the paper's
+///   Algorithm 5) live in **candidate slots**. Only
+///   [`reverse_hit_words`](Self::reverse_hit_words) writes a verdict,
+///   and only for its own candidate, so a node→slot index (a sparse set
+///   after Briggs & Torczon, 1993) maps each candidate queried in the
+///   current superblock to a compact hit/safe word-vector pair, and
+///   [`begin_block`](Self::begin_block) forgets just those slots.
+///
+/// [`scratch_words`](Self::scratch_words) reports the footprint.
 #[derive(Debug, Clone)]
 pub struct SuperKernel<const W: usize> {
+    nodes: usize,
     // Forward pass: per-node "defaulted in lane j of word w" vectors.
+    // Empty until the first forward pass.
     defaulted: Vec<u64>,
     // Reverse pass: per-node "reachable from the candidate through
-    // surviving edges" vectors, cleared via `touched`.
+    // surviving edges" vectors, cleared via `touched`. Empty until the
+    // first reverse search.
     reached: Vec<u64>,
-    // Per-superblock positive/negative caches shared across candidates:
-    // lanes where a node is known to default / known safe.
-    hit_known: Vec<u64>,
-    safe_known: Vec<u64>,
+    // Reverse pass: `slot_of[v]` is 1 + the verdict slot of candidate
+    // `v` in the current superblock, or 0 if nothing is known about `v`.
+    // Empty until the first reverse search.
+    slot_of: Vec<u32>,
+    // Per-slot positive/negative caches shared across candidates (flat
+    // stride-`W`): lanes where the slot's node is known to default /
+    // known safe.
+    slot_hit: Vec<u64>,
+    slot_safe: Vec<u64>,
+    // The node owning each slot, in slot order — what `begin_block`
+    // unmaps.
+    slot_nodes: Vec<u32>,
     queue: Vec<u32>,
     // Next-step frontier of the level-synchronized forward traversal.
     next: Vec<u32>,
@@ -531,20 +558,38 @@ pub struct SuperKernel<const W: usize> {
 pub type BlockKernel = SuperKernel<1>;
 
 impl<const W: usize> SuperKernel<W> {
-    /// Creates a kernel with scratch buffers sized for `graph`.
+    /// Creates a kernel for `graph`. Per-direction scratch is allocated
+    /// by the first pass of that direction.
     pub fn new(graph: &UncertainGraph) -> Self {
         let n = graph.num_nodes();
         SuperKernel {
-            defaulted: vec![0; n * W],
-            reached: vec![0; n * W],
-            hit_known: vec![0; n * W],
-            safe_known: vec![0; n * W],
+            nodes: n,
+            defaulted: Vec::new(),
+            reached: Vec::new(),
+            slot_of: Vec::new(),
+            slot_hit: Vec::new(),
+            slot_safe: Vec::new(),
+            slot_nodes: Vec::new(),
             queue: Vec::new(),
             next: Vec::new(),
             in_queue: vec![false; n],
             touched: Vec::new(),
             live_lanes: 0,
         }
+    }
+
+    /// 64-bit words of scratch this kernel holds (allocated capacity),
+    /// not counting the frontier queues, whose length is bounded by the
+    /// nodes a pass reaches: per-node direction buffers, the verdict-slot
+    /// index and slots, and the queue-membership flags.
+    pub fn scratch_words(&self) -> usize {
+        let words = |bytes: usize| bytes.div_ceil(8);
+        self.defaulted.capacity()
+            + self.reached.capacity()
+            + self.slot_hit.capacity()
+            + self.slot_safe.capacity()
+            + words(4 * (self.slot_of.capacity() + self.slot_nodes.capacity()))
+            + words(self.in_queue.capacity())
     }
 
     /// Evaluates default reachability for all worlds of `block` at once:
@@ -596,12 +641,13 @@ impl<const W: usize> SuperKernel<W> {
         block: &mut SuperBlock<W>,
         direction: Direction,
     ) -> &[u64] {
-        debug_assert_eq!(block.node_words.len(), self.defaulted.len(), "block/kernel mismatch");
+        debug_assert_eq!(block.node_words.len(), self.nodes * W, "block/kernel mismatch");
         debug_assert_eq!(block.edge_epoch.len(), graph.num_edges(), "block/graph edge mismatch");
         // Every self-defaulted node seeds the frontier, so this pass
         // needs all node words.
         block.force_nodes(coins);
-        self.defaulted.copy_from_slice(block.node_words());
+        self.defaulted.clear();
+        self.defaulted.extend_from_slice(block.node_words());
         self.queue.clear();
         self.live_lanes = 0;
         for (v, words) in self.defaulted.chunks_exact(W).enumerate() {
@@ -760,12 +806,32 @@ impl<const W: usize> SuperKernel<W> {
     }
 
     /// Starts a new superblock for [`Self::reverse_hit_words`]: forgets
-    /// the per-superblock positive/negative caches. Must be called after
+    /// the per-superblock positive/negative caches by unmapping the
+    /// verdict slots the previous superblock wrote — `O(|B|)` for `|B|`
+    /// candidates queried, however large the graph. Must be called after
     /// materializing a fresh superblock and before the first candidate
     /// query against it.
     pub fn begin_block(&mut self) {
-        self.hit_known.iter_mut().for_each(|w| *w = 0);
-        self.safe_known.iter_mut().for_each(|w| *w = 0);
+        for &v in &self.slot_nodes {
+            self.slot_of[v as usize] = 0;
+        }
+        self.slot_nodes.clear();
+        self.slot_hit.clear();
+        self.slot_safe.clear();
+    }
+
+    /// The cached verdicts for node `v` in the current superblock: lanes
+    /// known to default and lanes known safe (both empty unless `v` was
+    /// an earlier candidate).
+    #[inline]
+    fn known(&self, v: usize) -> ([u64; W], [u64; W]) {
+        match self.slot_of[v] {
+            0 => ([0; W], [0; W]),
+            slot => {
+                let i = slot as usize - 1;
+                (*wv::<W>(&self.slot_hit, i), *wv::<W>(&self.slot_safe, i))
+            }
+        }
     }
 
     /// Decides, for every lane of every word of `block` at once, whether
@@ -788,6 +854,9 @@ impl<const W: usize> SuperKernel<W> {
     /// Results are pure functions of the superblock's worlds, so neither
     /// the discovery order nor the per-superblock caches filled by
     /// earlier candidates can change an answer — they only skip work.
+    /// The verdicts land in `v`'s candidate slot (see the type docs),
+    /// the only cache entry this call writes; the first reverse search
+    /// of a kernel allocates the reverse scratch.
     pub fn reverse_hit_words(
         &mut self,
         graph: &UncertainGraph,
@@ -795,19 +864,20 @@ impl<const W: usize> SuperKernel<W> {
         block: &mut SuperBlock<W>,
         v: NodeId,
     ) -> [u64; W] {
+        if self.slot_of.len() != self.nodes {
+            self.reached = vec![0; self.nodes * W];
+            self.slot_of = vec![0; self.nodes];
+        }
         let want = *block.lane_masks();
         let mut hit = [0u64; W];
         // Lanes still needing a verdict; shrinks as hits are found.
         let mut undecided = [0u64; W];
         let mut any_undecided = 0u64;
-        {
-            let known_hit = wv::<W>(&self.hit_known, v.index());
-            let known_safe = wv::<W>(&self.safe_known, v.index());
-            for w in 0..W {
-                hit[w] = known_hit[w] & want[w];
-                undecided[w] = want[w] & !hit[w] & !known_safe[w];
-                any_undecided |= undecided[w];
-            }
+        let (known_hit, known_safe) = self.known(v.index());
+        for w in 0..W {
+            hit[w] = known_hit[w] & want[w];
+            undecided[w] = want[w] & !hit[w] & !known_safe[w];
+            any_undecided |= undecided[w];
         }
         if any_undecided != 0 {
             self.queue.clear();
@@ -824,13 +894,11 @@ impl<const W: usize> SuperKernel<W> {
                 // defaulted ancestor: do not expand them.
                 let mut expand = [0u64; W];
                 let mut any_expand = 0u64;
-                {
-                    let reached = wv::<W>(&self.reached, u);
-                    let known_safe = wv::<W>(&self.safe_known, u);
-                    for w in 0..W {
-                        expand[w] = reached[w] & undecided[w] & !known_safe[w];
-                        any_expand |= expand[w];
-                    }
+                let (_, known_safe) = self.known(u);
+                let reached = wv::<W>(&self.reached, u);
+                for w in 0..W {
+                    expand[w] = reached[w] & undecided[w] & !known_safe[w];
+                    any_expand |= expand[w];
                 }
                 if any_expand == 0 {
                     continue;
@@ -881,13 +949,24 @@ impl<const W: usize> SuperKernel<W> {
                 self.in_queue[u as usize] = false;
             }
         }
-        // Record the verdicts: lanes that exhausted without a hit are
-        // provably safe for this candidate within this superblock.
-        let known_hit = wv_mut::<W>(&mut self.hit_known, v.index());
+        // Record the verdicts in `v`'s slot: lanes that exhausted without
+        // a hit are provably safe for this candidate within this
+        // superblock.
+        let slot = match self.slot_of[v.index()] {
+            0 => {
+                self.slot_nodes.push(v.0);
+                self.slot_of[v.index()] = self.slot_nodes.len() as u32;
+                self.slot_hit.extend_from_slice(&[0; W]);
+                self.slot_safe.extend_from_slice(&[0; W]);
+                self.slot_nodes.len() - 1
+            }
+            slot => slot as usize - 1,
+        };
+        let known_hit = wv_mut::<W>(&mut self.slot_hit, slot);
         for w in 0..W {
             known_hit[w] |= hit[w];
         }
-        let known_safe = wv_mut::<W>(&mut self.safe_known, v.index());
+        let known_safe = wv_mut::<W>(&mut self.slot_safe, slot);
         for w in 0..W {
             known_safe[w] |= want[w] & !hit[w];
         }
@@ -925,14 +1004,11 @@ impl<const W: usize> SuperKernel<W> {
         let mut hits = [0u64; W];
         let mut unknown = [0u64; W];
         let mut any_unknown = 0u64;
-        {
-            let known_hit = wv::<W>(&self.hit_known, s);
-            let known_safe = wv::<W>(&self.safe_known, s);
-            for w in 0..W {
-                hits[w] = new[w] & known_hit[w];
-                unknown[w] = new[w] & !known_hit[w] & !known_safe[w];
-                any_unknown |= unknown[w];
-            }
+        let (known_hit, known_safe) = self.known(s);
+        for w in 0..W {
+            hits[w] = new[w] & known_hit[w];
+            unknown[w] = new[w] & !known_hit[w] & !known_safe[w];
+            any_unknown |= unknown[w];
         }
         let mut any_expand = 0u64;
         if any_unknown != 0 {
@@ -958,7 +1034,8 @@ impl<const W: usize> SuperKernel<W> {
     /// [`Self::reverse_hit_words`] over a candidate list, writing one
     /// word-vector per candidate into `out` (cleared and refilled as a
     /// flat stride-`W` buffer, candidate `i` at `out[i·W .. i·W + W]`).
-    /// Calls [`Self::begin_block`] internally.
+    /// Calls [`Self::begin_block`] internally, and sizes the verdict
+    /// slots for exactly one slot per candidate on the first superblock.
     pub fn reverse_hits_into(
         &mut self,
         graph: &UncertainGraph,
@@ -968,6 +1045,9 @@ impl<const W: usize> SuperKernel<W> {
         out: &mut Vec<u64>,
     ) {
         self.begin_block();
+        self.slot_nodes.reserve_exact(candidates.len());
+        self.slot_hit.reserve_exact(candidates.len() * W);
+        self.slot_safe.reserve_exact(candidates.len() * W);
         out.clear();
         for &v in candidates {
             let words = self.reverse_hit_words(graph, coins, block, v);
@@ -1434,6 +1514,64 @@ mod tests {
         let _ = kernel.forward_defaults(&g, &coins, &mut block);
         block.materialize(&g, &coins, 1, 0, 128);
         assert_eq!(kernel.forward_defaults(&g, &coins, &mut block), &first[..]);
+    }
+
+    #[test]
+    fn reused_kernel_matches_fresh_kernels_across_superblocks() {
+        // One kernel answers superblock A over candidates X, then
+        // superblock B over candidates Y that overlap X (and A again over
+        // Y): no verdict may leak between superblocks, so the hit words
+        // and the items each search read match a fresh kernel's exactly.
+        let g = mesh();
+        let coins = CoinTable::new(&g);
+        let x = [NodeId(2), NodeId(4), NodeId(1)];
+        let y = [NodeId(4), NodeId(0), NodeId(2), NodeId(3)];
+        let run = |kernel: &mut SuperKernel<2>, first: u64, candidates: &[NodeId]| {
+            let mut block = SuperBlock::<2>::new(&g);
+            block.materialize(&g, &coins, 17, first, 128);
+            let mut hits = Vec::new();
+            kernel.reverse_hits_into(&g, &coins, &mut block, candidates, &mut hits);
+            (hits, block.touched_nodes().clone(), block.touched_edges().clone())
+        };
+        let mut reused = SuperKernel::<2>::new(&g);
+        for (first, candidates) in [(0, &x[..]), (128, &y[..]), (0, &y[..])] {
+            let fresh = run(&mut SuperKernel::<2>::new(&g), first, candidates);
+            assert_eq!(run(&mut reused, first, candidates), fresh, "superblock at {first}");
+        }
+    }
+
+    #[test]
+    fn each_direction_allocates_only_its_own_scratch() {
+        const W: usize = 8;
+        let risks = vec![0.1; 64];
+        let edges: Vec<(u32, u32, f64)> = (0..63).map(|v| (v, v + 1, 0.5)).collect();
+        let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
+        let (n, coins) = (g.num_nodes(), CoinTable::new(&g));
+        let candidates = [NodeId(63), NodeId(10)];
+        let mut block = SuperBlock::<W>::new(&g);
+        let idle = SuperKernel::<W>::new(&g).scratch_words();
+
+        let mut forward = SuperKernel::<W>::new(&g);
+        let mut reverse = SuperKernel::<W>::new(&g);
+        let mut hits = Vec::new();
+        for first in [0, 512] {
+            block.materialize(&g, &coins, 4, first, 512);
+            let _ = forward.forward_defaults(&g, &coins, &mut block);
+            reverse.reverse_hits_into(&g, &coins, &mut block, &candidates, &mut hits);
+        }
+        // Forward only: its `defaulted` vectors and nothing else — no
+        // `reached` vectors, no verdict-slot index.
+        assert_eq!(forward.scratch_words(), idle + n * W);
+        // Reverse only: `reached` plus the slot index and one slot per
+        // candidate — within the perf-sanity bound, and well short of
+        // the second n·W a `defaulted` buffer would add.
+        let reverse_words = reverse.scratch_words();
+        assert!(reverse_words >= idle + n * W);
+        assert!(reverse_words <= n * W + n + 2 * candidates.len() * W, "{reverse_words}");
+        assert!(reverse_words < idle + 2 * n * W);
+        // A forward pass on the reverse kernel adds exactly `defaulted`.
+        let _ = reverse.forward_defaults(&g, &coins, &mut block);
+        assert_eq!(reverse.scratch_words(), reverse_words + n * W);
     }
 
     #[test]

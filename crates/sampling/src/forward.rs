@@ -191,25 +191,10 @@ pub fn forward_counts_range_wide_cancellable<const W: usize>(
     direction: Direction,
     cancel: Option<&CancelToken>,
 ) -> (DefaultCounts, CoinUsage) {
-    let mut counts = DefaultCounts::new(graph.num_nodes());
-    let mut block = SuperBlock::<W>::new(graph);
-    let mut kernel = SuperKernel::<W>::new(graph);
-    for chunk in superblock_chunks(range, W) {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            break;
-        }
-        accumulate_forward_chunk(
-            graph,
-            coins,
-            chunk,
-            seed,
-            direction,
-            &mut block,
-            &mut kernel,
-            &mut counts,
-        );
-    }
-    (counts, block.take_usage())
+    let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
+    crate::parallel::forward_partitioned::<W>(
+        graph, coins, &chunks, seed, 1, direction, cancel, None,
+    )
 }
 
 /// [`forward_counts_range_wide`] with a runtime-selected width.

@@ -8,7 +8,10 @@
 //! threads share one read-only [`CoinTable`] and never coordinate
 //! beyond the claim counter — and partial counts merge with commutative
 //! addition, so a parallel run with any thread count produces
-//! **bit-identical counts** to the sequential run, at any width.
+//! **bit-identical counts** to the sequential run, at any width. The
+//! sequential run *is* this runner at one thread: a single worker runs
+//! inline on the calling thread, with or without a touch ledger, so
+//! every pass — sequential, parallel, traced — takes one code path.
 //!
 //! Cancellation ([`CancelToken`]) is checked before each claim, never
 //! mid-chunk: a claimed chunk always finishes. Because claims are a
@@ -192,29 +195,25 @@ pub fn parallel_forward_counts_range_width_traced(
 ) -> (DefaultCounts, CoinUsage) {
     let width = fit_width(&range, width, threads);
     with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range.clone(), W).collect();
+        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
         let threads = effective_threads(threads, chunks.len() as u64);
-        if threads == 1 && ledger.is_none() {
-            return crate::forward::forward_counts_range_wide_cancellable::<W>(
-                graph, coins, range, seed, direction, cancel,
-            );
-        }
         forward_partitioned::<W>(graph, coins, &chunks, seed, threads, direction, cancel, ledger)
     })
 }
 
-/// The claim-based multi-thread forward runner, taking `threads` as-is.
-/// Split out from the public entry point so tests exercise the threaded
-/// merge path even on single-core machines (where `effective_threads`
-/// would clamp to the sequential path).
+/// The claim-based forward runner, taking `threads` as-is. Split out
+/// from the public entry point so tests exercise the threaded merge path
+/// even on single-core machines (where `effective_threads` would clamp
+/// to one thread).
 ///
-/// Threads draw chunk indices from a shared monotone counter; the
+/// Workers draw chunk indices from a shared monotone counter; the
 /// cancel token is polled before each claim and a claimed chunk always
 /// finishes, so the completed set is exactly the contiguous prefix of
-/// `chunks` at the counter's final value — the same prefix the
-/// sequential cancellable driver produces.
+/// `chunks` at the counter's final value — the same prefix a
+/// sequential cancellable pass produces. With one thread the worker
+/// runs inline on the calling thread (see [`run_workers`]).
 #[allow(clippy::too_many_arguments)]
-fn forward_partitioned<const W: usize>(
+pub(crate) fn forward_partitioned<const W: usize>(
     graph: &UncertainGraph,
     coins: &CoinTable,
     chunks: &[std::ops::Range<u64>],
@@ -225,45 +224,26 @@ fn forward_partitioned<const W: usize>(
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
     let next = AtomicUsize::new(0);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut block = SuperBlock::<W>::new(graph);
-                    let mut kernel = SuperKernel::<W>::new(graph);
-                    let mut counts = DefaultCounts::new(graph.num_nodes());
-                    loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        // ORDERING: Relaxed — the counter only hands out
-                        // distinct indices; chunk results flow to the
-                        // merge through thread join, not this atomic.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        crate::forward::accumulate_forward_chunk(
-                            graph,
-                            coins,
-                            chunk.clone(),
-                            seed,
-                            direction,
-                            &mut block,
-                            &mut kernel,
-                            &mut counts,
-                        );
-                    }
-                    if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_nodes(), block.touched_edges());
-                    }
-                    (counts, block.take_usage())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect::<Vec<_>>()
+    let partials = run_workers(threads, || {
+        let mut block = SuperBlock::<W>::new(graph);
+        let mut kernel = SuperKernel::<W>::new(graph);
+        let mut counts = DefaultCounts::new(graph.num_nodes());
+        while let Some(chunk) = claim(&next, chunks, cancel) {
+            crate::forward::accumulate_forward_chunk(
+                graph,
+                coins,
+                chunk.clone(),
+                seed,
+                direction,
+                &mut block,
+                &mut kernel,
+                &mut counts,
+            );
+        }
+        if let Some(ledger) = ledger {
+            ledger.absorb(block.touched_nodes(), block.touched_edges());
+        }
+        (counts, block.take_usage())
     });
 
     let mut total = DefaultCounts::new(graph.num_nodes());
@@ -273,6 +253,42 @@ fn forward_partitioned<const W: usize>(
         usage.merge(u);
     }
     (total, usage)
+}
+
+/// Runs `worker` on `threads` workers and returns their results in
+/// worker order. One thread runs it inline on the calling thread: a
+/// single-thread pass spawns nothing, so it pays no thread start-up and
+/// its allocations stay in the caller's heap arena. More threads run in
+/// a scope, and a worker's panic resumes on the caller.
+fn run_workers<T: Send>(threads: usize, worker: impl Fn() -> T + Sync) -> Vec<T> {
+    if threads <= 1 {
+        return vec![worker()];
+    }
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// Claims the next chunk from the shared counter, or `None` once the
+/// chunks are exhausted or `cancel` fired (polled before the claim, so
+/// a claimed chunk always finishes).
+fn claim<'a>(
+    next: &AtomicUsize,
+    chunks: &'a [std::ops::Range<u64>],
+    cancel: Option<&CancelToken>,
+) -> Option<&'a std::ops::Range<u64>> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return None;
+    }
+    // ORDERING: Relaxed — the counter only hands out distinct indices;
+    // chunk results flow to the merge through thread join (or the
+    // calling thread itself), not this atomic.
+    chunks.get(next.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Parallel version of [`crate::reverse::reverse_counts`], on
@@ -395,13 +411,8 @@ pub fn parallel_reverse_counts_range_width_traced(
 ) -> (DefaultCounts, CoinUsage) {
     let width = fit_width(&range, width, threads);
     with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range.clone(), W).collect();
+        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
         let threads = effective_threads(threads, chunks.len() as u64);
-        if threads == 1 && ledger.is_none() {
-            return crate::reverse::reverse_counts_range_wide_cancellable::<W>(
-                graph, coins, candidates, range, seed, cancel,
-            );
-        }
         reverse_partitioned::<W>(graph, coins, candidates, &chunks, seed, threads, cancel, ledger)
     })
 }
@@ -441,11 +452,12 @@ pub fn parallel_reverse_counts_split_traced(
     })
 }
 
-/// The claim-based multi-thread reverse runner, taking `threads` as-is
-/// (see [`forward_partitioned`] for why it is split out and how
-/// cancellation keeps the completed set a contiguous prefix).
+/// The claim-based reverse runner, taking `threads` as-is (see
+/// [`forward_partitioned`] for why it is split out, how cancellation
+/// keeps the completed set a contiguous prefix, and why one thread runs
+/// inline).
 #[allow(clippy::too_many_arguments)]
-fn reverse_partitioned<const W: usize>(
+pub(crate) fn reverse_partitioned<const W: usize>(
     graph: &UncertainGraph,
     coins: &CoinTable,
     candidates: &[NodeId],
@@ -462,7 +474,9 @@ fn reverse_partitioned<const W: usize>(
 
 /// [`reverse_partitioned`] accumulating each chunk into the segment its
 /// start falls in: segment `i` ends at `ends[i]`, and the last one
-/// (index `ends.len()`) takes every chunk past the final end.
+/// (index `ends.len()`) takes every chunk past the final end. Like every
+/// pass here, a single-thread run executes inline on the calling thread
+/// ([`run_workers`]), ledger or not.
 #[allow(clippy::too_many_arguments)]
 fn reverse_segments<const W: usize>(
     graph: &UncertainGraph,
@@ -477,47 +491,29 @@ fn reverse_segments<const W: usize>(
 ) -> (Vec<DefaultCounts>, CoinUsage) {
     let fresh = || vec![DefaultCounts::new(candidates.len()); ends.len() + 1];
     let next = AtomicUsize::new(0);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut block = SuperBlock::<W>::new(graph);
-                    let mut kernel = SuperKernel::<W>::new(graph);
-                    let mut hits = Vec::with_capacity(candidates.len() * W);
-                    let mut segments = fresh();
-                    loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        // ORDERING: Relaxed — distinct-index handout only;
-                        // results synchronize through thread join.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        let segment = ends.partition_point(|&end| end <= chunk.start);
-                        crate::reverse::accumulate_reverse_chunk(
-                            graph,
-                            coins,
-                            candidates,
-                            chunk.clone(),
-                            seed,
-                            &mut block,
-                            &mut kernel,
-                            &mut hits,
-                            &mut segments[segment],
-                        );
-                    }
-                    if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_nodes(), block.touched_edges());
-                    }
-                    (segments, block.take_usage())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect::<Vec<_>>()
+    let partials = run_workers(threads, || {
+        let mut block = SuperBlock::<W>::new(graph);
+        let mut kernel = SuperKernel::<W>::new(graph);
+        let mut hits = Vec::with_capacity(candidates.len() * W);
+        let mut segments = fresh();
+        while let Some(chunk) = claim(&next, chunks, cancel) {
+            let segment = ends.partition_point(|&end| end <= chunk.start);
+            crate::reverse::accumulate_reverse_chunk(
+                graph,
+                coins,
+                candidates,
+                chunk.clone(),
+                seed,
+                &mut block,
+                &mut kernel,
+                &mut hits,
+                &mut segments[segment],
+            );
+        }
+        if let Some(ledger) = ledger {
+            ledger.absorb(block.touched_nodes(), block.touched_edges());
+        }
+        (segments, block.take_usage())
     });
 
     let mut total = fresh();

@@ -24,7 +24,11 @@
 //!   soon as an in-edge discovers a defaulted ancestor, so a node's or an
 //!   edge's 64-lane word is synthesized only when a search reads it
 //!   before its lanes are all decided — usually far fewer items than the
-//!   candidates can reach, never more, and never `O(n + m)`.
+//!   candidates can reach, never more, and never `O(n + m)`. The same
+//!   positive/negative caches hold one verdict slot per candidate
+//!   queried in the current block, not a word per graph node, so
+//!   starting a block clears `O(|B|)` entries and the kernel never
+//!   allocates the forward pass's buffers.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
 use crate::cancel::CancelToken;
@@ -250,27 +254,10 @@ pub fn reverse_counts_range_wide_cancellable<const W: usize>(
     seed: u64,
     cancel: Option<&CancelToken>,
 ) -> (DefaultCounts, CoinUsage) {
-    let mut counts = DefaultCounts::new(candidates.len());
-    let mut block = SuperBlock::<W>::new(graph);
-    let mut kernel = SuperKernel::<W>::new(graph);
-    let mut hits = Vec::with_capacity(candidates.len() * W);
-    for chunk in superblock_chunks(range, W) {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            break;
-        }
-        accumulate_reverse_chunk(
-            graph,
-            coins,
-            candidates,
-            chunk,
-            seed,
-            &mut block,
-            &mut kernel,
-            &mut hits,
-            &mut counts,
-        );
-    }
-    (counts, block.take_usage())
+    let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
+    crate::parallel::reverse_partitioned::<W>(
+        graph, coins, candidates, &chunks, seed, 1, cancel, None,
+    )
 }
 
 /// [`reverse_counts_range_wide`] with a runtime-selected width.

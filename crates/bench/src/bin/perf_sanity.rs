@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Seven regressions fail this binary (and CI):
+//! Eight regressions fail this binary (and CI):
 //!
 //! 1. **Materialization**: the transposed bit-sliced coin synthesis
 //!    (eager block materialization) must beat the scalar per-lane path
@@ -61,6 +61,13 @@
 //!    graph, or allocates the forward pass's buffer for a reverse pass,
 //!    holds up to `4·n·W` and fails. Like gates 5 and 6 it counts words
 //!    and measures no time.
+//! 8. **BSRBK coin cost**: on the same graph (k = 1% of n, ε 0.1, one
+//!    thread), a BSRBK read right after a BSR read of the same request
+//!    must synthesize no coin word and draw no sample — BSRBK reads
+//!    BSR's cached reverse stream — and a cold BSRBK must pay at most
+//!    [`BSRBK_MAX_COIN_WORDS_RATIO`] times BSR's coin words per sample.
+//!    A scattered hash-order pass pays ~30× (it re-materializes lanes
+//!    one sample id at a time). Counts coins, measures no time.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
@@ -108,14 +115,35 @@ const SR_MAX_COIN_WORDS_RATIO: f64 = 2.5;
 /// words, or the gate fails.
 const REPAIR_MAX_COIN_WORDS_SHARE: f64 = 0.1;
 
+/// A cold BSRBK's coin words per sample must stay at or below this
+/// multiple of BSR's on the Guarantee workload, or the gate fails.
+const BSRBK_MAX_COIN_WORDS_RATIO: f64 = 1.5;
+
+/// A fresh single-threaded session and the gates' request for `kind`:
+/// k = 1% of n, ε 0.1.
+fn gate_session(graph: &ugraph::UncertainGraph, kind: AlgorithmKind) -> (Detector, DetectRequest) {
+    let detector = Detector::builder(graph).seed(1).threads(1).build().expect("valid session");
+    let k = (graph.num_nodes() / 100).max(1);
+    (detector, DetectRequest::new(k, kind).with_epsilon(0.1))
+}
+
 /// Coin words one fresh single-threaded session draws per sample it
 /// uses, answering `kind` at k = 1% of n and ε 0.1.
 fn coin_words_per_sample(graph: &ugraph::UncertainGraph, kind: AlgorithmKind) -> f64 {
-    let detector = Detector::builder(graph).seed(1).threads(1).build().expect("valid session");
-    let k = (graph.num_nodes() / 100).max(1);
-    let response =
-        detector.detect(&DetectRequest::new(k, kind).with_epsilon(0.1)).expect("query answers");
+    let (detector, request) = gate_session(graph, kind);
+    let response = detector.detect(&request).expect("query answers");
     response.engine.coin_words_synthesized as f64 / response.stats.samples_used.max(1) as f64
+}
+
+/// Coin words and samples a BSRBK read draws right after a BSR read of
+/// the same request, on one session.
+fn bsrbk_after_bsr(graph: &ugraph::UncertainGraph) -> (u64, u64) {
+    let (detector, bsr) = gate_session(graph, AlgorithmKind::BoundedSampleReverse);
+    detector.detect(&bsr).expect("query answers");
+    let mut bsrbk = bsr;
+    bsrbk.algorithm = AlgorithmKind::BottomK;
+    let response = detector.detect(&bsrbk).expect("query answers");
+    (response.engine.coin_words_synthesized, response.engine.samples_drawn)
 }
 
 /// Coin words a fresh single-threaded session spends on SN (k = 1% of
@@ -434,6 +462,30 @@ fn main() {
         eprintln!(
             "perf_sanity FAILED: a w{w} reverse kernel holds {scratch} scratch words on Guarantee \
              (scale 0.1, n = {n}, |B| = {candidates}), not ≤ n·W + n + 2·|B|·W = {bound}"
+        );
+        failed = true;
+    }
+
+    // BSRBK coin gate: deterministic counts, so one run decides it.
+    let (words, drawn) = bsrbk_after_bsr(&guarantee);
+    let bsrbk = coin_words_per_sample(&guarantee, AlgorithmKind::BottomK);
+    let ratio = bsrbk / bsr;
+    println!(
+        "perf_sanity: BSRBK after BSR draws {words} coin words and {drawn} samples (required 0); \
+         a cold BSRBK draws {bsrbk:.0} coin words per sample, {ratio:.2}x BSR's {bsr:.0} \
+         (required ≤ {BSRBK_MAX_COIN_WORDS_RATIO}x)"
+    );
+    if words != 0 || drawn != 0 {
+        eprintln!(
+            "perf_sanity FAILED: a BSRBK read after the same request's BSR read drew {drawn} \
+             samples and {words} coin words on Guarantee (scale 0.1, k = 1% of n, ε 0.1), not 0"
+        );
+        failed = true;
+    }
+    if ratio.is_nan() || ratio > BSRBK_MAX_COIN_WORDS_RATIO {
+        eprintln!(
+            "perf_sanity FAILED: a cold BSRBK draws {ratio:.2}x BSR's coin words per sample on \
+             Guarantee (scale 0.1, k = 1% of n, ε 0.1), not ≤ {BSRBK_MAX_COIN_WORDS_RATIO}x"
         );
         failed = true;
     }

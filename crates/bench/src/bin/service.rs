@@ -38,8 +38,8 @@ use vulnds_datasets::Dataset;
 /// actually serves, over a few `k`, so bounds, reductions, and both
 /// sampling directions are all on the hot path. Weighted toward the
 /// prefix-cacheable estimators (SN/SR/BSR) the way steady-state service
-/// traffic is; one BSRBK rides along, whose adaptive pass redraws per
-/// query by design and bounds the warm-cache gain from above.
+/// traffic is; one BSRBK rides along, reading a prefix of the k1 BSR
+/// request's reverse stream.
 fn request_mix(n: usize) -> Vec<DetectRequest> {
     let k1 = (n / 100).max(1);
     let k2 = (n / 50).max(2);

@@ -5,7 +5,7 @@
 //! | Binary | Reproduces |
 //! |--------|-----------|
 //! | `table2` | Table 2 — dataset statistics |
-//! | `fig4_bk_tuning` | Figure 4 — precision vs `bk` |
+//! | `fig4_bk_tuning` | Figure 4 — bottom-k scorer precision vs `bk` |
 //! | `fig5_bound_orders` | Figure 5 — candidate size vs bound order |
 //! | `fig6_efficiency` | Figure 6 — runtime of the five algorithms |
 //! | `fig7_effectiveness` | Figure 7 — precision of the five algorithms |

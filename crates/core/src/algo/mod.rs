@@ -6,7 +6,7 @@
 //! | [`AlgorithmKind::SampledNaive`] | SN | Algorithm 1, Eq. 3 sample size |
 //! | [`AlgorithmKind::SampleReverse`] | SR | reverse sampling + Lemma 1 rule 2 |
 //! | [`AlgorithmKind::BoundedSampleReverse`] | BSR | + verification (rule 1) + Eq. 4 |
-//! | [`AlgorithmKind::BottomK`] | BSRBK | + bottom-k early stop (Thm. 6) |
+//! | [`AlgorithmKind::BottomK`] | BSRBK | + sequential early stop on BSR's stream |
 
 mod bsr;
 mod bsrbk;
@@ -31,7 +31,7 @@ pub enum AlgorithmKind {
     SampleReverse,
     /// `BSR` — bounds, verification, reverse sampling sized by Equation 4.
     BoundedSampleReverse,
-    /// `BSRBK` — BSR plus the bottom-k early-stopping rule.
+    /// `BSRBK` — BSR plus a sound sequential early stop.
     BottomK,
 }
 
@@ -70,14 +70,15 @@ pub struct RunStats {
     pub algorithm: AlgorithmKind,
     /// Sample budget computed from theory (Eq. 3 / Eq. 4) or configuration.
     pub sample_budget: u64,
-    /// Samples actually consumed (< budget only for BSRBK, whose
-    /// early stop can cut a world block short).
+    /// Samples actually consumed (< budget for a degraded answer, and
+    /// for a BSRBK answer whose sequential stop fired at a look).
     pub samples_used: u64,
     /// Candidate-set size `|B|` after pruning (n for N/SN).
     pub candidates: usize,
     /// Verified nodes `k'` (0 for everything but BSR/BSRBK).
     pub verified: usize,
-    /// `true` if BSRBK's stop condition fired before the budget ran out.
+    /// `true` if BSRBK's sequential stop certified ε at a look before
+    /// the budget ran out.
     pub early_stopped: bool,
     /// Wall-clock time of the run.
     pub elapsed: Duration,

@@ -85,7 +85,9 @@ pub struct VulnConfig {
     pub bound_order: usize,
     /// Which bound recursion to use for pruning.
     pub bounds_method: BoundsMethod,
-    /// Bottom-k early-stop parameter for BSRBK (paper tunes to 16).
+    /// Bottom-k sketch parameter of the bottom-k scorer
+    /// ([`score_nodes_bottomk`](crate::score_nodes_bottomk); the paper
+    /// tunes it to 16). BSRBK's stop does not read it.
     pub bk: usize,
     /// Fixed sample size for the naive `N` baseline (the paper runs `N`
     /// with a "large fixed sample size"; 20,000 matches its ground-truth

@@ -9,22 +9,20 @@
 use std::time::Instant;
 
 use ugraph::NodeId;
-use vulnds_sampling::{BlockKernel, WorldBlock, LANES};
-use vulnds_sketch::{bottomk_default_probability, hash_order, UnitHasher};
+use vulnds_sampling::DefaultCounts;
 
 use crate::algo::reverse_common::{assemble_result, merge_verified, Pruned};
 use crate::algo::{AlgorithmKind, RunStats};
 use crate::candidates::CandidateReduction;
 use crate::error::{Result, VulnError};
-use crate::sample_size::{achieved_epsilon, basic_sample_size, reduced_sample_size};
+use crate::sample_size::{
+    achieved_epsilon, basic_sample_size, kl_lower_bound, kl_upper_bound, reduced_sample_size,
+};
 use crate::topk::{select_top_k, select_top_k_dense, ScoredNode};
 
+use super::cache::looks_below;
 use super::request::{DetectResponse, EngineStats, ResolvedRequest};
 use super::EngineCtx;
-
-/// Seed domain separator so the BSRBK sample-order hash never correlates
-/// with the possible-world RNG streams.
-const HASH_DOMAIN: u64 = 0xB077_0A6B_5EED_0001;
 
 /// One detection algorithm, runnable inside a [`Detector`](super::Detector)
 /// session.
@@ -359,20 +357,32 @@ impl Algorithm for BoundedSampleReverse {
     }
 }
 
-/// `BSRBK` — BSR plus the bottom-k early-stopping rule (paper §3.3,
-/// Theorem 6).
+/// `BSRBK` — BSR with a sound sequential early stop (paper §3.3, in
+/// the spirit of its bottom-k stopping rule).
 ///
-/// The sampling pass is adaptive (which worlds are visited depends on
-/// when candidates saturate), so it cannot share a prefix with the other
-/// algorithms; it still reuses the session's bounds and reduction.
+/// BSRBK reads BSR's own reverse stream `(seed, B)` through
+/// [`EngineCtx::reverse_counts_until`] at a fixed doubling schedule of
+/// *looks* — 64, 128, 256, … worlds, every one below BSR's Eq. 4 budget
+/// `t` — and then at `t` itself. Every reverse-stream draw snapshots
+/// the looks it crosses, so a BSRBK read of a stream BSR already drew
+/// is a cache hit, and a cold BSRBK draws the same aligned superblocks
+/// BSR would, stopping at a look.
 ///
-/// Worlds are evaluated through the bit-parallel block kernel, up to 64
-/// per [`WorldBlock`] in hash order, and then replayed lane by lane so
-/// the early-stop bookkeeping (counters, k-th hashes, `samples_used`) is
-/// identical to processing the samples one at a time. Chunks grow from
-/// `min(bk, 64)` lanes by doubling (see `growing_chunks`): the stop
-/// rule cannot fire before `bk` samples, and it usually fires soon
-/// after, so a full first chunk would mostly draw worlds nobody replays.
+/// At each look, `S` is the top-`k − k'` candidates by count. Chernoff–KL
+/// bounds `[L_v, U_v]` on every candidate's default probability
+/// ([`kl_lower_bound`]/[`kl_upper_bound`]) hold together, over both
+/// sides, all `|B|` candidates and every look, with probability at
+/// least `1 − δ/2`. On that event every pair straddling the boundary of
+/// `S` is ordered up to `ε_i = max(0, max_{v∉S} U_v − min_{u∈S} L_u)`,
+/// which gives Definition 2 at `ε_i`. BSRBK stops at the first look
+/// with `ε_i ≤ ε` and answers with that prefix's ranking (reporting the
+/// requested `ε`). If no look certifies, it returns BSR's answer at `t`
+/// bit for bit and reports `min(ε_t, achieved_epsilon(a, b, δ/2, t))`:
+/// Eq. 4's pair bound at the other half of `δ`.
+///
+/// The stop look is a pure function of the graph, seed and request, so
+/// `sample_cap` replays stay bit-exact; a cut (cancellation or cap)
+/// degrades exactly as BSR's does, at the Eq. 4 inversion for `δ/2`.
 pub struct BottomKEarlyStop;
 
 impl Algorithm for BottomKEarlyStop {
@@ -384,7 +394,6 @@ impl Algorithm for BottomKEarlyStop {
         // xlint: allow(no-wall-clock) — `elapsed` is a reported
         // diagnostic; no answer bit depends on the clock.
         let start = Instant::now();
-        let bk = ctx.config().bk;
         let bounds = ctx.bounds();
         let reduction = ctx.reduction(req.k);
         let plan = reverse_plan(ctx, req);
@@ -400,148 +409,46 @@ impl Algorithm for BottomKEarlyStop {
                 start,
             ));
         }
-        let ReversePlan { candidates, k_verified, k_rem, budget: t, .. } = plan;
-        // Degradation knobs: the adaptive pass samples outside the
-        // session cache, so it honours the token and cap itself. The
-        // cap bounds *worlds replayed*, not the budget `t` — the
-        // hash-shuffled sample order is a pure function of `(seed, t)`,
-        // so a capped replay walks the identical prefix of the identical
-        // order.
-        let cancel = req.cancel.clone();
-        let cap = req.sample_cap.unwrap_or(u64::MAX);
-
-        // The order build is O(t) before the first world is drawn; an
-        // already-expired deadline (or a server drain) must not pay for
-        // it.
-        if cancel.as_ref().is_some_and(vulnds_sampling::CancelToken::is_cancelled) {
-            return Err(VulnError::Cancelled);
-        }
-        let hasher = UnitHasher::new(req.seed ^ HASH_DOMAIN);
-        let order = hash_order(&hasher, t as usize);
-
-        let coins = ctx.coin_table();
-        let graph = ctx.graph();
-        let mut block = WorldBlock::new(graph);
-        let mut kernel = BlockKernel::new(graph);
-        let mut counters = vec![0u32; candidates.len()];
-        let mut kth_hash = vec![0.0f64; candidates.len()];
-        let mut saturated = vec![false; candidates.len()];
-        let mut saturated_count = 0usize;
-        let mut samples_used = 0u64;
-        let mut early_stopped = false;
-
-        // Scratch reused across chunks.
-        let mut ids: Vec<u64> = Vec::with_capacity(LANES);
-        let mut active: Vec<(usize, NodeId)> = Vec::with_capacity(candidates.len());
-        let mut hit_words: Vec<u64> = Vec::with_capacity(candidates.len());
-
-        'outer: for chunk in growing_chunks(&order, bk) {
-            // Polled once per chunk, like the kernel samplers poll per
-            // superblock: the clock-driven cut never lands mid-chunk,
-            // and `samples_used` is an exact replayable cut either way.
-            if cancel.as_ref().is_some_and(vulnds_sampling::CancelToken::is_cancelled) {
-                break 'outer;
+        let (t, k_rem) = (plan.budget, plan.k_rem);
+        let mut looks: Vec<u64> = looks_below(t).collect();
+        looks.push(t);
+        let half_delta = req.approx.delta() / 2.0;
+        // δ/2 spread over both sides of all |B| candidates at every look.
+        let log_inv_alpha =
+            (4.0 * plan.candidates.len() as f64 * looks.len() as f64 / req.approx.delta()).ln();
+        // The certified ε at the last look read (a cap below a look is
+        // read but never certified: the union bound covers looks only).
+        let mut certified: Option<(u64, f64)> = None;
+        let counts = ctx.reverse_counts_until(&plan.candidates, &looks, req.seed, |counts| {
+            if looks.binary_search(&counts.samples()).is_err() {
+                return Some(0);
             }
-            ids.clear();
-            ids.extend(chunk.iter().map(|&s| s as u64));
-            block.materialize_ids(graph, &coins, req.seed, &ids);
-            kernel.begin_block();
-            // One bit-parallel reverse BFS per still-unsaturated
-            // candidate decides every world of the chunk at once …
-            active.clear();
-            active.extend(
-                candidates.iter().enumerate().filter(|(i, _)| !saturated[*i]).map(|(i, &v)| (i, v)),
-            );
-            hit_words.clear();
-            for &(_, v) in &active {
-                let word = kernel.reverse_hit_word(graph, &coins, &mut block, v);
-                hit_words.push(word);
-            }
-            // … and the lanes are replayed in sample order so counters,
-            // saturation hashes and the stop condition match a
-            // one-world-at-a-time run exactly. (A candidate saturating
-            // mid-chunk simply ignores its later lanes, like the scalar
-            // loop skipped saturated candidates.)
-            for (lane, &sample_id) in ids.iter().enumerate() {
-                if samples_used >= cap {
-                    // Replay cap reached: stop exactly here, like the
-                    // original degraded run did.
-                    break 'outer;
-                }
-                let h = hasher.hash_unit(sample_id);
-                samples_used += 1;
-                for (&(i, _), &word) in active.iter().zip(&hit_words) {
-                    if !saturated[i] && word >> lane & 1 == 1 {
-                        counters[i] += 1;
-                        if counters[i] as usize == bk {
-                            saturated[i] = true;
-                            kth_hash[i] = h;
-                            saturated_count += 1;
-                        }
-                    }
-                }
-                if saturated_count >= k_rem {
-                    early_stopped = true;
-                    break 'outer;
-                }
-            }
-        }
-        ctx.note_adaptive_samples(samples_used);
-        ctx.note_coins(&block.take_usage());
-        // Scattered hash-order replay is inherently single-word.
-        ctx.note_width(vulnds_sampling::BlockWords::W1);
-
+            let look = certified_epsilon(counts, k_rem, log_inv_alpha);
+            certified = Some((counts.samples(), look.epsilon));
+            (look.epsilon > req.approx.epsilon()).then(|| look.ahead(req.approx.epsilon()))
+        });
+        let samples_used = counts.samples();
         if samples_used == 0 {
             return Err(VulnError::Cancelled);
         }
-        // An early stop is not degradation — no budget was cut, so
-        // `degraded` stays false and `early_stopped` marks the answer —
-        // but the stop rule only fixes each sketch's `bk`-th hit, not
-        // the requested ε. The ε it delivers is the Eq. 4 inversion at
-        // the samples actually used, as for a degraded answer.
-        let (a, b) = (k_rem as u64, candidates.len().saturating_sub(k_rem) as u64);
-        let (degraded, achieved) = if early_stopped {
-            (false, achieved_epsilon(a, b, req.approx.delta(), samples_used))
+        let at_used = certified.filter(|&(n, _)| n == samples_used).map(|(_, e)| e);
+        let early_stopped = samples_used < t && at_used.is_some_and(|e| e <= req.approx.epsilon());
+        let degraded = samples_used < t && !early_stopped;
+        let achieved = if early_stopped {
+            req.approx.epsilon()
         } else {
-            epsilon_outcome(req, a, b, t, samples_used)
+            let (a, b) = (k_rem as u64, plan.candidates.len().saturating_sub(k_rem) as u64);
+            achieved_epsilon(a, b, half_delta, samples_used).min(at_used.unwrap_or(f64::INFINITY))
         };
-
-        let chosen = if early_stopped {
-            // Rank the saturated candidates by their sketch estimates;
-            // more than k_rem can saturate in the final sample, so select.
-            select_top_k(
-                candidates.iter().enumerate().filter(|(i, _)| saturated[*i]).map(|(i, &node)| {
-                    ScoredNode {
-                        node,
-                        score: bottomk_default_probability(bk, kth_hash[i], t as usize),
-                    }
-                }),
-                k_rem,
-            )
-        } else {
-            // Budget exhausted: BSR-style ranking.
-            select_top_k(
-                candidates.iter().enumerate().map(|(i, &node)| ScoredNode {
-                    node,
-                    score: if saturated[i] {
-                        bottomk_default_probability(bk, kth_hash[i], t as usize)
-                    } else {
-                        counters[i] as f64 / samples_used as f64
-                    },
-                }),
-                k_rem,
-            )
-        };
-        let top_k = merge_verified(&pruned, chosen, req.k);
-
+        let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
         Ok(DetectResponse {
             top_k,
             stats: RunStats {
                 algorithm: AlgorithmKind::BottomK,
                 sample_budget: t,
                 samples_used,
-                candidates: candidates.len(),
-                verified: k_verified,
+                candidates: plan.candidates.len(),
+                verified: plan.k_verified,
                 early_stopped,
                 elapsed: start.elapsed(),
             },
@@ -552,38 +459,43 @@ impl Algorithm for BottomKEarlyStop {
     }
 }
 
-/// Splits `order` into consecutive chunks of `min(first, 64)` lanes,
-/// then twice that, and so on up to [`LANES`]. Lanes stay in order, so
-/// replaying the chunks back to back visits exactly `order`.
-fn growing_chunks<T>(order: &[T], first: usize) -> impl Iterator<Item = &[T]> {
-    let mut size = first.clamp(1, LANES);
-    let mut rest = order;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
-        }
-        let (chunk, tail) = rest.split_at(size.min(rest.len()));
-        rest = tail;
-        size = (size * 2).min(LANES);
-        Some(chunk)
-    })
+/// What one look certifies, and how far off a certifying look is.
+struct Look {
+    /// Samples read.
+    n: u64,
+    /// `max(0, max_{v∉S} U_v − min_{u∈S} L_u)`.
+    epsilon: f64,
+    /// The empirical gap `p̂_{k_rem+1} − p̂_{k_rem}` (≤ 0) inside it.
+    gap: f64,
+}
+
+impl Look {
+    /// The prefix at which the look's bound widths, shrinking as `1/√n`
+    /// around the current gap, would certify `target`: a draw-ahead
+    /// hint for the next read (see [`EngineCtx::reverse_counts_until`]),
+    /// which changes what is drawn, never the answer.
+    fn ahead(&self, target: f64) -> u64 {
+        let widths = (self.epsilon - self.gap) / (target - self.gap);
+        (self.n as f64 * widths * widths).min(u64::MAX as f64) as u64
+    }
+}
+
+/// The `ε` one look certifies: with `S` the top-`k_rem` candidates by
+/// count, `max(0, max_{v∉S} U_v − min_{u∈S} L_u)`. Both bounds are
+/// monotone in the count, so the extremes are the bounds of the
+/// `(k_rem + 1)`-th and the `k_rem`-th largest counts.
+fn certified_epsilon(counts: &DefaultCounts, k_rem: usize, log_inv_alpha: f64) -> Look {
+    let n = counts.samples();
+    let mut sorted: Vec<u64> = (0..counts.len()).map(|i| counts.count(i)).collect();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    let (inside, outside) = (sorted[k_rem - 1], sorted[k_rem]);
+    let gap = kl_upper_bound(outside, n, log_inv_alpha) - kl_lower_bound(inside, n, log_inv_alpha);
+    Look { n, epsilon: gap.max(0.0), gap: (outside as f64 - inside as f64) / n as f64 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn growing_chunks_double_up_to_a_block_and_cover_the_order() {
-        let order: Vec<u32> = (0..200).collect();
-        let sizes: Vec<usize> = growing_chunks(&order, 16).map(<[u32]>::len).collect();
-        assert_eq!(sizes, vec![16, 32, 64, 64, 24]);
-        assert_eq!(growing_chunks(&order, 16).flatten().copied().collect::<Vec<_>>(), order);
-        let sizes: Vec<usize> = growing_chunks(&order[..5], 0).map(<[u32]>::len).collect();
-        assert_eq!(sizes, vec![1, 2, 2]);
-        assert_eq!(growing_chunks(&order, 500).next().map(<[u32]>::len), Some(LANES));
-        assert_eq!(growing_chunks::<u32>(&[], 16).count(), 0);
-    }
 
     #[test]
     fn dispatch_covers_all_kinds() {

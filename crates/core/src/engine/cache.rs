@@ -48,9 +48,13 @@
 //! every extension. Extensions that resume at a *narrower* width's
 //! boundary still merge exactly — partial superblocks mask the home
 //! blocks they do not cover.
+//!
+//! Reverse streams additionally snapshot every *look* of BSRBK's
+//! schedule ([`looks_below`]) that a draw crosses — in the same pass,
+//! split at those keys — and never evict them, so BSRBK reads a stream
+//! any reverse query drew as a sequence of cache hits.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -63,6 +67,24 @@ use vulnds_sampling::{CoinTable, DefaultCounts, TouchLedger};
 /// cheapest to re-draw, and the largest snapshot (which every future
 /// extension builds on) is always among the survivors.
 const MAX_SNAPSHOTS: usize = 8;
+
+/// The first look of BSRBK's sequential schedule: one home block.
+const FIRST_LOOK: u64 = 64;
+
+/// The looks of BSRBK's sequential schedule strictly below a budget
+/// `t`: 64, 128, 256, … — every look a power-of-two number of home
+/// blocks, so the schedule depends on `t` alone, never on the width or
+/// thread count a pass runs at. BSRBK reads the reverse stream at each
+/// of them and then at `t` itself.
+pub(crate) fn looks_below(t: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(FIRST_LOOK), |&look| look.checked_mul(2))
+        .take_while(move |&look| look < t)
+}
+
+/// Whether `t` is a look of the schedule ([`looks_below`]).
+fn is_look(t: u64) -> bool {
+    t % FIRST_LOOK == 0 && (t / FIRST_LOOK).is_power_of_two()
+}
 
 /// Cap on distinct sample streams a session keeps (per direction). A
 /// service exposed to untrusted per-request seeds or candidate hints
@@ -428,21 +450,27 @@ impl SampleCache {
     /// Returns cumulative counts over sample ids `0..t`, drawing as few
     /// fresh samples as possible. `align` is the snapshot alignment —
     /// the stream's worlds-per-superblock (`W · 64`), a positive
-    /// multiple of 64. `draw` materializes counts for a raw id range.
-    /// Returns `(counts, drawn, reused)` where `drawn + reused == t` for
-    /// a complete serve.
+    /// multiple of 64. With `looks`, every look of BSRBK's schedule
+    /// ([`looks_below`]) the drawn gap crosses is snapshotted too, and
+    /// such snapshots are never evicted. `draw(start, ends)` materializes
+    /// the gap `start..ends.last()` in one pass and returns the counts of
+    /// each segment between consecutive `ends` (from `start`). Returns
+    /// `(counts, drawn, reused)` where `drawn + reused == t` for a
+    /// complete serve.
     ///
     /// A draw may come back **short** (fewer samples than its range)
     /// when a cancellation token cut the pass at a chunk boundary. The
-    /// truncated prefix is still an exact cumulative count, so it is
-    /// snapshotted at the point actually reached — a retry of the same
-    /// request resumes from there instead of restarting — and returned
-    /// as-is with `drawn` reflecting what was really drawn.
+    /// segments before the cut are exact, and the truncated prefix is
+    /// still an exact cumulative count, so it is snapshotted at the
+    /// point actually reached — a retry of the same request resumes from
+    /// there instead of restarting — and returned as-is with `drawn`
+    /// reflecting what was really drawn.
     pub(crate) fn serve(
         &mut self,
         t: u64,
         align: u64,
-        mut draw: impl FnMut(Range<u64>) -> DefaultCounts,
+        looks: bool,
+        draw: impl FnOnce(u64, &[u64]) -> Vec<DefaultCounts>,
     ) -> (Arc<DefaultCounts>, u64, u64) {
         debug_assert!(align >= 64 && align % 64 == 0, "alignment must be a superblock span");
         if let Some(hit) = self.snapshots.get(&t) {
@@ -450,31 +478,41 @@ impl SampleCache {
         }
         let floor = self.snapshots.range(..t).next_back().map(|(&t0, c)| (t0, c.clone()));
         let t0 = floor.as_ref().map_or(0, |&(t0, _)| t0);
-        // Largest superblock-aligned prefix strictly inside the drawn
-        // gap: worth its own snapshot so later extensions resume on a
-        // superblock boundary (see the module docs).
+        // Inner snapshot keys: the looks the gap crosses, and the largest
+        // superblock-aligned prefix strictly inside it, so later
+        // extensions resume on a superblock boundary (see the module
+        // docs).
+        let mut ends: Vec<u64> =
+            if looks { looks_below(t).filter(|&l| l > t0).collect() } else { Vec::new() };
         let t_align = t / align * align;
-        let split = t_align > t0 && t_align < t;
-        let first_end = if split { t_align } else { t };
-
-        let first = draw(t0..first_end);
-        let first_complete = first.samples() == first_end - t0;
-        let mut reached = t0 + first.samples();
-        let mut acc = match floor {
-            Some((_, base)) => {
-                let mut extended = (*base).clone();
-                extended.merge(&first);
-                extended
-            }
-            None => first,
-        };
-        if split && first_complete {
-            self.snapshots.insert(t_align, Arc::new(acc.clone()));
-            let second = draw(t_align..t);
-            reached += second.samples();
-            acc.merge(&second);
+        if t_align > t0 && t_align < t {
+            ends.push(t_align);
         }
-        let counts = Arc::new(acc);
+        ends.sort_unstable();
+        ends.dedup();
+        ends.push(t);
+
+        let segments = draw(t0, &ends);
+        let mut acc = floor.map(|(_, base)| (*base).clone());
+        let (mut from, mut reached) = (t0, t0);
+        for (&end, segment) in ends.iter().zip(segments) {
+            let complete = segment.samples() == end - from;
+            reached += segment.samples();
+            match acc.as_mut() {
+                Some(acc) => acc.merge(&segment),
+                None => acc = Some(segment),
+            }
+            if !complete {
+                break;
+            }
+            if let Some(acc) = acc.as_ref().filter(|_| end < t) {
+                self.snapshots.insert(end, Arc::new(acc.clone()));
+            }
+            from = end;
+        }
+        // xlint: allow(panic-hygiene) — `ends` is never empty (it ends
+        // with `t`) and the draw returns one segment per end.
+        let counts = Arc::new(acc.expect("the draw returns a segment per end"));
         // `reached < t` only under cancellation; `reached == t0` means
         // not one chunk completed — nothing new to snapshot.
         if reached > t0 {
@@ -482,8 +520,9 @@ impl SampleCache {
         }
         while self.snapshots.len() > MAX_SNAPSHOTS {
             // Evict the smallest prefix other than what this call just
-            // produced — it is the cheapest to re-draw.
-            match self.snapshots.keys().find(|&&s| s != reached).copied() {
+            // produced and the looks — it is the cheapest to re-draw.
+            let evictable = |s: u64| s != reached && !(looks && is_look(s));
+            match self.snapshots.keys().copied().find(|&s| evictable(s)) {
                 Some(victim) => self.snapshots.remove(&victim),
                 None => break,
             };
@@ -608,14 +647,14 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same key must share one cell");
         let other = map.stream(6);
         assert!(!Arc::ptr_eq(&a, &other));
-        lock_tracked(&a.cache).0.serve(10, 64, draw);
+        lock_tracked(&a.cache).0.serve(10, 64, false, draw);
         map.clear();
         let fresh = map.stream(5);
         assert!(!Arc::ptr_eq(&a, &fresh), "clear() must detach old cells");
-        let (_, drawn, reused) = lock_tracked(&fresh.cache).0.serve(10, 64, draw);
+        let (_, drawn, reused) = lock_tracked(&fresh.cache).0.serve(10, 64, false, draw);
         assert_eq!((drawn, reused), (10, 0), "post-clear stream must start cold");
         // The detached cell still works for whoever holds it.
-        let (_, drawn, reused) = lock_tracked(&a.cache).0.serve(10, 64, draw);
+        let (_, drawn, reused) = lock_tracked(&a.cache).0.serve(10, 64, false, draw);
         assert_eq!((drawn, reused), (0, 10));
     }
 
@@ -626,7 +665,7 @@ mod tests {
         let map: StreamMap<u64> = StreamMap::default();
         for seed in 0..(MAX_STREAMS as u64 * 4) {
             let cell = map.stream(seed);
-            lock_tracked(&cell.cache).0.serve(10, 64, draw);
+            lock_tracked(&cell.cache).0.serve(10, 64, false, draw);
         }
         let len = lock_tracked(&map.streams).0.len();
         assert!(len <= MAX_STREAMS, "stream map grew to {len}");
@@ -643,52 +682,63 @@ mod tests {
         assert_eq!(*v, 0);
     }
 
-    /// Fake draw: counts slot 0 once per sample, tagging nothing else —
-    /// enough to verify prefix arithmetic.
-    fn draw(range: Range<u64>) -> DefaultCounts {
-        let mut c = DefaultCounts::new(1);
-        for _ in range {
-            c.begin_sample();
-            c.bump(0);
-        }
-        c
+    /// Fake segment draw: counts slot 0 of `slots` once per sample of
+    /// each segment `ends[i - 1]..ends[i]` (from `start`), stopping at
+    /// absolute sample id `limit` — enough to verify prefix arithmetic.
+    fn segments(slots: usize, start: u64, ends: &[u64], limit: u64) -> Vec<DefaultCounts> {
+        let mut from = start;
+        ends.iter()
+            .map(|&end| {
+                let mut c = DefaultCounts::new(slots);
+                for _ in from.min(limit)..end.min(limit) {
+                    c.begin_sample();
+                    c.bump(0);
+                }
+                from = end;
+                c
+            })
+            .collect()
+    }
+
+    fn draw(start: u64, ends: &[u64]) -> Vec<DefaultCounts> {
+        segments(1, start, ends, u64::MAX)
     }
 
     #[test]
     fn cold_draws_everything() {
         let mut cache = SampleCache::default();
-        let (c, drawn, reused) = cache.serve(10, 64, draw);
+        let (c, drawn, reused) = cache.serve(10, 64, false, draw);
         assert_eq!((c.samples(), drawn, reused), (10, 10, 0));
     }
 
     #[test]
     fn exact_hit_draws_nothing() {
         let mut cache = SampleCache::default();
-        cache.serve(10, 64, draw);
-        let (c, drawn, reused) = cache.serve(10, 64, draw);
+        cache.serve(10, 64, false, draw);
+        let (c, drawn, reused) = cache.serve(10, 64, false, draw);
         assert_eq!((c.samples(), drawn, reused), (10, 0, 10));
     }
 
     #[test]
     fn extends_prefix() {
         let mut cache = SampleCache::default();
-        cache.serve(10, 64, draw);
-        let (c, drawn, reused) = cache.serve(25, 64, draw);
+        cache.serve(10, 64, false, draw);
+        let (c, drawn, reused) = cache.serve(25, 64, false, draw);
         assert_eq!((c.samples(), c.count(0), drawn, reused), (25, 25, 15, 10));
         // The new snapshot serves exact hits too.
-        let (_, drawn, reused) = cache.serve(25, 64, draw);
+        let (_, drawn, reused) = cache.serve(25, 64, false, draw);
         assert_eq!((drawn, reused), (0, 25));
     }
 
     #[test]
     fn smaller_than_all_snapshots_redraws() {
         let mut cache = SampleCache::default();
-        cache.serve(100, 64, draw);
-        let (c, drawn, reused) = cache.serve(40, 64, draw);
+        cache.serve(100, 64, false, draw);
+        let (c, drawn, reused) = cache.serve(40, 64, false, draw);
         assert_eq!((c.samples(), drawn, reused), (40, 40, 0));
         // The 64-aligned snapshot produced by the 100-serve beats the
         // fresh 40-snapshot as an extension base.
-        let (_, drawn, reused) = cache.serve(70, 64, draw);
+        let (_, drawn, reused) = cache.serve(70, 64, false, draw);
         assert_eq!((drawn, reused), (6, 64));
     }
 
@@ -696,19 +746,19 @@ mod tests {
     fn extensions_resume_on_block_boundaries() {
         let mut cache = SampleCache::default();
         // A non-aligned budget snapshots its aligned prefix too …
-        let (c, drawn, reused) = cache.serve(100, 64, draw);
+        let (c, drawn, reused) = cache.serve(100, 64, false, draw);
         assert_eq!((c.samples(), drawn, reused), (100, 100, 0));
         assert!(cache.snapshots.contains_key(&64), "aligned prefix not snapshotted");
         // … so a smaller follow-up bridges from the block boundary
         // instead of redrawing everything.
-        let (c, drawn, reused) = cache.serve(70, 64, draw);
+        let (c, drawn, reused) = cache.serve(70, 64, false, draw);
         assert_eq!((c.samples(), c.count(0), drawn, reused), (70, 70, 6, 64));
         // Aligned budgets take the single-draw path and add one snapshot.
-        let (_, drawn, reused) = cache.serve(128, 64, draw);
+        let (_, drawn, reused) = cache.serve(128, 64, false, draw);
         assert_eq!((drawn, reused), (28, 100));
         // Tiny budgets below one block never split.
         let mut small = SampleCache::default();
-        let (_, drawn, reused) = small.serve(10, 64, draw);
+        let (_, drawn, reused) = small.serve(10, 64, false, draw);
         assert_eq!((drawn, reused), (10, 0));
         assert_eq!(small.snapshots.len(), 1);
     }
@@ -718,22 +768,22 @@ mod tests {
         // A width-8 stream aligns snapshots at 512: a non-aligned budget
         // snapshots its 512-aligned prefix…
         let mut cache = SampleCache::default();
-        let (c, drawn, reused) = cache.serve(1000, 512, draw);
+        let (c, drawn, reused) = cache.serve(1000, 512, false, draw);
         assert_eq!((c.samples(), drawn, reused), (1000, 1000, 0));
         assert!(cache.snapshots.contains_key(&512), "superblock prefix not snapshotted");
         // …so a smaller follow-up bridges from the superblock boundary.
-        let (c, drawn, reused) = cache.serve(600, 512, draw);
+        let (c, drawn, reused) = cache.serve(600, 512, false, draw);
         assert_eq!((c.samples(), drawn, reused), (600, 88, 512));
         // A later narrow-width query on the same stream still extends
         // the widest prefix exactly.
-        let (c, drawn, reused) = cache.serve(1100, 64, draw);
+        let (c, drawn, reused) = cache.serve(1100, 64, false, draw);
         assert_eq!((c.samples(), c.count(0), drawn, reused), (1100, 1100, 100, 1000));
     }
 
     /// Fake cancelled draw: like [`draw`] but stops at absolute sample
     /// id `limit`, mimicking a token cutting the pass mid-gap.
-    fn draw_until(limit: u64) -> impl FnMut(Range<u64>) -> DefaultCounts {
-        move |range: Range<u64>| draw(range.start..range.end.min(limit.max(range.start)))
+    fn draw_until(limit: u64) -> impl FnOnce(u64, &[u64]) -> Vec<DefaultCounts> {
+        move |start, ends| segments(1, start, ends, limit)
     }
 
     #[test]
@@ -741,13 +791,13 @@ mod tests {
         let mut cache = SampleCache::default();
         // The aligned first stage (0..64) is cut at 30: no second stage
         // runs, and the 30-sample prefix is cached as-is.
-        let (c, drawn, reused) = cache.serve(100, 64, draw_until(30));
+        let (c, drawn, reused) = cache.serve(100, 64, false, draw_until(30));
         assert_eq!((c.samples(), c.count(0), drawn, reused), (30, 30, 30, 0));
         assert!(cache.snapshots.contains_key(&30), "truncated prefix not snapshotted");
         assert!(!cache.snapshots.contains_key(&64), "incomplete stage must not snapshot");
         assert!(!cache.snapshots.contains_key(&100));
         // A retry resumes from the truncated prefix instead of redrawing.
-        let (c, drawn, reused) = cache.serve(100, 64, draw);
+        let (c, drawn, reused) = cache.serve(100, 64, false, draw);
         assert_eq!((c.samples(), c.count(0), drawn, reused), (100, 100, 70, 30));
     }
 
@@ -756,39 +806,32 @@ mod tests {
         let mut cache = SampleCache::default();
         // 0..64 completes, 64..100 is cut at 80: both the aligned and
         // the reached prefixes are cached.
-        let (c, drawn, reused) = cache.serve(100, 64, draw_until(80));
+        let (c, drawn, reused) = cache.serve(100, 64, false, draw_until(80));
         assert_eq!((c.samples(), drawn, reused), (80, 80, 0));
         assert!(cache.snapshots.contains_key(&64));
         assert!(cache.snapshots.contains_key(&80));
-        let (c, drawn, reused) = cache.serve(100, 64, draw);
+        let (c, drawn, reused) = cache.serve(100, 64, false, draw);
         assert_eq!((c.samples(), drawn, reused), (100, 20, 80));
     }
 
     #[test]
     fn zero_progress_draw_caches_nothing() {
         let mut cache = SampleCache::default();
-        let (c, drawn, reused) = cache.serve(10, 64, draw_until(0));
+        let (c, drawn, reused) = cache.serve(10, 64, false, draw_until(0));
         assert_eq!((c.samples(), drawn, reused), (0, 0, 0));
         assert!(cache.snapshots.is_empty(), "an empty prefix must not be cached");
         // With a warm floor, a zero-progress draw serves the floor.
-        cache.serve(10, 64, draw);
-        let (c, drawn, reused) = cache.serve(25, 64, draw_until(0));
+        cache.serve(10, 64, false, draw);
+        let (c, drawn, reused) = cache.serve(25, 64, false, draw_until(0));
         assert_eq!((c.samples(), drawn, reused), (10, 0, 10));
     }
 
     #[test]
     fn repair_rewrites_the_listed_slots_of_every_snapshot_in_fresh_arcs() {
         // Two slots; the fake recount marks slot 1 in every sample.
-        let draw2 = |range: Range<u64>| {
-            let mut c = DefaultCounts::new(2);
-            for _ in range {
-                c.begin_sample();
-                c.bump(0);
-            }
-            c
-        };
+        let draw2 = |start, ends: &[u64]| segments(2, start, ends, u64::MAX);
         let mut cache = SampleCache::default();
-        cache.serve(100, 64, draw2);
+        cache.serve(100, 64, false, draw2);
         let held = cache.snapshots[&100].clone();
         let mut seen = Vec::new();
         cache.repair(&[1], |keys: &[u64]| {
@@ -811,7 +854,7 @@ mod tests {
             assert_eq!((snapshot.count(0), snapshot.count(1), snapshot.samples()), (t, t, t));
         }
         assert_eq!(held.count(1), 0, "a held snapshot must not change under its reader");
-        let (c, drawn, _) = cache.serve(100, 64, draw2);
+        let (c, drawn, _) = cache.serve(100, 64, false, draw2);
         assert_eq!((c.count(1), drawn), (100, 0), "repaired snapshots serve later hits");
     }
 
@@ -819,17 +862,55 @@ mod tests {
     fn snapshot_count_is_bounded_and_keeps_the_largest() {
         let mut cache = SampleCache::default();
         for t in 1..=50u64 {
-            cache.serve(t * 10, 64, draw);
+            cache.serve(t * 10, 64, false, draw);
         }
         assert!(cache.snapshots.len() <= MAX_SNAPSHOTS);
         // The largest prefix survives eviction: an extension past it
         // reuses all 500 cached samples.
-        let (_, drawn, reused) = cache.serve(600, 64, draw);
+        let (_, drawn, reused) = cache.serve(600, 64, false, draw);
         assert_eq!((drawn, reused), (100, 500));
         // Eviction never drops the snapshot produced by the current call.
-        let (_, drawn, reused) = cache.serve(5, 64, draw);
+        let (_, drawn, reused) = cache.serve(5, 64, false, draw);
         assert_eq!((drawn, reused), (5, 0));
-        let (_, drawn, reused) = cache.serve(5, 64, draw);
+        let (_, drawn, reused) = cache.serve(5, 64, false, draw);
         assert_eq!((drawn, reused), (0, 5));
+    }
+
+    #[test]
+    fn looks_are_snapshotted_in_one_draw_and_never_evicted() {
+        let mut cache = SampleCache::default();
+        let mut passes = Vec::new();
+        let (c, drawn, _) = cache.serve(1000, 512, true, |start, ends: &[u64]| {
+            passes.push((start, ends.to_vec()));
+            draw(start, ends)
+        });
+        assert_eq!((c.samples(), drawn), (1000, 1000));
+        assert_eq!(passes, vec![(0, vec![64, 128, 256, 512, 1000])], "one pass split at the looks");
+        // A later look reads as a pure hit, and a gap past the cached
+        // looks snapshots only the looks it crosses.
+        assert_eq!(cache.serve(256, 64, true, draw).1, 0);
+        let (_, drawn, reused) = cache.serve(3000, 64, true, draw);
+        assert_eq!((drawn, reused), (2000, 1000));
+        assert!(cache.snapshots.contains_key(&1024) && cache.snapshots.contains_key(&2048));
+        // Sweeping budgets evicts every other snapshot before a look.
+        for t in 1..=40u64 {
+            cache.serve(3000 + t, 64, true, draw);
+        }
+        for look in looks_below(3000) {
+            assert!(cache.snapshots.contains_key(&look), "look {look} evicted");
+        }
+        // Without looks nothing is pinned.
+        let mut plain = SampleCache::default();
+        plain.serve(1000, 512, false, draw);
+        assert_eq!(plain.snapshots.keys().copied().collect::<Vec<_>>(), vec![512, 1000]);
+    }
+
+    #[test]
+    fn the_look_schedule_doubles_from_one_block() {
+        assert_eq!(looks_below(64).count(), 0);
+        assert_eq!(looks_below(65).collect::<Vec<_>>(), vec![64]);
+        assert_eq!(looks_below(1024).collect::<Vec<_>>(), vec![64, 128, 256, 512]);
+        assert!(looks_below(u64::MAX).all(is_look));
+        assert!(!is_look(0) && !is_look(96) && !is_look(63) && is_look(64));
     }
 }

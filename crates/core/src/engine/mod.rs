@@ -90,6 +90,18 @@
 //! `max(tᵢ)` fresh worlds instead of `Σ tᵢ`. Every response is still
 //! bit-identical to a lone [`Detector::detect`] call for that request.
 //!
+//! ## BSRBK on BSR's stream
+//!
+//! BSRBK ([`BottomKEarlyStop`]) samples no stream of its own: it reads
+//! BSR's reverse stream `(seed, B)` at a fixed doubling schedule of
+//! *looks* below BSR's budget `t`, then at `t`, and stops at the first
+//! look whose Chernoff–KL bounds certify the requested ε. Every draw
+//! into a reverse stream snapshots the looks it crosses in the same
+//! pass (and those snapshots are never evicted), so a BSRBK read of a
+//! stream BSR already drew is a cache hit, a batch holding both draws
+//! the stream once, and a delta repairs BSRBK's prefixes along with
+//! BSR's.
+//!
 //! ## Live updates
 //!
 //! [`Detector::apply_delta`] commits a batched [`GraphDelta`]
@@ -128,9 +140,8 @@ use std::sync::Arc;
 
 use ugraph::{EdgeId, GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
 use vulnds_sampling::{
-    fit_width, parallel_forward_counts_range_width_traced,
-    parallel_reverse_counts_range_width_traced, parallel_reverse_counts_split_traced, BlockWords,
-    CancelToken, CoinTable, CoinUsage, DefaultCounts, Direction, TouchLedger,
+    fit_width, parallel_forward_counts_range_width_traced, parallel_reverse_counts_split_traced,
+    BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, Direction, TouchLedger,
 };
 
 use crate::algo::AlgorithmKind;
@@ -224,12 +235,6 @@ impl DetectorBuilder {
     /// Which bound recursion the pruning phase uses.
     pub fn bounds_method(mut self, method: BoundsMethod) -> Self {
         self.config.bounds_method = method;
-        self
-    }
-
-    /// Bottom-k early-stop parameter for BSRBK.
-    pub fn bk(mut self, bk: usize) -> Self {
-        self.config.bk = bk;
         self
     }
 
@@ -606,10 +611,12 @@ impl StreamRepair<'_> {
                 self.graph,
                 &self.coins,
                 &nodes,
+                0,
                 keys,
                 seed,
                 self.threads,
                 width,
+                None,
                 Some(ledger),
             );
             self.usage.merge(&usage);
@@ -939,25 +946,45 @@ impl<'a> EngineCtx<'a> {
     /// counts report how many samples they actually cover via
     /// [`DefaultCounts::samples`].
     pub fn forward_counts(&mut self, t: u64, seed: u64) -> Arc<DefaultCounts> {
-        let t = self.sample_cap.map_or(t, |cap| t.min(cap));
         let coins = self.coin_table();
         let (graph, threads) = (self.graph, self.config.threads);
         let direction = self.config.direction;
         let cancel = self.cancel.clone();
         let stream = self.state.forward.stream(seed);
-        self.stream_counts(&stream, t, |range, fitted, ledger| {
-            parallel_forward_counts_range_width_traced(
-                graph,
-                &coins,
-                range,
-                seed,
-                threads,
-                fitted,
-                direction,
-                cancel.as_ref(),
-                ledger,
-            )
-        })
+        self.stream_counts(
+            &stream,
+            &[t],
+            false,
+            |_| None,
+            |start, ends, width, ledger| {
+                // One pass per segment: a forward stream's segments are at
+                // most the aligned prefix and the budget.
+                let mut usage = CoinUsage::default();
+                let mut from = start;
+                let mut segments = Vec::with_capacity(ends.len());
+                for &end in ends {
+                    let (counts, u) = parallel_forward_counts_range_width_traced(
+                        graph,
+                        &coins,
+                        from..end,
+                        seed,
+                        threads,
+                        width,
+                        direction,
+                        cancel.as_ref(),
+                        ledger,
+                    );
+                    usage.merge(&u);
+                    let short = counts.samples() < end - from;
+                    segments.push(counts);
+                    if short {
+                        break;
+                    }
+                    from = end;
+                }
+                (segments, usage)
+            },
+        )
     }
 
     /// Cumulative reverse-sample counts over ids `0..t` for
@@ -971,21 +998,51 @@ impl<'a> EngineCtx<'a> {
         t: u64,
         seed: u64,
     ) -> Arc<DefaultCounts> {
-        let t = self.sample_cap.map_or(t, |cap| t.min(cap));
+        self.reverse_counts_until(candidates, &[t], seed, |_| None)
+    }
+
+    /// Sequential reads of the reverse stream `(seed, candidates)`: the
+    /// cumulative counts at each of the ascending prefixes `looks` in
+    /// turn, until `next` accepts one. Returns the accepted counts, or
+    /// the last ones read when the looks run out, the request's
+    /// `sample_cap` is reached, or a cancelled draw comes back short.
+    ///
+    /// `next` returns `None` to accept a prefix, or `Some(ahead)` to read
+    /// the next one: `ahead` is where the caller expects acceptance, so a
+    /// fresh draw runs straight to it (capped at the last look) in one
+    /// pass instead of one pass per look. Every look is still read, in
+    /// order, from the snapshots that pass leaves, so `ahead` changes
+    /// what is drawn, never what is returned.
+    ///
+    /// Every draw into a reverse stream — this one or a plain
+    /// [`EngineCtx::reverse_counts`] — snapshots each look of BSRBK's
+    /// schedule it crosses, in the same single pass, so reading a
+    /// stream another query already drew costs one cache hit per look.
+    /// The cell stays locked across all the looks, and the request
+    /// counts the worlds it drew, and the rest of the returned prefix as
+    /// reused, once.
+    pub fn reverse_counts_until(
+        &mut self,
+        candidates: &[NodeId],
+        looks: &[u64],
+        seed: u64,
+        next: impl FnMut(&DefaultCounts) -> Option<u64>,
+    ) -> Arc<DefaultCounts> {
         let coins = self.coin_table();
         let (graph, threads) = (self.graph, self.config.threads);
         let cancel = self.cancel.clone();
         let key = (seed, candidates.iter().map(|v| v.0).collect::<Vec<u32>>());
         let stream = self.state.reverse.stream(key);
-        self.stream_counts(&stream, t, |range, fitted, ledger| {
-            parallel_reverse_counts_range_width_traced(
+        self.stream_counts(&stream, looks, true, next, |start, ends, width, ledger| {
+            parallel_reverse_counts_split_traced(
                 graph,
                 &coins,
                 candidates,
-                range,
+                start,
+                ends,
                 seed,
                 threads,
-                fitted,
+                width,
                 cancel.as_ref(),
                 ledger,
             )
@@ -993,10 +1050,14 @@ impl<'a> EngineCtx<'a> {
     }
 
     /// The shared stream-cell protocol behind
-    /// [`EngineCtx::forward_counts`]/[`EngineCtx::reverse_counts`]:
-    /// probe the `drawing` marker, lock the cell, serve through the
-    /// prefix cache, and account waits/coins/width. `draw` materializes
-    /// one raw id range at the fitted width.
+    /// [`EngineCtx::forward_counts`]/[`EngineCtx::reverse_counts_until`]:
+    /// probe the `drawing` marker, lock the cell, serve each target
+    /// prefix through the prefix cache until `next` accepts one (see
+    /// [`EngineCtx::reverse_counts_until`]), and
+    /// account waits/coins/width. `draw(start, ends, width, ledger)`
+    /// materializes `start..ends.last()` at the fitted width and returns
+    /// the counts of each segment between consecutive ends. `looks`
+    /// makes the cache snapshot (and keep) BSRBK's look prefixes.
     ///
     /// Protocol invariants (correctness-sensitive for the wait/dedup
     /// counters, so they live in exactly one place):
@@ -1021,15 +1082,17 @@ impl<'a> EngineCtx<'a> {
     fn stream_counts(
         &mut self,
         stream: &cache::StreamCell,
-        t: u64,
+        targets: &[u64],
+        looks: bool,
+        mut next: impl FnMut(&DefaultCounts) -> Option<u64>,
         mut draw: impl FnMut(
-            std::ops::Range<u64>,
+            u64,
+            &[u64],
             BlockWords,
             Option<&TouchLedger>,
-        ) -> (DefaultCounts, CoinUsage),
+        ) -> (Vec<DefaultCounts>, CoinUsage),
     ) -> Arc<DefaultCounts> {
         let threads = self.config.threads;
-        let width = self.plan_block_words(t);
         let version = self.graph.version();
         let (num_nodes, num_edges) = (self.graph.num_nodes(), self.graph.num_edges());
         // ORDERING: Acquire pairs with the Release store in the serve
@@ -1050,31 +1113,59 @@ impl<'a> EngineCtx<'a> {
         let mut usage = CoinUsage::default();
         let mut used_width: Option<BlockWords> = None;
         let drawing_reset = MarkerReset(&stream.drawing);
-        let (counts, drawn, reused) = serve_cache.serve(t, width.lanes(), |range| {
-            // ORDERING: Release pairs with the Acquire probe above —
-            // set only when worlds actually materialize.
-            stream.drawing.store(true, Ordering::Release);
-            let fitted = fit_width(&range, width, threads);
-            used_width = Some(used_width.map_or(fitted, |w| w.max(fitted)));
-            let (c, u) = draw(range, fitted, ledger);
-            usage.merge(&u);
-            c
-        });
+        let sample_cap = self.sample_cap;
+        let capped = |t: u64| sample_cap.map_or(t, |cap| t.min(cap));
+        let mut serve = |t: u64| {
+            let width = self.plan_block_words(t);
+            let (read, fresh, _) = serve_cache.serve(t, width.lanes(), looks, |start, ends| {
+                // ORDERING: Release pairs with the Acquire probe above —
+                // set only when worlds actually materialize.
+                stream.drawing.store(true, Ordering::Release);
+                let range = start..ends.last().copied().unwrap_or(start);
+                let fitted = fit_width(&range, width, threads);
+                used_width = Some(used_width.map_or(fitted, |w| w.max(fitted)));
+                let (segments, u) = draw(start, ends, fitted, ledger);
+                usage.merge(&u);
+                segments
+            });
+            (read, fresh)
+        };
+        let last = targets.last().copied().unwrap_or(0);
+        let (mut drawn, mut ahead) = (0, 0);
+        let mut counts: Option<Arc<DefaultCounts>> = None;
+        for &target in targets {
+            let t = capped(target);
+            if counts.as_ref().is_some_and(|c| c.samples() >= t) {
+                break; // capped: the previous read already reached it
+            }
+            // Draw ahead to a look, so passes split only at snapshot keys.
+            let reach = capped(targets.iter().copied().find(|&l| l >= ahead).unwrap_or(last));
+            if reach > t {
+                drawn += serve(reach).1;
+            }
+            let (read, fresh) = serve(t);
+            drawn += fresh;
+            // A short read (a cancelled draw) ends the reads too.
+            let verdict = if read.samples() < t { None } else { next(&read) };
+            counts = Some(read);
+            match verdict {
+                Some(next_ahead) => ahead = next_ahead,
+                None => break,
+            }
+        }
         drop(drawing_reset);
         drop(cache);
+        // xlint: allow(panic-hygiene) — every caller passes at least one
+        // target, and the first one is always read.
+        let counts = counts.expect("at least one target");
         self.note_stream_wait(waited, draw_in_flight, drawn);
-        self.note_usage(drawn, reused);
+        // A draw ahead of an accepted look reuses nothing of it.
+        self.note_usage(drawn, counts.samples().saturating_sub(drawn));
         self.note_coins(&usage);
         if let Some(width) = used_width {
             self.note_width(width);
         }
         counts
-    }
-
-    /// Records worlds an algorithm sampled outside the cache (BSRBK's
-    /// adaptive pass).
-    pub fn note_adaptive_samples(&mut self, drawn: u64) {
-        self.note_usage(drawn, 0);
     }
 
     /// Records coin-materialization cost (words synthesized, lazy edge
@@ -1141,10 +1232,11 @@ enum MemoLayer {
 enum PlanKey {
     /// Forward sampling over all nodes (N, SN).
     Forward { seed: u64 },
-    /// Reverse sampling over a fixed candidate set (SR, BSR).
+    /// Reverse sampling over a fixed candidate set (SR, BSR, BSRBK —
+    /// BSRBK reads a prefix of BSR's stream).
     Reverse { seed: u64, candidates: Vec<u32> },
-    /// Adaptive or sampling-free: nothing to share (BSRBK, degenerate
-    /// BSR). The index keeps each solo request in its own group.
+    /// Sampling-free: nothing to share (degenerate BSR/BSRBK). The
+    /// index keeps each solo request in its own group.
     Solo { index: usize },
 }
 
@@ -1541,8 +1633,12 @@ impl Detector {
                 let t = algorithms::sn_budget(&ctx, req);
                 (PlanKey::Forward { seed: req.seed }, t)
             }
-            AlgorithmKind::SampleReverse | AlgorithmKind::BoundedSampleReverse => {
+            AlgorithmKind::SampleReverse
+            | AlgorithmKind::BoundedSampleReverse
+            | AlgorithmKind::BottomK => {
                 // Same derivation the run will use — see `reverse_plan`.
+                // BSRBK reads at most BSR's budget, so sorting it with
+                // that budget still draws the group once.
                 let plan = algorithms::reverse_plan(&mut ctx, req);
                 if plan.degenerate {
                     return (PlanKey::Solo { index }, 0);
@@ -1550,7 +1646,6 @@ impl Detector {
                 let ids = plan.candidates.iter().map(|v| v.0).collect();
                 (PlanKey::Reverse { seed: req.seed, candidates: ids }, plan.budget)
             }
-            AlgorithmKind::BottomK => (PlanKey::Solo { index }, 0),
         }
     }
 }
@@ -1559,6 +1654,7 @@ impl Detector {
 mod tests {
     use super::*;
     use crate::error::VulnError;
+    use crate::sample_size::achieved_epsilon;
     use vulnds_sampling::Xoshiro256pp;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> UncertainGraph {
@@ -1760,12 +1856,6 @@ mod tests {
             ),
             Err(VulnError::CandidateOutOfBounds { node: 99, n: 10 })
         ));
-        let degenerate =
-            Detector::builder(&g).config(VulnConfig::default().with_bk(1)).build().unwrap();
-        assert!(matches!(
-            degenerate.detect(&DetectRequest::new(2, AlgorithmKind::BottomK)),
-            Err(VulnError::InvalidParameter(_))
-        ));
         // detect_many is all-or-nothing.
         let d2 = session(&g);
         let reqs = vec![
@@ -1843,11 +1933,13 @@ mod tests {
         assert_eq!(p.engine.block_words, 2);
         assert_eq!(p.top_k, r.top_k, "width must never change the answer");
 
-        // BSRBK's scattered adaptive pass is single-word by construction.
-        let adaptive = session(&g);
-        let b = adaptive.detect(&DetectRequest::new(4, AlgorithmKind::BottomK)).unwrap();
+        // BSRBK's look-by-look reads run on the planner too: each read
+        // is planned for its own look, never wider than BSR's budget.
+        let sequential = session(&g);
+        let b = sequential.detect(&DetectRequest::new(4, AlgorithmKind::BottomK)).unwrap();
         if b.stats.samples_used > 0 {
-            assert_eq!(b.engine.block_words, 1, "scattered replay must report width 1");
+            let planned = BlockWords::plan(b.stats.samples_used, sequential.config().threads);
+            assert!((1..=planned.words()).contains(&b.engine.block_words), "{:?}", b.engine);
         }
     }
 
@@ -2432,5 +2524,161 @@ mod tests {
         assert_eq!(post.self_risk(NodeId(0)), 0.9);
         let stats = d.session_stats();
         assert_eq!((stats.epoch, stats.graph_version), (1, post.version()));
+    }
+
+    type BsrbkCase = (UncertainGraph, DetectRequest);
+
+    /// BSRBK requests over small random graphs, split by outcome: those
+    /// whose sequential stop certifies ε at a look below BSR's budget,
+    /// and those that run to the budget.
+    fn bsrbk_cases() -> (Vec<BsrbkCase>, Vec<BsrbkCase>) {
+        let (mut early, mut at_cap) = (Vec::new(), Vec::new());
+        for seed in 0..6 {
+            let g = random_graph(80, 120, seed);
+            for k in [1, 3, 6] {
+                for epsilon in [0.3, 0.1, 0.05] {
+                    let req = DetectRequest::new(k, AlgorithmKind::BottomK).with_epsilon(epsilon);
+                    let r = session(&g).detect(&req).unwrap();
+                    if r.stats.sample_budget == 0 {
+                        continue;
+                    }
+                    let bucket = if r.stats.early_stopped { &mut early } else { &mut at_cap };
+                    bucket.push((g.clone(), req));
+                }
+            }
+        }
+        assert!(
+            early.len() >= 3 && at_cap.len() >= 3,
+            "{} early, {} at cap",
+            early.len(),
+            at_cap.len()
+        );
+        (early, at_cap)
+    }
+
+    fn as_bsr(req: &DetectRequest) -> DetectRequest {
+        let mut bsr = req.clone();
+        bsr.algorithm = AlgorithmKind::BoundedSampleReverse;
+        bsr
+    }
+
+    #[test]
+    fn bsrbk_after_bsr_reads_the_cached_stream_without_drawing() {
+        let (early, at_cap) = bsrbk_cases();
+        for (g, req) in early.iter().chain(&at_cap) {
+            let d = session(g);
+            let bsr = d.detect(&as_bsr(req)).unwrap();
+            let drawn = d.session_stats().samples_drawn;
+            let warm = d.detect(req).unwrap();
+            assert_eq!(warm.engine.samples_drawn, 0, "{:?}", warm.stats);
+            assert_eq!(warm.engine.coin_words_synthesized, 0);
+            assert_eq!(d.session_stats().samples_drawn, drawn);
+            assert_eq!(warm.engine.samples_reused, warm.stats.samples_used);
+            assert_eq!(warm.stats.sample_budget, bsr.stats.sample_budget, "BSRBK's cap is BSR's t");
+            assert!(warm.stats.samples_used <= warm.stats.sample_budget);
+            let cold = session(g).detect(req).unwrap();
+            assert_eq!(cold.top_k, warm.top_k);
+            assert_eq!(cold.stats.samples_used, warm.stats.samples_used);
+        }
+    }
+
+    #[test]
+    fn bsrbk_at_the_cap_returns_bsrs_answer_bit_for_bit() {
+        let (_, at_cap) = bsrbk_cases();
+        for (g, req) in &at_cap {
+            let bk = session(g).detect(req).unwrap();
+            let bsr = session(g).detect(&as_bsr(req)).unwrap();
+            assert!(!bk.stats.early_stopped && !bk.degraded);
+            assert_eq!(bk.stats.samples_used, bsr.stats.sample_budget);
+            let bits = |r: &DetectResponse| -> Vec<(u32, u64)> {
+                r.top_k.iter().map(|s| (s.node.0, s.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&bk), bits(&bsr));
+            // δ/2 goes to the looks, δ/2 to Eq. 4's pair bound at t.
+            let resolved = req.resolve(g, session(g).config()).unwrap();
+            let a = (req.k - bk.stats.verified) as u64;
+            let b = bk.stats.candidates as u64 - a;
+            let half = achieved_epsilon(a, b, resolved.approx.delta() / 2.0, bk.stats.samples_used);
+            assert!(bk.achieved_epsilon <= half && bk.achieved_epsilon > 0.0);
+        }
+    }
+
+    #[test]
+    fn bsrbk_early_stop_ranks_the_reverse_counts_of_its_stop_look() {
+        let (early, _) = bsrbk_cases();
+        for (g, req) in &early {
+            let d = session(g);
+            let bk = d.detect(req).unwrap();
+            let used = bk.stats.samples_used;
+            assert!(bk.stats.early_stopped && !bk.degraded && used < bk.stats.sample_budget);
+            assert!(cache::looks_below(bk.stats.sample_budget).any(|look| look == used));
+            assert_eq!(bk.achieved_epsilon, req.epsilon.unwrap());
+            let graph = d.graph();
+            let mut ctx = d.ctx(&graph);
+            let resolved = req.resolve(&graph, d.config()).unwrap();
+            let plan = algorithms::reverse_plan(&mut ctx, &resolved);
+            let counts = ctx.reverse_counts(&plan.candidates, used, resolved.seed);
+            let mut expected: Vec<(u64, u32)> =
+                plan.candidates.iter().enumerate().map(|(i, v)| (counts.count(i), v.0)).collect();
+            expected.sort_unstable_by_key(|&(c, v)| (std::cmp::Reverse(c), v));
+            let got: Vec<(u32, f64)> =
+                bk.top_k[plan.k_verified..].iter().map(|s| (s.node.0, s.score)).collect();
+            let want: Vec<(u32, f64)> =
+                expected[..plan.k_rem].iter().map(|&(c, v)| (v, c as f64 / used as f64)).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn bsrbk_stop_look_is_identical_across_threads_widths_and_caches() {
+        let (early, at_cap) = bsrbk_cases();
+        for (g, req) in early.iter().chain(&at_cap) {
+            let reference = session(g).detect(req).unwrap();
+            let same = |r: &DetectResponse, what: &str| {
+                assert_eq!(r.stats.samples_used, reference.stats.samples_used, "{what}");
+                assert_eq!(r.stats.early_stopped, reference.stats.early_stopped, "{what}");
+                assert_eq!(r.top_k, reference.top_k, "{what}");
+                assert_eq!(r.achieved_epsilon.to_bits(), reference.achieved_epsilon.to_bits());
+            };
+            for threads in [1, 3] {
+                for width in BlockWords::ALL {
+                    let d = Detector::builder(g)
+                        .config(VulnConfig::default().with_seed(77).with_block_words(width))
+                        .threads(threads)
+                        .build()
+                        .unwrap();
+                    same(&d.detect(req).unwrap(), &format!("threads {threads} width {width}"));
+                }
+            }
+            // Warm: after BSR drew the whole stream, after a tighter-ε
+            // BSRBK drew a longer one, and on a repeat.
+            let warm = session(g);
+            warm.detect(&as_bsr(req)).unwrap();
+            same(&warm.detect(req).unwrap(), "after BSR");
+            let tighter = session(g);
+            tighter.detect(&req.clone().with_epsilon(req.epsilon.unwrap() / 2.0)).unwrap();
+            same(&tighter.detect(req).unwrap(), "after a tighter BSRBK");
+            same(&tighter.detect(req).unwrap(), "repeat");
+        }
+    }
+
+    #[test]
+    fn a_draw_ahead_hint_changes_what_is_drawn_not_what_is_read() {
+        let g = random_graph(60, 120, 21);
+        let candidates: Vec<NodeId> = (0..10).map(NodeId).collect();
+        let d = session(&g);
+        let graph = d.graph();
+        let mut ctx = d.ctx(&graph);
+        let mut seen = Vec::new();
+        let read = ctx.reverse_counts_until(&candidates, &[64, 128, 256, 300], 5, |c| {
+            seen.push(c.samples());
+            (c.samples() < 128).then_some(u64::MAX)
+        });
+        assert_eq!(seen, vec![64, 128], "every look up to the accepted one is read, in order");
+        assert_eq!(read.samples(), 128);
+        assert_eq!(ctx.request.samples_drawn, 300, "the hint drew to the last look");
+        let fresh = session(&g);
+        let plain = fresh.ctx(&graph).reverse_counts(&candidates, 128, 5);
+        assert_eq!(*read, *plain);
     }
 }

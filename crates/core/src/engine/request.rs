@@ -46,8 +46,8 @@ pub struct DetectRequest {
     /// interruptible; only sampling is.
     pub timeout_ms: Option<u64>,
     /// Exact cap on the worlds the sampling pass may draw, *without*
-    /// changing the ε-derived budget (which also seeds BSRBK's sample
-    /// order). This is the replay knob for degraded answers: re-running
+    /// changing the ε-derived budget (which also fixes BSRBK's schedule
+    /// of looks). This is the replay knob for degraded answers: re-running
     /// a degraded query with its reported `samples_used` as the cap
     /// reproduces the degraded answer bit-identically.
     pub sample_cap: Option<u64>,
@@ -135,11 +135,6 @@ impl DetectRequest {
                 delta.unwrap_or_else(|| config.approx.delta()),
             )?,
         };
-        if self.algorithm == AlgorithmKind::BottomK && config.bk < 2 {
-            return Err(VulnError::InvalidParameter(
-                "bottom-k parameter must be at least 2".into(),
-            ));
-        }
         let candidates = match &self.candidates {
             None => None,
             Some(hint) => {
@@ -284,18 +279,20 @@ pub struct DetectResponse {
     /// the wider [`achieved_epsilon`](DetectResponse::achieved_epsilon),
     /// and replaying the request with `stats.samples_used` as its
     /// `sample_cap` reproduces it bit-identically. BSRBK's early stop is
-    /// *not* degradation — no budget was cut, so it keeps
-    /// `degraded = false` — but it still reports the wider `ε` it
-    /// achieved (see `stats.early_stopped`).
+    /// *not* degradation — no budget was cut, and its stop certifies the
+    /// requested `ε` (see `stats.early_stopped`).
     pub degraded: bool,
     /// The `ε` the request's `δ` guarantee holds at, given the samples
-    /// actually used: the requested `ε` for a full pass, the inverted
-    /// Hoeffding/union bound (Eq. 3/4 solved for `ε` at
-    /// `stats.samples_used`) for a degraded one and for a BSRBK early
-    /// stop — which is not degraded, but whose stop rule does not
-    /// deliver the requested `ε`. Not meaningful for fixed-budget `N`
-    /// runs, which have no requested contract; the inversion is still
-    /// reported against the session's `(ε, δ)`.
+    /// actually used: the requested `ε` for a full pass and for a BSRBK
+    /// early stop (its stop certifies it), the inverted Hoeffding/union
+    /// bound (Eq. 3/4 solved for `ε` at `stats.samples_used`) for a
+    /// degraded one. BSRBK spends half of `δ` on its looks, so its
+    /// full-budget and degraded answers report the inversion at `δ/2`
+    /// (at most slightly above the requested `ε` at the full budget),
+    /// or the `ε` its last look certified when that is smaller. Not
+    /// meaningful for fixed-budget `N` runs, which have no requested
+    /// contract; the inversion is still reported against the session's
+    /// `(ε, δ)`.
     pub achieved_epsilon: f64,
 }
 

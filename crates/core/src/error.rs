@@ -120,8 +120,8 @@ mod tests {
         assert!(e.to_string().contains("1..=5"), "{e}");
         let e = VulnError::CandidateOutOfBounds { node: 7, n: 3 };
         assert!(e.to_string().contains("node 7"), "{e}");
-        let e = VulnError::InvalidParameter("bk must be at least 2".into());
-        assert!(e.to_string().contains("bk"), "{e}");
+        let e = VulnError::InvalidParameter("hint smaller than k".into());
+        assert!(e.to_string().contains("hint"), "{e}");
     }
 
     #[test]

@@ -417,35 +417,43 @@ pub fn parallel_reverse_counts_range_width_traced(
     })
 }
 
-/// [`parallel_reverse_counts_range_width_traced`] over `0..ends.last()`
-/// in a single pass, returning the counts of each segment
-/// `ends[i - 1]..ends[i]` (from 0) separately: a caller that needs
-/// several prefixes pays for one pass — one kernel set-up per worker —
-/// instead of one pass per prefix. `ends` must be ascending; chunks are
-/// split at every end, so each segment's counts are exact.
+/// [`parallel_reverse_counts_range_width_traced`] over
+/// `start..ends.last()` in a single pass, returning the counts of each
+/// segment `ends[i - 1]..ends[i]` (from `start`) separately: a caller
+/// that needs several prefixes pays for one pass — one kernel set-up
+/// per worker — instead of one pass per prefix. `ends` must be
+/// ascending and at least `start`; chunks are split at every end, so
+/// each segment's counts are exact. A cancelled pass completes a
+/// contiguous prefix of the chunks, so the segments are exact up to the
+/// first short one and empty after it.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_reverse_counts_split_traced(
     graph: &UncertainGraph,
     coins: &CoinTable,
     candidates: &[NodeId],
+    start: u64,
     ends: &[u64],
     seed: u64,
     threads: usize,
     width: BlockWords,
+    cancel: Option<&CancelToken>,
     ledger: Option<&TouchLedger>,
 ) -> (Vec<DefaultCounts>, CoinUsage) {
-    debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]), "segment ends must ascend");
-    let width = fit_width(&(0..ends.last().copied().unwrap_or(0)), width, threads);
+    debug_assert!(
+        ends.first().is_none_or(|&e| e >= start) && ends.windows(2).all(|w| w[0] <= w[1]),
+        "segment ends must ascend from the start"
+    );
+    let width = fit_width(&(start..ends.last().copied().unwrap_or(start)), width, threads);
     with_block_words!(width, W, {
-        let mut start = 0;
+        let mut from = start;
         let mut chunks: Vec<std::ops::Range<u64>> = Vec::new();
         for &end in ends {
-            chunks.extend(superblock_chunks(start..end, W));
-            start = end;
+            chunks.extend(superblock_chunks(from..end, W));
+            from = end;
         }
         let threads = effective_threads(threads, chunks.len() as u64);
         let (mut segments, usage) = reverse_segments::<W>(
-            graph, coins, candidates, &chunks, ends, seed, threads, None, ledger,
+            graph, coins, candidates, &chunks, ends, seed, threads, cancel, ledger,
         );
         segments.truncate(ends.len());
         (segments, usage)
@@ -800,10 +808,12 @@ mod tests {
                 &g,
                 &coins,
                 &cands,
+                0,
                 &ends,
                 5,
                 threads,
                 BlockWords::W4,
+                None,
                 Some(&ledger),
             );
             assert_eq!(segments.len(), ends.len());
@@ -814,6 +824,21 @@ mod tests {
                 start = end;
             }
             assert!(ledger.node_count() > 0, "the pass must record its touches");
+            // A pass may start mid-stream, as a cache extension does.
+            let (tail, _) = parallel_reverse_counts_split_traced(
+                &g,
+                &coins,
+                &cands,
+                300,
+                &[700, 1100],
+                5,
+                threads,
+                BlockWords::W4,
+                None,
+                None,
+            );
+            assert_eq!(tail[0], crate::reverse::reverse_counts_range(&g, &cands, 300..700, 5));
+            assert_eq!(tail[1], crate::reverse::reverse_counts_range(&g, &cands, 700..1100, 5));
         }
     }
 

@@ -97,14 +97,14 @@ USAGE:
   vulnds stats    <graph>
   vulnds detect   <graph> --k <n> [--algorithm n|sn|sr|bsr|bsrbk]
                   [--epsilon <e>] [--delta <d>] [--seed <s>]
-                  [--threads <t>] [--bk <b>] [--bound-order <z>]
+                  [--threads <t>] [--bound-order <z>]
                   [--block-words auto|1|2|4|8] [--direction push|pull|auto]
                   [--relabel none|degree|bfs] [--format human|json]
   vulnds score    <graph> [--method mc|bottomk] [--seed <s>] [--threads <t>]
                   [--block-words auto|1|2|4|8] [--format human|json]
   vulnds bounds   <graph> [--order <z>]
   vulnds serve    <graph> [--workers <w>] [--tcp <addr>] [--seed <s>]
-                  [--threads <t>] [--bk <b>] [--bound-order <z>]
+                  [--threads <t>] [--bound-order <z>]
                   [--block-words auto|1|2|4|8] [--direction push|pull|auto]
                   [--max-samples <n>] [--default-timeout-ms <ms>]
                   [--max-connections <n>] [--drain-ms <ms>]
@@ -250,11 +250,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                                 .map_err(|_| err("--threads: not an integer"))?,
                         )
                     }
-                    "--bk" => {
-                        config.bk = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--bk: not an integer"))?
-                    }
                     "--bound-order" => {
                         config.bound_order = value(&rest, &mut i)?
                             .parse()
@@ -393,11 +388,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                                 .parse()
                                 .map_err(|_| err("--threads: not an integer"))?,
                         )
-                    }
-                    "--bk" => {
-                        config.bk = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--bk: not an integer"))?
                     }
                     "--bound-order" => {
                         config.bound_order = value(&rest, &mut i)?
@@ -827,7 +817,7 @@ mod tests {
     #[test]
     fn parses_detect_with_options() {
         let c = parse(&args(
-            "detect g.txt --k 10 --algorithm bsr --epsilon 0.2 --delta 0.05 --seed 7 --threads 4 --bk 8 --bound-order 3 --block-words 4",
+            "detect g.txt --k 10 --algorithm bsr --epsilon 0.2 --delta 0.05 --seed 7 --threads 4 --bound-order 3 --block-words 4",
         ))
         .unwrap();
         match c {
@@ -839,7 +829,6 @@ mod tests {
                 assert_eq!(config.approx.delta(), 0.05);
                 assert_eq!(config.seed, 7);
                 assert_eq!(config.threads, 4);
-                assert_eq!(config.bk, 8);
                 assert_eq!(config.bound_order, 3);
                 assert_eq!(config.block_words, Some(BlockWords::W4));
                 assert_eq!(format, OutputFormat::Human);
@@ -847,6 +836,10 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
+        // BSRBK's stop reads no bottom-k parameter, so neither command
+        // takes one.
+        assert!(parse(&args("detect g.txt --k 3 --bk 8")).is_err());
+        assert!(parse(&args("serve g.txt --bk 16")).is_err());
     }
 
     #[test]
@@ -886,15 +879,13 @@ mod tests {
 
     #[test]
     fn parses_serve_with_options() {
-        let c =
-            parse(&args("serve g.txt --workers 6 --tcp 127.0.0.1:7070 --seed 9 --bk 16")).unwrap();
+        let c = parse(&args("serve g.txt --workers 6 --tcp 127.0.0.1:7070 --seed 9")).unwrap();
         match c {
             Command::Serve { path, config, tcp, options, .. } => {
                 assert_eq!(path, "g.txt");
                 assert_eq!(options.workers, 6);
                 assert_eq!(tcp.as_deref(), Some("127.0.0.1:7070"));
                 assert_eq!(config.seed, 9);
-                assert_eq!(config.bk, 16);
                 assert_eq!(config.threads, 1, "serve defaults per-query samplers to 1 thread");
                 assert_eq!(
                     config.max_samples,

@@ -89,3 +89,27 @@ fn batch_responses_preserve_request_order() {
         assert_eq!(resp.stats.algorithm, req.algorithm, "response out of order for {req:?}");
     }
 }
+
+#[test]
+fn bsr_and_bsrbk_in_one_batch_draw_their_stream_once() {
+    // BSRBK reads a prefix of BSR's reverse stream, so a batch holding
+    // both draws BSR's budget once, in either order, and answers each
+    // exactly like a lone call.
+    let g = graph();
+    let bsr = DetectRequest::new(12, AlgorithmKind::BoundedSampleReverse).with_epsilon(0.1);
+    let bsrbk = DetectRequest::new(12, AlgorithmKind::BottomK).with_epsilon(0.1);
+    for batch in [vec![bsrbk.clone(), bsr.clone()], vec![bsr.clone(), bsrbk.clone()]] {
+        let d = Detector::builder(&g).config(cfg()).build().unwrap();
+        let responses = d.detect_many(&batch).unwrap();
+        let budget = responses[0].stats.sample_budget;
+        assert!(budget > 0, "degenerate plan: the bounds decided everything");
+        assert_eq!(d.session_stats().samples_drawn, budget, "the stream was drawn twice");
+        for (req, response) in batch.iter().zip(&responses) {
+            let solo = Detector::builder(&g).config(cfg()).build().unwrap();
+            let alone = solo.detect(req).unwrap();
+            assert_eq!(response.top_k, alone.top_k, "{}", req.algorithm);
+            assert_eq!(response.stats.samples_used, alone.stats.samples_used);
+            assert_eq!(response.stats.sample_budget, budget, "one budget for the stream");
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! Count-based regression test for frontier-lazy node coins.
 //!
-//! BSRBK's adaptive pass reverse-searches from a few candidates, so it
-//! should only draw coins for the nodes those searches reach. A pass
+//! BSRBK reads a reverse stream, which searches back from a few
+//! candidates, so it should only draw coins for the nodes those
+//! searches reach. A pass
 //! that synthesizes every node's self-default word for every block
 //! pays at least one coin word per node per sample it uses — the
 //! floor this test asserts the served answer stays below.

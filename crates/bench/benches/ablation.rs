@@ -1,7 +1,6 @@
 //! Ablations of design choices, each run with and without the choice:
 //! negative-result caching in the reverse sampler, bottom-k early stop
-//! vs the full Equation-4 budget, incremental bounds, and antithetic
-//! sampling.
+//! vs the full Equation-4 budget, and incremental bounds.
 
 use ugraph::NodeId;
 use vulnds_bench::microbench::bench;
@@ -89,15 +88,6 @@ fn main() {
                 last = l[0];
             }
             last
-        });
-    }
-
-    {
-        use vulnds_sampling::{antithetic_forward_counts, forward_counts};
-        let g = Dataset::Citation.generate_scaled(4, 0.5);
-        bench("antithetic_vs_independent/independent_2000", || forward_counts(&g, 2000, 42));
-        bench("antithetic_vs_independent/antithetic_2000", || {
-            antithetic_forward_counts(&g, 2000, 42)
         });
     }
 }

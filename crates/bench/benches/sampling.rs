@@ -22,10 +22,10 @@ use vulnds_bench::microbench::{bench, measure, JsonReport};
 use vulnds_datasets::gen::{chung_lu, erdos, pref_attach};
 use vulnds_datasets::{attach_probabilities, ProbabilityModel};
 use vulnds_sampling::{
-    forward_counts_range_width, forward_counts_range_width_directed, forward_counts_range_with,
-    parallel_forward_counts, reverse_counts, reverse_counts_range_width, reverse_counts_range_with,
-    BlockKernel, BlockWords, CoinTable, CoinUsage, DefaultCounts, Direction, ForwardSampler,
-    PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, Xoshiro256pp, COIN_PRECISION, LANES,
+    forward_counts_range_width, forward_counts_range_with, parallel_forward_counts, reverse_counts,
+    reverse_counts_range_width, reverse_counts_range_with, BlockKernel, BlockWords, CoinTable,
+    CoinUsage, DefaultCounts, ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins,
+    WorldBlock, Xoshiro256pp, COIN_PRECISION, LANES,
 };
 
 /// Worlds per end-to-end measurement: one widest superblock, so every
@@ -141,45 +141,6 @@ fn main() {
         let planned_ns =
             width_ns.iter().find(|(w, _)| *w == planned).expect("planned width measured").1;
 
-        // Per-direction rows at the planned width: the same fixed budget
-        // pinned to push, pinned to pull, and occupancy-switched auto.
-        // Counts are bit-identical (see `direction_equivalence.rs`);
-        // these rows track the throughput spread direction buys.
-        let mut direction_ns = Vec::new();
-        for direction in Direction::ALL {
-            let m = measure(
-                &format!("{name}/end_to_end/superblock_{direction}_per_512_worlds"),
-                || {
-                    forward_counts_range_width_directed(
-                        &g,
-                        &table,
-                        0..WIDTH_BUDGET,
-                        43,
-                        planned,
-                        direction,
-                    )
-                    .0
-                    .samples()
-                },
-            );
-            direction_ns.push((direction, m.median_secs / WIDTH_BUDGET as f64 * 1e9));
-        }
-        let direction_row = |d: Direction| {
-            direction_ns.iter().find(|(dd, _)| *dd == d).expect("direction measured").1
-        };
-        // Auto's step mix over the budget — a two-bucket frontier
-        // occupancy histogram (push steps ran sparse, pull steps ran at
-        // ≥ n/8 occupancy) plus how often the strategy flipped.
-        let (_, auto_usage) = forward_counts_range_width_directed(
-            &g,
-            &table,
-            0..WIDTH_BUDGET,
-            43,
-            planned,
-            Direction::Auto,
-        );
-        let auto_steps = (auto_usage.push_steps + auto_usage.pull_steps).max(1);
-
         // Relabeled-vs-original rows: the same budget through each
         // cache-conscious node order. Relabeling renumbers canonical
         // edge ids, so these runs draw *different* coin streams — the
@@ -224,14 +185,7 @@ fn main() {
             w1_ns / planned_ns,
             usage.lazy_skip_ratio() * 100.0
         );
-        println!(
-            "{name}: direction auto vs push {:.2}x (pull share {:.0}%, {} switches), \
-             bfs relabel vs original {:.2}x",
-            direction_row(Direction::Push) / direction_row(Direction::Auto),
-            auto_usage.pull_steps as f64 / auto_steps as f64 * 100.0,
-            auto_usage.direction_switches,
-            planned_ns / relabel_row("bfs"),
-        );
+        println!("{name}: bfs relabel vs original {:.2}x", planned_ns / relabel_row("bfs"));
 
         let per_world = 1.0 / LANES as f64 * 1e9;
         let mut group = report
@@ -251,9 +205,6 @@ fn main() {
         for (width, ns) in &width_ns {
             group = group.num(&format!("superblock_end_to_end_per_world_ns_w{width}"), *ns);
         }
-        for (direction, ns) in &direction_ns {
-            group = group.num(&format!("superblock_end_to_end_per_world_ns_{direction}"), *ns);
-        }
         for (label, ns) in &relabel_ns {
             group = group.num(&format!("superblock_end_to_end_per_world_ns_relabel_{label}"), *ns);
         }
@@ -261,14 +212,6 @@ fn main() {
             .num("superblock_end_to_end_per_world_ns", planned_ns)
             .num("superblock_block_words", planned.words() as f64)
             .num("superblock_speedup_vs_w1", w1_ns / planned_ns)
-            .num(
-                "auto_speedup_vs_push",
-                direction_row(Direction::Push) / direction_row(Direction::Auto),
-            )
-            .num("auto_push_steps", auto_usage.push_steps as f64)
-            .num("auto_pull_steps", auto_usage.pull_steps as f64)
-            .num("auto_pull_step_share", auto_usage.pull_steps as f64 / auto_steps as f64)
-            .num("auto_direction_switches", auto_usage.direction_switches as f64)
             .num("relabel_bfs_speedup_vs_original", planned_ns / relabel_row("bfs"))
             .num("relabel_degree_speedup_vs_original", planned_ns / relabel_row("degree"))
             .num("lazy_edge_skip_ratio", usage.lazy_skip_ratio())

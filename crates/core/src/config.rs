@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use vulnds_sampling::{BlockWords, Direction};
+use vulnds_sampling::BlockWords;
 
 /// Error for invalid configuration parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,14 +104,6 @@ pub struct VulnConfig {
     /// Counts are bit-identical at every width — this is purely a
     /// performance knob.
     pub block_words: Option<BlockWords>,
-    /// Traversal direction policy for the forward samplers. [`Auto`]
-    /// switches per frontier step on measured occupancy; `Push` and
-    /// `Pull` pin one strategy. Counts are bit-identical under every
-    /// choice — like [`VulnConfig::block_words`], purely a performance
-    /// knob.
-    ///
-    /// [`Auto`]: Direction::Auto
-    pub direction: Direction,
 }
 
 impl Default for VulnConfig {
@@ -126,7 +118,6 @@ impl Default for VulnConfig {
             threads: 1,
             max_samples: None,
             block_words: None,
-            direction: Direction::Auto,
         }
     }
 }
@@ -178,13 +169,6 @@ impl VulnConfig {
     /// [`VulnConfig::block_words`]).
     pub fn with_block_words(mut self, width: BlockWords) -> Self {
         self.block_words = Some(width);
-        self
-    }
-
-    /// Builder-style traversal-direction override (see
-    /// [`VulnConfig::direction`]).
-    pub fn with_direction(mut self, direction: Direction) -> Self {
-        self.direction = direction;
         self
     }
 

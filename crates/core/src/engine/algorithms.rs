@@ -105,6 +105,10 @@ fn forward_detect(
 
 /// `N` — Algorithm 1 with the fixed budget of
 /// [`VulnConfig::naive_samples`](crate::VulnConfig::naive_samples).
+///
+/// The budget ignores `(ε, δ)`, so a full pass reports the requested `ε`
+/// or, when the budget is below Eq. 3's, the wider `ε` its samples
+/// deliver at the request's `δ`.
 pub struct NaiveMonteCarlo;
 
 impl Algorithm for NaiveMonteCarlo {
@@ -114,7 +118,13 @@ impl Algorithm for NaiveMonteCarlo {
 
     fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
         let t = ctx.config().naive_samples;
-        forward_detect(ctx, req, t, AlgorithmKind::Naive)
+        let mut response = forward_detect(ctx, req, t, AlgorithmKind::Naive)?;
+        if !response.degraded {
+            let (a, b) = (req.k as u64, ctx.graph().num_nodes().saturating_sub(req.k) as u64);
+            let delivered = achieved_epsilon(a, b, req.approx.delta(), response.stats.samples_used);
+            response.achieved_epsilon = response.achieved_epsilon.max(delivered);
+        }
+        Ok(response)
     }
 }
 

@@ -141,7 +141,7 @@ use std::sync::Arc;
 use ugraph::{EdgeId, GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
 use vulnds_sampling::{
     fit_width, parallel_forward_counts_range_width_traced, parallel_reverse_counts_split_traced,
-    BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, Direction, TouchLedger,
+    BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, TouchLedger,
 };
 
 use crate::algo::AlgorithmKind;
@@ -265,21 +265,13 @@ impl DetectorBuilder {
         self
     }
 
-    /// Traversal direction policy for the forward samplers; results do
-    /// not depend on the choice (see [`VulnConfig::direction`]).
-    pub fn direction(mut self, direction: Direction) -> Self {
-        self.config.direction = direction;
-        self
-    }
-
     /// Runs the session on a cache-relabeled copy of the graph: nodes
     /// are renumbered by `order` (hubs and BFS-neighbors get adjacent
     /// ids) so the samplers' hot adjacency walks become
     /// cache-sequential, and every query's `top_k` is mapped back to
     /// the caller's original node ids — the API is label-transparent.
     ///
-    /// Unlike [`DetectorBuilder::direction`] and
-    /// [`DetectorBuilder::block_words`], relabeling is *not*
+    /// Unlike [`DetectorBuilder::block_words`], relabeling is *not*
     /// answer-preserving at the bit level: the relabeled graph has
     /// different canonical edge ids and therefore different coin
     /// streams, so sampled scores differ within the same `(ε, δ)`
@@ -364,14 +356,6 @@ pub struct SessionStats {
     /// Most `detect`/`detect_many` calls ever in flight at once — the
     /// session's observed concurrency level (1 under serial use).
     pub concurrent_peak: u64,
-    /// Frontier steps the forward samplers ran as sparse push
-    /// expansions (see [`Direction`]).
-    pub push_steps: u64,
-    /// Frontier steps the forward samplers ran as dense pull sweeps.
-    pub pull_steps: u64,
-    /// Times an [`Auto`](Direction::Auto) traversal changed direction
-    /// between consecutive frontier steps of one superblock.
-    pub direction_switches: u64,
     /// Queries that returned a **degraded** answer: a deadline, token,
     /// or explicit `sample_cap` cut sampling short of its ε-derived
     /// budget (see [`DetectResponse::degraded`]).
@@ -429,9 +413,6 @@ struct SessionTotals {
     builds_deduped: AtomicU64,
     concurrent_peak: AtomicU64,
     in_flight: AtomicU64,
-    push_steps: AtomicU64,
-    pull_steps: AtomicU64,
-    direction_switches: AtomicU64,
     queries_degraded: AtomicU64,
     queries_cancelled: AtomicU64,
     requests_shed: AtomicU64,
@@ -479,9 +460,6 @@ impl SessionTotals {
             cache_waits: self.cache_waits.load(Ordering::Relaxed),
             builds_deduped: self.builds_deduped.load(Ordering::Relaxed),
             concurrent_peak: self.concurrent_peak.load(Ordering::Relaxed),
-            push_steps: self.push_steps.load(Ordering::Relaxed),
-            pull_steps: self.pull_steps.load(Ordering::Relaxed),
-            direction_switches: self.direction_switches.load(Ordering::Relaxed),
             queries_degraded: self.queries_degraded.load(Ordering::Relaxed),
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
@@ -948,7 +926,6 @@ impl<'a> EngineCtx<'a> {
     pub fn forward_counts(&mut self, t: u64, seed: u64) -> Arc<DefaultCounts> {
         let coins = self.coin_table();
         let (graph, threads) = (self.graph, self.config.threads);
-        let direction = self.config.direction;
         let cancel = self.cancel.clone();
         let stream = self.state.forward.stream(seed);
         self.stream_counts(
@@ -970,7 +947,6 @@ impl<'a> EngineCtx<'a> {
                         seed,
                         threads,
                         width,
-                        direction,
                         cancel.as_ref(),
                         ledger,
                     );
@@ -1175,15 +1151,9 @@ impl<'a> EngineCtx<'a> {
         self.request.coin_words_synthesized += usage.words;
         self.request.lazy_edge_words_skipped += usage.edge_words_skipped;
         self.request.superblocks += usage.superblocks;
-        self.request.push_steps += usage.push_steps;
-        self.request.pull_steps += usage.pull_steps;
-        self.request.direction_switches += usage.direction_switches;
         SessionTotals::add(&self.state.totals.coin_words_synthesized, usage.words);
         SessionTotals::add(&self.state.totals.lazy_edge_words_skipped, usage.edge_words_skipped);
         SessionTotals::add(&self.state.totals.superblocks_evaluated, usage.superblocks);
-        SessionTotals::add(&self.state.totals.push_steps, usage.push_steps);
-        SessionTotals::add(&self.state.totals.pull_steps, usage.pull_steps);
-        SessionTotals::add(&self.state.totals.direction_switches, usage.direction_switches);
     }
 
     /// Records the superblock width a sampling pass ran on (the widest
@@ -1994,36 +1964,6 @@ mod tests {
     }
 
     #[test]
-    fn direction_choice_never_changes_answers() {
-        let g = random_graph(100, 200, 16);
-        let mut reference: Option<DetectResponse> = None;
-        for direction in Direction::ALL {
-            let d = Detector::builder(&g)
-                .config(VulnConfig::default().with_seed(77).with_direction(direction))
-                .build()
-                .unwrap();
-            let r = d.detect(&DetectRequest::new(5, AlgorithmKind::Naive)).unwrap();
-            assert!(r.engine.push_steps + r.engine.pull_steps > 0, "{direction}: no steps");
-            match direction {
-                Direction::Push => {
-                    assert_eq!(r.engine.pull_steps, 0, "pinned push must never pull")
-                }
-                Direction::Pull => {
-                    assert_eq!(r.engine.push_steps, 0, "pinned pull must never push")
-                }
-                Direction::Auto => {}
-            }
-            match &reference {
-                None => reference = Some(r),
-                Some(e) => {
-                    assert_eq!(e.top_k, r.top_k, "{direction} changed the answer");
-                    assert_eq!(e.stats.samples_used, r.stats.samples_used, "{direction}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn relabeled_session_maps_answers_back_to_original_ids() {
         let g = separated_graph();
         let plain = session(&g);
@@ -2257,12 +2197,7 @@ mod tests {
     fn small_edge_delta_preserves_cached_sampled_state() {
         let (g, dormant) = dormant_edge_graph();
         let build = |graph: &UncertainGraph| {
-            Detector::builder(graph)
-                .seed(77)
-                .naive_samples(2_000)
-                .direction(Direction::Push)
-                .build()
-                .unwrap()
+            Detector::builder(graph).seed(77).naive_samples(2_000).build().unwrap()
         };
         let d = build(&g);
         for s in 0..10u64 {

@@ -244,14 +244,6 @@ pub struct EngineStats {
     pub block_words: usize,
     /// Superblocks this query materialized (one per `W·64`-world unit).
     pub superblocks: u64,
-    /// Frontier steps the forward sampler ran as sparse push
-    /// expansions (see [`Direction`](vulnds_sampling::Direction)).
-    pub push_steps: u64,
-    /// Frontier steps the forward sampler ran as dense pull sweeps.
-    pub pull_steps: u64,
-    /// Times an `Auto` traversal changed direction between consecutive
-    /// frontier steps of one superblock.
-    pub direction_switches: u64,
     /// Whether this query ran on a cache-relabeled copy of the graph
     /// (see [`DetectorBuilder::relabel`](super::DetectorBuilder::relabel)).
     pub relabel_applied: bool,
@@ -289,10 +281,9 @@ pub struct DetectResponse {
     /// degraded one. BSRBK spends half of `δ` on its looks, so its
     /// full-budget and degraded answers report the inversion at `δ/2`
     /// (at most slightly above the requested `ε` at the full budget),
-    /// or the `ε` its last look certified when that is smaller. Not
-    /// meaningful for fixed-budget `N` runs, which have no requested
-    /// contract; the inversion is still reported against the session's
-    /// `(ε, δ)`.
+    /// or the `ε` its last look certified when that is smaller. `N`'s
+    /// fixed budget ignores the request, so a full `N` pass reports the
+    /// larger of the requested `ε` and the inversion at its budget.
     pub achieved_epsilon: f64,
 }
 

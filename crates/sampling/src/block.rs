@@ -12,9 +12,9 @@
 //! `W` times as many worlds.
 //!
 //! [`WorldBlock`] and [`BlockKernel`] are the `W = 1` aliases — the
-//! classic 64-lane block path, still used by the scattered-lane adaptive
-//! passes (BSRBK, bottom-k scoring) whose hash-order replay is
-//! inherently single-word. Runtime width selection lives in
+//! classic 64-lane block path, still used by bottom-k scoring (whose
+//! hash-order replay is inherently single-word), conditional scores and
+//! labels. Runtime width selection lives in
 //! [`BlockWords`](crate::BlockWords).
 //!
 //! Materialization is bit-parallel too: lane words are synthesized
@@ -53,7 +53,6 @@
 
 use crate::coins::{bernoulli_bit, bernoulli_words, block_key, edge_key, node_key};
 use crate::coins::{CoinTable, CoinUsage};
-use crate::direction::Direction;
 use crate::touch::TouchSet;
 use crate::world::PossibleWorld;
 use ugraph::{NodeId, UncertainGraph};
@@ -336,7 +335,6 @@ impl<const W: usize> SuperBlock<W> {
                             threshold,
                             item_key(key, item),
                             lane,
-                            false,
                             &mut self.usage.words,
                         );
                         word |= (coin as u64) << j;
@@ -547,11 +545,6 @@ pub struct SuperKernel<const W: usize> {
     next: Vec<u32>,
     in_queue: Vec<bool>,
     touched: Vec<u32>,
-    // Running popcount of `defaulted` across the current forward pass —
-    // the live-lane density signal of the Auto direction switch, kept
-    // incrementally (one popcount per newly-set word) so reading it per
-    // step is free.
-    live_lanes: u64,
 }
 
 /// The classic 64-lane block kernel — a [`SuperKernel`] of width 1.
@@ -574,7 +567,6 @@ impl<const W: usize> SuperKernel<W> {
             next: Vec::new(),
             in_queue: vec![false; n],
             touched: Vec::new(),
-            live_lanes: 0,
         }
     }
 
@@ -604,42 +596,17 @@ impl<const W: usize> SuperKernel<W> {
     /// the traversal cost is shared by all `W·64` worlds — and the edge
     /// word-vector is only synthesized if the transmission could still
     /// change the target, so untouched edges draw no coins at all.
-    /// Runs [`Direction::Auto`]: each step pushes or pulls on measured
-    /// frontier occupancy (see [`Self::forward_defaults_directed`]).
+    ///
+    /// Every step pushes: each frontier node expands its out-edges and
+    /// ORs its lanes into the targets. A Beamer-style pull sweep over
+    /// in-edges reaches the same fixpoint (the update is a monotone OR
+    /// over random-access coin words), but on the paper's graphs it never
+    /// beat push measurably, so the kernel has one traversal policy.
     pub fn forward_defaults(
         &mut self,
         graph: &UncertainGraph,
         coins: &CoinTable,
         block: &mut SuperBlock<W>,
-    ) -> &[u64] {
-        self.forward_defaults_directed(graph, coins, block, Direction::default())
-    }
-
-    /// [`Self::forward_defaults`] with an explicit traversal
-    /// [`Direction`]. Every step either **pushes** (expand the frontier
-    /// queue over out-edges) or **pulls** (sweep every node with
-    /// undecided lanes over its in-edges, retiring the scan early once
-    /// the node saturates); [`Direction::Auto`] picks per step. A pull
-    /// sweep only pays when its two shortcuts fire — skipping saturated
-    /// nodes wholesale and breaking the in-edge scan at saturation — so
-    /// Auto pulls when the frontier is node-dense (≥ 1/32 of all nodes
-    /// queued, a loose Beamer-style occupancy signal) **and** lane-dense
-    /// (≥ half of all covered lanes already defaulted, so saturation is
-    /// common). On low-probability graphs whose worlds stay lane-sparse
-    /// the second condition keeps Auto on the push path throughout.
-    ///
-    /// The update is a monotone OR and every coin word is random access
-    /// by `(seed, block, item, level)`, so touch order cannot change
-    /// values: all directions reach the identical fixpoint and the
-    /// returned words are **bit-identical** for every choice. Only the
-    /// cost diagnostics may differ — push and pull can materialize
-    /// different lazy edge subsets on the way to the same answer.
-    pub fn forward_defaults_directed(
-        &mut self,
-        graph: &UncertainGraph,
-        coins: &CoinTable,
-        block: &mut SuperBlock<W>,
-        direction: Direction,
     ) -> &[u64] {
         debug_assert_eq!(block.node_words.len(), self.nodes * W, "block/kernel mismatch");
         debug_assert_eq!(block.edge_epoch.len(), graph.num_edges(), "block/graph edge mismatch");
@@ -649,57 +616,21 @@ impl<const W: usize> SuperKernel<W> {
         self.defaulted.clear();
         self.defaulted.extend_from_slice(block.node_words());
         self.queue.clear();
-        self.live_lanes = 0;
         for (v, words) in self.defaulted.chunks_exact(W).enumerate() {
-            let mut any = 0u64;
-            for &w in words {
-                any |= w;
-                self.live_lanes += u64::from(w.count_ones());
-            }
-            if any != 0 {
+            if words.iter().any(|&w| w != 0) {
                 self.queue.push(v as u32);
             }
         }
-        let n = graph.num_nodes();
-        let covered_lanes =
-            block.lane_masks().iter().map(|m| u64::from(m.count_ones())).sum::<u64>() * n as u64;
-        let mut previous: Option<bool> = None;
         while !self.queue.is_empty() {
-            let pull = match direction {
-                Direction::Push => false,
-                Direction::Pull => true,
-                // Occupancy switch: pull only when the frontier is
-                // node-dense (Beamer) and lane-dense — the regime where
-                // the sweep's saturated-node skip and early scan break
-                // actually fire (see the method docs). The node bound is
-                // deliberately loose (1/32, not the classic 1/8): at
-                // high lane density the sweep's saturated-skip makes a
-                // pull step nearly free, and thrashing back to push for
-                // shrinking-queue tails measurably loses more than the
-                // sweep costs.
-                Direction::Auto => {
-                    self.queue.len() * 32 >= n && 2 * self.live_lanes >= covered_lanes
-                }
-            };
-            if previous.is_some_and(|p| p != pull) {
-                block.usage.direction_switches += 1;
-            }
-            previous = Some(pull);
-            if pull {
-                block.usage.pull_steps += 1;
-                self.pull_step(graph, coins, block);
-            } else {
-                block.usage.push_steps += 1;
-                self.push_step(graph, coins, block);
-            }
+            self.push_step(graph, coins, block);
             std::mem::swap(&mut self.queue, &mut self.next);
         }
         &self.defaulted
     }
 
-    /// One sparse frontier step: expand each queued node's out-edges,
-    /// OR its lanes into the targets, and collect every node that
-    /// gained lanes as the next frontier.
+    /// One frontier step: expand each queued node's out-edges, OR its
+    /// lanes into the targets, and collect every node that gained lanes
+    /// as the next frontier.
     fn push_step(&mut self, graph: &UncertainGraph, coins: &CoinTable, block: &mut SuperBlock<W>) {
         self.next.clear();
         for qi in 0..self.queue.len() {
@@ -723,14 +654,11 @@ impl<const W: usize> SuperKernel<W> {
                 let edge = block.edge_word(coins, e);
                 let target = wv_mut::<W>(&mut self.defaulted, t);
                 let mut new_any = 0u64;
-                let mut new_lanes = 0u64;
                 for w in 0..W {
                     let new = gate[w] & edge[w];
                     new_any |= new;
-                    new_lanes += u64::from(new.count_ones());
                     target[w] |= new;
                 }
-                self.live_lanes += new_lanes;
                 if new_any != 0 && !self.in_queue[t] {
                     self.in_queue[t] = true;
                     self.next.push(t as u32);
@@ -741,67 +669,6 @@ impl<const W: usize> SuperKernel<W> {
         // flags only deduplicate pushes within one step).
         for &t in &self.next {
             self.in_queue[t as usize] = false;
-        }
-    }
-
-    /// One dense frontier step: sweep every node that still has
-    /// undecided lanes, pulling `defaulted[source] & edge` over its
-    /// in-edges. Saturated nodes are skipped wholesale, and the in-edge
-    /// scan breaks as soon as the node's covered lanes all decide.
-    /// Within-sweep reads see already-updated sources (Gauss–Seidel),
-    /// which only accelerates convergence — monotonicity makes the
-    /// fixpoint schedule-independent.
-    fn pull_step(&mut self, graph: &UncertainGraph, coins: &CoinTable, block: &mut SuperBlock<W>) {
-        self.next.clear();
-        let masks = *block.lane_masks();
-        for v in 0..graph.num_nodes() {
-            let mut undecided = [0u64; W];
-            let mut any_undecided = 0u64;
-            {
-                let mine = wv::<W>(&self.defaulted, v);
-                for w in 0..W {
-                    undecided[w] = masks[w] & !mine[w];
-                    any_undecided |= undecided[w];
-                }
-            }
-            if any_undecided == 0 {
-                continue;
-            }
-            let mut gained = [0u64; W];
-            let mut any_gained = 0u64;
-            let sources = graph.in_neighbors(NodeId(v as u32));
-            for (&e, &s) in graph.in_edge_ids(NodeId(v as u32)).iter().zip(sources) {
-                let mut gate = [0u64; W];
-                let mut any = 0u64;
-                let source = wv::<W>(&self.defaulted, s as usize);
-                for w in 0..W {
-                    gate[w] = source[w] & undecided[w];
-                    any |= gate[w];
-                }
-                if any == 0 {
-                    continue;
-                }
-                let edge = block.edge_word(coins, e as usize);
-                let mut still = 0u64;
-                for w in 0..W {
-                    let new = gate[w] & edge[w];
-                    gained[w] |= new;
-                    any_gained |= new;
-                    undecided[w] &= !new;
-                    still |= undecided[w];
-                }
-                if still == 0 {
-                    break;
-                }
-            }
-            if any_gained != 0 {
-                let mine = wv_mut::<W>(&mut self.defaulted, v);
-                for w in 0..W {
-                    mine[w] |= gained[w];
-                    self.live_lanes += u64::from(gained[w].count_ones());
-                }
-                self.next.push(v as u32);
-            }
         }
     }
 

@@ -223,17 +223,9 @@ pub fn bernoulli_words<const W: usize>(
 }
 
 /// One lane of [`bernoulli_word`], bit-identical to bit `lane` of the
-/// 64-lane synthesis. `mirror` complements every uniform bit — the
-/// antithetic twin: still Bernoulli(`threshold / 2^32`) exactly, but
-/// maximally negatively correlated with the base coin.
+/// 64-lane synthesis.
 #[inline]
-pub fn bernoulli_bit(
-    threshold: u64,
-    item_key: u64,
-    lane: u32,
-    mirror: bool,
-    words: &mut u64,
-) -> bool {
+pub fn bernoulli_bit(threshold: u64, item_key: u64, lane: u32, words: &mut u64) -> bool {
     if threshold == 0 {
         return false;
     }
@@ -241,9 +233,8 @@ pub fn bernoulli_bit(
         return true;
     }
     let t = threshold as u32;
-    let flip = u64::from(mirror);
     for level in 0..COIN_PRECISION {
-        let u_bit = (level_word(item_key, level) >> lane & 1) ^ flip;
+        let u_bit = level_word(item_key, level) >> lane & 1;
         *words += 1;
         let t_bit = u64::from(t >> (COIN_PRECISION - 1 - level) & 1);
         if u_bit != t_bit {
@@ -351,49 +342,26 @@ impl CoinTable {
 pub struct ScalarCoins {
     block_key: u64,
     lane: u32,
-    mirror: bool,
 }
 
 impl ScalarCoins {
     /// Coins of sample `sample_id` in the run seeded `seed`.
     pub fn new(seed: u64, sample_id: u64) -> Self {
-        ScalarCoins {
-            block_key: block_key(seed, sample_id / 64),
-            lane: (sample_id % 64) as u32,
-            mirror: false,
-        }
-    }
-
-    /// The antithetic twin of sample `sample_id`: every uniform bit
-    /// complemented (see [`bernoulli_bit`]).
-    pub fn mirrored(seed: u64, sample_id: u64) -> Self {
-        ScalarCoins { mirror: true, ..ScalarCoins::new(seed, sample_id) }
+        ScalarCoins { block_key: block_key(seed, sample_id / 64), lane: (sample_id % 64) as u32 }
     }
 
     /// Node `v`'s self-default coin in this sample's world.
     #[inline]
     pub fn node_coin(&self, table: &CoinTable, v: usize) -> bool {
         let mut words = 0;
-        bernoulli_bit(
-            table.node_threshold(v),
-            node_key(self.block_key, v),
-            self.lane,
-            self.mirror,
-            &mut words,
-        )
+        bernoulli_bit(table.node_threshold(v), node_key(self.block_key, v), self.lane, &mut words)
     }
 
     /// Canonical edge `e`'s survival coin in this sample's world.
     #[inline]
     pub fn edge_coin(&self, table: &CoinTable, e: usize) -> bool {
         let mut words = 0;
-        bernoulli_bit(
-            table.edge_threshold(e),
-            edge_key(self.block_key, e),
-            self.lane,
-            self.mirror,
-            &mut words,
-        )
+        bernoulli_bit(table.edge_threshold(e), edge_key(self.block_key, e), self.lane, &mut words)
     }
 }
 
@@ -413,14 +381,6 @@ pub struct CoinUsage {
     /// Superblocks materialized (a width-1 run counts one per 64-lane
     /// block; a width-W run one per W home blocks).
     pub superblocks: u64,
-    /// Frontier steps the forward kernel ran as sparse out-edge
-    /// expansions (see [`Direction`](crate::Direction)).
-    pub push_steps: u64,
-    /// Frontier steps the forward kernel ran as dense in-edge sweeps.
-    pub pull_steps: u64,
-    /// Times an [`Auto`](crate::Direction::Auto) traversal changed
-    /// direction between consecutive frontier steps of one superblock.
-    pub direction_switches: u64,
 }
 
 impl CoinUsage {
@@ -430,9 +390,6 @@ impl CoinUsage {
         self.edge_words_materialized += other.edge_words_materialized;
         self.edge_words_skipped += other.edge_words_skipped;
         self.superblocks += other.superblocks;
-        self.push_steps += other.push_steps;
-        self.pull_steps += other.pull_steps;
-        self.direction_switches += other.direction_switches;
     }
 
     /// Fraction of edge lane-words the lazy path never materialized
@@ -474,7 +431,7 @@ mod tests {
                 let mut w = 0;
                 assert_eq!(
                     word >> lane & 1 == 1,
-                    bernoulli_bit(threshold, key, lane, false, &mut w),
+                    bernoulli_bit(threshold, key, lane, &mut w),
                     "threshold {threshold}, lane {lane}"
                 );
             }
@@ -515,8 +472,8 @@ mod tests {
         let mut words = 0;
         assert_eq!(bernoulli_word(0, 1, u64::MAX, &mut words), 0);
         assert_eq!(bernoulli_word(FULL_THRESHOLD, 1, u64::MAX, &mut words), u64::MAX);
-        assert!(bernoulli_bit(FULL_THRESHOLD, 1, 0, false, &mut words));
-        assert!(!bernoulli_bit(0, 1, 0, true, &mut words));
+        assert!(bernoulli_bit(FULL_THRESHOLD, 1, 0, &mut words));
+        assert!(!bernoulli_bit(0, 1, 0, &mut words));
         assert_eq!(words, 0);
     }
 
@@ -561,30 +518,6 @@ mod tests {
         }
         let avg = words as f64 / blocks as f64;
         assert!(avg < 12.0, "average words per rare item: {avg}");
-    }
-
-    #[test]
-    fn mirrored_coins_are_anti_correlated_and_unbiased() {
-        let threshold = quantize_probability(0.5);
-        let mut base_hits = 0u64;
-        let mut twin_hits = 0u64;
-        let mut both = 0u64;
-        let n = 20_000u64;
-        let mut words = 0;
-        for i in 0..n {
-            let key = node_key(block_key(11, i / 64), 0);
-            let lane = (i % 64) as u32;
-            let b = bernoulli_bit(threshold, key, lane, false, &mut words);
-            let t = bernoulli_bit(threshold, key, lane, true, &mut words);
-            base_hits += u64::from(b);
-            twin_hits += u64::from(t);
-            both += u64::from(b && t);
-        }
-        let (pb, pt) = (base_hits as f64 / n as f64, twin_hits as f64 / n as f64);
-        assert!((pb - 0.5).abs() < 0.02, "base freq {pb}");
-        assert!((pt - 0.5).abs() < 0.02, "twin freq {pt}");
-        // At p = 1/2 the pair is perfectly exclusive.
-        assert_eq!(both, 0, "mirrored coin fired together with its base at p = 1/2");
     }
 
     #[test]
@@ -654,18 +587,12 @@ mod tests {
             edge_words_materialized: 3,
             edge_words_skipped: 9,
             superblocks: 2,
-            push_steps: 4,
-            pull_steps: 2,
-            direction_switches: 1,
         };
         let b = CoinUsage {
             words: 5,
             edge_words_materialized: 1,
             edge_words_skipped: 3,
             superblocks: 1,
-            push_steps: 1,
-            pull_steps: 3,
-            direction_switches: 2,
         };
         a.merge(&b);
         assert_eq!(
@@ -674,10 +601,7 @@ mod tests {
                 words: 15,
                 edge_words_materialized: 4,
                 edge_words_skipped: 12,
-                superblocks: 3,
-                push_steps: 5,
-                pull_steps: 5,
-                direction_switches: 3,
+                superblocks: 3
             }
         );
         assert!((a.lazy_skip_ratio() - 0.75).abs() < 1e-12);

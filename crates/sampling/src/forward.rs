@@ -18,10 +18,8 @@
 //!   the scalar reference for any range and seed.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::cancel::CancelToken;
 use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
 use crate::counts::DefaultCounts;
-use crate::direction::Direction;
 use crate::width::{with_block_words, BlockWords};
 use ugraph::{NodeId, UncertainGraph};
 
@@ -146,58 +144,14 @@ pub fn forward_counts_range_with(
     range: std::ops::Range<u64>,
     seed: u64,
 ) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide::<1>(graph, coins, range, seed)
+    forward_counts_range_width(graph, coins, range, seed, BlockWords::W1)
 }
 
-/// [`forward_counts_range_with`] on `W`-word superblocks: the range is
-/// split at `W·64`-aligned superblock boundaries and each chunk is
-/// evaluated in one `W`-wide bit-parallel BFS. Counts are bit-identical
-/// at every width — width is purely a throughput knob (see
-/// [`BlockWords`]).
-pub fn forward_counts_range_wide<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide_directed::<W>(graph, coins, range, seed, Direction::default())
-}
-
-/// [`forward_counts_range_wide`] with an explicit traversal
-/// [`Direction`]. Counts are bit-identical for every direction — like
-/// width, direction is purely a throughput knob (see
-/// [`crate::direction`]).
-pub fn forward_counts_range_wide_directed<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide_cancellable::<W>(graph, coins, range, seed, direction, None)
-}
-
-/// [`forward_counts_range_wide_directed`] polling a [`CancelToken`]
-/// once per superblock chunk. A cancelled pass stops at the next chunk
-/// boundary and returns the chunk-aligned **prefix** it completed; the
-/// exact sample count is `counts.samples()`, and re-running the range
-/// truncated to that count reproduces the prefix bit-identically (the
-/// token decides only where the prefix ends, never what it contains).
-pub fn forward_counts_range_wide_cancellable<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
-    let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-    crate::parallel::forward_partitioned::<W>(
-        graph, coins, &chunks, seed, 1, direction, cancel, None,
-    )
-}
-
-/// [`forward_counts_range_wide`] with a runtime-selected width.
+/// [`forward_counts_range_with`] on superblocks of the given width: the
+/// range is split at `W·64`-aligned superblock boundaries and each chunk
+/// is evaluated in one `W`-wide bit-parallel BFS, on the calling thread.
+/// Counts are bit-identical at every width — width is purely a
+/// throughput knob (see [`BlockWords`]).
 pub fn forward_counts_range_width(
     graph: &UncertainGraph,
     coins: &CoinTable,
@@ -205,42 +159,26 @@ pub fn forward_counts_range_width(
     seed: u64,
     width: BlockWords,
 ) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(width, W, forward_counts_range_wide::<W>(graph, coins, range, seed))
-}
-
-/// [`forward_counts_range_width`] with an explicit traversal
-/// [`Direction`].
-pub fn forward_counts_range_width_directed(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(
-        width,
-        W,
-        forward_counts_range_wide_directed::<W>(graph, coins, range, seed, direction)
-    )
+    with_block_words!(width, W, {
+        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
+        crate::parallel::forward_partitioned::<W>(graph, coins, &chunks, seed, 1, None, None)
+    })
 }
 
 /// Materializes and evaluates one ≤`W·64`-sample chunk, accumulating
 /// into `counts`. Shared with the parallel driver.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_forward_chunk<const W: usize>(
     graph: &UncertainGraph,
     coins: &CoinTable,
     chunk: std::ops::Range<u64>,
     seed: u64,
-    direction: Direction,
     block: &mut SuperBlock<W>,
     kernel: &mut SuperKernel<W>,
     counts: &mut DefaultCounts,
 ) {
     let lanes = (chunk.end - chunk.start) as usize;
     block.materialize(graph, coins, seed, chunk.start, lanes);
-    let words = kernel.forward_defaults_directed(graph, coins, block, direction);
+    let words = kernel.forward_defaults(graph, coins, block);
     counts.record_words::<W>(words, block.lane_masks());
 }
 

@@ -15,8 +15,10 @@
 //!   stateless bit-sliced Bernoulli synthesis.
 //! * [`SuperBlock`] / [`SuperKernel`] — the W×64-lane possible-world
 //!   kernel behind [`forward_counts`], [`reverse_counts`], and the
-//!   parallel drivers; [`WorldBlock`] / [`BlockKernel`] are the width-1
-//!   aliases used by scattered-lane adaptive passes.
+//!   parallel drivers. The forward kernel only pushes: one frontier
+//!   traversal policy, kept in [`block`]. [`WorldBlock`] /
+//!   [`BlockKernel`] are the width-1 aliases that serve bottom-k
+//!   scoring, conditional scores and labels.
 //! * [`BlockWords`] — the supported superblock widths and the
 //!   budget/thread-aware planning heuristic.
 //! * [`ForwardSampler`] — scalar reference for the inner loop of the
@@ -43,12 +45,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod antithetic;
 pub mod block;
 pub mod cancel;
 pub mod coins;
 pub mod counts;
-pub mod direction;
 pub mod forward;
 pub mod parallel;
 pub mod reverse;
@@ -57,7 +57,6 @@ pub mod touch;
 pub mod width;
 pub mod world;
 
-pub use antithetic::antithetic_forward_counts;
 pub use block::{
     block_chunks, lane_mask, superblock_chunks, BlockKernel, SuperBlock, SuperKernel, WorldBlock,
     LANES,
@@ -65,25 +64,18 @@ pub use block::{
 pub use cancel::CancelToken;
 pub use coins::{CoinTable, CoinUsage, ScalarCoins, COIN_PRECISION};
 pub use counts::DefaultCounts;
-pub use direction::Direction;
 pub use forward::{
-    forward_counts, forward_counts_range, forward_counts_range_wide,
-    forward_counts_range_wide_cancellable, forward_counts_range_wide_directed,
-    forward_counts_range_width, forward_counts_range_width_directed, forward_counts_range_with,
+    forward_counts, forward_counts_range, forward_counts_range_width, forward_counts_range_with,
     ForwardSampler,
 };
 pub use parallel::{
     fit_width, parallel_forward_counts, parallel_forward_counts_range,
-    parallel_forward_counts_range_width, parallel_forward_counts_range_width_cancellable,
-    parallel_forward_counts_range_width_directed, parallel_forward_counts_range_width_traced,
-    parallel_forward_counts_range_with, parallel_reverse_counts, parallel_reverse_counts_range,
-    parallel_reverse_counts_range_width, parallel_reverse_counts_range_width_cancellable,
-    parallel_reverse_counts_range_width_traced, parallel_reverse_counts_range_with,
-    parallel_reverse_counts_split_traced,
+    parallel_forward_counts_range_width, parallel_forward_counts_range_width_traced,
+    parallel_reverse_counts, parallel_reverse_counts_range, parallel_reverse_counts_range_width,
+    parallel_reverse_counts_range_width_traced, parallel_reverse_counts_split_traced,
 };
 pub use reverse::{
-    reverse_counts, reverse_counts_range, reverse_counts_range_wide,
-    reverse_counts_range_wide_cancellable, reverse_counts_range_width, reverse_counts_range_with,
+    reverse_counts, reverse_counts_range, reverse_counts_range_width, reverse_counts_range_with,
     ReverseSampler,
 };
 pub use rng::Xoshiro256pp;

@@ -31,7 +31,6 @@ use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
 use crate::cancel::CancelToken;
 use crate::coins::{CoinTable, CoinUsage};
 use crate::counts::DefaultCounts;
-use crate::direction::Direction;
 use crate::touch::TouchLedger;
 use crate::width::{with_block_words, BlockWords};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,7 +88,7 @@ pub fn parallel_forward_counts(
     parallel_forward_counts_range_width(graph, &CoinTable::new(graph), 0..t, seed, threads, width).0
 }
 
-/// [`parallel_forward_counts_range_with`] with a throwaway
+/// [`parallel_forward_counts_range_width`] at width 1 with a throwaway
 /// [`CoinTable`], for callers without a session cache.
 pub fn parallel_forward_counts_range(
     graph: &UncertainGraph,
@@ -97,28 +96,15 @@ pub fn parallel_forward_counts_range(
     seed: u64,
     threads: usize,
 ) -> DefaultCounts {
-    parallel_forward_counts_range_with(graph, &CoinTable::new(graph), range, seed, threads).0
+    let coins = CoinTable::new(graph);
+    parallel_forward_counts_range_width(graph, &coins, range, seed, threads, BlockWords::W1).0
 }
 
-/// Parallel version of [`crate::forward::forward_counts_range_with`]
-/// (width 1): bit-identical to the sequential range run for any thread
-/// count. Returns the counts plus the merged materialization counters of
-/// every worker. Width-selecting callers use
-/// [`parallel_forward_counts_range_width`].
-pub fn parallel_forward_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width(graph, coins, range, seed, threads, BlockWords::W1)
-}
-
-/// [`parallel_forward_counts_range_with`] on superblocks of the given
-/// width (narrowed by [`fit_width`] when the range is too small to keep
-/// every thread busy at that width): bit-identical to the sequential
-/// width-1 run for any thread count and any width.
+/// Parallel version of [`crate::forward::forward_counts_range_width`]
+/// (narrowed by [`fit_width`] when the range is too small to keep every
+/// thread busy at that width): bit-identical to the sequential width-1
+/// run for any thread count and any width. Returns the counts plus the
+/// merged materialization counters of every worker.
 pub fn parallel_forward_counts_range_width(
     graph: &UncertainGraph,
     coins: &CoinTable,
@@ -127,60 +113,19 @@ pub fn parallel_forward_counts_range_width(
     threads: usize,
     width: BlockWords,
 ) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_directed(
-        graph,
-        coins,
-        range,
-        seed,
-        threads,
-        width,
-        Direction::default(),
-    )
-}
-
-/// [`parallel_forward_counts_range_width`] with an explicit traversal
-/// [`Direction`]: bit-identical counts for every direction, width, and
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_directed(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_cancellable(
-        graph, coins, range, seed, threads, width, direction, None,
-    )
-}
-
-/// [`parallel_forward_counts_range_width_directed`] polling a
-/// [`CancelToken`] between superblock chunks. A cancelled run returns
-/// the contiguous chunk-aligned prefix it completed (exact sample count
-/// inside the counts); replaying with that count as the budget
-/// reproduces the prefix bit-identically at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_cancellable(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
     parallel_forward_counts_range_width_traced(
-        graph, coins, range, seed, threads, width, direction, cancel, None,
+        graph, coins, range, seed, threads, width, None, None,
     )
 }
 
-/// [`parallel_forward_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched node and edge sets into `ledger` — the
-/// revalidation bookkeeping for delta-aware sampled-state caches. The
-/// counts are bit-identical with or without a ledger.
+/// [`parallel_forward_counts_range_width`] polling a [`CancelToken`]
+/// between superblock chunks and folding every worker's touched node and
+/// edge sets into `ledger` — the revalidation bookkeeping for
+/// delta-aware sampled-state caches. A cancelled run returns the
+/// contiguous chunk-aligned prefix it completed (exact sample count
+/// inside the counts); replaying with that count as the budget
+/// reproduces the prefix bit-identically at any thread count. The counts
+/// are bit-identical with or without a ledger.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_forward_counts_range_width_traced(
     graph: &UncertainGraph,
@@ -189,7 +134,6 @@ pub fn parallel_forward_counts_range_width_traced(
     seed: u64,
     threads: usize,
     width: BlockWords,
-    direction: Direction,
     cancel: Option<&CancelToken>,
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
@@ -197,7 +141,7 @@ pub fn parallel_forward_counts_range_width_traced(
     with_block_words!(width, W, {
         let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
         let threads = effective_threads(threads, chunks.len() as u64);
-        forward_partitioned::<W>(graph, coins, &chunks, seed, threads, direction, cancel, ledger)
+        forward_partitioned::<W>(graph, coins, &chunks, seed, threads, cancel, ledger)
     })
 }
 
@@ -210,16 +154,14 @@ pub fn parallel_forward_counts_range_width_traced(
 /// cancel token is polled before each claim and a claimed chunk always
 /// finishes, so the completed set is exactly the contiguous prefix of
 /// `chunks` at the counter's final value — the same prefix a
-/// sequential cancellable pass produces. With one thread the worker
+/// single-thread pass produces. With one thread the worker
 /// runs inline on the calling thread (see [`run_workers`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_partitioned<const W: usize>(
     graph: &UncertainGraph,
     coins: &CoinTable,
     chunks: &[std::ops::Range<u64>],
     seed: u64,
     threads: usize,
-    direction: Direction,
     cancel: Option<&CancelToken>,
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
@@ -234,7 +176,6 @@ pub(crate) fn forward_partitioned<const W: usize>(
                 coins,
                 chunk.clone(),
                 seed,
-                direction,
                 &mut block,
                 &mut kernel,
                 &mut counts,
@@ -313,7 +254,7 @@ pub fn parallel_reverse_counts(
     .0
 }
 
-/// [`parallel_reverse_counts_range_with`] with a throwaway
+/// [`parallel_reverse_counts_range_width`] at width 1 with a throwaway
 /// [`CoinTable`], for callers without a session cache.
 pub fn parallel_reverse_counts_range(
     graph: &UncertainGraph,
@@ -322,44 +263,23 @@ pub fn parallel_reverse_counts_range(
     seed: u64,
     threads: usize,
 ) -> DefaultCounts {
-    parallel_reverse_counts_range_with(
-        graph,
-        &CoinTable::new(graph),
-        candidates,
-        range,
-        seed,
-        threads,
-    )
-    .0
-}
-
-/// Parallel version of [`crate::reverse::reverse_counts_range_with`]
-/// (width 1): bit-identical to the sequential range run for any thread
-/// count. Width-selecting callers use
-/// [`parallel_reverse_counts_range_width`].
-pub fn parallel_reverse_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> (DefaultCounts, CoinUsage) {
+    let coins = CoinTable::new(graph);
     parallel_reverse_counts_range_width(
         graph,
-        coins,
+        &coins,
         candidates,
         range,
         seed,
         threads,
         BlockWords::W1,
     )
+    .0
 }
 
-/// [`parallel_reverse_counts_range_with`] on superblocks of the given
-/// width (narrowed by [`fit_width`] when the range is too small to keep
-/// every thread busy at that width): bit-identical to the sequential
-/// width-1 run for any thread count and any width.
+/// Parallel version of [`crate::reverse::reverse_counts_range_width`]
+/// (narrowed by [`fit_width`] when the range is too small to keep every
+/// thread busy at that width): bit-identical to the sequential width-1
+/// run for any thread count and any width.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_reverse_counts_range_width(
     graph: &UncertainGraph,
@@ -370,33 +290,14 @@ pub fn parallel_reverse_counts_range_width(
     threads: usize,
     width: BlockWords,
 ) -> (DefaultCounts, CoinUsage) {
-    parallel_reverse_counts_range_width_cancellable(
-        graph, coins, candidates, range, seed, threads, width, None,
-    )
-}
-
-/// [`parallel_reverse_counts_range_width`] polling a [`CancelToken`]
-/// between superblock chunks, with the same contiguous-prefix guarantee
-/// as [`parallel_forward_counts_range_width_cancellable`].
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_range_width_cancellable(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
     parallel_reverse_counts_range_width_traced(
-        graph, coins, candidates, range, seed, threads, width, cancel, None,
+        graph, coins, candidates, range, seed, threads, width, None, None,
     )
 }
 
-/// [`parallel_reverse_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched node and edge sets into `ledger` (see
-/// [`parallel_forward_counts_range_width_traced`]).
+/// [`parallel_reverse_counts_range_width`] with a [`CancelToken`] and a
+/// touch ledger, under the same contiguous-prefix and ledger guarantees
+/// as [`parallel_forward_counts_range_width_traced`].
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_reverse_counts_range_width_traced(
     graph: &UncertainGraph,
@@ -583,16 +484,8 @@ mod tests {
         let chunks: Vec<std::ops::Range<u64>> = block_chunks(37..411).collect();
         let seq = crate::forward::forward_counts_range(&g, 37..411, 9);
         for threads in [2, 3, 5] {
-            let (par, usage) = forward_partitioned::<1>(
-                &g,
-                &coins,
-                &chunks,
-                9,
-                threads,
-                Direction::Auto,
-                None,
-                None,
-            );
+            let (par, usage) =
+                forward_partitioned::<1>(&g, &coins, &chunks, 9, threads, None, None);
             assert_eq!(par, seq, "threads = {threads}");
             // Lazy accounting covers every block exactly once regardless
             // of the partition.
@@ -605,16 +498,8 @@ mod tests {
         let wide_chunks: Vec<std::ops::Range<u64>> = superblock_chunks(37..1500, 4).collect();
         let wide_seq = crate::forward::forward_counts_range(&g, 37..1500, 9);
         for threads in [2, 3] {
-            let (par, _) = forward_partitioned::<4>(
-                &g,
-                &coins,
-                &wide_chunks,
-                9,
-                threads,
-                Direction::Auto,
-                None,
-                None,
-            );
+            let (par, _) =
+                forward_partitioned::<4>(&g, &coins, &wide_chunks, 9, threads, None, None);
             assert_eq!(par, wide_seq, "width 4, threads = {threads}");
         }
         let cands: Vec<NodeId> = g.nodes().collect();
@@ -640,16 +525,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let chunks: Vec<std::ops::Range<u64>> = block_chunks(0..500).collect();
-        let (f, _) = forward_partitioned::<1>(
-            &g,
-            &coins,
-            &chunks,
-            9,
-            3,
-            Direction::Auto,
-            Some(&token),
-            None,
-        );
+        let (f, _) = forward_partitioned::<1>(&g, &coins, &chunks, 9, 3, Some(&token), None);
         assert_eq!(f.samples(), 0);
         let cands: Vec<NodeId> = g.nodes().collect();
         let (r, _) =
@@ -658,18 +534,18 @@ mod tests {
         // The width-dispatching entry points honour the token too, on
         // both the sequential (threads = 1) and threaded paths.
         for threads in [1, 4] {
-            let (f, _) = parallel_forward_counts_range_width_cancellable(
+            let (f, _) = parallel_forward_counts_range_width_traced(
                 &g,
                 &coins,
                 0..500,
                 9,
                 threads,
                 BlockWords::W1,
-                Direction::Auto,
                 Some(&token),
+                None,
             );
             assert_eq!(f.samples(), 0, "threads = {threads}");
-            let (r, _) = parallel_reverse_counts_range_width_cancellable(
+            let (r, _) = parallel_reverse_counts_range_width_traced(
                 &g,
                 &coins,
                 &cands,
@@ -678,6 +554,7 @@ mod tests {
                 threads,
                 BlockWords::W1,
                 Some(&token),
+                None,
             );
             assert_eq!(r.samples(), 0, "threads = {threads}");
         }
@@ -698,15 +575,15 @@ mod tests {
                 let token = token.clone();
                 scope.spawn(move || token.cancel())
             };
-            let out = parallel_forward_counts_range_width_cancellable(
+            let out = parallel_forward_counts_range_width_traced(
                 &g,
                 &coins,
                 0..51_200,
                 11,
                 3,
                 BlockWords::W1,
-                Direction::Auto,
                 Some(&token),
+                None,
             );
             canceller.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
             out
@@ -766,7 +643,6 @@ mod tests {
                 3,
                 threads,
                 BlockWords::W2,
-                Direction::Auto,
                 None,
                 Some(&ledger),
             );
@@ -865,7 +741,6 @@ mod tests {
             21,
             3,
             BlockWords::W2,
-            Direction::Auto,
             None,
             Some(&ledger),
         )
@@ -917,7 +792,6 @@ mod tests {
             21,
             1,
             BlockWords::W1,
-            Direction::Push,
             None,
             Some(&forward),
         );

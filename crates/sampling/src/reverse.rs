@@ -31,7 +31,6 @@
 //!   allocates the forward pass's buffers.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::cancel::CancelToken;
 use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
 use crate::counts::DefaultCounts;
 use crate::width::{with_block_words, BlockWords};
@@ -224,43 +223,14 @@ pub fn reverse_counts_range_with(
     range: std::ops::Range<u64>,
     seed: u64,
 ) -> (DefaultCounts, CoinUsage) {
-    reverse_counts_range_wide::<1>(graph, coins, candidates, range, seed)
+    reverse_counts_range_width(graph, coins, candidates, range, seed, BlockWords::W1)
 }
 
-/// [`reverse_counts_range_with`] on `W`-word superblocks: one
+/// [`reverse_counts_range_with`] on superblocks of the given width: one
 /// bit-parallel reverse BFS per candidate decides all `W·64` worlds of
-/// a superblock at once. Counts are bit-identical at every width —
-/// width is purely a throughput knob (see [`BlockWords`]).
-pub fn reverse_counts_range_wide<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    reverse_counts_range_wide_cancellable::<W>(graph, coins, candidates, range, seed, None)
-}
-
-/// [`reverse_counts_range_wide`] polling a [`CancelToken`] once per
-/// superblock chunk. A cancelled pass stops at the next chunk boundary
-/// and returns the chunk-aligned **prefix** it completed; the exact
-/// sample count is `counts.samples()`, and re-running the range
-/// truncated to that count reproduces the prefix bit-identically.
-pub fn reverse_counts_range_wide_cancellable<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
-    let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-    crate::parallel::reverse_partitioned::<W>(
-        graph, coins, candidates, &chunks, seed, 1, cancel, None,
-    )
-}
-
-/// [`reverse_counts_range_wide`] with a runtime-selected width.
+/// a superblock at once, on the calling thread. Counts are
+/// bit-identical at every width — width is purely a throughput knob
+/// (see [`BlockWords`]).
 pub fn reverse_counts_range_width(
     graph: &UncertainGraph,
     coins: &CoinTable,
@@ -269,11 +239,12 @@ pub fn reverse_counts_range_width(
     seed: u64,
     width: BlockWords,
 ) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(
-        width,
-        W,
-        reverse_counts_range_wide::<W>(graph, coins, candidates, range, seed)
-    )
+    with_block_words!(width, W, {
+        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
+        crate::parallel::reverse_partitioned::<W>(
+            graph, coins, candidates, &chunks, seed, 1, None, None,
+        )
+    })
 }
 
 /// Materializes and evaluates one ≤`W·64`-sample chunk over

@@ -59,6 +59,14 @@ fn every_width_forward_equals_oracle_and_each_other() {
                 forward_counts_range_width(&g, &table, range.clone(), seed, width);
             assert_eq!(counts, oracle, "sequential width {width}, range {range:?}");
             assert!(usage.superblocks > 0, "no superblock accounted at width {width}");
+            // Lazy accounting never loses or invents an edge word: each
+            // edge is materialized or skipped once per covered home block.
+            let home_blocks = (range.end - 1) / LANES as u64 - range.start / LANES as u64 + 1;
+            assert_eq!(
+                usage.edge_words_materialized + usage.edge_words_skipped,
+                g.num_edges() as u64 * home_blocks,
+                "width {width}: edge-word ledger out of balance"
+            );
             // The threaded driver partitions by superblock; counts must
             // merge back bit-identically.
             for threads in [2, 5] {

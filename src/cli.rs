@@ -25,7 +25,7 @@ use ugraph::{GraphStats, UncertainGraph};
 use vulnds_core::engine::{default_threads, DetectRequest, Detector};
 use vulnds_core::{
     compute_bounds, score_nodes_bottomk, score_nodes_mc, AlgorithmKind, ApproxParams, BlockWords,
-    Direction, NodeOrder, VulnConfig, VulnError,
+    NodeOrder, VulnConfig, VulnError,
 };
 use vulnds_datasets::Dataset;
 
@@ -98,14 +98,14 @@ USAGE:
   vulnds detect   <graph> --k <n> [--algorithm n|sn|sr|bsr|bsrbk]
                   [--epsilon <e>] [--delta <d>] [--seed <s>]
                   [--threads <t>] [--bound-order <z>]
-                  [--block-words auto|1|2|4|8] [--direction push|pull|auto]
-                  [--relabel none|degree|bfs] [--format human|json]
+                  [--block-words auto|1|2|4|8] [--relabel none|degree|bfs]
+                  [--format human|json]
   vulnds score    <graph> [--method mc|bottomk] [--seed <s>] [--threads <t>]
                   [--block-words auto|1|2|4|8] [--format human|json]
   vulnds bounds   <graph> [--order <z>]
   vulnds serve    <graph> [--workers <w>] [--tcp <addr>] [--seed <s>]
                   [--threads <t>] [--bound-order <z>]
-                  [--block-words auto|1|2|4|8] [--direction push|pull|auto]
+                  [--block-words auto|1|2|4|8]
                   [--max-samples <n>] [--default-timeout-ms <ms>]
                   [--max-connections <n>] [--drain-ms <ms>]
                   [--wal <log>] [--fsync always|never]
@@ -120,11 +120,7 @@ USAGE:
 bit-identical for any thread count. --block-words pins the samplers'
 superblock width (worlds per traversal = words x 64); the default
 'auto' plans it per pass from budget and threads, and every width
-returns bit-identical results. --direction picks the forward
-samplers' frontier strategy: push (sparse out-edge expansion), pull
-(dense in-edge sweep), or the default auto, which switches per step
-on measured frontier occupancy; every choice also returns
-bit-identical results. --relabel runs detection on a cache-relabeled
+returns bit-identical results. --relabel runs detection on a cache-relabeled
 copy of the graph (degree: hubs first; bfs: breadth-first from the
 biggest hub) and maps every answer back to the input labeling;
 unlike the other knobs it resamples with different coin streams, so
@@ -167,11 +163,6 @@ fn parse_block_words(s: &str) -> Result<Option<BlockWords>, VulnError> {
         return Ok(None);
     }
     s.parse::<BlockWords>().map(Some).map_err(|e| err(format!("--block-words: {e}")))
-}
-
-/// Parses a `--direction` value: `push`, `pull`, or `auto`.
-fn parse_direction(s: &str) -> Result<Direction, VulnError> {
-    s.parse::<Direction>().map_err(|e| err(format!("--direction: {e}")))
 }
 
 /// Parses a `--relabel` value: `none`, `degree`, or `bfs`.
@@ -258,7 +249,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                     "--block-words" => {
                         config.block_words = parse_block_words(&value(&rest, &mut i)?)?
                     }
-                    "--direction" => config.direction = parse_direction(&value(&rest, &mut i)?)?,
                     "--relabel" => relabel = parse_relabel(&value(&rest, &mut i)?)?,
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("detect: unknown option {other}"))),
@@ -397,7 +387,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                     "--block-words" => {
                         config.block_words = parse_block_words(&value(&rest, &mut i)?)?
                     }
-                    "--direction" => config.direction = parse_direction(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("serve: unknown option {other}"))),
                 }
                 i += 1;
@@ -649,16 +638,8 @@ pub fn run(command: Command) -> Result<String, VulnError> {
             );
             let _ = writeln!(
                 out,
-                "# blocks block-words {} | superblocks {}",
-                r.engine.block_words, r.engine.superblocks
-            );
-            let _ = writeln!(
-                out,
-                "# traversal push-steps {} | pull-steps {} | switches {} | relabeled {}",
-                r.engine.push_steps,
-                r.engine.pull_steps,
-                r.engine.direction_switches,
-                r.engine.relabel_applied
+                "# blocks block-words {} | superblocks {} | relabeled {}",
+                r.engine.block_words, r.engine.superblocks, r.engine.relabel_applied
             );
             let _ = writeln!(
                 out,
@@ -844,25 +825,12 @@ mod tests {
 
     #[test]
     fn parses_direction_and_relabel_values() {
-        for (value, expected) in
-            [("push", Direction::Push), ("pull", Direction::Pull), ("auto", Direction::Auto)]
-        {
-            match parse(&args(&format!("detect g.txt --k 3 --direction {value}"))).unwrap() {
-                Command::Detect { config, .. } => assert_eq!(config.direction, expected),
-                other => panic!("wrong command: {other:?}"),
-            }
-            match parse(&args(&format!("serve g.txt --direction {value}"))).unwrap() {
-                Command::Serve { config, .. } => assert_eq!(config.direction, expected),
-                other => panic!("wrong command: {other:?}"),
-            }
+        // The forward kernel has one traversal policy, so neither command
+        // takes a direction.
+        for value in ["push", "pull", "auto"] {
+            assert!(parse(&args(&format!("detect g.txt --k 3 --direction {value}"))).is_err());
+            assert!(parse(&args(&format!("serve g.txt --direction {value}"))).is_err());
         }
-        // Default is the occupancy-adaptive policy.
-        match parse(&args("detect g.txt --k 3")).unwrap() {
-            Command::Detect { config, .. } => assert_eq!(config.direction, Direction::Auto),
-            other => panic!("wrong command: {other:?}"),
-        }
-        assert!(parse(&args("detect g.txt --k 3 --direction both")).is_err());
-        assert!(parse(&args("serve g.txt --direction sideways")).is_err());
 
         for (value, expected) in [
             ("none", None),
@@ -1202,31 +1170,6 @@ mod tests {
             .collect();
         for (i, r) in rankings.iter().enumerate().skip(1) {
             assert_eq!(r, &rankings[0], "width variant {i} changed the ranking");
-        }
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn direction_does_not_change_cli_ranking() {
-        let dir = std::env::temp_dir().join("vulnds_cli_direction_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let txt = dir.join("g.txt").to_string_lossy().to_string();
-        run(parse(&args(&format!("generate interbank {txt} --scale 1.0"))).unwrap()).unwrap();
-        let rankings: Vec<Vec<String>> = ["auto", "push", "pull"]
-            .iter()
-            .map(|d| {
-                let out = run(parse(&args(&format!(
-                    "detect {txt} --k 5 --algorithm sn --seed 2 --direction {d}"
-                )))
-                .unwrap())
-                .unwrap();
-                // Ranking lines only: the step/switch diagnostics
-                // legitimately vary with the direction policy.
-                out.lines().filter(|l| !l.starts_with('#')).map(|l| l.to_string()).collect()
-            })
-            .collect();
-        for (i, r) in rankings.iter().enumerate().skip(1) {
-            assert_eq!(r, &rankings[0], "direction variant {i} changed the ranking");
         }
         std::fs::remove_dir_all(dir).ok();
     }

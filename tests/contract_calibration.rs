@@ -9,7 +9,8 @@
 //! it claims, not the one requested — and each cell (algorithm, mode,
 //! `(ε, δ)`) must keep the 99% Clopper–Pearson upper bound on its
 //! violation rate at or below `δ`. An undegraded answer must also
-//! report (about) the requested ε — see [`Tally::check`]. The modes:
+//! report (about) the requested ε, and no less than its samples deliver
+//! — see [`Tally::check`]. The modes:
 //!
 //! * `full` — a plain request on the session's graph;
 //! * `early-stop` / `at-cap` — BSRBK's full answers, split by whether
@@ -129,7 +130,10 @@ impl Tally {
     /// reported ε may exceed the requested one only by BSRBK's δ split
     /// at the cap (Eq. 4's pair bound at `δ/2` over the full budget).
     /// An early stop that reported a wide ε without flagging the answer
-    /// degraded would be a silent downgrade.
+    /// degraded would be a silent downgrade. Nor may it claim more than
+    /// its samples deliver: N, SN, SR and BSR report at least Eq. 3/4
+    /// inverted at `δ` over the samples used. BSRBK is exempt — its
+    /// Chernoff–KL stop certifies a tighter ε than that inversion.
     fn check(
         &mut self,
         r: &DetectResponse,
@@ -150,6 +154,17 @@ impl Tally {
                 r.achieved_epsilon,
                 r.stats
             );
+            if r.stats.algorithm != AlgorithmKind::BottomK {
+                let delivered = achieved_epsilon(a, b, delta, r.stats.samples_used);
+                assert!(
+                    r.achieved_epsilon >= delivered,
+                    "{mode}: an undegraded answer reports ε {} but its {} samples deliver \
+                     only {delivered}: {:?}",
+                    r.achieved_epsilon,
+                    r.stats.samples_used,
+                    r.stats
+                );
+            }
         }
         let ok = satisfies_epsilon_contract(&r.top_k, exact, k, r.achieved_epsilon);
         let algorithm = r.stats.algorithm;

@@ -2,8 +2,8 @@
 //! sampling pass cut short (deadline, token, or explicit `sample_cap`)
 //! returns a block-aligned sample prefix, and replaying the request with
 //! the reported `samples_used` as its cap reproduces that answer
-//! **bit-identically** — across superblock widths, traversal directions,
-//! and thread counts, warm or cold. Uses the in-repo deterministic test
+//! **bit-identically** — across superblock widths and thread counts,
+//! warm or cold. Uses the in-repo deterministic test
 //! kit (the workspace builds offline with no external dependencies).
 
 use ugraph::testkit::{check, TestRng};
@@ -31,11 +31,11 @@ fn session(g: &UncertainGraph, threads: usize) -> Detector {
         .unwrap()
 }
 
-/// A capped (degraded) answer is bit-identical across thread counts,
-/// pinned superblock widths, and traversal directions — the same
-/// invariance the full-budget answers already guarantee.
+/// A capped (degraded) answer is bit-identical across thread counts and
+/// pinned superblock widths — the same invariance the full-budget
+/// answers already guarantee.
 #[test]
-fn degraded_answers_identical_across_widths_directions_and_threads() {
+fn degraded_answers_identical_across_widths_and_threads() {
     check(8, |rng| {
         let g = arb_graph(rng);
         // The sampling algorithms; BSRBK exercises the adaptive lane
@@ -77,19 +77,6 @@ fn degraded_answers_identical_across_widths_directions_and_threads() {
                 );
                 assert_eq!(r.stats.samples_used, cap, "{kind}: cap not exact");
                 assert_eq!(r.achieved_epsilon, reference.achieved_epsilon, "{kind}");
-            }
-        }
-        // Direction policy (forward samplers) is answer-neutral too.
-        if kind == AlgorithmKind::SampledNaive {
-            for direction in vulnds_core::Direction::ALL {
-                let d = Detector::builder(&g)
-                    .config(VulnConfig::default().with_seed(77).with_direction(direction))
-                    .threads(2)
-                    .build()
-                    .unwrap();
-                let r = d.detect(&req).unwrap();
-                assert_eq!(r.top_k, reference.top_k, "direction {direction} changed answer");
-                assert_eq!(r.stats.samples_used, cap);
             }
         }
     });

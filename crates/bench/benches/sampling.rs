@@ -22,15 +22,19 @@ use vulnds_bench::microbench::{bench, measure, JsonReport};
 use vulnds_datasets::gen::{chung_lu, erdos, pref_attach};
 use vulnds_datasets::{attach_probabilities, ProbabilityModel};
 use vulnds_sampling::{
-    forward_counts_range_width, forward_counts_range_with, parallel_forward_counts, reverse_counts,
-    reverse_counts_range_width, reverse_counts_range_with, BlockKernel, BlockWords, CoinTable,
-    CoinUsage, DefaultCounts, ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins,
-    WorldBlock, Xoshiro256pp, COIN_PRECISION, LANES,
+    reverse_counts, BlockKernel, BlockWords, CoinTable, DefaultCounts, ForwardSampler,
+    PossibleWorld, ReverseSampler, SamplePass, ScalarCoins, WorldBlock, Xoshiro256pp,
+    COIN_PRECISION, LANES,
 };
 
 /// Worlds per end-to-end measurement: one widest superblock, so every
-/// width runs the same fixed budget through one driver call.
+/// width runs the same fixed budget through one pass.
 const WIDTH_BUDGET: u64 = (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
+
+/// A sequential pass over `range` at exactly `width`.
+fn pass_at(range: std::ops::Range<u64>, width: BlockWords) -> SamplePass<'static> {
+    SamplePass { width, ..SamplePass::new(range, 1) }
+}
 
 struct Family {
     name: &'static str,
@@ -122,7 +126,8 @@ fn main() {
             counts.samples()
         });
         let block_e2e = measure(&format!("{name}/end_to_end/block_per_64_worlds"), || {
-            forward_counts_range_with(&g, &table, 0..LANES as u64, 43).0.samples()
+            let out = pass_at(0..LANES as u64, BlockWords::W1).forward(&g, &table, 43);
+            out.segments[0].samples()
         });
 
         // Per-width superblock rows: the same fixed budget (one widest
@@ -130,9 +135,11 @@ fn main() {
         // the width effect is isolated from call and allocation shape.
         let mut width_ns = Vec::new();
         for width in BlockWords::ALL {
+            let pass = pass_at(0..WIDTH_BUDGET, width);
+            assert_eq!(pass.forward(&g, &table, 43).width, width, "the row runs its width");
             let m =
                 measure(&format!("{name}/end_to_end/superblock_w{width}_per_512_worlds"), || {
-                    forward_counts_range_width(&g, &table, 0..WIDTH_BUDGET, 43, width).0.samples()
+                    pass.forward(&g, &table, 43).segments[0].samples()
                 });
             width_ns.push((width, m.median_secs / WIDTH_BUDGET as f64 * 1e9));
         }
@@ -152,19 +159,10 @@ fn main() {
         {
             let (relabeled, _) = g.relabeled(order);
             let relabeled_table = CoinTable::new(&relabeled);
+            let pass = pass_at(0..WIDTH_BUDGET, planned);
             let m = measure(
                 &format!("{name}/end_to_end/superblock_relabel_{label}_per_512_worlds"),
-                || {
-                    forward_counts_range_width(
-                        &relabeled,
-                        &relabeled_table,
-                        0..WIDTH_BUDGET,
-                        43,
-                        planned,
-                    )
-                    .0
-                    .samples()
-                },
+                || pass.forward(&relabeled, &relabeled_table, 43).segments[0].samples(),
             );
             relabel_ns.push((label, m.median_secs / WIDTH_BUDGET as f64 * 1e9));
         }
@@ -173,7 +171,7 @@ fn main() {
 
         // Lazy-skip ratio of the production path, over a longer run so
         // per-block variation averages out.
-        let (_, usage) = forward_counts_range_with(&g, &table, 0..(32 * LANES as u64), 43);
+        let usage = pass_at(0..(32 * LANES as u64), BlockWords::W1).forward(&g, &table, 43).usage;
 
         let mat_speedup = scalar_mat.median_secs / block_mat.median_secs;
         let eval_speedup = scalar_eval.median_secs / block_eval.median_secs;
@@ -263,9 +261,8 @@ fn main() {
         let block_small = measure("reverse_small_candidate_set/block_50cand_per_64_worlds", || {
             let base = block_base;
             block_base += LANES as u64;
-            reverse_counts_range_with(&g, &table, &candidates, base..base + LANES as u64, 7)
-                .0
-                .samples()
+            let pass = pass_at(base..base + LANES as u64, BlockWords::W1);
+            pass.reverse(&g, &table, &candidates, 7).segments[0].samples()
         });
         // The superblock reverse path at the widest width, same budget
         // per call as one widest superblock.
@@ -274,19 +271,11 @@ fn main() {
             measure("reverse_small_candidate_set/superblock_w8_per_512_worlds", || {
                 let base = wide_base;
                 wide_base += WIDTH_BUDGET;
-                reverse_counts_range_width(
-                    &g,
-                    &table,
-                    &candidates,
-                    base..base + WIDTH_BUDGET,
-                    7,
-                    BlockWords::W8,
-                )
-                .0
-                .samples()
+                let pass = pass_at(base..base + WIDTH_BUDGET, BlockWords::W8);
+                pass.reverse(&g, &table, &candidates, 7).segments[0].samples()
             });
-        let (_, usage): (DefaultCounts, CoinUsage) =
-            reverse_counts_range_with(&g, &table, &candidates, 0..(16 * LANES as u64), 7);
+        let pass = pass_at(0..(16 * LANES as u64), BlockWords::W1);
+        let usage = pass.reverse(&g, &table, &candidates, 7).usage;
         report
             .group("reverse_small_candidate_set")
             .num("nodes", g.num_nodes() as f64)
@@ -306,7 +295,8 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let effective = threads.min(hardware);
         bench(&format!("parallel_forward/requested_{threads}_effective_{effective}"), || {
-            parallel_forward_counts(&g, 2048, 42, threads)
+            let table = CoinTable::new(&g);
+            SamplePass::new(0..2048, threads).forward(&g, &table, 42).segments[0].samples()
         });
     }
     emit_machine(&mut report).num("block_words", BlockWords::plan(WIDTH_BUDGET, 1).words() as f64);

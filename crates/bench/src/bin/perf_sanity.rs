@@ -78,8 +78,8 @@ use vulnds_core::{
 use vulnds_datasets::gen::erdos;
 use vulnds_datasets::{attach_probabilities, Dataset, ProbabilityModel};
 use vulnds_sampling::{
-    forward_counts_range_width, BlockWords, CoinTable, PossibleWorld, SuperBlock, SuperKernel,
-    WorldBlock, Xoshiro256pp, LANES,
+    BlockWords, CoinTable, PossibleWorld, SamplePass, SuperBlock, SuperKernel, WorldBlock,
+    Xoshiro256pp, LANES,
 };
 
 /// Block materialization must beat the scalar per-lane path by at least
@@ -245,12 +245,15 @@ fn main() {
 
     // Superblock gate: same fixed forward budget through the width-1
     // block path and the planner-width superblock path.
+    let sequential = |range, width| SamplePass { width, ..SamplePass::new(range, 1) };
+    let narrow_pass = sequential(0..SUPERBLOCK_BUDGET, BlockWords::W1);
     let narrow = measure("perf_sanity/forward_fixed_budget_w1", || {
-        forward_counts_range_width(&g, &table, 0..SUPERBLOCK_BUDGET, 11, BlockWords::W1).0.samples()
+        narrow_pass.forward(&g, &table, 11).segments[0].samples()
     });
     let planned = BlockWords::plan(SUPERBLOCK_BUDGET, 1);
+    let wide_pass = sequential(0..SUPERBLOCK_BUDGET, planned);
     let wide = measure("perf_sanity/forward_fixed_budget_planned_width", || {
-        forward_counts_range_width(&g, &table, 0..SUPERBLOCK_BUDGET, 11, planned).0.samples()
+        wide_pass.forward(&g, &table, 11).segments[0].samples()
     });
     let wide_speedup = narrow.median_secs / wide.median_secs;
     println!(
@@ -303,31 +306,16 @@ fn main() {
     // ~1.1× layout effect this gate resolves.
     let mut before = f64::INFINITY;
     let mut after = f64::INFINITY;
+    let relabel_pass = sequential(0..relabel_budget, planned);
     for round in 0..4 {
         let b =
             measure(&format!("perf_sanity/relabel_forward_fixed_budget_scrambled_{round}"), || {
-                forward_counts_range_width(
-                    &scrambled,
-                    &scrambled_table,
-                    0..relabel_budget,
-                    13,
-                    planned,
-                )
-                .0
-                .samples()
+                relabel_pass.forward(&scrambled, &scrambled_table, 13).segments[0].samples()
             });
         before = before.min(b.median_secs);
         let a =
             measure(&format!("perf_sanity/relabel_forward_fixed_budget_bfs_order_{round}"), || {
-                forward_counts_range_width(
-                    &relabeled,
-                    &relabeled_table,
-                    0..relabel_budget,
-                    13,
-                    planned,
-                )
-                .0
-                .samples()
+                relabel_pass.forward(&relabeled, &relabeled_table, 13).segments[0].samples()
             });
         after = after.min(a.median_secs);
     }

@@ -1,11 +1,9 @@
 //! Shared machine probe for the benchmark binaries.
 //!
-//! Every perf-trajectory file (`BENCH_sampling.json`,
-//! `BENCH_service.json`) carries a `machine` group so readers can tell
-//! what hardware produced the numbers. The probes used to live in the
-//! individual bins and drifted — the service report lacked the `simd`
-//! field the sampling report had — so both now start their group
-//! through [`emit_machine`] and chain workload-specific extras onto it.
+//! The perf-trajectory file (`BENCH_sampling.json`) carries a `machine`
+//! group so readers can tell what hardware produced the numbers. A
+//! report starts its group through [`emit_machine`] and chains
+//! workload-specific extras onto it.
 
 use crate::microbench::JsonReport;
 

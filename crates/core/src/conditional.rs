@@ -15,7 +15,7 @@
 
 use crate::config::VulnConfig;
 use ugraph::{NodeId, UncertainGraph};
-use vulnds_sampling::{BlockKernel, CoinTable, WorldBlock, LANES};
+use vulnds_sampling::{BlockKernel, CoinTable, SamplePass, WorldBlock, LANES};
 
 /// Result of a conditional estimation.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,8 @@ pub fn intervention_scores(
         // valid probability.
         g.set_self_risk(v, 1.0).expect("evidence node must exist");
     }
-    vulnds_sampling::parallel_forward_counts(&g, t, config.seed, config.threads.max(1)).estimates()
+    let pass = SamplePass::new(0..t, config.threads);
+    pass.forward(&g, &CoinTable::new(&g), config.seed).merged().0.estimates()
 }
 
 /// Bayesian conditioning by rejection: draw worlds until `accept_target`

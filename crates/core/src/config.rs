@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use vulnds_sampling::BlockWords;
-
 /// Error for invalid configuration parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigError(pub String);
@@ -98,12 +96,6 @@ pub struct VulnConfig {
     /// Hard cap on any computed sample size, to keep adversarial
     /// `(ε, δ)` choices from running forever. `None` disables the cap.
     pub max_samples: Option<u64>,
-    /// Superblock width override for the samplers. `None` lets the
-    /// engine plan the width per pass from the sample budget and thread
-    /// count ([`BlockWords::plan`]); a fixed width pins every pass.
-    /// Counts are bit-identical at every width — this is purely a
-    /// performance knob.
-    pub block_words: Option<BlockWords>,
 }
 
 impl Default for VulnConfig {
@@ -117,7 +109,6 @@ impl Default for VulnConfig {
             naive_samples: 20_000,
             threads: 1,
             max_samples: None,
-            block_words: None,
         }
     }
 }
@@ -162,13 +153,6 @@ impl VulnConfig {
     /// Builder-style sample cap override.
     pub fn with_max_samples(mut self, cap: u64) -> Self {
         self.max_samples = Some(cap);
-        self
-    }
-
-    /// Builder-style superblock-width override (see
-    /// [`VulnConfig::block_words`]).
-    pub fn with_block_words(mut self, width: BlockWords) -> Self {
-        self.block_words = Some(width);
         self
     }
 

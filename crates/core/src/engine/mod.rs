@@ -140,8 +140,8 @@ use std::sync::Arc;
 
 use ugraph::{EdgeId, GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
 use vulnds_sampling::{
-    fit_width, parallel_forward_counts_range_width_traced, parallel_reverse_counts_split_traced,
-    BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, TouchLedger,
+    BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, PassCounts, SamplePass,
+    TouchLedger,
 };
 
 use crate::algo::AlgorithmKind;
@@ -257,21 +257,13 @@ impl DetectorBuilder {
         self
     }
 
-    /// Pins the samplers' superblock width instead of letting the
-    /// engine plan it per pass; results do not depend on the choice
-    /// (see [`VulnConfig::block_words`]).
-    pub fn block_words(mut self, width: BlockWords) -> Self {
-        self.config.block_words = Some(width);
-        self
-    }
-
     /// Runs the session on a cache-relabeled copy of the graph: nodes
     /// are renumbered by `order` (hubs and BFS-neighbors get adjacent
     /// ids) so the samplers' hot adjacency walks become
     /// cache-sequential, and every query's `top_k` is mapped back to
     /// the caller's original node ids — the API is label-transparent.
     ///
-    /// Unlike [`DetectorBuilder::block_words`], relabeling is *not*
+    /// Unlike the thread count, relabeling is *not*
     /// answer-preserving at the bit level: the relabeled graph has
     /// different canonical edge ids and therefore different coin
     /// streams, so sampled scores differ within the same `(ε, δ)`
@@ -549,13 +541,12 @@ const MAX_UNREAD_REPAIRS: u32 = 3;
 
 /// How one delta repairs the streams its dirty items reach: the
 /// post-delta graph and patched coin table, the delta's downstream set,
-/// and the kernel settings the recount runs at.
+/// and the thread count the recount runs at.
 struct StreamRepair<'a> {
     graph: &'a UncertainGraph,
     coins: Arc<CoinTable>,
     downstream: Vec<u32>,
     threads: usize,
-    block_words: Option<BlockWords>,
     usage: CoinUsage,
 }
 
@@ -583,22 +574,17 @@ impl StreamRepair<'_> {
                 .unzip(),
         };
         cache.repair(&slots, |keys| {
-            let t_max = keys.last().copied().unwrap_or(0);
-            let width = self.block_words.unwrap_or_else(|| BlockWords::plan(t_max, self.threads));
-            let (segments, usage) = parallel_reverse_counts_split_traced(
-                self.graph,
-                &self.coins,
-                &nodes,
-                0,
-                keys,
-                seed,
-                self.threads,
-                width,
-                None,
-                Some(ledger),
-            );
-            self.usage.merge(&usage);
-            segments
+            let Some((&t_max, splits)) = keys.split_last() else {
+                return Vec::new();
+            };
+            let pass = SamplePass {
+                splits,
+                ledger: Some(ledger),
+                ..SamplePass::new(0..t_max, self.threads)
+            };
+            let out = pass.reverse(self.graph, &self.coins, &nodes, seed);
+            self.usage.merge(&out.usage);
+            out.segments
         });
     }
 }
@@ -614,7 +600,7 @@ struct Revalidation {
 impl EngineState {
     /// Revalidates every session cache for the committed swap
     /// `prev → next`. Runs under the epoch commit lock; stream repairs
-    /// run at `config`'s thread count and block width.
+    /// run at `config`'s thread count.
     fn revalidate(
         &self,
         prev: &UncertainGraph,
@@ -705,7 +691,6 @@ impl EngineState {
                 coins,
                 downstream,
                 threads: config.threads,
-                block_words: config.block_words,
                 usage: CoinUsage::default(),
             })
         });
@@ -903,15 +888,6 @@ impl<'a> EngineCtx<'a> {
         table
     }
 
-    /// The superblock width a `budget`-world sampling pass runs on: the
-    /// session's [`VulnConfig::block_words`] override if set, otherwise
-    /// the budget/thread-aware planner ([`BlockWords::plan`]) — big
-    /// fixed-budget passes go wide, small follow-ups stay narrow. Width
-    /// never changes counts, only throughput.
-    pub fn plan_block_words(&self, budget: u64) -> BlockWords {
-        self.config.block_words.unwrap_or_else(|| BlockWords::plan(budget, self.config.threads))
-    }
-
     /// Cumulative forward-sample counts over ids `0..t` for `seed`,
     /// served through the session's prefix-extendable cache. The
     /// stream's cell is locked across the draw, so a concurrent query
@@ -925,42 +901,9 @@ impl<'a> EngineCtx<'a> {
     /// [`DefaultCounts::samples`].
     pub fn forward_counts(&mut self, t: u64, seed: u64) -> Arc<DefaultCounts> {
         let coins = self.coin_table();
-        let (graph, threads) = (self.graph, self.config.threads);
-        let cancel = self.cancel.clone();
+        let graph = self.graph;
         let stream = self.state.forward.stream(seed);
-        self.stream_counts(
-            &stream,
-            &[t],
-            false,
-            |_| None,
-            |start, ends, width, ledger| {
-                // One pass per segment: a forward stream's segments are at
-                // most the aligned prefix and the budget.
-                let mut usage = CoinUsage::default();
-                let mut from = start;
-                let mut segments = Vec::with_capacity(ends.len());
-                for &end in ends {
-                    let (counts, u) = parallel_forward_counts_range_width_traced(
-                        graph,
-                        &coins,
-                        from..end,
-                        seed,
-                        threads,
-                        width,
-                        cancel.as_ref(),
-                        ledger,
-                    );
-                    usage.merge(&u);
-                    let short = counts.samples() < end - from;
-                    segments.push(counts);
-                    if short {
-                        break;
-                    }
-                    from = end;
-                }
-                (segments, usage)
-            },
-        )
+        self.stream_counts(&stream, &[t], false, |_| None, |pass| pass.forward(graph, &coins, seed))
     }
 
     /// Cumulative reverse-sample counts over ids `0..t` for
@@ -1005,23 +948,11 @@ impl<'a> EngineCtx<'a> {
         next: impl FnMut(&DefaultCounts) -> Option<u64>,
     ) -> Arc<DefaultCounts> {
         let coins = self.coin_table();
-        let (graph, threads) = (self.graph, self.config.threads);
-        let cancel = self.cancel.clone();
+        let graph = self.graph;
         let key = (seed, candidates.iter().map(|v| v.0).collect::<Vec<u32>>());
         let stream = self.state.reverse.stream(key);
-        self.stream_counts(&stream, looks, true, next, |start, ends, width, ledger| {
-            parallel_reverse_counts_split_traced(
-                graph,
-                &coins,
-                candidates,
-                start,
-                ends,
-                seed,
-                threads,
-                width,
-                cancel.as_ref(),
-                ledger,
-            )
+        self.stream_counts(&stream, looks, true, next, |pass| {
+            pass.reverse(graph, &coins, candidates, seed)
         })
     }
 
@@ -1030,10 +961,12 @@ impl<'a> EngineCtx<'a> {
     /// probe the `drawing` marker, lock the cell, serve each target
     /// prefix through the prefix cache until `next` accepts one (see
     /// [`EngineCtx::reverse_counts_until`]), and
-    /// account waits/coins/width. `draw(start, ends, width, ledger)`
-    /// materializes `start..ends.last()` at the fitted width and returns
-    /// the counts of each segment between consecutive ends. `looks`
-    /// makes the cache snapshot (and keep) BSRBK's look prefixes.
+    /// account waits/coins/width. `draw(pass)` runs the one
+    /// [`SamplePass`] each cache miss builds — its range is the drawn
+    /// gap, split at every snapshot key inside it, at the planner's
+    /// width for the target and the session's threads, with the
+    /// request's cancel token and the stream's ledger. `looks` makes the
+    /// cache snapshot (and keep) BSRBK's look prefixes.
     ///
     /// Protocol invariants (correctness-sensitive for the wait/dedup
     /// counters, so they live in exactly one place):
@@ -1045,9 +978,9 @@ impl<'a> EngineCtx<'a> {
     ///   marks;
     /// * the guard clears the marker even on unwind.
     ///
-    /// `fit_width` narrows the planned width when a drawn gap is too
-    /// small to keep every thread busy (e.g. a short cache extension);
-    /// the stats report the width that executed, not the plan.
+    /// A pass narrows the planned width when a drawn gap is too small
+    /// to keep every thread busy (e.g. a short cache extension); the
+    /// stats report the width the pass ran at, not the plan.
     ///
     /// Epoch handling: the cell's cached prefix carries the graph
     /// version it is valid for. A query whose pinned snapshot has a
@@ -1061,14 +994,10 @@ impl<'a> EngineCtx<'a> {
         targets: &[u64],
         looks: bool,
         mut next: impl FnMut(&DefaultCounts) -> Option<u64>,
-        mut draw: impl FnMut(
-            u64,
-            &[u64],
-            BlockWords,
-            Option<&TouchLedger>,
-        ) -> (Vec<DefaultCounts>, CoinUsage),
+        mut draw: impl FnMut(&SamplePass<'_>) -> PassCounts,
     ) -> Arc<DefaultCounts> {
         let threads = self.config.threads;
+        let cancel = self.cancel.clone();
         let version = self.graph.version();
         let (num_nodes, num_edges) = (self.graph.num_nodes(), self.graph.num_edges());
         // ORDERING: Acquire pairs with the Release store in the serve
@@ -1092,17 +1021,25 @@ impl<'a> EngineCtx<'a> {
         let sample_cap = self.sample_cap;
         let capped = |t: u64| sample_cap.map_or(t, |cap| t.min(cap));
         let mut serve = |t: u64| {
-            let width = self.plan_block_words(t);
+            let width = BlockWords::plan(t, threads);
             let (read, fresh, _) = serve_cache.serve(t, width.lanes(), looks, |start, ends| {
                 // ORDERING: Release pairs with the Acquire probe above —
                 // set only when worlds actually materialize.
                 stream.drawing.store(true, Ordering::Release);
-                let range = start..ends.last().copied().unwrap_or(start);
-                let fitted = fit_width(&range, width, threads);
-                used_width = Some(used_width.map_or(fitted, |w| w.max(fitted)));
-                let (segments, u) = draw(start, ends, fitted, ledger);
-                usage.merge(&u);
-                segments
+                // xlint: allow(panic-hygiene) — `SampleCache::serve` ends
+                // every draw at its target, so `ends` is never empty.
+                let (&end, splits) = ends.split_last().expect("a draw ends at its target");
+                let out = draw(&SamplePass {
+                    range: start..end,
+                    splits,
+                    width,
+                    threads,
+                    cancel: cancel.as_ref(),
+                    ledger,
+                });
+                used_width = Some(used_width.map_or(out.width, |w| w.max(out.width)));
+                usage.merge(&out.usage);
+                out.segments
             });
             (read, fresh)
         };
@@ -1893,15 +1830,27 @@ mod tests {
         assert_eq!(warm.engine.block_words, 0, "cache hit must not report a sampling width");
         assert_eq!(warm.engine.superblocks, 0);
 
-        // Pinned session: the override wins over the planner and the
-        // answers stay bit-identical.
-        let pinned = Detector::builder(&g)
-            .config(VulnConfig::default().with_seed(77).with_block_words(BlockWords::W2))
-            .build()
-            .unwrap();
-        let p = pinned.detect(&DetectRequest::new(4, AlgorithmKind::Naive)).unwrap();
-        assert_eq!(p.engine.block_words, 2);
-        assert_eq!(p.top_k, r.top_k, "width must never change the answer");
+        // The planner reads the session's thread count, so sessions at
+        // different counts run a 4,000-world N budget at different
+        // widths — and the answers stay bit-identical.
+        let n = DetectRequest::new(4, AlgorithmKind::Naive);
+        let build = |threads| {
+            Detector::builder(&g)
+                .config(VulnConfig::default().with_seed(77))
+                .naive_samples(4000)
+                .threads(threads)
+                .build()
+                .unwrap()
+        };
+        let reference = build(1).detect(&n).unwrap();
+        let mut widths = std::collections::BTreeSet::new();
+        for threads in [1, 2, 8] {
+            let r = build(threads).detect(&n).unwrap();
+            assert_eq!(r.top_k, reference.top_k, "width must never change the answer");
+            assert_eq!(r.engine.block_words, BlockWords::plan(4000, threads).words());
+            widths.insert(r.engine.block_words);
+        }
+        assert!(widths.len() >= 2, "thread counts must plan different widths: {widths:?}");
 
         // BSRBK's look-by-look reads run on the planner too: each read
         // is planned for its own look, never wider than BSR's budget.
@@ -1927,7 +1876,7 @@ mod tests {
             let _ = ctx.forward_counts(20_000, 9);
             assert_eq!(ctx.request.block_words, 8, "big cold pass runs wide");
         }
-        // A 200-world cache extension still *plans* wide, but fit_width
+        // A 200-world cache extension still *plans* wide, but the pass
         // narrows it so 8 threads keep fine-grained chunks — and the
         // stats must report the width that actually executed.
         {
@@ -2567,6 +2516,7 @@ mod tests {
     #[test]
     fn bsrbk_stop_look_is_identical_across_threads_widths_and_caches() {
         let (early, at_cap) = bsrbk_cases();
+        let mut widths = std::collections::BTreeSet::new();
         for (g, req) in early.iter().chain(&at_cap) {
             let reference = session(g).detect(req).unwrap();
             let same = |r: &DetectResponse, what: &str| {
@@ -2575,15 +2525,15 @@ mod tests {
                 assert_eq!(r.top_k, reference.top_k, "{what}");
                 assert_eq!(r.achieved_epsilon.to_bits(), reference.achieved_epsilon.to_bits());
             };
-            for threads in [1, 3] {
-                for width in BlockWords::ALL {
-                    let d = Detector::builder(g)
-                        .config(VulnConfig::default().with_seed(77).with_block_words(width))
-                        .threads(threads)
-                        .build()
-                        .unwrap();
-                    same(&d.detect(req).unwrap(), &format!("threads {threads} width {width}"));
-                }
+            for threads in [1, 2, 8] {
+                let d = Detector::builder(g)
+                    .config(VulnConfig::default().with_seed(77))
+                    .threads(threads)
+                    .build()
+                    .unwrap();
+                let r = d.detect(req).unwrap();
+                same(&r, &format!("threads {threads}"));
+                widths.insert(r.engine.block_words);
             }
             // Warm: after BSR drew the whole stream, after a tighter-ε
             // BSRBK drew a longer one, and on a repeat.
@@ -2595,6 +2545,8 @@ mod tests {
             same(&tighter.detect(req).unwrap(), "after a tighter BSRBK");
             same(&tighter.detect(req).unwrap(), "repeat");
         }
+        // The planner reads the session's thread count.
+        assert!(widths.len() >= 2, "thread counts must plan different widths: {widths:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   precision is measured against.
 
 use ugraph::UncertainGraph;
-use vulnds_sampling::{parallel_forward_counts, WorldEnumerator};
+use vulnds_sampling::{CoinTable, SamplePass, WorldEnumerator};
 
 /// Number of samples the paper uses to define ground truth (§4.1).
 pub const PAPER_GROUND_TRUTH_SAMPLES: u64 = 20_000;
@@ -38,7 +38,8 @@ pub fn exact_default_probabilities(graph: &UncertainGraph) -> Vec<f64> {
 /// Monte-Carlo ground truth: per-node default-probability estimates from
 /// `samples` forward samples.
 pub fn ground_truth(graph: &UncertainGraph, samples: u64, seed: u64, threads: usize) -> Vec<f64> {
-    parallel_forward_counts(graph, samples, seed, threads).estimates()
+    let pass = SamplePass::new(0..samples, threads);
+    pass.forward(graph, &CoinTable::new(graph), seed).merged().0.estimates()
 }
 
 /// Ground truth with the paper's sample budget.

@@ -12,15 +12,15 @@
 //!   kept as the oracle the bit-parallel kernel is validated against.
 //!   Because coins are random-access, it draws edge coins lazily at BFS
 //!   touch — the scalar mirror of the block path's frontier-lazy words.
-//! * [`forward_counts_range`] — the **runtime path**: worlds are packed
-//!   64-per-[`WorldBlock`](crate::WorldBlock) with transposed lane-word synthesis and
-//!   evaluated by the bit-parallel [`BlockKernel`](crate::BlockKernel), bit-identical to
-//!   the scalar reference for any range and seed.
+//! * [`SamplePass::forward`] — the **runtime path**: worlds are packed
+//!   `W·64` per [`SuperBlock`](crate::SuperBlock) with transposed
+//!   lane-word synthesis and evaluated by the bit-parallel
+//!   [`SuperKernel`](crate::SuperKernel), bit-identical to the scalar
+//!   reference for any range, width and seed.
 
-use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
+use crate::coins::{CoinTable, ScalarCoins};
 use crate::counts::DefaultCounts;
-use crate::width::{with_block_words, BlockWords};
+use crate::parallel::SamplePass;
 use ugraph::{NodeId, UncertainGraph};
 
 /// Reusable scalar forward sampler. Holds scratch buffers so repeated
@@ -110,82 +110,22 @@ impl ForwardSampler {
 }
 
 /// Runs `t` forward samples (ids `0..t`) and returns per-node default
-/// counts. This is the whole of Algorithm 1 except the final top-k
-/// selection, executed on the bit-parallel block kernel.
+/// counts: the whole of Algorithm 1 except the final top-k selection,
+/// as one [`SamplePass`] on the calling thread.
 pub fn forward_counts(graph: &UncertainGraph, t: u64, seed: u64) -> DefaultCounts {
-    forward_counts_range(graph, 0..t, seed)
-}
-
-/// [`forward_counts_range_with`] with a throwaway [`CoinTable`], for
-/// callers without a session cache.
-pub fn forward_counts_range(
-    graph: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    forward_counts_range_with(graph, &CoinTable::new(graph), range, seed).0
-}
-
-/// Runs forward samples for the given range of sample ids on the block
-/// kernel: the range is split at 64-aligned block boundaries, each chunk
-/// is materialized as a [`WorldBlock`](crate::WorldBlock) (sample `i` occupies lane
-/// `i % 64` of block `i / 64`) and evaluated in one bit-parallel BFS
-/// with frontier-lazy edge words; partial chunks accumulate through a
-/// lane mask. Returns the counts plus the materialization-cost counters.
-///
-/// Sample `i` always draws from the counter-RNG stream derived from
-/// `(seed, i)`, so counts over disjoint ranges merge (commutatively)
-/// into exactly the counts of the union range — the property the
-/// engine's incremental sample cache extends prefixes with — and the
-/// result is bit-identical to the scalar [`ForwardSampler`] reference.
-pub fn forward_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_width(graph, coins, range, seed, BlockWords::W1)
-}
-
-/// [`forward_counts_range_with`] on superblocks of the given width: the
-/// range is split at `W·64`-aligned superblock boundaries and each chunk
-/// is evaluated in one `W`-wide bit-parallel BFS, on the calling thread.
-/// Counts are bit-identical at every width — width is purely a
-/// throughput knob (see [`BlockWords`]).
-pub fn forward_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-        crate::parallel::forward_partitioned::<W>(graph, coins, &chunks, seed, 1, None, None)
-    })
-}
-
-/// Materializes and evaluates one ≤`W·64`-sample chunk, accumulating
-/// into `counts`. Shared with the parallel driver.
-pub(crate) fn accumulate_forward_chunk<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    chunk: std::ops::Range<u64>,
-    seed: u64,
-    block: &mut SuperBlock<W>,
-    kernel: &mut SuperKernel<W>,
-    counts: &mut DefaultCounts,
-) {
-    let lanes = (chunk.end - chunk.start) as usize;
-    block.materialize(graph, coins, seed, chunk.start, lanes);
-    let words = kernel.forward_defaults(graph, coins, block);
-    counts.record_words::<W>(words, block.lane_masks());
+    SamplePass::new(0..t, 1).forward(graph, &CoinTable::new(graph), seed).merged().0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::width::BlockWords;
     use ugraph::{from_parts, DuplicateEdgePolicy};
+
+    /// A sequential pass over `range` at `width`.
+    fn pass(range: std::ops::Range<u64>, width: BlockWords) -> SamplePass<'static> {
+        SamplePass { width, ..SamplePass::new(range, 1) }
+    }
 
     fn chain() -> UncertainGraph {
         from_parts(&[0.5, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)
@@ -316,9 +256,9 @@ mod tests {
         let table = CoinTable::new(&g);
         // Budgets straddling superblock boundaries at every width.
         for range in [0..1u64, 0..100, 0..512, 0..700, 37..411, 64..256] {
-            let reference = forward_counts_range_with(&g, &table, range.clone(), 5).0;
-            for width in crate::BlockWords::ALL {
-                let (counts, _) = forward_counts_range_width(&g, &table, range.clone(), 5, width);
+            let reference = pass(range.clone(), BlockWords::W1).forward(&g, &table, 5).merged().0;
+            for width in BlockWords::ALL {
+                let counts = pass(range.clone(), width).forward(&g, &table, 5).merged().0;
                 assert_eq!(counts, reference, "range {range:?}, width {width}");
             }
         }
@@ -327,11 +267,12 @@ mod tests {
     #[test]
     fn range_decomposition_merges_exactly() {
         let g = chain();
-        let whole = forward_counts_range(&g, 0..300, 31);
+        let table = CoinTable::new(&g);
+        let run = |range| pass(range, BlockWords::W1).forward(&g, &table, 31).merged().0;
         // An unaligned split must still merge into the identical counts.
-        let mut parts = forward_counts_range(&g, 0..97, 31);
-        parts.merge(&forward_counts_range(&g, 97..300, 31));
-        assert_eq!(whole, parts);
+        let mut parts = run(0..97);
+        parts.merge(&run(97..300));
+        assert_eq!(run(0..300), parts);
     }
 
     #[test]
@@ -343,7 +284,7 @@ mod tests {
             from_parts(&[0.0, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)
                 .unwrap();
         let table = CoinTable::new(&g);
-        let (counts, usage) = forward_counts_range_with(&g, &table, 0..128, 9);
+        let (counts, usage) = pass(0..128, BlockWords::W1).forward(&g, &table, 9).merged();
         assert_eq!(counts.samples(), 128);
         // No seeds ever default, so no edge is ever touched.
         assert_eq!(usage.edge_words_materialized, 0);

@@ -13,14 +13,21 @@
 //!
 //! * [`CoinTable`] / [`coins`] — per-graph dyadic thresholds plus the
 //!   stateless bit-sliced Bernoulli synthesis.
+//! * [`SamplePass`] — the one way to run a sampling pass: a range of
+//!   sample ids, optional split points, a width, a thread count, a
+//!   cancel token and a touch ledger, run forward (Algorithm 1) or
+//!   reverse over a candidate set (Algorithm 5). Counts are
+//!   bit-identical for any width, thread count and split; see
+//!   [`parallel`]. [`forward_counts`] and [`reverse_counts`] are its
+//!   one-call sequential forms.
 //! * [`SuperBlock`] / [`SuperKernel`] — the W×64-lane possible-world
-//!   kernel behind [`forward_counts`], [`reverse_counts`], and the
-//!   parallel drivers. The forward kernel only pushes: one frontier
-//!   traversal policy, kept in [`block`]. [`WorldBlock`] /
+//!   kernel a pass runs on. The forward kernel only pushes: one
+//!   frontier traversal policy, kept in [`block`]. [`WorldBlock`] /
 //!   [`BlockKernel`] are the width-1 aliases that serve bottom-k
 //!   scoring, conditional scores and labels.
 //! * [`BlockWords`] — the supported superblock widths and the
-//!   budget/thread-aware planning heuristic.
+//!   budget/thread-aware planning heuristic every pass's width comes
+//!   from.
 //! * [`ForwardSampler`] — scalar reference for the inner loop of the
 //!   paper's Algorithm 1 (one world at a time).
 //! * [`ReverseSampler`] — scalar reference for Algorithm 5: per-candidate
@@ -28,8 +35,6 @@
 //! * [`PossibleWorld`] / [`WorldEnumerator`] — fully-materialized worlds,
 //!   the semantic oracle everything above is validated against
 //!   (bit-identical, not just in distribution).
-//! * [`parallel`] — deterministic multi-threaded drivers partitioned by
-//!   block: identical counts to the sequential runs for any thread count.
 //!
 //! ```
 //! use ugraph::{from_parts, DuplicateEdgePolicy};
@@ -64,20 +69,12 @@ pub use block::{
 pub use cancel::CancelToken;
 pub use coins::{CoinTable, CoinUsage, ScalarCoins, COIN_PRECISION};
 pub use counts::DefaultCounts;
-pub use forward::{
-    forward_counts, forward_counts_range, forward_counts_range_width, forward_counts_range_with,
-    ForwardSampler,
-};
+pub use forward::{forward_counts, ForwardSampler};
 pub use parallel::{
-    fit_width, parallel_forward_counts, parallel_forward_counts_range,
-    parallel_forward_counts_range_width, parallel_forward_counts_range_width_traced,
-    parallel_reverse_counts, parallel_reverse_counts_range, parallel_reverse_counts_range_width,
-    parallel_reverse_counts_range_width_traced, parallel_reverse_counts_split_traced,
+    parallel_forward_counts_range_width, parallel_reverse_counts_range_width, PassCounts,
+    SamplePass,
 };
-pub use reverse::{
-    reverse_counts, reverse_counts_range, reverse_counts_range_width, reverse_counts_range_with,
-    ReverseSampler,
-};
+pub use reverse::{reverse_counts, ReverseSampler};
 pub use rng::Xoshiro256pp;
 pub use touch::{TouchLedger, TouchSet};
 pub use width::{BlockWords, MAX_BLOCK_WORDS};

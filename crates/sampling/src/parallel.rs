@@ -1,4 +1,6 @@
-//! Parallel sample execution over std scoped threads.
+//! Sampling passes: [`SamplePass`] is the one way to run Algorithm 1's
+//! forward pass or Algorithm 5's reverse pass over a range of sample
+//! ids, sequential or parallel, whole or split into segments.
 //!
 //! Work is partitioned by **superblock** (`W·64`-sample aligned chunks,
 //! see [`crate::block`]), not by individual sample: threads claim
@@ -10,8 +12,7 @@
 //! addition, so a parallel run with any thread count produces
 //! **bit-identical counts** to the sequential run, at any width. The
 //! sequential run *is* this runner at one thread: a single worker runs
-//! inline on the calling thread, with or without a touch ledger, so
-//! every pass — sequential, parallel, traced — takes one code path.
+//! inline on the calling thread, so every pass takes one code path.
 //!
 //! Cancellation ([`CancelToken`]) is checked before each claim, never
 //! mid-chunk: a claimed chunk always finishes. Because claims are a
@@ -21,179 +22,299 @@
 //! answer replays bit-identically from its sample count alone.
 //!
 //! Width-aware chunking: a wide superblock coarsens the partition unit,
-//! so before partitioning the drivers narrow the requested width until
-//! the range decomposes into at least two chunks per worker thread
-//! ([`fit_width`]). Counts are width-independent, so narrowing never
-//! changes an answer — it only keeps small budgets from starving
-//! threads.
+//! so before partitioning a multi-thread pass narrows its width until
+//! the range decomposes into at least two chunks per requested thread
+//! (a one-thread pass has nothing to balance and keeps its width).
+//! Counts are width-independent, so narrowing never changes an answer —
+//! it only keeps small budgets from starving threads — and the pass
+//! reports the width it ran at.
 
 use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
 use crate::cancel::CancelToken;
 use crate::coins::{CoinTable, CoinUsage};
 use crate::counts::DefaultCounts;
 use crate::touch::TouchLedger;
-use crate::width::{with_block_words, BlockWords};
+use crate::width::{with_block_words, BlockWords, MIN_UNITS_PER_THREAD};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ugraph::{NodeId, UncertainGraph};
 
-/// Clamps a requested thread count to something sane: at least one, at
-/// most one thread per work item, and never more than the machine's
-/// available parallelism (extra threads could only contend).
-pub(crate) fn effective_threads(requested: usize, work_items: u64) -> usize {
+/// One sampling pass over the sample ids in `range`. Sample `i` always
+/// draws the world of the `(seed, i)` counter-RNG stream, so counts over
+/// disjoint ranges merge into exactly the counts of their union — the
+/// property the engine's prefix cache extends streams with — and every
+/// field but `range` and `splits` changes cost, never counts.
+///
+/// Build one with [`SamplePass::new`] and override fields with struct
+/// update syntax:
+///
+/// ```
+/// use ugraph::{from_parts, DuplicateEdgePolicy};
+/// use vulnds_sampling::{BlockWords, CoinTable, SamplePass};
+///
+/// let g = from_parts(&[0.5, 0.0], &[(0, 1, 0.5)], DuplicateEdgePolicy::Error).unwrap();
+/// let coins = CoinTable::new(&g);
+/// let whole = SamplePass::new(0..1000, 2).forward(&g, &coins, 7);
+/// let split = SamplePass { splits: &[300], width: BlockWords::W1, ..SamplePass::new(0..1000, 1) }
+///     .forward(&g, &coins, 7);
+/// assert_eq!(split.segments[0].samples(), 300);
+/// assert_eq!(split.merged().0, whole.merged().0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SamplePass<'a> {
+    /// Sample ids to draw.
+    pub range: Range<u64>,
+    /// Ascending points inside `range` where the pass splits its
+    /// counts: it returns one segment per gap between `range.start`,
+    /// each split and `range.end`. Chunks never straddle a split, so
+    /// each segment's counts are exact, and a caller that needs several
+    /// prefixes pays for one pass instead of one pass per prefix.
+    pub splits: &'a [u64],
+    /// Requested superblock width, narrowed when the range is too small
+    /// to give each of several threads two chunks at it.
+    pub width: BlockWords,
+    /// Worker threads, clamped to the machine and to the chunk count.
+    pub threads: usize,
+    /// Polled before each chunk claim: a cancelled pass completes a
+    /// contiguous prefix of the chunks, so its segments are exact up to
+    /// the first short one and empty after it.
+    pub cancel: Option<&'a CancelToken>,
+    /// Absorbs every node and edge whose coin word the pass
+    /// materialized — the revalidation bookkeeping of delta-aware
+    /// stream caches.
+    pub ledger: Option<&'a TouchLedger>,
+}
+
+/// What a [`SamplePass`] counted.
+#[derive(Debug, Clone)]
+pub struct PassCounts {
+    /// Counts of each segment, in order: one more than the pass's splits.
+    pub segments: Vec<DefaultCounts>,
+    /// Coin-materialization counters of every worker, merged.
+    pub usage: CoinUsage,
+    /// The width the pass ran at, after narrowing.
+    pub width: BlockWords,
+}
+
+impl PassCounts {
+    /// Counts over the whole range — every segment merged — and the coin
+    /// usage. A cancelled pass's counts cover the prefix it completed.
+    pub fn merged(self) -> (DefaultCounts, CoinUsage) {
+        let counts = self.segments.into_iter().reduce(|mut total, segment| {
+            total.merge(&segment);
+            total
+        });
+        // xlint: allow(panic-hygiene) — a pass has one segment more
+        // than it has splits, so never none.
+        (counts.expect("a pass has at least one segment"), self.usage)
+    }
+}
+
+impl SamplePass<'_> {
+    /// A single-segment pass over `range` on `threads` workers, at the
+    /// planner's width for that budget ([`BlockWords::plan`]), without
+    /// cancellation or a touch ledger.
+    pub fn new(range: Range<u64>, threads: usize) -> Self {
+        let width = BlockWords::plan(range.end.saturating_sub(range.start), threads);
+        SamplePass { range, splits: &[], width, threads, cancel: None, ledger: None }
+    }
+
+    /// Forward pass — Algorithm 1 without its top-k selection: per-node
+    /// default counts, each chunk one `W`-wide bit-parallel BFS with
+    /// frontier-lazy edge words. Bit-identical to the scalar
+    /// [`ForwardSampler`](crate::ForwardSampler) reference.
+    pub fn forward(&self, graph: &UncertainGraph, coins: &CoinTable, seed: u64) -> PassCounts {
+        let (width, workers) = (self.fitted_width(), effective_threads(self.threads));
+        let (segments, usage) =
+            with_block_words!(width, W, self.forward_on::<W>(graph, coins, seed, workers));
+        PassCounts { segments, usage, width }
+    }
+
+    /// Reverse pass — Algorithm 5: default counts of each of
+    /// `candidates` (indexed by position), each chunk one bit-parallel
+    /// reverse BFS per candidate that decides all `W·64` worlds at once.
+    /// Bit-identical to the scalar [`ReverseSampler`](crate::ReverseSampler)
+    /// reference and to the forward pass restricted to `candidates`.
+    pub fn reverse(
+        &self,
+        graph: &UncertainGraph,
+        coins: &CoinTable,
+        candidates: &[NodeId],
+        seed: u64,
+    ) -> PassCounts {
+        let (width, workers) = (self.fitted_width(), effective_threads(self.threads));
+        let (segments, usage) = with_block_words!(width, W, {
+            self.reverse_on::<W>(graph, coins, candidates, seed, workers)
+        });
+        PassCounts { segments, usage, width }
+    }
+
+    /// The requested width, narrowed when the range is too small to give
+    /// every requested thread [`MIN_UNITS_PER_THREAD`] chunks at it. A
+    /// one-thread pass has nothing to balance and keeps its width. The
+    /// requested count, not the machine's, decides, so a pass runs at
+    /// the same width on every machine.
+    fn fitted_width(&self) -> BlockWords {
+        if self.threads <= 1 {
+            return self.width;
+        }
+        let floor = self.threads as u64 * MIN_UNITS_PER_THREAD;
+        let mut width = self.width;
+        while let Some(narrower) = width.narrower() {
+            if chunk_count(&self.range, width) >= floor {
+                break;
+            }
+            width = narrower;
+        }
+        width
+    }
+
+    /// [`forward`](Self::forward) at width `W` on exactly `workers`
+    /// workers (at most one per chunk).
+    fn forward_on<const W: usize>(
+        &self,
+        graph: &UncertainGraph,
+        coins: &CoinTable,
+        seed: u64,
+        workers: usize,
+    ) -> (Vec<DefaultCounts>, CoinUsage) {
+        self.run::<W>(graph, coins, seed, workers, graph.num_nodes(), |kernel, block, _, counts| {
+            let words = kernel.forward_defaults(graph, coins, block);
+            counts.record_words::<W>(words, block.lane_masks());
+        })
+    }
+
+    /// [`reverse`](Self::reverse) at width `W` on exactly `workers`
+    /// workers (at most one per chunk).
+    fn reverse_on<const W: usize>(
+        &self,
+        graph: &UncertainGraph,
+        coins: &CoinTable,
+        candidates: &[NodeId],
+        seed: u64,
+        workers: usize,
+    ) -> (Vec<DefaultCounts>, CoinUsage) {
+        self.run::<W>(
+            graph,
+            coins,
+            seed,
+            workers,
+            candidates.len(),
+            |kernel, block, hits, counts| {
+                kernel.reverse_hits_into(graph, coins, block, candidates, hits);
+                counts.record_words::<W>(hits, block.lane_masks());
+            },
+        )
+    }
+
+    /// The claim-based runner behind both passes. Workers draw chunk
+    /// indices from a shared monotone counter, materialize each chunk's
+    /// superblock, and hand it to `step`, which evaluates it into the
+    /// counts of the segment the chunk falls in (`slots` counters each).
+    /// The cancel token is polled before each claim and a claimed chunk
+    /// always finishes, so the completed set is a contiguous prefix.
+    /// `workers` is not clamped to the machine, so tests reach the
+    /// threaded claim and merge on any machine.
+    fn run<const W: usize>(
+        &self,
+        graph: &UncertainGraph,
+        coins: &CoinTable,
+        seed: u64,
+        workers: usize,
+        slots: usize,
+        step: impl Fn(&mut SuperKernel<W>, &mut SuperBlock<W>, &mut Vec<u64>, &mut DefaultCounts) + Sync,
+    ) -> (Vec<DefaultCounts>, CoinUsage) {
+        let splits = self.splits;
+        debug_assert!(
+            splits.first().is_none_or(|&s| s >= self.range.start)
+                && splits.last().is_none_or(|&s| s <= self.range.end)
+                && splits.windows(2).all(|w| w[0] <= w[1]),
+            "splits must ascend inside the range"
+        );
+        let mut chunks = Vec::new();
+        let mut from = self.range.start;
+        for &end in splits.iter().chain([&self.range.end]) {
+            chunks.extend(superblock_chunks(from..end, W));
+            from = end;
+        }
+        let workers = workers.clamp(1, chunks.len().max(1));
+        let fresh = || vec![DefaultCounts::new(slots); splits.len() + 1];
+        let next = AtomicUsize::new(0);
+        let partials = run_workers(workers, || {
+            let mut block = SuperBlock::<W>::new(graph);
+            let mut kernel = SuperKernel::<W>::new(graph);
+            let mut hits = Vec::new();
+            let mut segments = fresh();
+            while let Some(chunk) = claim(&next, &chunks, self.cancel) {
+                let segment = splits.partition_point(|&s| s <= chunk.start);
+                block.materialize(
+                    graph,
+                    coins,
+                    seed,
+                    chunk.start,
+                    (chunk.end - chunk.start) as usize,
+                );
+                step(&mut kernel, &mut block, &mut hits, &mut segments[segment]);
+            }
+            if let Some(ledger) = self.ledger {
+                ledger.absorb(block.touched_nodes(), block.touched_edges());
+            }
+            (segments, block.take_usage())
+        });
+
+        let mut segments = fresh();
+        let mut usage = CoinUsage::default();
+        for (partial, u) in &partials {
+            for (total, p) in segments.iter_mut().zip(partial) {
+                total.merge(p);
+            }
+            usage.merge(u);
+        }
+        (segments, usage)
+    }
+}
+
+/// [`SamplePass::forward`] over `range` at a requested `width`, merged.
+pub fn parallel_forward_counts_range_width(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    range: Range<u64>,
+    seed: u64,
+    threads: usize,
+    width: BlockWords,
+) -> (DefaultCounts, CoinUsage) {
+    SamplePass { width, ..SamplePass::new(range, threads) }.forward(graph, coins, seed).merged()
+}
+
+/// [`SamplePass::reverse`] over `range` at a requested `width`, merged.
+pub fn parallel_reverse_counts_range_width(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: &[NodeId],
+    range: Range<u64>,
+    seed: u64,
+    threads: usize,
+    width: BlockWords,
+) -> (DefaultCounts, CoinUsage) {
+    SamplePass { width, ..SamplePass::new(range, threads) }
+        .reverse(graph, coins, candidates, seed)
+        .merged()
+}
+
+/// Clamps a requested thread count to at least one and at most the
+/// machine's available parallelism (extra threads could only contend).
+fn effective_threads(requested: usize) -> usize {
     let hardware = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    requested.max(1).min(work_items.max(1) as usize).min(hardware)
+    requested.clamp(1, hardware)
 }
 
 /// Number of superblock chunks `range` decomposes into at `width`.
-fn chunk_count(range: &std::ops::Range<u64>, width: BlockWords) -> u64 {
+fn chunk_count(range: &Range<u64>, width: BlockWords) -> u64 {
     if range.end <= range.start {
         return 0;
     }
     let span = width.lanes();
     (range.end - 1) / span - range.start / span + 1
-}
-
-/// Narrows `width` until the range decomposes into at least
-/// [`MIN_UNITS_PER_THREAD`](crate::width::MIN_UNITS_PER_THREAD)
-/// superblock chunks per worker thread (or width 1 is reached), so a
-/// small budget still saturates and balances all threads even when the
-/// planner asked for wide superblocks. Partial chunks count — unlike
-/// [`BlockWords::plan`], which requires *full* superblocks, this guards
-/// a concrete range where any chunk is real work for a thread. Counts
-/// are bit-identical at every width, so this only redistributes work.
-pub fn fit_width(range: &std::ops::Range<u64>, width: BlockWords, threads: usize) -> BlockWords {
-    let threads = threads.max(1) as u64;
-    let mut width = width;
-    while let Some(narrower) = width.narrower() {
-        if chunk_count(range, width) >= threads * crate::width::MIN_UNITS_PER_THREAD {
-            break;
-        }
-        width = narrower;
-    }
-    width
-}
-
-/// Parallel version of [`crate::forward::forward_counts`], on
-/// planner-selected superblocks ([`BlockWords::plan`]).
-///
-/// Splits the superblock decomposition of `0..t` into `threads` strided
-/// partitions; each thread owns its kernel scratch and partial counts.
-pub fn parallel_forward_counts(
-    graph: &UncertainGraph,
-    t: u64,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    let width = BlockWords::plan(t, threads);
-    parallel_forward_counts_range_width(graph, &CoinTable::new(graph), 0..t, seed, threads, width).0
-}
-
-/// [`parallel_forward_counts_range_width`] at width 1 with a throwaway
-/// [`CoinTable`], for callers without a session cache.
-pub fn parallel_forward_counts_range(
-    graph: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    let coins = CoinTable::new(graph);
-    parallel_forward_counts_range_width(graph, &coins, range, seed, threads, BlockWords::W1).0
-}
-
-/// Parallel version of [`crate::forward::forward_counts_range_width`]
-/// (narrowed by [`fit_width`] when the range is too small to keep every
-/// thread busy at that width): bit-identical to the sequential width-1
-/// run for any thread count and any width. Returns the counts plus the
-/// merged materialization counters of every worker.
-pub fn parallel_forward_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_traced(
-        graph, coins, range, seed, threads, width, None, None,
-    )
-}
-
-/// [`parallel_forward_counts_range_width`] polling a [`CancelToken`]
-/// between superblock chunks and folding every worker's touched node and
-/// edge sets into `ledger` — the revalidation bookkeeping for
-/// delta-aware sampled-state caches. A cancelled run returns the
-/// contiguous chunk-aligned prefix it completed (exact sample count
-/// inside the counts); replaying with that count as the budget
-/// reproduces the prefix bit-identically at any thread count. The counts
-/// are bit-identical with or without a ledger.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_traced(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let width = fit_width(&range, width, threads);
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-        let threads = effective_threads(threads, chunks.len() as u64);
-        forward_partitioned::<W>(graph, coins, &chunks, seed, threads, cancel, ledger)
-    })
-}
-
-/// The claim-based forward runner, taking `threads` as-is. Split out
-/// from the public entry point so tests exercise the threaded merge path
-/// even on single-core machines (where `effective_threads` would clamp
-/// to one thread).
-///
-/// Workers draw chunk indices from a shared monotone counter; the
-/// cancel token is polled before each claim and a claimed chunk always
-/// finishes, so the completed set is exactly the contiguous prefix of
-/// `chunks` at the counter's final value — the same prefix a
-/// single-thread pass produces. With one thread the worker
-/// runs inline on the calling thread (see [`run_workers`]).
-pub(crate) fn forward_partitioned<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    chunks: &[std::ops::Range<u64>],
-    seed: u64,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let next = AtomicUsize::new(0);
-    let partials = run_workers(threads, || {
-        let mut block = SuperBlock::<W>::new(graph);
-        let mut kernel = SuperKernel::<W>::new(graph);
-        let mut counts = DefaultCounts::new(graph.num_nodes());
-        while let Some(chunk) = claim(&next, chunks, cancel) {
-            crate::forward::accumulate_forward_chunk(
-                graph,
-                coins,
-                chunk.clone(),
-                seed,
-                &mut block,
-                &mut kernel,
-                &mut counts,
-            );
-        }
-        if let Some(ledger) = ledger {
-            ledger.absorb(block.touched_nodes(), block.touched_edges());
-        }
-        (counts, block.take_usage())
-    });
-
-    let mut total = DefaultCounts::new(graph.num_nodes());
-    let mut usage = CoinUsage::default();
-    for (p, u) in &partials {
-        total.merge(p);
-        usage.merge(u);
-    }
-    (total, usage)
 }
 
 /// Runs `worker` on `threads` workers and returns their results in
@@ -220,9 +341,9 @@ fn run_workers<T: Send>(threads: usize, worker: impl Fn() -> T + Sync) -> Vec<T>
 /// a claimed chunk always finishes).
 fn claim<'a>(
     next: &AtomicUsize,
-    chunks: &'a [std::ops::Range<u64>],
+    chunks: &'a [Range<u64>],
     cancel: Option<&CancelToken>,
-) -> Option<&'a std::ops::Range<u64>> {
+) -> Option<&'a Range<u64>> {
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return None;
     }
@@ -232,214 +353,9 @@ fn claim<'a>(
     chunks.get(next.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Parallel version of [`crate::reverse::reverse_counts`], on
-/// planner-selected superblocks ([`BlockWords::plan`]).
-pub fn parallel_reverse_counts(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    t: u64,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    let width = BlockWords::plan(t, threads);
-    parallel_reverse_counts_range_width(
-        graph,
-        &CoinTable::new(graph),
-        candidates,
-        0..t,
-        seed,
-        threads,
-        width,
-    )
-    .0
-}
-
-/// [`parallel_reverse_counts_range_width`] at width 1 with a throwaway
-/// [`CoinTable`], for callers without a session cache.
-pub fn parallel_reverse_counts_range(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    let coins = CoinTable::new(graph);
-    parallel_reverse_counts_range_width(
-        graph,
-        &coins,
-        candidates,
-        range,
-        seed,
-        threads,
-        BlockWords::W1,
-    )
-    .0
-}
-
-/// Parallel version of [`crate::reverse::reverse_counts_range_width`]
-/// (narrowed by [`fit_width`] when the range is too small to keep every
-/// thread busy at that width): bit-identical to the sequential width-1
-/// run for any thread count and any width.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_reverse_counts_range_width_traced(
-        graph, coins, candidates, range, seed, threads, width, None, None,
-    )
-}
-
-/// [`parallel_reverse_counts_range_width`] with a [`CancelToken`] and a
-/// touch ledger, under the same contiguous-prefix and ledger guarantees
-/// as [`parallel_forward_counts_range_width_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_range_width_traced(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let width = fit_width(&range, width, threads);
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-        let threads = effective_threads(threads, chunks.len() as u64);
-        reverse_partitioned::<W>(graph, coins, candidates, &chunks, seed, threads, cancel, ledger)
-    })
-}
-
-/// [`parallel_reverse_counts_range_width_traced`] over
-/// `start..ends.last()` in a single pass, returning the counts of each
-/// segment `ends[i - 1]..ends[i]` (from `start`) separately: a caller
-/// that needs several prefixes pays for one pass — one kernel set-up
-/// per worker — instead of one pass per prefix. `ends` must be
-/// ascending and at least `start`; chunks are split at every end, so
-/// each segment's counts are exact. A cancelled pass completes a
-/// contiguous prefix of the chunks, so the segments are exact up to the
-/// first short one and empty after it.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_split_traced(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    start: u64,
-    ends: &[u64],
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (Vec<DefaultCounts>, CoinUsage) {
-    debug_assert!(
-        ends.first().is_none_or(|&e| e >= start) && ends.windows(2).all(|w| w[0] <= w[1]),
-        "segment ends must ascend from the start"
-    );
-    let width = fit_width(&(start..ends.last().copied().unwrap_or(start)), width, threads);
-    with_block_words!(width, W, {
-        let mut from = start;
-        let mut chunks: Vec<std::ops::Range<u64>> = Vec::new();
-        for &end in ends {
-            chunks.extend(superblock_chunks(from..end, W));
-            from = end;
-        }
-        let threads = effective_threads(threads, chunks.len() as u64);
-        let (mut segments, usage) = reverse_segments::<W>(
-            graph, coins, candidates, &chunks, ends, seed, threads, cancel, ledger,
-        );
-        segments.truncate(ends.len());
-        (segments, usage)
-    })
-}
-
-/// The claim-based reverse runner, taking `threads` as-is (see
-/// [`forward_partitioned`] for why it is split out, how cancellation
-/// keeps the completed set a contiguous prefix, and why one thread runs
-/// inline).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reverse_partitioned<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    chunks: &[std::ops::Range<u64>],
-    seed: u64,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let (mut segments, usage) =
-        reverse_segments::<W>(graph, coins, candidates, chunks, &[], seed, threads, cancel, ledger);
-    (segments.swap_remove(0), usage)
-}
-
-/// [`reverse_partitioned`] accumulating each chunk into the segment its
-/// start falls in: segment `i` ends at `ends[i]`, and the last one
-/// (index `ends.len()`) takes every chunk past the final end. Like every
-/// pass here, a single-thread run executes inline on the calling thread
-/// ([`run_workers`]), ledger or not.
-#[allow(clippy::too_many_arguments)]
-fn reverse_segments<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    chunks: &[std::ops::Range<u64>],
-    ends: &[u64],
-    seed: u64,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (Vec<DefaultCounts>, CoinUsage) {
-    let fresh = || vec![DefaultCounts::new(candidates.len()); ends.len() + 1];
-    let next = AtomicUsize::new(0);
-    let partials = run_workers(threads, || {
-        let mut block = SuperBlock::<W>::new(graph);
-        let mut kernel = SuperKernel::<W>::new(graph);
-        let mut hits = Vec::with_capacity(candidates.len() * W);
-        let mut segments = fresh();
-        while let Some(chunk) = claim(&next, chunks, cancel) {
-            let segment = ends.partition_point(|&end| end <= chunk.start);
-            crate::reverse::accumulate_reverse_chunk(
-                graph,
-                coins,
-                candidates,
-                chunk.clone(),
-                seed,
-                &mut block,
-                &mut kernel,
-                &mut hits,
-                &mut segments[segment],
-            );
-        }
-        if let Some(ledger) = ledger {
-            ledger.absorb(block.touched_nodes(), block.touched_edges());
-        }
-        (segments, block.take_usage())
-    });
-
-    let mut total = fresh();
-    let mut usage = CoinUsage::default();
-    for (segments, u) in &partials {
-        for (t, p) in total.iter_mut().zip(segments) {
-            t.merge(p);
-        }
-        usage.merge(u);
-    }
-    (total, usage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::block_chunks;
     use crate::forward::forward_counts;
     use crate::reverse::reverse_counts;
     use ugraph::{from_parts, DuplicateEdgePolicy};
@@ -453,110 +369,153 @@ mod tests {
         .unwrap()
     }
 
+    /// Sequential width-1 counts over `range`: the reference every pass
+    /// must reproduce. `None` candidates means a forward pass.
+    fn reference(
+        g: &UncertainGraph,
+        coins: &CoinTable,
+        candidates: Option<&[NodeId]>,
+        range: Range<u64>,
+        seed: u64,
+    ) -> DefaultCounts {
+        let pass = SamplePass { width: BlockWords::W1, ..SamplePass::new(range, 1) };
+        match candidates {
+            None => pass.forward(g, coins, seed),
+            Some(candidates) => pass.reverse(g, coins, candidates, seed),
+        }
+        .merged()
+        .0
+    }
+
+    /// Which nodes and edges a ledger recorded.
+    fn touched(ledger: &TouchLedger, g: &UncertainGraph) -> (Vec<bool>, Vec<bool>) {
+        let nodes = (0..g.num_nodes() as u32).map(|v| ledger.intersects(&[v], &[])).collect();
+        let edges = (0..g.num_edges() as u32).map(|e| ledger.intersects(&[], &[e])).collect();
+        (nodes, edges)
+    }
+
     #[test]
-    fn parallel_forward_bit_identical_to_sequential() {
+    fn parallel_passes_bit_identical_to_sequential() {
         let g = graph();
+        let coins = CoinTable::new(&g);
+        let cands: Vec<NodeId> = g.nodes().collect();
         let seq = forward_counts(&g, 1000, 42);
+        let rseq = reverse_counts(&g, &cands, 1000, 7);
         for threads in [1, 2, 3, 8] {
-            let par = parallel_forward_counts(&g, 1000, 42, threads);
-            assert_eq!(par, seq, "threads = {threads}");
+            let pass = SamplePass::new(0..1000, threads);
+            assert_eq!(pass.forward(&g, &coins, 42).merged().0, seq, "threads = {threads}");
+            assert_eq!(pass.reverse(&g, &coins, &cands, 7).merged().0, rseq, "threads {threads}");
         }
     }
 
     #[test]
-    fn parallel_reverse_bit_identical_to_sequential() {
+    fn width_requests_are_bit_identical_for_any_thread_count() {
         let g = graph();
+        let coins = CoinTable::new(&g);
         let cands: Vec<NodeId> = g.nodes().collect();
-        let seq = reverse_counts(&g, &cands, 1000, 7);
-        for threads in [2, 4] {
-            let par = parallel_reverse_counts(&g, &cands, 1000, 7, threads);
-            assert_eq!(par, seq, "threads = {threads}");
+        for range in [0..900u64, 37..411, 37..1500] {
+            let seq = reference(&g, &coins, None, range.clone(), 3);
+            let rseq = reference(&g, &coins, Some(&cands), range.clone(), 3);
+            for width in BlockWords::ALL {
+                for threads in [1, 2, 3, 8] {
+                    let what = format!("{range:?} width {width}, threads {threads}");
+                    let (f, usage) = parallel_forward_counts_range_width(
+                        &g,
+                        &coins,
+                        range.clone(),
+                        3,
+                        threads,
+                        width,
+                    );
+                    assert_eq!(f, seq, "forward {what}");
+                    // Lazy accounting covers every home block's edges
+                    // exactly once, whatever the partition.
+                    let home_blocks = (range.end - 1) / 64 - range.start / 64 + 1;
+                    assert_eq!(
+                        usage.edge_words_materialized + usage.edge_words_skipped,
+                        home_blocks * g.num_edges() as u64,
+                        "{what}"
+                    );
+                    let (r, _) = parallel_reverse_counts_range_width(
+                        &g,
+                        &coins,
+                        &cands,
+                        range.clone(),
+                        3,
+                        threads,
+                        width,
+                    );
+                    assert_eq!(r, rseq, "reverse {what}");
+                }
+            }
         }
     }
 
     #[test]
     fn partitioned_runners_bit_identical_at_forced_thread_counts() {
-        // Drive the strided runners directly so the threaded merge path
-        // is exercised even where available_parallelism() == 1 — at
-        // width 1 and at the wide widths.
+        // Drive the runner with forced worker counts so the threaded
+        // claim and merge are exercised even where available_parallelism()
+        // == 1 — at width 1 and at a wide width, whole and split.
         let g = graph();
         let coins = CoinTable::new(&g);
-        let chunks: Vec<std::ops::Range<u64>> = block_chunks(37..411).collect();
-        let seq = crate::forward::forward_counts_range(&g, 37..411, 9);
-        for threads in [2, 3, 5] {
-            let (par, usage) =
-                forward_partitioned::<1>(&g, &coins, &chunks, 9, threads, None, None);
-            assert_eq!(par, seq, "threads = {threads}");
-            // Lazy accounting covers every block exactly once regardless
-            // of the partition.
-            assert_eq!(
-                usage.edge_words_materialized + usage.edge_words_skipped,
-                chunks.len() as u64 * g.num_edges() as u64,
-                "threads = {threads}"
-            );
-        }
-        let wide_chunks: Vec<std::ops::Range<u64>> = superblock_chunks(37..1500, 4).collect();
-        let wide_seq = crate::forward::forward_counts_range(&g, 37..1500, 9);
-        for threads in [2, 3] {
-            let (par, _) =
-                forward_partitioned::<4>(&g, &coins, &wide_chunks, 9, threads, None, None);
-            assert_eq!(par, wide_seq, "width 4, threads = {threads}");
-        }
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rseq = crate::reverse::reverse_counts_range(&g, &cands, 37..411, 9);
-        for threads in [2, 4] {
-            assert_eq!(
-                reverse_partitioned::<1>(&g, &coins, &cands, &chunks, 9, threads, None, None).0,
-                rseq,
-                "threads = {threads}"
-            );
+        for (range, splits) in
+            [(37..411u64, vec![]), (37..1500, vec![]), (37..1500, vec![300, 300, 1000])]
+        {
+            for workers in [2, 3, 5] {
+                let what = format!("{range:?} {splits:?} workers {workers}");
+                let pass =
+                    SamplePass { splits: &splits, ..SamplePass::new(range.clone(), workers) };
+                let (f1, usage) = pass.forward_on::<1>(&g, &coins, 9, workers);
+                let (f4, _) = pass.forward_on::<4>(&g, &coins, 9, workers);
+                let (r1, _) = pass.reverse_on::<1>(&g, &coins, &cands, 9, workers);
+                let (r4, _) = pass.reverse_on::<4>(&g, &coins, &cands, 9, workers);
+                let mut start = range.start;
+                for (i, &end) in splits.iter().chain([&range.end]).enumerate() {
+                    let forward = reference(&g, &coins, None, start..end, 9);
+                    let reverse = reference(&g, &coins, Some(&cands), start..end, 9);
+                    assert_eq!((&f1[i], &f4[i]), (&forward, &forward), "forward {i}, {what}");
+                    assert_eq!((&r1[i], &r4[i]), (&reverse, &reverse), "reverse {i}, {what}");
+                    start = end;
+                }
+                if splits.is_empty() {
+                    // Lazy accounting covers every home block exactly
+                    // once, whatever the partition.
+                    let home_blocks = (range.end - 1) / 64 - range.start / 64 + 1;
+                    assert_eq!(
+                        usage.edge_words_materialized + usage.edge_words_skipped,
+                        home_blocks * g.num_edges() as u64,
+                        "{what}"
+                    );
+                }
+            }
         }
-        let rchunks: Vec<std::ops::Range<u64>> = superblock_chunks(37..411, 2).collect();
-        assert_eq!(
-            reverse_partitioned::<2>(&g, &coins, &cands, &rchunks, 9, 2, None, None).0,
-            rseq
-        );
     }
 
     #[test]
-    fn pre_cancelled_runs_return_empty_prefix() {
+    fn pre_cancelled_passes_return_empty_segments() {
         let g = graph();
         let coins = CoinTable::new(&g);
+        let cands: Vec<NodeId> = g.nodes().collect();
         let token = CancelToken::new();
         token.cancel();
-        let chunks: Vec<std::ops::Range<u64>> = block_chunks(0..500).collect();
-        let (f, _) = forward_partitioned::<1>(&g, &coins, &chunks, 9, 3, Some(&token), None);
-        assert_eq!(f.samples(), 0);
-        let cands: Vec<NodeId> = g.nodes().collect();
-        let (r, _) =
-            reverse_partitioned::<1>(&g, &coins, &cands, &chunks, 9, 3, Some(&token), None);
-        assert_eq!(r.samples(), 0);
-        // The width-dispatching entry points honour the token too, on
-        // both the sequential (threads = 1) and threaded paths.
         for threads in [1, 4] {
-            let (f, _) = parallel_forward_counts_range_width_traced(
-                &g,
-                &coins,
-                0..500,
-                9,
-                threads,
-                BlockWords::W1,
-                Some(&token),
-                None,
-            );
-            assert_eq!(f.samples(), 0, "threads = {threads}");
-            let (r, _) = parallel_reverse_counts_range_width_traced(
-                &g,
-                &coins,
-                &cands,
-                0..500,
-                9,
-                threads,
-                BlockWords::W1,
-                Some(&token),
-                None,
-            );
-            assert_eq!(r.samples(), 0, "threads = {threads}");
+            let pass = SamplePass {
+                splits: &[100],
+                cancel: Some(&token),
+                ..SamplePass::new(0..500, threads)
+            };
+            for out in [pass.forward(&g, &coins, 9), pass.reverse(&g, &coins, &cands, 9)] {
+                assert_eq!(out.segments.len(), 2);
+                assert!(out.segments.iter().all(|s| s.samples() == 0), "threads = {threads}");
+            }
+            // Forced workers honour the token on any machine.
+            for (segments, _) in [
+                pass.forward_on::<1>(&g, &coins, 9, 3),
+                pass.reverse_on::<1>(&g, &coins, &cands, 9, 3),
+            ] {
+                assert!(segments.iter().all(|s| s.samples() == 0), "threads = {threads}");
+            }
         }
     }
 
@@ -575,147 +534,139 @@ mod tests {
                 let token = token.clone();
                 scope.spawn(move || token.cancel())
             };
-            let out = parallel_forward_counts_range_width_traced(
-                &g,
-                &coins,
-                0..51_200,
-                11,
-                3,
-                BlockWords::W1,
-                Some(&token),
-                None,
-            );
+            // Three forced workers race the cancel on any machine.
+            let pass = SamplePass { cancel: Some(&token), ..SamplePass::new(0..51_200, 3) };
+            let (mut segments, usage) = pass.forward_on::<1>(&g, &coins, 11, 3);
             canceller.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            out
+            (segments.remove(0), usage)
         });
         let used = counts.samples();
         assert_eq!(used % crate::LANES as u64, 0, "prefix must be block-aligned");
         for threads in [1, 2, 5] {
-            let (replay, _) = parallel_forward_counts_range_width(
-                &g,
-                &coins,
-                0..used,
-                11,
-                threads,
-                BlockWords::W1,
-            );
+            let replay = SamplePass::new(0..used, threads).forward(&g, &coins, 11).merged().0;
             assert_eq!(replay, counts, "replay threads = {threads}");
         }
     }
 
     #[test]
-    fn width_requests_are_bit_identical_for_any_thread_count() {
+    fn cancelled_split_passes_are_exact_up_to_the_first_short_segment() {
+        // Wherever the cancel lands, the completed chunks are a prefix:
+        // every segment before the first short one is exact, the short
+        // one holds an exact prefix of its range, and the rest are empty.
         let g = graph();
         let coins = CoinTable::new(&g);
-        let seq = crate::forward::forward_counts_range(&g, 0..900, 3);
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rseq = crate::reverse::reverse_counts_range(&g, &cands, 0..900, 3);
-        for width in BlockWords::ALL {
-            for threads in [1, 2, 8] {
-                let (f, _) =
-                    parallel_forward_counts_range_width(&g, &coins, 0..900, 3, threads, width);
-                assert_eq!(f, seq, "forward width {width}, threads {threads}");
-                let (r, _) = parallel_reverse_counts_range_width(
-                    &g,
-                    &coins,
-                    &cands,
-                    0..900,
-                    3,
-                    threads,
-                    width,
-                );
-                assert_eq!(r, rseq, "reverse width {width}, threads {threads}");
+        let splits = [640, 1900, 3200];
+        for candidates in [None, Some(cands.as_slice())] {
+            let token = CancelToken::new();
+            let segments = std::thread::scope(|scope| {
+                let canceller = {
+                    let token = token.clone();
+                    scope.spawn(move || token.cancel())
+                };
+                let pass = SamplePass {
+                    splits: &splits,
+                    cancel: Some(&token),
+                    ..SamplePass::new(0..6400, 3)
+                };
+                // Three forced workers race the cancel on any machine.
+                let (segments, _) = match candidates {
+                    None => pass.forward_on::<1>(&g, &coins, 13, 3),
+                    Some(c) => pass.reverse_on::<1>(&g, &coins, c, 13, 3),
+                };
+                canceller.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                segments
+            });
+            let mut short = false;
+            let mut start = 0;
+            for (segment, &end) in segments.iter().zip(splits.iter().chain([&6400])) {
+                if short {
+                    assert_eq!(segment.samples(), 0, "segment after a short one must be empty");
+                } else {
+                    let reached = start + segment.samples();
+                    assert_eq!(*segment, reference(&g, &coins, candidates, start..reached, 13));
+                    short = reached < end;
+                }
+                start = end;
             }
         }
     }
 
     #[test]
-    fn traced_runs_are_bit_identical_and_record_touches() {
+    fn split_runs_count_each_segment_exactly_in_one_pass() {
+        // Node 4 never defaults, so no forward pass reads edge 4 → 0: the
+        // forward ledgers compared below are not trivially full.
+        let g = from_parts(
+            &[0.3, 0.2, 0.1, 0.4, 0.0],
+            &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.25), (4, 0, 0.9)],
+            DuplicateEdgePolicy::Error,
+        )
+        .unwrap();
+        let coins = CoinTable::new(&g);
+        let cands: Vec<NodeId> = g.nodes().take(4).collect();
+        let dormant = g.find_edge(NodeId(4), NodeId(0)).unwrap().0;
+        // From the stream's start, and mid-stream as a cache extension
+        // starts; an empty segment included.
+        for (range, splits) in [(0..1100u64, vec![37, 37, 300]), (300..1100, vec![700])] {
+            for candidates in [None, Some(cands.as_slice())] {
+                for width in BlockWords::ALL {
+                    for threads in [1, 3] {
+                        let what = format!("{range:?} {splits:?} width {width} threads {threads}");
+                        let pass = |range: Range<u64>, splits, ledger| SamplePass {
+                            splits,
+                            width,
+                            ledger: Some(ledger),
+                            ..SamplePass::new(range, threads)
+                        };
+                        let run = |pass: SamplePass<'_>| match candidates {
+                            None => pass.forward(&g, &coins, 5),
+                            Some(c) => pass.reverse(&g, &coins, c, 5),
+                        };
+                        let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
+                        let out = run(pass(range.clone(), &splits, &ledger));
+                        assert_eq!(out.segments.len(), splits.len() + 1, "{what}");
+                        let per_segment = TouchLedger::new(g.num_nodes(), g.num_edges());
+                        let mut start = range.start;
+                        for (segment, &end) in
+                            out.segments.iter().zip(splits.iter().chain([&range.end]))
+                        {
+                            assert_eq!(
+                                *segment,
+                                reference(&g, &coins, candidates, start..end, 5),
+                                "{start}..{end}, {what}"
+                            );
+                            run(pass(start..end, &[], &per_segment));
+                            start = end;
+                        }
+                        assert_eq!(touched(&ledger, &g), touched(&per_segment, &g), "{what}");
+                        assert!(ledger.node_count() > 0, "the pass must record its touches");
+                        if candidates.is_none() {
+                            assert!(!ledger.intersects(&[], &[dormant]), "edge 4 → 0 is read");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ledgers_record_touches_without_changing_counts() {
         let g = graph();
         let coins = CoinTable::new(&g);
         let plain = parallel_forward_counts_range_width(&g, &coins, 0..900, 3, 2, BlockWords::W2).0;
         let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
         for threads in [1, 3] {
-            let (traced, _) = parallel_forward_counts_range_width_traced(
-                &g,
-                &coins,
-                0..900,
-                3,
-                threads,
-                BlockWords::W2,
-                None,
-                Some(&ledger),
-            );
-            assert_eq!(traced, plain, "threads = {threads}");
+            let pass = SamplePass {
+                width: BlockWords::W2,
+                ledger: Some(&ledger),
+                ..SamplePass::new(0..900, threads)
+            };
+            assert_eq!(pass.forward(&g, &coins, 3).merged().0, plain, "threads = {threads}");
         }
         // Every self-risk here is positive and every edge p = 0.5, so at
         // 900 worlds each edge's source defaults somewhere: all edges
         // must appear in the ledger.
         assert_eq!(ledger.edge_count(), g.num_edges());
-
-        let cands: Vec<NodeId> = g.nodes().collect();
-        let rplain =
-            parallel_reverse_counts_range_width(&g, &coins, &cands, 0..900, 3, 2, BlockWords::W1).0;
-        let rledger = TouchLedger::new(g.num_nodes(), g.num_edges());
-        let (rtraced, _) = parallel_reverse_counts_range_width_traced(
-            &g,
-            &coins,
-            &cands,
-            0..900,
-            3,
-            2,
-            BlockWords::W1,
-            None,
-            Some(&rledger),
-        );
-        assert_eq!(rtraced, rplain);
-        assert!(rledger.edge_count() > 0);
-    }
-
-    #[test]
-    fn split_runs_count_each_segment_exactly_in_one_pass() {
-        let g = graph();
-        let coins = CoinTable::new(&g);
-        let cands: Vec<NodeId> = g.nodes().collect();
-        let ends = [37, 37, 300, 1100];
-        for threads in [1, 3] {
-            let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
-            let (segments, _) = parallel_reverse_counts_split_traced(
-                &g,
-                &coins,
-                &cands,
-                0,
-                &ends,
-                5,
-                threads,
-                BlockWords::W4,
-                None,
-                Some(&ledger),
-            );
-            assert_eq!(segments.len(), ends.len());
-            let mut start = 0;
-            for (segment, &end) in segments.iter().zip(&ends) {
-                let want = crate::reverse::reverse_counts_range(&g, &cands, start..end, 5);
-                assert_eq!(*segment, want, "{start}..{end}, threads = {threads}");
-                start = end;
-            }
-            assert!(ledger.node_count() > 0, "the pass must record its touches");
-            // A pass may start mid-stream, as a cache extension does.
-            let (tail, _) = parallel_reverse_counts_split_traced(
-                &g,
-                &coins,
-                &cands,
-                300,
-                &[700, 1100],
-                5,
-                threads,
-                BlockWords::W4,
-                None,
-                None,
-            );
-            assert_eq!(tail[0], crate::reverse::reverse_counts_range(&g, &cands, 300..700, 5));
-            assert_eq!(tail[1], crate::reverse::reverse_counts_range(&g, &cands, 700..1100, 5));
-        }
     }
 
     #[test]
@@ -734,17 +685,12 @@ mod tests {
         .unwrap();
         let coins = CoinTable::new(&g);
         let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
-        let before = parallel_forward_counts_range_width_traced(
-            &g,
-            &coins,
-            0..2000,
-            21,
-            3,
-            BlockWords::W2,
-            None,
-            Some(&ledger),
-        )
-        .0;
+        let pass = SamplePass {
+            width: BlockWords::W2,
+            ledger: Some(&ledger),
+            ..SamplePass::new(0..2000, 3)
+        };
+        let before = pass.forward(&g, &coins, 21).merged().0;
         let dormant = g.find_edge(NodeId(4), NodeId(0)).unwrap();
         assert!(!ledger.intersects(&[], &[dormant.0]), "dormant edge must never materialize");
 
@@ -770,31 +716,16 @@ mod tests {
         let coins = CoinTable::new(&g);
         let cands = [NodeId(1), NodeId(2), NodeId(3)];
         let ledger = TouchLedger::new(g.num_nodes(), g.num_edges());
-        let before = parallel_reverse_counts_range_width_traced(
-            &g,
-            &coins,
-            &cands,
-            0..2000,
-            21,
-            3,
-            BlockWords::W2,
-            None,
-            Some(&ledger),
-        )
-        .0;
+        let pass = SamplePass {
+            width: BlockWords::W2,
+            ledger: Some(&ledger),
+            ..SamplePass::new(0..2000, 3)
+        };
+        let before = pass.reverse(&g, &coins, &cands, 21).merged().0;
         assert!(ledger.intersects(&[0, 1, 2, 3], &[]), "ancestors must be recorded");
         assert!(!ledger.intersects(&[4], &[]), "node 4 must never materialize");
         let forward = TouchLedger::new(g.num_nodes(), g.num_edges());
-        let _ = parallel_forward_counts_range_width_traced(
-            &g,
-            &coins,
-            0..64,
-            21,
-            1,
-            BlockWords::W1,
-            None,
-            Some(&forward),
-        );
+        SamplePass { ledger: Some(&forward), ..SamplePass::new(0..64, 1) }.forward(&g, &coins, 21);
         assert_eq!(forward.node_count(), g.num_nodes(), "forward passes read every node");
 
         g.set_self_risk(NodeId(4), 0.8).unwrap();
@@ -873,17 +804,23 @@ mod tests {
         // A few thousand worlds at width 8 would decompose into too few
         // superblocks to feed 8 threads; the fitted width must narrow
         // until every thread gets at least two chunks.
-        let range = 0..2048u64;
-        let fitted = fit_width(&range, BlockWords::W8, 8);
+        let fit = |range: Range<u64>, width, threads| {
+            SamplePass { width, ..SamplePass::new(range, threads) }.fitted_width()
+        };
+        let fitted = fit(0..2048, BlockWords::W8, 8);
         assert_eq!(fitted, BlockWords::W2, "2048 worlds / 8 threads need 128-lane chunks");
-        assert!(chunk_count(&range, fitted) >= 16);
+        assert!(chunk_count(&(0..2048), fitted) >= 16);
         // With more budget the same request keeps its width.
-        assert_eq!(fit_width(&(0..8192), BlockWords::W8, 8), BlockWords::W8);
-        // Single-threaded runs never narrow below the chunk floor…
-        assert_eq!(fit_width(&(0..1024), BlockWords::W8, 1), BlockWords::W8);
+        assert_eq!(fit(0..8192, BlockWords::W8, 8), BlockWords::W8);
+        assert_eq!(fit(0..1024, BlockWords::W8, 2), BlockWords::W4);
+        // One thread has nothing to balance: even a single chunk keeps
+        // the requested width…
+        assert_eq!(fit(0..1024, BlockWords::W8, 1), BlockWords::W8);
+        assert_eq!(fit(0..512, BlockWords::W8, 1), BlockWords::W8);
+        assert_eq!(fit(1100..1200, BlockWords::W4, 0), BlockWords::W4);
         // …and tiny ranges bottom out at width 1 without panicking.
-        assert_eq!(fit_width(&(0..64), BlockWords::W8, 4), BlockWords::W1);
-        assert_eq!(fit_width(&(5..5), BlockWords::W8, 4), BlockWords::W1);
+        assert_eq!(fit(0..64, BlockWords::W8, 4), BlockWords::W1);
+        assert_eq!(fit(5..5, BlockWords::W8, 4), BlockWords::W1);
     }
 
     #[test]
@@ -907,8 +844,9 @@ mod tests {
     fn thread_count_edge_cases() {
         let g = graph();
         // zero threads clamps to 1; more threads than blocks also works.
-        let a = parallel_forward_counts(&g, 5, 1, 0);
-        let b = parallel_forward_counts(&g, 5, 1, 128);
+        let coins = CoinTable::new(&g);
+        let a = SamplePass::new(0..5, 0).forward(&g, &coins, 1).merged().0;
+        let b = SamplePass::new(0..5, 128).forward(&g, &coins, 1).merged().0;
         assert_eq!(a, b);
         assert_eq!(a.samples(), 5);
     }
@@ -916,21 +854,20 @@ mod tests {
     #[test]
     fn zero_samples() {
         let g = graph();
-        let c = parallel_forward_counts(&g, 0, 1, 4);
-        assert_eq!(c.samples(), 0);
+        let out = SamplePass::new(0..0, 4).forward(&g, &CoinTable::new(&g), 1);
+        assert_eq!(out.segments.len(), 1);
+        assert_eq!(out.merged().0.samples(), 0);
     }
 
     #[test]
     fn effective_threads_clamps_to_available_parallelism() {
         let hardware = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        // No hard cap anymore: a huge request lands exactly on the
-        // machine's parallelism (previously frozen at 64).
-        assert_eq!(effective_threads(usize::MAX, u64::MAX), hardware);
-        assert_eq!(effective_threads(1_000_000, u64::MAX), hardware);
-        // Still clamped below by 1 and above by the number of work items.
-        assert_eq!(effective_threads(0, 10), 1);
-        assert_eq!(effective_threads(8, 1), 1);
-        assert_eq!(effective_threads(8, 3), 3.min(hardware));
-        assert_eq!(effective_threads(1, 0), 1);
+        // No hard cap: a huge request lands exactly on the machine's
+        // parallelism.
+        assert_eq!(effective_threads(usize::MAX), hardware);
+        assert_eq!(effective_threads(1_000_000), hardware);
+        // Still clamped below by 1; the runner clamps to the chunk count.
+        assert_eq!(effective_threads(0), 1);
+        assert_eq!(effective_threads(3), 3.min(hardware));
     }
 }

@@ -18,22 +18,21 @@
 //!   `benches/ablation.rs` measures). Coins are drawn lazily where the
 //!   reverse BFS touches them — the paper's original lazy-coin regime,
 //!   restored by the stateless generator.
-//! * [`reverse_counts_range`] — the **runtime path** on the bit-parallel
-//!   [`BlockKernel`](crate::BlockKernel): one reverse BFS per candidate
-//!   advances all 64 worlds of a block at once and decides a lane as
-//!   soon as an in-edge discovers a defaulted ancestor, so a node's or an
-//!   edge's 64-lane word is synthesized only when a search reads it
-//!   before its lanes are all decided — usually far fewer items than the
-//!   candidates can reach, never more, and never `O(n + m)`. The same
-//!   positive/negative caches hold one verdict slot per candidate
-//!   queried in the current block, not a word per graph node, so
-//!   starting a block clears `O(|B|)` entries and the kernel never
+//! * [`SamplePass::reverse`] — the **runtime path** on the bit-parallel
+//!   [`SuperKernel`](crate::SuperKernel): one reverse BFS per candidate
+//!   advances all `W·64` worlds of a superblock at once and decides a
+//!   lane as soon as an in-edge discovers a defaulted ancestor, so a
+//!   node's or an edge's word is synthesized only when a search reads
+//!   it before its lanes are all decided — usually far fewer items than
+//!   the candidates can reach, never more, and never `O(n + m)`. The
+//!   same positive/negative caches hold one verdict slot per candidate
+//!   queried in the current superblock, not a word per graph node, so
+//!   starting a superblock clears `O(|B|)` entries and the kernel never
 //!   allocates the forward pass's buffers.
 
-use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
+use crate::coins::{CoinTable, ScalarCoins};
 use crate::counts::DefaultCounts;
-use crate::width::{with_block_words, BlockWords};
+use crate::parallel::SamplePass;
 use ugraph::{NodeId, UncertainGraph};
 
 /// Reusable scalar reverse sampler — the semantic reference for the
@@ -183,89 +182,15 @@ impl ReverseSampler {
 }
 
 /// Runs `t` reverse samples (ids `0..t`) over `candidates` and returns
-/// per-candidate default counts (indexed by candidate position).
+/// per-candidate default counts (indexed by candidate position), as one
+/// [`SamplePass`] on the calling thread.
 pub fn reverse_counts(
     graph: &UncertainGraph,
     candidates: &[NodeId],
     t: u64,
     seed: u64,
 ) -> DefaultCounts {
-    reverse_counts_range(graph, candidates, 0..t, seed)
-}
-
-/// [`reverse_counts_range_with`] with a throwaway [`CoinTable`], for
-/// callers without a session cache.
-pub fn reverse_counts_range(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    reverse_counts_range_with(graph, &CoinTable::new(graph), candidates, range, seed).0
-}
-
-/// Runs reverse samples for the given range of sample ids on the block
-/// kernel: 64 worlds per [`WorldBlock`](crate::WorldBlock), one bit-parallel reverse BFS
-/// per candidate per block, frontier-lazy node and edge words. Returns the
-/// counts plus the materialization-cost counters.
-///
-/// Sample `i` always draws from the counter-RNG stream derived from
-/// `(seed, i)`, so counts over disjoint ranges merge into exactly the
-/// counts of the union range — the property the engine's incremental
-/// sample cache extends prefixes with — and the result is bit-identical
-/// both to the scalar [`ReverseSampler`] reference and to
-/// [`forward_counts_range`](crate::forward_counts_range) restricted to
-/// `candidates`.
-pub fn reverse_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    reverse_counts_range_width(graph, coins, candidates, range, seed, BlockWords::W1)
-}
-
-/// [`reverse_counts_range_with`] on superblocks of the given width: one
-/// bit-parallel reverse BFS per candidate decides all `W·64` worlds of
-/// a superblock at once, on the calling thread. Counts are
-/// bit-identical at every width — width is purely a throughput knob
-/// (see [`BlockWords`]).
-pub fn reverse_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range, W).collect();
-        crate::parallel::reverse_partitioned::<W>(
-            graph, coins, candidates, &chunks, seed, 1, None, None,
-        )
-    })
-}
-
-/// Materializes and evaluates one ≤`W·64`-sample chunk over
-/// `candidates`, accumulating into `counts`. Shared with the parallel
-/// driver.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_reverse_chunk<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    chunk: std::ops::Range<u64>,
-    seed: u64,
-    block: &mut SuperBlock<W>,
-    kernel: &mut SuperKernel<W>,
-    hits: &mut Vec<u64>,
-    counts: &mut DefaultCounts,
-) {
-    let lanes = (chunk.end - chunk.start) as usize;
-    block.materialize(graph, coins, seed, chunk.start, lanes);
-    kernel.reverse_hits_into(graph, coins, block, candidates, hits);
-    counts.record_words::<W>(hits, block.lane_masks());
+    SamplePass::new(0..t, 1).reverse(graph, &CoinTable::new(graph), candidates, seed).merged().0
 }
 
 #[cfg(test)]
@@ -403,10 +328,10 @@ mod tests {
         let table = CoinTable::new(&g);
         let cands = all_nodes(&g);
         for range in [0..100u64, 0..600, 70..300] {
-            let fwd = crate::forward::forward_counts_range_with(&g, &table, range.clone(), 8).0;
+            let fwd = SamplePass::new(range.clone(), 1).forward(&g, &table, 8).merged().0;
             for width in crate::BlockWords::ALL {
-                let (counts, _) =
-                    reverse_counts_range_width(&g, &table, &cands, range.clone(), 8, width);
+                let pass = SamplePass { width, ..SamplePass::new(range.clone(), 1) };
+                let counts = pass.reverse(&g, &table, &cands, 8).merged().0;
                 assert_eq!(counts, fwd, "range {range:?}, width {width}");
             }
         }
@@ -435,7 +360,8 @@ mod tests {
         let edges: Vec<(u32, u32, f64)> = (0..n as u32 - 1).map(|v| (v, v + 1, 0.5)).collect();
         let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
         let table = CoinTable::new(&g);
-        let (_, usage) = reverse_counts_range_with(&g, &table, &[NodeId(1)], 0..128, 17);
+        let pass = SamplePass { width: crate::BlockWords::W1, ..SamplePass::new(0..128, 1) };
+        let (_, usage) = pass.reverse(&g, &table, &[NodeId(1)], 17).merged();
         assert!(
             usage.edge_words_materialized <= 2 * 2,
             "candidate 1 has one in-edge per world-block, got {}",

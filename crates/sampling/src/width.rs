@@ -7,7 +7,7 @@
 //! traversal. Counts are **bit-identical at every width** — sample `i`
 //! always occupies lane `i % 64` of home block `i / 64`, whatever
 //! superblock that home block is evaluated in — so width is purely a
-//! performance knob: wider superblocks amortize structural overhead,
+//! performance choice: wider superblocks amortize structural overhead,
 //! narrower ones keep partitions fine-grained for thread fan-out and
 //! small budgets.
 //!
@@ -25,9 +25,10 @@ pub const MAX_BLOCK_WORDS: usize = 8;
 /// Work units each worker thread should keep at a chosen width — the
 /// shared saturation factor behind both [`BlockWords::plan`] (which
 /// counts *full* superblocks in a budget, so a tiny tail never pushes
-/// the width up) and [`fit_width`](crate::fit_width) (which counts
-/// chunks of a concrete range, partials included, so a coarse partition
-/// never starves a thread). Tune it here and both stay in step.
+/// the width up) and the narrowing every [`SamplePass`](crate::SamplePass)
+/// applies before it partitions (which counts chunks of a concrete
+/// range, partials included, so a coarse partition never starves a
+/// thread). Tune it here and both stay in step.
 pub const MIN_UNITS_PER_THREAD: u64 = 2;
 
 /// Superblock width: how many 64-lane words (home blocks) the kernels
@@ -68,17 +69,6 @@ impl BlockWords {
         (self.words() * LANES) as u64
     }
 
-    /// The width for a word count, if it is one of the supported widths.
-    pub fn from_words(words: usize) -> Option<BlockWords> {
-        match words {
-            1 => Some(BlockWords::W1),
-            2 => Some(BlockWords::W2),
-            4 => Some(BlockWords::W4),
-            8 => Some(BlockWords::W8),
-            _ => None,
-        }
-    }
-
     /// The next narrower width (`None` below [`BlockWords::W1`]).
     pub fn narrower(self) -> Option<BlockWords> {
         match self {
@@ -94,11 +84,10 @@ impl BlockWords {
     /// superblocks** of work for a `budget`-world pass. Big fixed-budget
     /// passes (Equation-3/4 budgets, ground truth, scoring) go wide;
     /// small follow-ups and heavily-threaded small batches stay narrow
-    /// so the partition unit does not coarsen away the fan-out (the
-    /// drivers additionally re-fit per drawn range with
-    /// [`fit_width`](crate::fit_width)). Adaptive hash-order passes
-    /// (BSRBK) do not use this planner — their scattered-lane replay is
-    /// inherently single-word.
+    /// so the partition unit does not coarsen away the fan-out (a
+    /// [`SamplePass`](crate::SamplePass) additionally narrows per drawn
+    /// range). This planner is the only source of a pass's width: no
+    /// option pins it, because counts are bit-identical at every width.
     pub fn plan(budget: u64, threads: usize) -> BlockWords {
         let threads = threads.max(1) as u64;
         let mut width = BlockWords::W8;
@@ -115,17 +104,6 @@ impl BlockWords {
 impl std::fmt::Display for BlockWords {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.words())
-    }
-}
-
-impl std::str::FromStr for BlockWords {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.parse::<usize>()
-            .ok()
-            .and_then(BlockWords::from_words)
-            .ok_or_else(|| format!("block words must be one of 1, 2, 4, 8 (got {s})"))
     }
 }
 
@@ -161,14 +139,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn words_lanes_roundtrip() {
+    fn words_lanes_and_display_agree() {
         for width in BlockWords::ALL {
-            assert_eq!(BlockWords::from_words(width.words()), Some(width));
             assert_eq!(width.lanes(), width.words() as u64 * 64);
+            assert_eq!(width.to_string(), width.words().to_string());
         }
-        assert_eq!(BlockWords::from_words(3), None);
-        assert_eq!(BlockWords::from_words(16), None);
         assert_eq!(BlockWords::default(), BlockWords::W1);
+        assert_eq!(MAX_BLOCK_WORDS, BlockWords::W8.words());
     }
 
     #[test]
@@ -193,15 +170,5 @@ mod tests {
         assert_eq!(BlockWords::plan(2048, 8), BlockWords::W2);
         assert_eq!(BlockWords::plan(1000, 8), BlockWords::W1);
         assert_eq!(BlockWords::plan(4096, 0), BlockWords::W8, "zero threads clamps to 1");
-    }
-
-    #[test]
-    fn parse_and_display() {
-        for width in BlockWords::ALL {
-            assert_eq!(width.to_string().parse::<BlockWords>(), Ok(width));
-        }
-        assert!("3".parse::<BlockWords>().is_err());
-        assert!("auto".parse::<BlockWords>().is_err());
-        assert_eq!(MAX_BLOCK_WORDS, BlockWords::W8.words());
     }
 }

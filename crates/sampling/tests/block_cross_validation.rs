@@ -14,9 +14,8 @@
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::{
-    forward_counts, forward_counts_range, parallel_forward_counts_range,
-    parallel_reverse_counts_range, reverse_counts, reverse_counts_range, BlockKernel, CoinTable,
-    DefaultCounts, ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, LANES,
+    forward_counts, reverse_counts, BlockKernel, CoinTable, DefaultCounts, ForwardSampler,
+    PossibleWorld, ReverseSampler, SamplePass, ScalarCoins, WorldBlock, LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -86,7 +85,7 @@ fn forward_block_equals_oracle_and_scalar_and_parallel() {
 
         for threads in [2usize, 3, 7] {
             assert_eq!(
-                parallel_forward_counts_range(&g, 0..t, seed, threads),
+                SamplePass::new(0..t, threads).forward(&g, &table, seed).merged().0,
                 blockwise,
                 "threads = {threads}, t = {t}"
             );
@@ -144,7 +143,7 @@ fn reverse_block_equals_oracle_and_scalar_and_parallel() {
 
         for threads in [2usize, 5] {
             assert_eq!(
-                parallel_reverse_counts_range(&g, &candidates, 0..t, seed, threads),
+                SamplePass::new(0..t, threads).reverse(&g, &table, &candidates, seed).merged().0,
                 blockwise,
                 "threads = {threads}, t = {t}"
             );
@@ -164,15 +163,19 @@ fn unaligned_range_splits_merge_exactly() {
         let seed = rng.next_bounded(1 << 20);
         let end = arb_budget(rng) + arb_budget(rng);
         let cut = rng.next_bounded(end);
-        let whole = forward_counts_range(&g, 0..end, seed);
-        let mut parts = forward_counts_range(&g, 0..cut, seed);
-        parts.merge(&forward_counts_range(&g, cut..end, seed));
+        let table = CoinTable::new(&g);
+        let forward = |range| SamplePass::new(range, 1).forward(&g, &table, seed).merged().0;
+        let whole = forward(0..end);
+        let mut parts = forward(0..cut);
+        parts.merge(&forward(cut..end));
         assert_eq!(whole, parts, "cut {cut} of {end}");
 
         let candidates: Vec<NodeId> = g.nodes().collect();
-        let whole_r = reverse_counts_range(&g, &candidates, 0..end, seed);
-        let mut parts_r = reverse_counts_range(&g, &candidates, 0..cut, seed);
-        parts_r.merge(&reverse_counts_range(&g, &candidates, cut..end, seed));
+        let reverse =
+            |range| SamplePass::new(range, 1).reverse(&g, &table, &candidates, seed).merged().0;
+        let whole_r = reverse(0..end);
+        let mut parts_r = reverse(0..cut);
+        parts_r.merge(&reverse(cut..end));
         assert_eq!(whole_r, parts_r, "reverse cut {cut} of {end}");
     });
 }

@@ -13,8 +13,8 @@
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{from_parts, DuplicateEdgePolicy, NodeId, UncertainGraph};
 use vulnds_sampling::{
-    forward_counts_range_with, reverse_counts_range_with, BlockKernel, CoinTable, DefaultCounts,
-    PossibleWorld, ScalarCoins, WorldBlock, LANES,
+    BlockKernel, CoinTable, DefaultCounts, PossibleWorld, SamplePass, ScalarCoins, WorldBlock,
+    LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -117,7 +117,7 @@ fn dyadic_frequencies_match_fixed_point_probabilities() {
     let g = from_parts(&ps, &[], DuplicateEdgePolicy::Error).unwrap();
     let table = CoinTable::new(&g);
     let t = 40_000u64;
-    let (counts, usage) = forward_counts_range_with(&g, &table, 0..t, 99);
+    let (counts, usage) = SamplePass::new(0..t, 1).forward(&g, &table, 99).merged();
     assert_eq!(counts.count(0), 0, "p = 0 fired");
     assert_eq!(counts.count(1), t, "p = 1 missed");
     for (v, &p) in ps.iter().enumerate().skip(2) {
@@ -146,21 +146,22 @@ fn partial_blocks_match_oracle_under_new_contract() {
             oracle.record_mask(&world.defaulted_nodes(&g));
         }
 
-        let (whole, _) = forward_counts_range_with(&g, &table, 0..t, seed);
+        let run = |range| SamplePass::new(range, 1).forward(&g, &table, seed).merged().0;
+        let whole = run(0..t);
         assert_eq!(whole, oracle, "whole range, t = {t}");
 
         // Random split points: the middle part starts and ends mid-block
         // almost always.
         let a = rng.next_bounded(t + 1);
         let b = a + rng.next_bounded(t - a + 1);
-        let mut parts = forward_counts_range_with(&g, &table, 0..a, seed).0;
-        parts.merge(&forward_counts_range_with(&g, &table, a..b, seed).0);
-        parts.merge(&forward_counts_range_with(&g, &table, b..t, seed).0);
+        let mut parts = run(0..a);
+        parts.merge(&run(a..b));
+        parts.merge(&run(b..t));
         assert_eq!(parts, oracle, "split 0..{a}..{b}..{t}");
 
         // Reverse projection of an interior chunk.
         let candidates: Vec<NodeId> = g.nodes().collect();
-        let (rev, _) = reverse_counts_range_with(&g, &table, &candidates, a..b, seed);
+        let rev = SamplePass::new(a..b, 1).reverse(&g, &table, &candidates, seed).merged().0;
         let mut rev_oracle = DefaultCounts::new(candidates.len());
         for i in a..b {
             let world = PossibleWorld::sample_with_table(&g, &table, seed, i);

@@ -3,9 +3,7 @@
 
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
-use vulnds_sampling::{
-    forward_counts, parallel_forward_counts, parallel_reverse_counts, reverse_counts, PossibleWorld,
-};
+use vulnds_sampling::{forward_counts, reverse_counts, CoinTable, PossibleWorld, SamplePass};
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
     random_graph(rng, 12, 24)
@@ -28,18 +26,20 @@ fn estimates_are_probabilities() {
     });
 }
 
-/// Parallel forward and reverse drivers are bit-identical to their
+/// Parallel forward and reverse passes are bit-identical to their
 /// sequential counterparts for any thread count.
 #[test]
 fn parallel_equals_sequential() {
     check(32, |rng| {
         let g = arb_graph(rng);
         let threads = rng.range_usize(1, 6);
+        let coins = CoinTable::new(&g);
+        let pass = SamplePass::new(0..200, threads);
         let seq = forward_counts(&g, 200, 11);
-        assert_eq!(parallel_forward_counts(&g, 200, 11, threads), seq);
+        assert_eq!(pass.forward(&g, &coins, 11).merged().0, seq);
         let cands: Vec<NodeId> = g.nodes().collect();
         let rseq = reverse_counts(&g, &cands, 200, 13);
-        assert_eq!(parallel_reverse_counts(&g, &cands, 200, 13, threads), rseq);
+        assert_eq!(pass.reverse(&g, &coins, &cands, 13).merged().0, rseq);
     });
 }
 

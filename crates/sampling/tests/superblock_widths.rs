@@ -2,21 +2,20 @@
 //! must produce counts **bit-identical** to the `PossibleWorld` oracle
 //! and to every other width — including partial superblocks (budgets
 //! with `t % (W·64) ≠ 0` and ranges resuming mid-superblock),
-//! lazy-vs-eager edge word-vectors, and the parallel drivers' strided
+//! lazy-vs-eager edge word-vectors, and the parallel passes' strided
 //! superblock partitions.
 //!
-//! This is the property that makes width a pure throughput knob: sample
+//! This is the property that lets the planner pick any width: sample
 //! `i` always occupies lane `i % 64` of home block `i / 64`, whatever
-//! superblock geometry evaluates it, so the planner (and users via
-//! `--block-words`) can change width freely without changing a single
-//! count.
+//! superblock geometry evaluates it, so width changes throughput without
+//! changing a single count.
 
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::{
-    fit_width, forward_counts_range_width, parallel_forward_counts_range_width,
-    parallel_reverse_counts_range_width, reverse_counts_range_width, BlockWords, CoinTable,
-    DefaultCounts, PossibleWorld, SuperBlock, SuperKernel, LANES, MAX_BLOCK_WORDS,
+    parallel_forward_counts_range_width, parallel_reverse_counts_range_width, BlockWords,
+    CoinTable, DefaultCounts, PossibleWorld, SamplePass, SuperBlock, SuperKernel, LANES,
+    MAX_BLOCK_WORDS,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -55,8 +54,10 @@ fn every_width_forward_equals_oracle_and_each_other() {
         let table = CoinTable::new(&g);
         let oracle = oracle_forward_counts(&g, range.clone(), seed);
         for width in BlockWords::ALL {
-            let (counts, usage) =
-                forward_counts_range_width(&g, &table, range.clone(), seed, width);
+            let pass = SamplePass { width, ..SamplePass::new(range.clone(), 1) };
+            let out = pass.forward(&g, &table, seed);
+            assert_eq!(out.width, width, "a one-thread pass runs the width it asks for");
+            let (counts, usage) = out.merged();
             assert_eq!(counts, oracle, "sequential width {width}, range {range:?}");
             assert!(usage.superblocks > 0, "no superblock accounted at width {width}");
             // Lazy accounting never loses or invents an edge word: each
@@ -109,8 +110,8 @@ fn every_width_reverse_equals_oracle_and_each_other() {
             counts
         };
         for width in BlockWords::ALL {
-            let (counts, _) =
-                reverse_counts_range_width(&g, &table, &candidates, range.clone(), seed, width);
+            let pass = SamplePass { width, ..SamplePass::new(range.clone(), 1) };
+            let counts = pass.reverse(&g, &table, &candidates, seed).merged().0;
             assert_eq!(counts, oracle, "sequential width {width}, range {range:?}");
             let (par, _) = parallel_reverse_counts_range_width(
                 &g,
@@ -182,8 +183,8 @@ fn superblock_lanes_are_oracle_worlds_at_every_width() {
     });
 }
 
-/// `fit_width` narrowing composes with everything else: whatever width
-/// the driver actually lands on, counts stay bit-identical.
+/// A pass's narrowing composes with everything else: whatever width it
+/// actually lands on, counts stay bit-identical.
 #[test]
 fn fitted_widths_preserve_counts() {
     check(20, |rng| {
@@ -194,11 +195,9 @@ fn fitted_widths_preserve_counts() {
         let oracle = oracle_forward_counts(&g, 0..t, seed);
         for threads in [1usize, 4, 16] {
             let planned = BlockWords::plan(t, threads);
-            let fitted = fit_width(&(0..t), planned, threads);
-            assert!(fitted <= planned, "fitting may only narrow");
-            let (counts, _) =
-                parallel_forward_counts_range_width(&g, &table, 0..t, seed, threads, planned);
-            assert_eq!(counts, oracle, "t {t}, threads {threads}, planned {planned}");
+            let out = SamplePass::new(0..t, threads).forward(&g, &table, seed);
+            assert!(out.width <= planned, "fitting may only narrow");
+            assert_eq!(out.merged().0, oracle, "t {t}, threads {threads}, planned {planned}");
         }
     });
 }

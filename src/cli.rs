@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use ugraph::{GraphStats, UncertainGraph};
 use vulnds_core::engine::{default_threads, DetectRequest, Detector};
 use vulnds_core::{
-    compute_bounds, score_nodes_bottomk, score_nodes_mc, AlgorithmKind, ApproxParams, BlockWords,
-    NodeOrder, VulnConfig, VulnError,
+    compute_bounds, score_nodes_bottomk, score_nodes_mc, AlgorithmKind, ApproxParams, NodeOrder,
+    VulnConfig, VulnError,
 };
 use vulnds_datasets::Dataset;
 
@@ -98,14 +98,12 @@ USAGE:
   vulnds detect   <graph> --k <n> [--algorithm n|sn|sr|bsr|bsrbk]
                   [--epsilon <e>] [--delta <d>] [--seed <s>]
                   [--threads <t>] [--bound-order <z>]
-                  [--block-words auto|1|2|4|8] [--relabel none|degree|bfs]
-                  [--format human|json]
+                  [--relabel none|degree|bfs] [--format human|json]
   vulnds score    <graph> [--method mc|bottomk] [--seed <s>] [--threads <t>]
-                  [--block-words auto|1|2|4|8] [--format human|json]
+                  [--format human|json]
   vulnds bounds   <graph> [--order <z>]
   vulnds serve    <graph> [--workers <w>] [--tcp <addr>] [--seed <s>]
                   [--threads <t>] [--bound-order <z>]
-                  [--block-words auto|1|2|4|8]
                   [--max-samples <n>] [--default-timeout-ms <ms>]
                   [--max-connections <n>] [--drain-ms <ms>]
                   [--wal <log>] [--fsync always|never]
@@ -117,10 +115,10 @@ USAGE:
   vulnds convert  <in> <out>       (.bin extension selects binary format)
 
 --threads defaults to the machine's available parallelism; results are
-bit-identical for any thread count. --block-words pins the samplers'
-superblock width (worlds per traversal = words x 64); the default
-'auto' plans it per pass from budget and threads, and every width
-returns bit-identical results. --relabel runs detection on a cache-relabeled
+bit-identical for any thread count. The samplers' superblock width
+(worlds per traversal = words x 64) is planned per pass from the
+sample budget and the thread count, and every width returns
+bit-identical results. --relabel runs detection on a cache-relabeled
 copy of the graph (degree: hubs first; bfs: breadth-first from the
 biggest hub) and maps every answer back to the input labeling;
 unlike the other knobs it resamples with different coin streams, so
@@ -156,14 +154,6 @@ rotates the log after every n records. vulnds wal dump prints the
 records of a log; vulnds wal verify exits 1 on a corrupt record,
 reporting the torn-tail offset.
 Graph files: text format (see ugraph::io) or binary (.bin).";
-
-/// Parses a `--block-words` value: `auto` (planner) or a fixed width.
-fn parse_block_words(s: &str) -> Result<Option<BlockWords>, VulnError> {
-    if s.eq_ignore_ascii_case("auto") {
-        return Ok(None);
-    }
-    s.parse::<BlockWords>().map(Some).map_err(|e| err(format!("--block-words: {e}")))
-}
 
 /// Parses a `--relabel` value: `none`, `degree`, or `bfs`.
 fn parse_relabel(s: &str) -> Result<Option<NodeOrder>, VulnError> {
@@ -246,9 +236,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                             .parse()
                             .map_err(|_| err("--bound-order: not an integer"))?
                     }
-                    "--block-words" => {
-                        config.block_words = parse_block_words(&value(&rest, &mut i)?)?
-                    }
                     "--relabel" => relabel = parse_relabel(&value(&rest, &mut i)?)?,
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("detect: unknown option {other}"))),
@@ -288,9 +275,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                                 .parse()
                                 .map_err(|_| err("--threads: not an integer"))?,
                         )
-                    }
-                    "--block-words" => {
-                        config.block_words = parse_block_words(&value(&rest, &mut i)?)?
                     }
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("score: unknown option {other}"))),
@@ -383,9 +367,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                         config.bound_order = value(&rest, &mut i)?
                             .parse()
                             .map_err(|_| err("--bound-order: not an integer"))?
-                    }
-                    "--block-words" => {
-                        config.block_words = parse_block_words(&value(&rest, &mut i)?)?
                     }
                     other => return Err(err(format!("serve: unknown option {other}"))),
                 }
@@ -798,7 +779,7 @@ mod tests {
     #[test]
     fn parses_detect_with_options() {
         let c = parse(&args(
-            "detect g.txt --k 10 --algorithm bsr --epsilon 0.2 --delta 0.05 --seed 7 --threads 4 --bound-order 3 --block-words 4",
+            "detect g.txt --k 10 --algorithm bsr --epsilon 0.2 --delta 0.05 --seed 7 --threads 4 --bound-order 3",
         ))
         .unwrap();
         match c {
@@ -811,7 +792,6 @@ mod tests {
                 assert_eq!(config.seed, 7);
                 assert_eq!(config.threads, 4);
                 assert_eq!(config.bound_order, 3);
-                assert_eq!(config.block_words, Some(BlockWords::W4));
                 assert_eq!(format, OutputFormat::Human);
                 assert_eq!(relabel, None);
             }
@@ -1009,27 +989,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_block_words_values() {
-        for (value, expected) in [
-            ("auto", None),
-            ("1", Some(BlockWords::W1)),
-            ("2", Some(BlockWords::W2)),
-            ("4", Some(BlockWords::W4)),
-            ("8", Some(BlockWords::W8)),
-        ] {
-            let c = parse(&args(&format!("detect g.txt --k 3 --block-words {value}"))).unwrap();
-            match c {
-                Command::Detect { config, .. } => assert_eq!(config.block_words, expected),
-                other => panic!("wrong command: {other:?}"),
-            }
-            let c = parse(&args(&format!("score g.txt --block-words {value}"))).unwrap();
-            match c {
-                Command::Score { config, .. } => assert_eq!(config.block_words, expected),
-                other => panic!("wrong command: {other:?}"),
+    fn rejects_the_block_words_flag() {
+        // The planner is the only source of a pass's width, so no
+        // command takes one.
+        for value in ["auto", "1", "2", "4", "8"] {
+            for cmd in ["detect g.txt --k 3", "score g.txt", "serve g.txt"] {
+                let line = format!("{cmd} --block-words {value}");
+                assert!(parse(&args(&line)).is_err(), "{line}");
             }
         }
-        assert!(parse(&args("detect g.txt --k 3 --block-words 3")).is_err());
-        assert!(parse(&args("detect g.txt --k 3 --block-words wide")).is_err());
     }
 
     #[test]
@@ -1155,21 +1123,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let txt = dir.join("g.txt").to_string_lossy().to_string();
         run(parse(&args(&format!("generate interbank {txt} --scale 1.0"))).unwrap()).unwrap();
-        let rankings: Vec<Vec<String>> = ["auto", "1", "2", "4", "8"]
-            .iter()
-            .map(|w| {
-                let out = run(parse(&args(&format!(
-                    "detect {txt} --k 5 --algorithm sn --seed 2 --block-words {w}"
-                )))
-                .unwrap())
-                .unwrap();
-                // Compare the ranking lines only: the coin/superblock
-                // diagnostics legitimately vary with the width.
-                out.lines().filter(|l| !l.starts_with('#')).map(|l| l.to_string()).collect()
-            })
-            .collect();
+        // The planner reads --threads, so N's 20,000 worlds run at width 8
+        // on one thread and at width 4 on 32, as the `# blocks` line
+        // reports.
+        let (mut rankings, mut widths) = (Vec::new(), std::collections::BTreeSet::new());
+        for threads in [1, 32] {
+            let out = run(parse(&args(&format!(
+                "detect {txt} --k 5 --algorithm n --seed 2 --threads {threads}"
+            )))
+            .unwrap())
+            .unwrap();
+            let blocks = out.lines().find(|l| l.starts_with("# blocks")).unwrap();
+            widths.insert(blocks.split_whitespace().nth(3).unwrap().to_string());
+            // Compare the ranking lines only: the coin/superblock
+            // diagnostics legitimately vary with the width.
+            rankings
+                .push(out.lines().filter(|l| !l.starts_with('#')).collect::<Vec<_>>().join("\n"));
+        }
+        assert!(widths.len() >= 2, "thread counts must plan different widths: {widths:?}");
         for (i, r) in rankings.iter().enumerate().skip(1) {
-            assert_eq!(r, &rankings[0], "width variant {i} changed the ranking");
+            assert_eq!(r, &rankings[0], "thread variant {i} changed the ranking");
         }
         std::fs::remove_dir_all(dir).ok();
     }

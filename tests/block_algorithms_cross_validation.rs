@@ -5,7 +5,7 @@
 //! `crates/sampling/tests/block_cross_validation.rs`; this suite covers
 //! the layers above:
 //!
-//! * N / SN / SR / BSR / BSRBK answers route through `*_counts_range`,
+//! * N / SN / SR / BSR / BSRBK answers route through `SamplePass`,
 //!   so their estimates must equal a hand-rolled scalar-oracle run of
 //!   the same sample prefixes and candidate sets (BSRBK's prefix ends
 //!   at its stop look);

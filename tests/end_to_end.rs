@@ -99,22 +99,23 @@ fn detection_is_reproducible_across_sessions() {
 
 #[test]
 fn every_superblock_width_matches_the_planned_engine() {
-    // Width is purely a throughput knob: a session pinned to any
-    // superblock width must answer bit-identically to the
-    // planner-driven session, for every algorithm.
+    // Width changes throughput, never answers: the planner reads the
+    // session's thread count, so sessions at different counts run
+    // different superblock widths and must answer bit-identically, for
+    // every algorithm.
     let g = small(Dataset::Citation);
     let cfg = VulnConfig::default().with_seed(13);
+    let mut widths = std::collections::BTreeSet::new();
     for alg in AlgorithmKind::ALL {
-        let planned = detect_once(&g, 5, alg, &cfg);
-        for width in BlockWords::ALL {
-            let pinned = detect_once(&g, 5, alg, &cfg.clone().with_block_words(width));
-            assert_eq!(pinned.top_k, planned.top_k, "{alg} at width {width}");
-            assert_eq!(
-                pinned.stats.samples_used, planned.stats.samples_used,
-                "{alg} at width {width}"
-            );
+        let reference = detect_once(&g, 5, alg, &cfg);
+        for threads in [1, 2, 8] {
+            let r = detect_once(&g, 5, alg, &cfg.clone().with_threads(threads));
+            assert_eq!(r.top_k, reference.top_k, "{alg} at {threads} threads");
+            assert_eq!(r.stats.samples_used, reference.stats.samples_used, "{alg}, {threads}");
+            widths.insert(r.engine.block_words);
         }
     }
+    assert!(widths.len() >= 2, "thread counts must plan different widths: {widths:?}");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use vulnds::core::{compute_bounds, reduce_candidates, reduced_sample_size};
 use vulnds::prelude::*;
-use vulnds::sampling::{parallel_reverse_counts_range_width_traced, CoinTable, TouchLedger};
+use vulnds::sampling::{CoinTable, SamplePass, TouchLedger};
 
 #[test]
 fn sr_reverse_pass_reads_a_minority_of_edges_and_matches_forward_counts() {
@@ -32,17 +32,8 @@ fn sr_reverse_pass_reads_a_minority_of_edges_and_matches_forward_counts() {
         assert!(t > 0, "seed {seed}: SR must sample");
 
         let ledger = TouchLedger::new(n, m);
-        let (counts, _) = parallel_reverse_counts_range_width_traced(
-            &graph,
-            &CoinTable::new(&graph),
-            &candidates,
-            0..t,
-            seed,
-            1,
-            BlockWords::plan(t, 1),
-            None,
-            Some(&ledger),
-        );
+        let pass = SamplePass { ledger: Some(&ledger), ..SamplePass::new(0..t, 1) };
+        let counts = pass.reverse(&graph, &CoinTable::new(&graph), &candidates, seed).merged().0;
         let share = ledger.edge_count() as f64 / m as f64;
         assert!(
             share < 0.3,

@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Seven regressions fail this binary (and CI); gate 3 is retired and
+//! Eight regressions fail this binary (and CI); gate 3 is retired and
 //! the others keep their numbers:
 //!
 //! 1. **Materialization**: the transposed bit-sliced coin synthesis
@@ -65,6 +65,15 @@
 //!    [`BSRBK_MAX_COIN_WORDS_RATIO`] times BSR's coin words per sample.
 //!    A scattered hash-order pass pays ~30× (it re-materializes lanes
 //!    one sample id at a time). Counts coins, measures no time.
+//! 9. **Pass scratch**: the same width-8 block and kernel, after SR's
+//!    two superblocks, must together hold at most their `u32` slot
+//!    indexes and queue flags (`n + m` indexes for the block, `2·n` for
+//!    the kernel, `n` flag bytes) plus [`PASS_SCRATCH_DRAWN_MULTIPLE`]
+//!    × `D·W` words, where `D` is the most nodes plus edges one
+//!    superblock drew. Lazy reverse searches touch a few percent of the
+//!    graph, so a block that holds dense `n·W` node and `m·W` edge
+//!    words, or a kernel with dense `n·W` reach vectors, fails. Counts
+//!    words, measures no time.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
@@ -111,6 +120,12 @@ const REPAIR_MAX_COIN_WORDS_SHARE: f64 = 0.1;
 /// A cold BSRBK's coin words per sample must stay at or below this
 /// multiple of BSR's on the Guarantee workload, or the gate fails.
 const BSRBK_MAX_COIN_WORDS_RATIO: f64 = 1.5;
+
+/// The pass-scratch gate's allowance per drawn item: a block and
+/// kernel may hold this many word-vectors for each node and edge the
+/// busiest superblock drew (slab growth slack, the reach slots and the
+/// verdict slots), on top of their slot indexes.
+const PASS_SCRATCH_DRAWN_MULTIPLE: usize = 4;
 
 /// A fresh single-threaded session and the gates' request for `kind`:
 /// k = 1% of n, ε 0.1.
@@ -170,10 +185,23 @@ fn sn_coin_words_around_a_delta(graph: &ugraph::UncertainGraph) -> (u64, u64) {
 /// where whole-graph scratch costs the most.
 const SCRATCH_GATE_WORDS: usize = 8;
 
-/// Words of scratch a width-8 kernel holds after answering SR's
-/// candidate set on `graph` (k = 1% of n, ε 0.1, the engine's default
-/// bounds) over two superblocks, and the size of that set.
-fn sr_kernel_scratch_words(graph: &ugraph::UncertainGraph) -> (usize, usize) {
+/// What a width-8 block and kernel hold after answering SR's candidate
+/// set on a graph over two superblocks.
+struct PassScratch {
+    /// Size of SR's candidate set.
+    candidates: usize,
+    /// Words of scratch the kernel holds.
+    kernel: usize,
+    /// Words of scratch the block holds.
+    block: usize,
+    /// The most nodes plus edges one superblock drew.
+    most_drawn: usize,
+}
+
+/// Replays SR's candidate set on `graph` (k = 1% of n, ε 0.1, the
+/// engine's default bounds) over two width-8 superblocks on one block
+/// and kernel, and reports their scratch.
+fn sr_pass_scratch(graph: &ugraph::UncertainGraph) -> PassScratch {
     const W: usize = SCRATCH_GATE_WORDS;
     let config = VulnConfig::default();
     let k = (graph.num_nodes() / 100).max(1);
@@ -192,11 +220,19 @@ fn sr_kernel_scratch_words(graph: &ugraph::UncertainGraph) -> (usize, usize) {
     let mut block = SuperBlock::<W>::new(graph);
     let mut kernel = SuperKernel::<W>::new(graph);
     let mut hits = Vec::new();
+    let mut most_drawn = 0;
     for superblock in 0..2 {
         block.materialize(graph, &coins, 1, (superblock * W * LANES) as u64, W * LANES);
         kernel.reverse_hits_into(graph, &coins, &mut block, &candidates, &mut hits);
+        let (nodes, edges) = block.drawn();
+        most_drawn = most_drawn.max(nodes + edges);
     }
-    (kernel.scratch_words(), candidates.len())
+    PassScratch {
+        candidates: candidates.len(),
+        kernel: kernel.scratch_words(),
+        block: block.scratch_words(),
+        most_drawn,
+    }
 }
 
 fn main() {
@@ -373,7 +409,8 @@ fn main() {
 
     // Reverse-scratch gate: allocation sizes are deterministic, so one
     // run decides it.
-    let (scratch, candidates) = sr_kernel_scratch_words(&guarantee);
+    let pass = sr_pass_scratch(&guarantee);
+    let (scratch, candidates) = (pass.kernel, pass.candidates);
     let (n, w) = (guarantee.num_nodes(), SCRATCH_GATE_WORDS);
     let bound = n * w + n + 2 * candidates * w;
     println!(
@@ -409,6 +446,29 @@ fn main() {
         eprintln!(
             "perf_sanity FAILED: a cold BSRBK draws {ratio:.2}x BSR's coin words per sample on \
              Guarantee (scale 0.1, k = 1% of n, ε 0.1), not ≤ {BSRBK_MAX_COIN_WORDS_RATIO}x"
+        );
+        failed = true;
+    }
+
+    // Pass-scratch gate: the same replay, block and kernel together.
+    let m = guarantee.num_edges();
+    let indexes = (4 * (n + m) + 4 * 2 * n + n).div_ceil(8);
+    let held = pass.block + pass.kernel;
+    let drawn = pass.most_drawn;
+    let bound = indexes + PASS_SCRATCH_DRAWN_MULTIPLE * drawn * w;
+    println!(
+        "perf_sanity: a w{w} block and kernel hold {held} scratch words over SR's superblocks \
+         (block {}, kernel {}; the busiest drew {drawn} of {} items) (required ≤ indexes \
+         {indexes} + {PASS_SCRATCH_DRAWN_MULTIPLE}·D·W = {bound})",
+        pass.block,
+        pass.kernel,
+        n + m
+    );
+    if held > bound {
+        eprintln!(
+            "perf_sanity FAILED: a w{w} block and kernel hold {held} scratch words on Guarantee \
+             (scale 0.1, n = {n}, m = {m}, D = {drawn}), not ≤ their slot indexes {indexes} + \
+             {PASS_SCRATCH_DRAWN_MULTIPLE}·D·W = {bound}"
         );
         failed = true;
     }

@@ -8,7 +8,7 @@
 //! traversal step*: an edge transmission is `W` bitwise AND/ORs over
 //! adjacent words — a shape the compiler autovectorizes to SSE/AVX/NEON
 //! — so the structural work that dominated the 64-lane path (CSR index
-//! arithmetic, frontier queue pushes, epoch checks) is amortized over
+//! arithmetic, frontier queue pushes, slot lookups) is amortized over
 //! `W` times as many worlds.
 //!
 //! [`WorldBlock`] and [`BlockKernel`] are the `W = 1` aliases — the
@@ -24,12 +24,13 @@
 //! what keeps counts bit-identical across widths. Node and edge
 //! word-vectors are both **frontier-lazy**: [`SuperBlock::node_word_lazy`]
 //! and [`SuperBlock::edge_word`] synthesize all `W` words of an item the
-//! first time a traversal reads it. A reverse search decides lanes as it
-//! discovers ancestors and stops once every lane is decided, so it pays
-//! only for the nodes and edges it read up to that point — at most the
-//! ones reachable from its candidate, never `O(W·(n + m))`. The forward
-//! kernel needs every node's seeds and forces them up front
-//! ([`SuperBlock::force_nodes`]).
+//! first time a traversal reads it and keep them in a per-superblock
+//! slot. A reverse search decides lanes as it discovers ancestors and
+//! stops once every lane is decided, so it pays coins and scratch only
+//! for the nodes and edges it read up to that point — at most the ones
+//! reachable from its candidate, never `O(W·(n + m))`. The forward
+//! kernel needs every node's seeds and draws them straight into its
+//! per-node result vectors.
 //!
 //! # The `(seed, block, lane)` stream contract
 //!
@@ -108,6 +109,80 @@ fn word_masks<const W: usize>(first_id: u64, lanes: usize) -> [u64; W] {
     masks
 }
 
+/// A sparse item→slot map with a compact value slab (the sparse set of
+/// Briggs & Torczon, 1993): `slot_of[i]` is 1 + the slot of item `i`,
+/// or 0 if it has none; `owners` lists the items holding slots, in
+/// insertion order; `values[s]` is slot `s`'s value.
+///
+/// The index is zero-allocated and afterwards written only at inserted
+/// items, and the slab holds exactly the inserted items.
+/// [`clear`](Self::clear) unmaps the owners alone — `O(inserted)`,
+/// however many items the index spans.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    slot_of: Vec<u32>,
+    owners: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Slots<T> {
+    /// An empty map over items `0..items`.
+    fn new(items: usize) -> Self {
+        assert!(items < u32::MAX as usize, "slot index overflow");
+        Slots { slot_of: vec![0; items], owners: Vec::new(), values: Vec::new() }
+    }
+
+    /// Number of items the index spans.
+    fn items(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    #[inline]
+    fn get(&self, item: usize) -> Option<&T> {
+        match self.slot_of[item] {
+            0 => None,
+            slot => Some(&self.values[slot as usize - 1]),
+        }
+    }
+
+    /// Item `item`'s value, inserting `value` first if it holds no slot.
+    #[inline]
+    fn get_or_insert(&mut self, item: usize, value: T) -> &mut T {
+        let slot = match self.slot_of[item] {
+            0 => {
+                self.owners.push(item as u32);
+                self.values.push(value);
+                self.slot_of[item] = self.owners.len() as u32;
+                self.owners.len() - 1
+            }
+            slot => slot as usize - 1,
+        };
+        &mut self.values[slot]
+    }
+
+    fn reserve_exact(&mut self, additional: usize) {
+        self.owners.reserve_exact(additional);
+        self.values.reserve_exact(additional);
+    }
+
+    /// Unmaps every slot, keeping the allocations for the next round.
+    fn clear(&mut self) {
+        for &item in &self.owners {
+            self.slot_of[item as usize] = 0;
+        }
+        self.owners.clear();
+        self.values.clear();
+    }
+
+    /// 64-bit words held (allocated capacity): the index, the owner list
+    /// and the value slab.
+    fn scratch_words(&self) -> usize {
+        (4 * (self.slot_of.capacity() + self.owners.capacity())
+            + std::mem::size_of::<T>() * self.values.capacity())
+        .div_ceil(8)
+    }
+}
+
 /// Where the current superblock's lanes draw their coins from.
 #[derive(Debug, Clone)]
 enum LaneSource<const W: usize> {
@@ -117,42 +192,37 @@ enum LaneSource<const W: usize> {
     /// `superblock · W + w`: coins come from transposed 64-lane
     /// synthesis under one block key per word.
     Aligned { keys: [u64; W] },
-    /// Lane `j` is the arbitrary sample `ids[j]` (BSRBK hash order):
-    /// each lane projects its own home block's synthesis, one bit at a
-    /// time. Only built at `W = 1`.
+    /// Lane `j` is the arbitrary sample `ids[j]` (bottom-k scoring's
+    /// hash order): each lane projects its own home block's synthesis,
+    /// one bit at a time. Only built at `W = 1`.
     Scattered { keys: Vec<(u64, u32)> },
 }
 
-/// `W · 64` possible worlds packed as per-node and per-edge `[u64; W]`
-/// word-vectors (stored transposed-contiguously in flat stride-`W`
-/// buffers).
+/// `W · 64` possible worlds as per-node and per-edge `[u64; W]`
+/// word-vectors, held in **per-superblock slots**: a word-vector is
+/// synthesized by [`node_word_lazy`](Self::node_word_lazy) or
+/// [`edge_word`](Self::edge_word) the first time a traversal reads it
+/// and cached in a slot for the rest of the superblock, so untouched
+/// items cost neither coins nor memory. Every word is a pure function
+/// of `(block key, item, lane)`, so the order of first touches can
+/// never change a value.
 ///
-/// Both node and edge word-vectors are **frontier-lazy** — synthesized
-/// by [`node_word_lazy`](Self::node_word_lazy) and
-/// [`edge_word`](Self::edge_word) on first touch and cached for the rest
-/// of the superblock via epoch stamps, so untouched items cost nothing.
-/// Every word is a pure function of `(block key, item, lane)`, so the
-/// order of first touches can never change a value.
-///
-/// Buffers are reusable: materialization overwrites them in place, so a
-/// sampling loop allocates once per run. [`WorldBlock`] is the `W = 1`
-/// alias.
+/// Each item kind has a zero-allocated `u32` item→slot index, an owner
+/// list in touch order and a compact slab of word-vectors (a sparse
+/// set, after Briggs & Torczon, 1993). Materializing the next
+/// superblock unmaps only the previous one's owners, so beyond its two
+/// indexes a block holds word-vectors in proportion to what one
+/// superblock drew, not `n·W + m·W` words.
+/// [`scratch_words`](Self::scratch_words) reports the footprint.
+/// [`WorldBlock`] is the `W = 1` alias.
 #[derive(Debug, Clone)]
 pub struct SuperBlock<const W: usize> {
-    /// `node_words[v·W + w]` bit `j` — node `v` self-defaulted in lane
-    /// `j` of home block `w`. Valid only where `node_epoch[v] == epoch`.
-    node_words: Vec<u64>,
-    /// Lazy-materialization stamps for nodes, sharing `epoch` with the
-    /// edge stamps.
-    node_epoch: Vec<u32>,
-    /// `edge_words[e·W + w]` bit `j` — edge `e` (canonical id) survived
-    /// in lane `j` of home block `w`. Valid only where
-    /// `edge_epoch[e] == epoch`.
-    edge_words: Vec<u64>,
-    /// Lazy-materialization stamps: edge `e`'s word-vector belongs to
-    /// the current superblock iff `edge_epoch[e] == epoch`.
-    edge_epoch: Vec<u32>,
-    epoch: u32,
+    /// Node `v`'s slot, bit `j` of word `w`: `v` self-defaulted in lane
+    /// `j` of home block `w`.
+    nodes: Slots<[u64; W]>,
+    /// Edge `e`'s slot (canonical id), bit `j` of word `w`: `e` survived
+    /// in lane `j` of home block `w`.
+    edges: Slots<[u64; W]>,
     /// Which lanes of which words hold materialized worlds.
     lane_masks: [u64; W],
     /// Words of `lane_masks` that are non-zero — the per-edge lazy-skip
@@ -176,21 +246,19 @@ pub struct SuperBlock<const W: usize> {
 pub type WorldBlock = SuperBlock<1>;
 
 impl<const W: usize> SuperBlock<W> {
-    /// Creates an empty superblock with buffers sized for `graph`.
+    /// Creates an empty superblock over `graph`'s nodes and edges. Its
+    /// slot indexes are zero-allocated; slabs grow with what the first
+    /// superblocks draw and are reused after that.
     pub fn new(graph: &UncertainGraph) -> Self {
         assert!(W >= 1 && W <= crate::width::MAX_BLOCK_WORDS && W.is_power_of_two());
         SuperBlock {
-            node_words: vec![0; graph.num_nodes() * W],
-            // Stamps start unequal to every epoch the block can reach,
-            // so a lazy read before the first materialize() hits the
-            // LaneSource::Empty panic instead of silently serving an
-            // all-zero word.
-            node_epoch: vec![u32::MAX; graph.num_nodes()],
-            edge_words: vec![0; graph.num_edges() * W],
-            edge_epoch: vec![u32::MAX; graph.num_edges()],
-            epoch: 0,
+            nodes: Slots::new(graph.num_nodes()),
+            edges: Slots::new(graph.num_edges()),
             lane_masks: [0; W],
             covered_words: 0,
+            // A lazy read before the first materialize() finds no slot
+            // and hits the LaneSource::Empty panic instead of silently
+            // serving an all-zero word.
             source: LaneSource::Empty,
             pending_edge_words: 0,
             usage: CoinUsage::default(),
@@ -199,21 +267,15 @@ impl<const W: usize> SuperBlock<W> {
         }
     }
 
-    /// Starts a new superblock: flushes lazy-skip accounting and
-    /// invalidates all cached node and edge word-vectors.
+    /// Starts a new superblock: flushes lazy-skip accounting and unmaps
+    /// the node and edge slots the previous superblock drew.
     fn begin_block(&mut self, covered_words: u64) {
         self.usage.edge_words_skipped += self.pending_edge_words;
         self.covered_words = covered_words;
-        self.pending_edge_words = self.edge_epoch.len() as u64 * covered_words;
+        self.pending_edge_words = self.edges.items() as u64 * covered_words;
         self.usage.superblocks += 1;
-        // `u32::MAX` is reserved as the never-materialized sentinel, so
-        // recycle one step early.
-        if self.epoch >= u32::MAX - 1 {
-            self.node_epoch.fill(0);
-            self.edge_epoch.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        self.nodes.clear();
+        self.edges.clear();
     }
 
     /// Materializes the worlds of samples `first_id .. first_id + lanes`
@@ -258,47 +320,59 @@ impl<const W: usize> SuperBlock<W> {
 
     /// The survival word-vector of edge `e` in the current superblock,
     /// synthesized on first touch (frontier-lazy, all `W` words at once)
-    /// and cached for the rest of the superblock.
+    /// and cached in a slot for the rest of the superblock.
     #[inline]
     pub fn edge_word(&mut self, coins: &CoinTable, e: usize) -> [u64; W] {
-        if self.edge_epoch[e] == self.epoch {
-            *wv::<W>(&self.edge_words, e)
-        } else {
-            self.materialize_edge(coins, e)
+        match self.edges.get(e) {
+            Some(&vec) => vec,
+            None => self.materialize_edge(coins, e),
         }
     }
 
     fn materialize_edge(&mut self, coins: &CoinTable, e: usize) -> [u64; W] {
         let vec = self.synthesize(coins.edge_threshold(e), edge_key, e, "edge_word");
-        self.edge_epoch[e] = self.epoch;
+        self.edges.get_or_insert(e, vec);
         self.touched_edges.mark(e);
         // Saturating: a `take_usage` mid-block already flushed the
         // remaining edge words as skipped, so later touches must not
         // underflow the pending count.
         self.pending_edge_words = self.pending_edge_words.saturating_sub(self.covered_words);
         self.usage.edge_words_materialized += self.covered_words;
-        wv_mut::<W>(&mut self.edge_words, e).copy_from_slice(&vec);
         vec
     }
 
     /// The self-default word-vector of node `v` in the current
     /// superblock, synthesized on first touch (frontier-lazy, all `W`
-    /// words at once) and cached for the rest of the superblock.
+    /// words at once) and cached in a slot for the rest of the
+    /// superblock.
     #[inline]
     pub fn node_word_lazy(&mut self, coins: &CoinTable, v: usize) -> [u64; W] {
-        if self.node_epoch[v] == self.epoch {
-            *wv::<W>(&self.node_words, v)
-        } else {
-            self.materialize_node(coins, v)
+        match self.nodes.get(v) {
+            Some(&vec) => vec,
+            None => self.materialize_node(coins, v),
         }
     }
 
     fn materialize_node(&mut self, coins: &CoinTable, v: usize) -> [u64; W] {
         let vec = self.synthesize(coins.node_threshold(v), node_key, v, "node_word_lazy");
-        self.node_epoch[v] = self.epoch;
+        self.nodes.get_or_insert(v, vec);
         self.touched_nodes.mark(v);
-        wv_mut::<W>(&mut self.node_words, v).copy_from_slice(&vec);
         vec
+    }
+
+    /// Synthesizes every node's self-default word-vector of the current
+    /// superblock into `out` (cleared first; flat stride-`W`, node `v`
+    /// at `out[v·W .. v·W + W]`), marking and counting each as the lazy
+    /// path would, but giving none a slot — the forward kernel's
+    /// frontier seeds, drawn straight into its `defaulted` vectors.
+    fn draw_nodes_into(&mut self, coins: &CoinTable, out: &mut Vec<u64>) {
+        out.clear();
+        out.reserve(self.nodes.items() * W);
+        for v in 0..self.nodes.items() {
+            let vec = self.synthesize(coins.node_threshold(v), node_key, v, "forward_defaults");
+            self.touched_nodes.mark(v);
+            out.extend_from_slice(&vec);
+        }
     }
 
     /// Draws item `item`'s word-vector for the current lanes: one
@@ -349,10 +423,11 @@ impl<const W: usize> SuperBlock<W> {
 
     /// Eagerly synthesizes every node word-vector of the current
     /// superblock that no traversal has touched yet — bit-identical to
-    /// what the lazy path would produce. The forward kernel calls this
-    /// first: it seeds its frontier from every self-defaulted node.
+    /// what the lazy path would produce, and one slot per node. Used by
+    /// the eager/lazy equivalence tests and the materialization-phase
+    /// benchmarks.
     pub fn force_nodes(&mut self, coins: &CoinTable) {
-        for v in 0..self.node_epoch.len() {
+        for v in 0..self.nodes.items() {
             let _ = self.node_word_lazy(coins, v);
         }
     }
@@ -362,32 +437,39 @@ impl<const W: usize> SuperBlock<W> {
     /// touch. Used by the eager/lazy equivalence tests and the
     /// materialization-phase benchmarks.
     pub fn force_edges(&mut self, coins: &CoinTable) {
-        for e in 0..self.edge_epoch.len() {
+        for e in 0..self.edges.items() {
             let _ = self.edge_word(coins, e);
         }
-    }
-
-    /// Per-node self-default word-vectors as a flat stride-`W` slice:
-    /// node `v`'s words are `node_words()[v·W .. v·W + W]`. At `W = 1`
-    /// this is the classic one-word-per-node layout. Valid only after
-    /// [`force_nodes`](Self::force_nodes) in the current superblock.
-    #[inline]
-    pub fn node_words(&self) -> &[u64] {
-        debug_assert!(
-            self.node_epoch.iter().all(|&e| e == self.epoch),
-            "node words read before force_nodes"
-        );
-        &self.node_words
     }
 
     /// Self-default word-vector of node `v`, which must already be
     /// synthesized in the current superblock (by
     /// [`node_word_lazy`](Self::node_word_lazy) or
     /// [`force_nodes`](Self::force_nodes)).
+    ///
+    /// # Panics
+    ///
+    /// If the current superblock holds no word-vector for `v`.
     #[inline]
     pub fn node_word_vec(&self, v: usize) -> &[u64; W] {
-        debug_assert_eq!(self.node_epoch[v], self.epoch, "node {v} read before synthesis");
-        wv::<W>(&self.node_words, v)
+        match self.nodes.get(v) {
+            Some(vec) => vec,
+            None => panic!("node {v} read before synthesis"),
+        }
+    }
+
+    /// Nodes and edges whose word-vectors the current superblock holds
+    /// in slots — what it drew lazily (or by force) so far.
+    pub fn drawn(&self) -> (usize, usize) {
+        (self.nodes.owners.len(), self.edges.owners.len())
+    }
+
+    /// 64-bit words of scratch this block holds (allocated capacity):
+    /// the node and edge slot indexes, owner lists and word-vector
+    /// slabs. The touch ledgers (one bit per item) are its output, not
+    /// scratch, and are not counted.
+    pub fn scratch_words(&self) -> usize {
+        self.nodes.scratch_words() + self.edges.scratch_words()
     }
 
     /// Per-word masks of materialized lanes. Words whose mask is zero
@@ -440,29 +522,21 @@ impl<const W: usize> SuperBlock<W> {
         self.force_nodes(coins);
         self.force_edges(coins);
         let bit = 1u64 << bit_index;
-        PossibleWorld {
-            self_default: self
-                .node_words
-                .chunks_exact(W)
-                .map(|words| words[word] & bit != 0)
-                .collect(),
-            edge_live: self
-                .edge_words
-                .chunks_exact(W)
-                .map(|words| words[word] & bit != 0)
-                .collect(),
-        }
+        let lane = |slots: &Slots<[u64; W]>| -> Vec<bool> {
+            (0..slots.items()).map(|i| slots.get(i).is_some_and(|v| v[word] & bit != 0)).collect()
+        };
+        PossibleWorld { self_default: lane(&self.nodes), edge_live: lane(&self.edges) }
     }
 }
 
 impl WorldBlock {
     /// Materializes worlds for explicit sample ids (at most [`LANES`]):
-    /// lane `j` is sample `ids[j]`. Used by adaptive passes (BSRBK,
-    /// bottom-k scoring) that visit samples in hash order. Each lane
-    /// projects one bit out of its home block's synthesis, so scattered
-    /// blocks remain bit-identical to the aligned path and the oracle.
-    /// Scattered replay is inherently single-word, so this only exists
-    /// at `W = 1`. Like [`materialize`](SuperBlock::materialize), it
+    /// lane `j` is sample `ids[j]`. Used by bottom-k scoring, which
+    /// visits samples in hash order. Each lane projects one bit out of
+    /// its home block's synthesis, so scattered blocks remain
+    /// bit-identical to the aligned path and the oracle. Scattered
+    /// replay is inherently single-word, so this only exists at
+    /// `W = 1`. Like [`materialize`](SuperBlock::materialize), it
     /// draws no coin: node and edge words synthesize on first touch.
     pub fn materialize_ids(
         &mut self,
@@ -498,17 +572,20 @@ impl WorldBlock {
 }
 
 /// Reusable superblock BFS/propagation kernel. Holds all scratch buffers
-/// (flat stride-`W`, like [`SuperBlock`]) so repeated superblocks
-/// allocate nothing. Takes the superblock mutably: edge word-vectors
-/// materialize lazily as the traversal first touches them.
-/// [`BlockKernel`] is the `W = 1` alias.
+/// so repeated superblocks allocate nothing. Takes the superblock
+/// mutably: node and edge word-vectors materialize lazily as the
+/// traversal first touches them. [`BlockKernel`] is the `W = 1` alias.
 ///
 /// Scratch is sized by what a pass reads, not by the whole graph:
 ///
-/// * Each direction allocates its per-node buffer on first use — the
-///   forward pass its `defaulted` vectors, the reverse pass its
-///   `reached` vectors and verdict-slot index — so a kernel that runs
-///   only one direction never holds the other's.
+/// * Each direction allocates its own buffers on first use — the
+///   forward pass its per-node `defaulted` vectors (flat stride-`W`,
+///   its output), the reverse pass its two slot maps below — so a
+///   kernel that runs only one direction never holds the other's.
+/// * A reverse search keeps the lanes that reached each node it
+///   discovered in **per-search slots**: a zero-allocated node→slot
+///   index, the discovered nodes in discovery order, and one compact
+///   word-vector each. The search resets them by walking that list.
 /// * The reverse pass's positive/negative result caches (the paper's
 ///   Algorithm 5) live in **candidate slots**. Only
 ///   [`reverse_hit_words`](Self::reverse_hit_words) writes a verdict,
@@ -517,6 +594,8 @@ impl WorldBlock {
 ///   current superblock to a compact hit/safe word-vector pair, and
 ///   [`begin_block`](Self::begin_block) forgets just those slots.
 ///
+/// No reverse buffer is `n·W` words: a reverse pass holds two `u32`
+/// indexes and slabs sized by one search and by the candidate set.
 /// [`scratch_words`](Self::scratch_words) reports the footprint.
 #[derive(Debug, Clone)]
 pub struct SuperKernel<const W: usize> {
@@ -524,27 +603,19 @@ pub struct SuperKernel<const W: usize> {
     // Forward pass: per-node "defaulted in lane j of word w" vectors.
     // Empty until the first forward pass.
     defaulted: Vec<u64>,
-    // Reverse pass: per-node "reachable from the candidate through
-    // surviving edges" vectors, cleared via `touched`. Empty until the
-    // first reverse search.
-    reached: Vec<u64>,
-    // Reverse pass: `slot_of[v]` is 1 + the verdict slot of candidate
-    // `v` in the current superblock, or 0 if nothing is known about `v`.
-    // Empty until the first reverse search.
-    slot_of: Vec<u32>,
-    // Per-slot positive/negative caches shared across candidates (flat
-    // stride-`W`): lanes where the slot's node is known to default /
-    // known safe.
-    slot_hit: Vec<u64>,
-    slot_safe: Vec<u64>,
-    // The node owning each slot, in slot order — what `begin_block`
-    // unmaps.
-    slot_nodes: Vec<u32>,
+    // Reverse pass: lanes "reachable from the candidate through
+    // surviving edges" of each node the current search discovered; the
+    // owner list is the search's touched list. Empty until the first
+    // reverse search.
+    reached: Slots<[u64; W]>,
+    // Reverse pass: each candidate queried in the current superblock's
+    // lanes known to default (`.0`) and known safe (`.1`). Empty until
+    // the first reverse search.
+    verdicts: Slots<([u64; W], [u64; W])>,
     queue: Vec<u32>,
     // Next-step frontier of the level-synchronized forward traversal.
     next: Vec<u32>,
     in_queue: Vec<bool>,
-    touched: Vec<u32>,
 }
 
 /// The classic 64-lane block kernel — a [`SuperKernel`] of width 1.
@@ -558,30 +629,24 @@ impl<const W: usize> SuperKernel<W> {
         SuperKernel {
             nodes: n,
             defaulted: Vec::new(),
-            reached: Vec::new(),
-            slot_of: Vec::new(),
-            slot_hit: Vec::new(),
-            slot_safe: Vec::new(),
-            slot_nodes: Vec::new(),
+            reached: Slots::new(0),
+            verdicts: Slots::new(0),
             queue: Vec::new(),
             next: Vec::new(),
             in_queue: vec![false; n],
-            touched: Vec::new(),
         }
     }
 
     /// 64-bit words of scratch this kernel holds (allocated capacity),
     /// not counting the frontier queues, whose length is bounded by the
-    /// nodes a pass reaches: per-node direction buffers, the verdict-slot
-    /// index and slots, and the queue-membership flags.
+    /// nodes a pass reaches: the forward pass's per-node vectors, the
+    /// reverse pass's reach and verdict slots (indexes, owner lists and
+    /// slabs), and the queue-membership flags.
     pub fn scratch_words(&self) -> usize {
-        let words = |bytes: usize| bytes.div_ceil(8);
         self.defaulted.capacity()
-            + self.reached.capacity()
-            + self.slot_hit.capacity()
-            + self.slot_safe.capacity()
-            + words(4 * (self.slot_of.capacity() + self.slot_nodes.capacity()))
-            + words(self.in_queue.capacity())
+            + self.reached.scratch_words()
+            + self.verdicts.scratch_words()
+            + self.in_queue.capacity().div_ceil(8)
     }
 
     /// Evaluates default reachability for all worlds of `block` at once:
@@ -608,13 +673,12 @@ impl<const W: usize> SuperKernel<W> {
         coins: &CoinTable,
         block: &mut SuperBlock<W>,
     ) -> &[u64] {
-        debug_assert_eq!(block.node_words.len(), self.nodes * W, "block/kernel mismatch");
-        debug_assert_eq!(block.edge_epoch.len(), graph.num_edges(), "block/graph edge mismatch");
+        debug_assert_eq!(block.nodes.items(), self.nodes, "block/kernel mismatch");
+        debug_assert_eq!(block.edges.items(), graph.num_edges(), "block/graph edge mismatch");
         // Every self-defaulted node seeds the frontier, so this pass
-        // needs all node words.
-        block.force_nodes(coins);
-        self.defaulted.clear();
-        self.defaulted.extend_from_slice(block.node_words());
+        // needs all node words: they are drawn straight into
+        // `defaulted`, which the fixpoint then grows in place.
+        block.draw_nodes_into(coins, &mut self.defaulted);
         self.queue.clear();
         for (v, words) in self.defaulted.chunks_exact(W).enumerate() {
             if words.iter().any(|&w| w != 0) {
@@ -679,12 +743,7 @@ impl<const W: usize> SuperKernel<W> {
     /// materializing a fresh superblock and before the first candidate
     /// query against it.
     pub fn begin_block(&mut self) {
-        for &v in &self.slot_nodes {
-            self.slot_of[v as usize] = 0;
-        }
-        self.slot_nodes.clear();
-        self.slot_hit.clear();
-        self.slot_safe.clear();
+        self.verdicts.clear();
     }
 
     /// The cached verdicts for node `v` in the current superblock: lanes
@@ -692,13 +751,14 @@ impl<const W: usize> SuperKernel<W> {
     /// an earlier candidate).
     #[inline]
     fn known(&self, v: usize) -> ([u64; W], [u64; W]) {
-        match self.slot_of[v] {
-            0 => ([0; W], [0; W]),
-            slot => {
-                let i = slot as usize - 1;
-                (*wv::<W>(&self.slot_hit, i), *wv::<W>(&self.slot_safe, i))
-            }
-        }
+        self.verdicts.get(v).copied().unwrap_or(([0; W], [0; W]))
+    }
+
+    /// Lanes of the current reverse search that reached node `v` (empty
+    /// unless the search discovered `v`).
+    #[inline]
+    fn reached(&self, v: usize) -> [u64; W] {
+        self.reached.get(v).copied().unwrap_or([0; W])
     }
 
     /// Decides, for every lane of every word of `block` at once, whether
@@ -723,7 +783,7 @@ impl<const W: usize> SuperKernel<W> {
     /// earlier candidates can change an answer — they only skip work.
     /// The verdicts land in `v`'s candidate slot (see the type docs),
     /// the only cache entry this call writes; the first reverse search
-    /// of a kernel allocates the reverse scratch.
+    /// of a kernel allocates the reverse slot indexes.
     pub fn reverse_hit_words(
         &mut self,
         graph: &UncertainGraph,
@@ -731,9 +791,9 @@ impl<const W: usize> SuperKernel<W> {
         block: &mut SuperBlock<W>,
         v: NodeId,
     ) -> [u64; W] {
-        if self.slot_of.len() != self.nodes {
-            self.reached = vec![0; self.nodes * W];
-            self.slot_of = vec![0; self.nodes];
+        if self.verdicts.items() != self.nodes {
+            self.reached = Slots::new(self.nodes);
+            self.verdicts = Slots::new(self.nodes);
         }
         let want = *block.lane_masks();
         let mut hit = [0u64; W];
@@ -748,7 +808,6 @@ impl<const W: usize> SuperKernel<W> {
         }
         if any_undecided != 0 {
             self.queue.clear();
-            self.touched.clear();
             // The candidate is its own first discovery.
             let open = self.discover(coins, block, v.index(), undecided, &mut hit, &mut undecided);
             let mut head = 0;
@@ -762,7 +821,7 @@ impl<const W: usize> SuperKernel<W> {
                 let mut expand = [0u64; W];
                 let mut any_expand = 0u64;
                 let (_, known_safe) = self.known(u);
-                let reached = wv::<W>(&self.reached, u);
+                let reached = self.reached(u);
                 for w in 0..W {
                     expand[w] = reached[w] & undecided[w] & !known_safe[w];
                     any_expand |= expand[w];
@@ -775,12 +834,10 @@ impl<const W: usize> SuperKernel<W> {
                     let s = s as usize;
                     let mut gate = [0u64; W];
                     let mut any_gate = 0u64;
-                    {
-                        let reached = wv::<W>(&self.reached, s);
-                        for w in 0..W {
-                            gate[w] = expand[w] & !reached[w];
-                            any_gate |= gate[w];
-                        }
+                    let reached = self.reached(s);
+                    for w in 0..W {
+                        gate[w] = expand[w] & !reached[w];
+                        any_gate |= gate[w];
                     }
                     if any_gate == 0 {
                         continue;
@@ -809,32 +866,20 @@ impl<const W: usize> SuperKernel<W> {
                     }
                 }
             }
-            // Reset per-candidate scratch. `in_queue` may hold stale
-            // `true` marks when the search broke early, so clear both.
-            for &u in &self.touched {
-                wv_mut::<W>(&mut self.reached, u as usize).fill(0);
+            // Reset per-search scratch by walking the discovered nodes.
+            // `in_queue` may hold stale `true` marks when the search
+            // broke early, so clear it too.
+            for &u in &self.reached.owners {
                 self.in_queue[u as usize] = false;
             }
+            self.reached.clear();
         }
         // Record the verdicts in `v`'s slot: lanes that exhausted without
         // a hit are provably safe for this candidate within this
         // superblock.
-        let slot = match self.slot_of[v.index()] {
-            0 => {
-                self.slot_nodes.push(v.0);
-                self.slot_of[v.index()] = self.slot_nodes.len() as u32;
-                self.slot_hit.extend_from_slice(&[0; W]);
-                self.slot_safe.extend_from_slice(&[0; W]);
-                self.slot_nodes.len() - 1
-            }
-            slot => slot as usize - 1,
-        };
-        let known_hit = wv_mut::<W>(&mut self.slot_hit, slot);
+        let (known_hit, known_safe) = self.verdicts.get_or_insert(v.index(), ([0; W], [0; W]));
         for w in 0..W {
             known_hit[w] |= hit[w];
-        }
-        let known_safe = wv_mut::<W>(&mut self.slot_safe, slot);
-        for w in 0..W {
             known_safe[w] |= want[w] & !hit[w];
         }
         hit
@@ -857,16 +902,9 @@ impl<const W: usize> SuperKernel<W> {
         hit: &mut [u64; W],
         undecided: &mut [u64; W],
     ) -> bool {
-        let mut was_reached = 0u64;
-        {
-            let reached = wv_mut::<W>(&mut self.reached, s);
-            for w in 0..W {
-                was_reached |= reached[w];
-                reached[w] |= new[w];
-            }
-        }
-        if was_reached == 0 {
-            self.touched.push(s as u32);
+        let reached = self.reached.get_or_insert(s, [0; W]);
+        for w in 0..W {
+            reached[w] |= new[w];
         }
         let mut hits = [0u64; W];
         let mut unknown = [0u64; W];
@@ -912,9 +950,7 @@ impl<const W: usize> SuperKernel<W> {
         out: &mut Vec<u64>,
     ) {
         self.begin_block();
-        self.slot_nodes.reserve_exact(candidates.len());
-        self.slot_hit.reserve_exact(candidates.len() * W);
-        self.slot_safe.reserve_exact(candidates.len() * W);
+        self.verdicts.reserve_exact(candidates.len());
         out.clear();
         for &v in candidates {
             let words = self.reverse_hit_words(graph, coins, block, v);
@@ -925,8 +961,8 @@ impl<const W: usize> SuperKernel<W> {
 
 impl BlockKernel {
     /// Single-word [`SuperKernel::reverse_hit_words`]: the lane mask of
-    /// worlds where candidate `v` defaults. Used by the scattered-lane
-    /// adaptive passes (BSRBK), which replay individual lanes.
+    /// worlds where candidate `v` defaults, on aligned or scattered
+    /// lanes alike.
     pub fn reverse_hit_word(
         &mut self,
         graph: &UncertainGraph,
@@ -1051,7 +1087,9 @@ mod tests {
         block.force_nodes(&coins);
         block.force_edges(&coins);
         // High lanes read as all-zero coins.
-        for w in block.node_words().iter().chain(&block.edge_words) {
+        let slots = block.nodes.values.iter().chain(&block.edges.values);
+        assert_eq!(slots.clone().count(), g.num_nodes() + g.num_edges());
+        for [w] in slots {
             assert_eq!(w & !0b11111, 0);
         }
     }
@@ -1067,7 +1105,9 @@ mod tests {
         assert_eq!(block.lane_count(), 70);
         block.force_nodes(&coins);
         block.force_edges(&coins);
-        for words in block.node_words.chunks_exact(4).chain(block.edge_words.chunks_exact(4)) {
+        let slots = block.nodes.values.iter().chain(&block.edges.values);
+        assert_eq!(slots.clone().count(), g.num_nodes() + g.num_edges());
+        for words in slots {
             assert_eq!(words[1] & !0b111111, 0);
             assert_eq!(words[2], 0);
             assert_eq!(words[3], 0);
@@ -1113,7 +1153,10 @@ mod tests {
             assert_eq!(partial.node_word(v), full.node_word(v) & (0b11111 << 6), "node {v}");
         }
         for e in 0..g.num_edges() {
-            assert_eq!(partial.edge_words[e], full.edge_words[e] & (0b11111 << 6), "edge {e}");
+            // The slots the forced words landed in, read without drawing.
+            let (partial, full) = (partial.edges.get(e), full.edges.get(e));
+            assert_eq!(partial.map(|w| w[0]), full.map(|w| w[0] & (0b11111 << 6)), "edge {e}");
+            assert!(partial.is_some(), "edge {e} was forced");
         }
     }
 
@@ -1232,7 +1275,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "read before synthesis")]
     fn stale_node_words_are_caught() {
         let g = chain();
@@ -1407,37 +1449,123 @@ mod tests {
         }
     }
 
+    /// What one superblock leaves behind on a block and kernel: the
+    /// kernel's answer, every node's and edge's slotted word-vector, and
+    /// the coin usage. `None` candidates means a forward pass.
+    type Step<const W: usize> = (Vec<u64>, Vec<Option<[u64; W]>>, Vec<Option<[u64; W]>>, CoinUsage);
+
+    fn run_step<const W: usize>(
+        g: &UncertainGraph,
+        coins: &CoinTable,
+        (block, kernel): (&mut SuperBlock<W>, &mut SuperKernel<W>),
+        (first, lanes): (u64, usize),
+        candidates: Option<&[NodeId]>,
+    ) -> Step<W> {
+        block.materialize(g, coins, 17, first, lanes);
+        let out = match candidates {
+            Some(candidates) => {
+                let mut hits = Vec::new();
+                kernel.reverse_hits_into(g, coins, block, candidates, &mut hits);
+                hits
+            }
+            None => kernel.forward_defaults(g, coins, block).to_vec(),
+        };
+        let slots = |s: &Slots<[u64; W]>| (0..s.items()).map(|i| s.get(i).copied()).collect();
+        (out, slots(&block.nodes), slots(&block.edges), block.take_usage())
+    }
+
+    fn reuse_matches_fresh<const W: usize>() {
+        let g = mesh();
+        let coins = CoinTable::new(&g);
+        let span = W * LANES;
+        // Partial superblocks: A lacks its last lanes, B its first ones.
+        let a = (0, span - 5);
+        let b = (span as u64 + 3, span - 3);
+        let x = [NodeId(2), NodeId(4), NodeId(1)];
+        let y = [NodeId(4), NodeId(0), NodeId(2), NodeId(3)];
+        for reverse in [false, true] {
+            let mut block = SuperBlock::<W>::new(&g);
+            let mut kernel = SuperKernel::<W>::new(&g);
+            let mut nodes = TouchSet::new(g.num_nodes());
+            let mut edges = TouchSet::new(g.num_edges());
+            for (chunk, candidates) in [(a, &x[..]), (b, &y[..]), (a, &y[..])] {
+                let candidates = reverse.then_some(candidates);
+                let mut fresh = (SuperBlock::<W>::new(&g), SuperKernel::<W>::new(&g));
+                let expected =
+                    run_step(&g, &coins, (&mut fresh.0, &mut fresh.1), chunk, candidates);
+                let got = run_step(&g, &coins, (&mut block, &mut kernel), chunk, candidates);
+                let at = format!("W = {W}, reverse = {reverse}, chunk {chunk:?}");
+                assert_eq!(got, expected, "{at}");
+                // The reused block's ledger is the union of the fresh ones.
+                nodes.merge(fresh.0.touched_nodes());
+                edges.merge(fresh.0.touched_edges());
+                assert_eq!(block.touched_nodes(), &nodes, "{at}");
+                assert_eq!(block.touched_edges(), &edges, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_block_matches_fresh_blocks_across_superblocks() {
+        // One block and kernel run superblock A touching X, then B
+        // touching an overlapping Y, then A with Y: no word-vector may
+        // leak between superblocks through the slots, so the answers,
+        // the slotted words, the ledgers and the coin usage all match
+        // fresh blocks' — in both directions, at widths 1 and 8.
+        reuse_matches_fresh::<1>();
+        reuse_matches_fresh::<8>();
+    }
+
     #[test]
     fn each_direction_allocates_only_its_own_scratch() {
         const W: usize = 8;
         let risks = vec![0.1; 64];
         let edges: Vec<(u32, u32, f64)> = (0..63).map(|v| (v, v + 1, 0.5)).collect();
         let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
-        let (n, coins) = (g.num_nodes(), CoinTable::new(&g));
+        let (n, m, coins) = (g.num_nodes(), g.num_edges(), CoinTable::new(&g));
         let candidates = [NodeId(63), NodeId(10)];
-        let mut block = SuperBlock::<W>::new(&g);
         let idle = SuperKernel::<W>::new(&g).scratch_words();
+        let idle_block = SuperBlock::<W>::new(&g).scratch_words();
+        // An unused block holds its two `u32` slot indexes and no slab.
+        assert_eq!(idle_block, (n + m).div_ceil(2));
 
+        let (mut forward_block, mut reverse_block) = (SuperBlock::new(&g), SuperBlock::new(&g));
         let mut forward = SuperKernel::<W>::new(&g);
         let mut reverse = SuperKernel::<W>::new(&g);
         let mut hits = Vec::new();
+        let mut most_drawn = (0, 0);
         for first in [0, 512] {
-            block.materialize(&g, &coins, 4, first, 512);
-            let _ = forward.forward_defaults(&g, &coins, &mut block);
-            reverse.reverse_hits_into(&g, &coins, &mut block, &candidates, &mut hits);
+            forward_block.materialize(&g, &coins, 4, first, 512);
+            let _ = forward.forward_defaults(&g, &coins, &mut forward_block);
+            reverse_block.materialize(&g, &coins, 4, first, 512);
+            reverse.reverse_hits_into(&g, &coins, &mut reverse_block, &candidates, &mut hits);
+            let (nodes, edges) = reverse_block.drawn();
+            most_drawn = (most_drawn.0.max(nodes), most_drawn.1.max(edges));
         }
         // Forward only: its `defaulted` vectors and nothing else — no
-        // `reached` vectors, no verdict-slot index.
+        // reach or verdict slots — and its block holds no node slot.
         assert_eq!(forward.scratch_words(), idle + n * W);
-        // Reverse only: `reached` plus the slot index and one slot per
-        // candidate — within the perf-sanity bound, and well short of
-        // the second n·W a `defaulted` buffer would add.
+        assert_eq!(forward_block.drawn().0, 0, "node words go straight to `defaulted`");
+        // Reverse only: two `u32` slot indexes (`n` words together),
+        // reach slots for the nodes one search discovered and one
+        // hit/safe slot per candidate — within the perf-sanity bound,
+        // within a small multiple of what one superblock drew, and short
+        // of even one `n·W` buffer.
         let reverse_words = reverse.scratch_words();
-        assert!(reverse_words >= idle + n * W);
-        assert!(reverse_words <= n * W + n + 2 * candidates.len() * W, "{reverse_words}");
-        assert!(reverse_words < idle + 2 * n * W);
+        let (drawn, b) = (most_drawn.0, candidates.len());
+        assert!(drawn > 0 && drawn < n / 2, "{most_drawn:?}");
+        assert!(reverse_words >= idle + n + 2 * b * W, "{reverse_words}");
+        assert!(reverse_words <= idle + n + 4 * (drawn + b) * W, "{reverse_words}");
+        assert!(reverse_words <= n * W + n + 2 * b * W, "{reverse_words}");
+        assert!(reverse_words < idle + n * W, "{reverse_words}");
+        // The reverse block holds its indexes plus slabs for what one
+        // superblock drew, short of the dense `(n + m)·W` words.
+        let block_words = reverse_block.scratch_words();
+        let (nodes, edges) = most_drawn;
+        assert!(block_words <= idle_block + 3 * (nodes + edges) * W, "{block_words}");
+        assert!(block_words < idle_block + (n + m) * W, "{block_words}");
         // A forward pass on the reverse kernel adds exactly `defaulted`.
-        let _ = reverse.forward_defaults(&g, &coins, &mut block);
+        let _ = reverse.forward_defaults(&g, &coins, &mut reverse_block);
         assert_eq!(reverse.scratch_words(), reverse_words + n * W);
     }
 

@@ -238,13 +238,12 @@ impl SamplePass<'_> {
             from = end;
         }
         let workers = workers.clamp(1, chunks.len().max(1));
-        let fresh = || vec![DefaultCounts::new(slots); splits.len() + 1];
         let next = AtomicUsize::new(0);
         let partials = run_workers(workers, || {
             let mut block = SuperBlock::<W>::new(graph);
             let mut kernel = SuperKernel::<W>::new(graph);
             let mut hits = Vec::new();
-            let mut segments = fresh();
+            let mut segments = vec![DefaultCounts::new(slots); splits.len() + 1];
             while let Some(chunk) = claim(&next, &chunks, self.cancel) {
                 let segment = splits.partition_point(|&s| s <= chunk.start);
                 block.materialize(
@@ -262,13 +261,17 @@ impl SamplePass<'_> {
             (segments, block.take_usage())
         });
 
-        let mut segments = fresh();
-        let mut usage = CoinUsage::default();
-        for (partial, u) in &partials {
-            for (total, p) in segments.iter_mut().zip(partial) {
+        // The first worker's counts are the running total, so a
+        // one-worker pass returns its segments without a merge copy.
+        let mut partials = partials.into_iter();
+        // xlint: allow(panic-hygiene) — `workers` is clamped to at least
+        // one and `run_workers` returns one result per worker.
+        let (mut segments, mut usage) = partials.next().expect("a pass runs one worker or more");
+        for (partial, u) in partials {
+            for (total, p) in segments.iter_mut().zip(&partial) {
                 total.merge(p);
             }
-            usage.merge(u);
+            usage.merge(&u);
         }
         (segments, usage)
     }

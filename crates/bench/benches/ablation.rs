@@ -1,48 +1,13 @@
 //! Ablations of design choices, each run with and without the choice:
-//! negative-result caching in the reverse sampler, bottom-k early stop
-//! vs the full Equation-4 budget, and incremental bounds.
+//! bottom-k early stop vs the full Equation-4 budget, and incremental
+//! bounds.
 
-use ugraph::NodeId;
 use vulnds_bench::microbench::bench;
 use vulnds_core::engine::{DetectRequest, Detector};
 use vulnds_core::{AlgorithmKind, VulnConfig};
 use vulnds_datasets::Dataset;
-use vulnds_sampling::{CoinTable, DefaultCounts, ReverseSampler, ScalarCoins};
-
-fn run_reverse(
-    g: &ugraph::UncertainGraph,
-    candidates: &[NodeId],
-    t: u64,
-    negative_cache: bool,
-) -> DefaultCounts {
-    let table = CoinTable::new(g);
-    let mut sampler = if negative_cache {
-        ReverseSampler::new(g)
-    } else {
-        ReverseSampler::new(g).without_negative_cache()
-    };
-    let mut counts = DefaultCounts::new(candidates.len());
-    let mut buf = Vec::new();
-    for sample_id in 0..t {
-        sampler.sample_candidates(g, &table, candidates, ScalarCoins::new(42, sample_id), &mut buf);
-        counts.begin_sample();
-        for (i, &h) in buf.iter().enumerate() {
-            if h {
-                counts.bump(i);
-            }
-        }
-    }
-    counts
-}
 
 fn main() {
-    // Dense candidate set on a hub graph: many overlapping reverse BFS
-    // trees, where negative caching pays.
-    let g = Dataset::Guarantee.generate_scaled(1, 0.05);
-    let candidates: Vec<NodeId> = (0..(g.num_nodes() as u32 / 10).max(1)).map(NodeId).collect();
-    bench("reverse_negative_cache/with_cache", || run_reverse(&g, &candidates, 100, true));
-    bench("reverse_negative_cache/without_cache", || run_reverse(&g, &candidates, 100, false));
-
     let g2 = std::sync::Arc::new(Dataset::Citation.generate_scaled(2, 0.5));
     let k = (g2.num_nodes() / 20).max(1);
     let cfg = VulnConfig::default().with_seed(42);

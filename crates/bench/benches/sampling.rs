@@ -8,8 +8,9 @@
 //!   (eagerly, so the phase is isolated from traversal order);
 //! * `eval/{scalar,block}` — default reachability over pre-materialized
 //!   worlds, the PR-2 comparison;
-//! * `end_to_end/{scalar,block}` — both phases together; the block path
-//!   runs production-shaped, i.e. with frontier-lazy edge words.
+//! * `end_to_end/{oracle,block}` — both phases together: the
+//!   `PossibleWorld` oracle one world at a time vs the block path run
+//!   production-shaped, i.e. with frontier-lazy edge words.
 //!
 //! Results append to stdout and are written to `BENCH_sampling.json`
 //! (override the path with `VULNDS_BENCH_JSON`) so the perf trajectory
@@ -22,9 +23,8 @@ use vulnds_bench::microbench::{bench, measure, JsonReport};
 use vulnds_datasets::gen::{chung_lu, erdos, pref_attach};
 use vulnds_datasets::{attach_probabilities, ProbabilityModel};
 use vulnds_sampling::{
-    reverse_counts, BlockKernel, BlockWords, CoinTable, DefaultCounts, ForwardSampler,
-    PossibleWorld, ReverseSampler, SamplePass, ScalarCoins, WorldBlock, Xoshiro256pp,
-    COIN_PRECISION, LANES,
+    reverse_counts, BlockKernel, BlockWords, CoinTable, DefaultCounts, PossibleWorld, SamplePass,
+    WorldBlock, Xoshiro256pp, COIN_PRECISION, LANES,
 };
 
 /// Worlds per end-to-end measurement: one widest superblock, so every
@@ -115,13 +115,11 @@ fn main() {
         });
 
         // --- End to end: materialization + evaluation. ---
-        let mut sampler = ForwardSampler::new(&g);
-        let scalar_e2e = measure(&format!("{name}/end_to_end/scalar_per_64_worlds"), || {
+        let oracle_e2e = measure(&format!("{name}/end_to_end/oracle_per_64_worlds"), || {
             let mut counts = DefaultCounts::new(n);
             for i in 0..LANES as u64 {
-                counts.begin_sample();
-                sampler
-                    .sample_with(&g, &table, &ScalarCoins::new(43, i), |v| counts.bump(v.index()));
+                let world = PossibleWorld::sample_with_table(&g, &table, 43, i);
+                counts.record_mask(&world.defaulted_nodes(&g));
             }
             counts.samples()
         });
@@ -175,10 +173,10 @@ fn main() {
 
         let mat_speedup = scalar_mat.median_secs / block_mat.median_secs;
         let eval_speedup = scalar_eval.median_secs / block_eval.median_secs;
-        let e2e_speedup = scalar_e2e.median_secs / block_e2e.median_secs;
+        let e2e_speedup = oracle_e2e.median_secs / block_e2e.median_secs;
         println!(
             "{name}: materialize speedup {mat_speedup:.1}x, eval speedup {eval_speedup:.1}x, \
-             end-to-end speedup {e2e_speedup:.1}x, superblock w{planned} vs w1 {:.2}x, \
+             end-to-end speedup vs oracle {e2e_speedup:.1}x, superblock w{planned} vs w1 {:.2}x, \
              lazy skip {:.0}%",
             w1_ns / planned_ns,
             usage.lazy_skip_ratio() * 100.0
@@ -197,9 +195,9 @@ fn main() {
             .num("scalar_eval_per_world_ns", scalar_eval.median_secs * per_world)
             .num("block_eval_per_world_ns", block_eval.median_secs * per_world)
             .num("eval_speedup", eval_speedup)
-            .num("scalar_end_to_end_per_world_ns", scalar_e2e.median_secs * per_world)
+            .num("oracle_end_to_end_per_world_ns", oracle_e2e.median_secs * per_world)
             .num("block_end_to_end_per_world_ns", block_e2e.median_secs * per_world)
-            .num("end_to_end_speedup", e2e_speedup);
+            .num("end_to_end_speedup_vs_oracle", e2e_speedup);
         for (width, ns) in &width_ns {
             group = group.num(&format!("superblock_end_to_end_per_world_ns_w{width}"), *ns);
         }
@@ -231,29 +229,22 @@ fn main() {
     }
     // The small-candidate regime the paper's lazy coins won: with the
     // counter RNG the block path only materializes the edge words the
-    // candidates' reverse BFS trees touch, so this row now compares the
-    // scalar per-world path against the lazy block path explicitly
-    // (per 64 worlds over 50 candidates).
+    // candidates' reverse BFS trees touch, so this row compares the
+    // oracle's whole worlds against the lazy block path explicitly (per
+    // 64 worlds over 50 candidates).
     {
         let table = CoinTable::new(&g);
         let candidates: Vec<NodeId> = (0..50u32).map(NodeId).collect();
-        let mut scalar_sampler = ReverseSampler::new(&g);
-        let mut buf = Vec::new();
         let mut sample_base = 0u64;
-        let scalar_small =
-            measure("reverse_small_candidate_set/scalar_50cand_per_64_worlds", || {
+        let oracle_small =
+            measure("reverse_small_candidate_set/oracle_50cand_per_64_worlds", || {
                 let base = sample_base;
                 sample_base += LANES as u64;
                 let mut hits = 0usize;
                 for i in base..base + LANES as u64 {
-                    scalar_sampler.sample_candidates(
-                        &g,
-                        &table,
-                        &candidates,
-                        ScalarCoins::new(7, i),
-                        &mut buf,
-                    );
-                    hits += buf.iter().filter(|&&h| h).count();
+                    let world = PossibleWorld::sample_with_table(&g, &table, 7, i);
+                    let defaulted = world.defaulted_nodes(&g);
+                    hits += candidates.iter().filter(|v| defaulted[v.index()]).count();
                 }
                 hits
             });
@@ -281,10 +272,10 @@ fn main() {
             .num("nodes", g.num_nodes() as f64)
             .num("edges", g.num_edges() as f64)
             .num("candidates", 50.0)
-            .num("scalar_per_world_ns", scalar_small.median_secs / LANES as f64 * 1e9)
+            .num("oracle_per_world_ns", oracle_small.median_secs / LANES as f64 * 1e9)
             .num("block_per_world_ns", block_small.median_secs / LANES as f64 * 1e9)
             .num("superblock_w8_per_world_ns", wide_small.median_secs / WIDTH_BUDGET as f64 * 1e9)
-            .num("speedup", scalar_small.median_secs / block_small.median_secs)
+            .num("speedup_vs_oracle", oracle_small.median_secs / block_small.median_secs)
             .num("lazy_edge_skip_ratio", usage.lazy_skip_ratio());
     }
     // `effective_threads` clamps to available_parallelism, so on a

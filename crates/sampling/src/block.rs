@@ -12,10 +12,10 @@
 //! `W` times as many worlds.
 //!
 //! [`WorldBlock`] and [`BlockKernel`] are the `W = 1` aliases — the
-//! classic 64-lane block path, still used by bottom-k scoring (whose
-//! hash-order replay is inherently single-word), conditional scores and
-//! labels. Runtime width selection lives in
-//! [`BlockWords`](crate::BlockWords).
+//! classic 64-lane block path, still used by the adaptive passes that
+//! stop mid-stream and so read worlds 64 at a time in sample-id order:
+//! bottom-k scoring, conditional scores and labels. Runtime width
+//! selection lives in [`BlockWords`](crate::BlockWords).
 //!
 //! Materialization is bit-parallel too: lane words are synthesized
 //! transposed, straight from the stateless `(seed, block, item, level)`
@@ -40,19 +40,18 @@
 //! coin is a fixed bit of the stateless synthesis keyed by
 //! `(seed, i / 64, item)`, independent of the superblock width it is
 //! evaluated under — see [`crate::coins`] for the generator. Every
-//! sampler in this crate (the superblock kernels at every width, the
-//! scalar [`ForwardSampler`](crate::ForwardSampler) and
-//! [`ReverseSampler`](crate::ReverseSampler) references, and the
-//! parallel drivers) evaluates deterministic functions of *those*
-//! worlds, which is why counts are **bit-identical** across widths,
-//! lazy and eager materialization, block and scalar evaluation, any
-//! sample budget (including budgets that are not multiples of `W · 64`,
-//! served through per-word lane masks over the partial superblock), and
-//! any thread count.
+//! sampling path in this crate (the superblock kernels at every width
+//! and every [`SamplePass`](crate::SamplePass)) reads aligned
+//! superblocks and evaluates deterministic functions of *those* worlds,
+//! which is why counts are **bit-identical** to the [`PossibleWorld`]
+//! oracle and across widths, lazy and eager materialization, any sample
+//! budget (including budgets that are not multiples of `W · 64`, served
+//! through per-word lane masks over the partial superblock), and any
+//! thread count.
 //!
 //! [`PossibleWorld::sample_indexed(graph, seed, i)`]: PossibleWorld::sample_indexed
 
-use crate::coins::{bernoulli_bit, bernoulli_words, block_key, edge_key, node_key};
+use crate::coins::{bernoulli_words, block_key, edge_key, node_key};
 use crate::coins::{CoinTable, CoinUsage};
 use crate::touch::TouchSet;
 use crate::world::PossibleWorld;
@@ -183,21 +182,6 @@ impl<T: Copy> Slots<T> {
     }
 }
 
-/// Where the current superblock's lanes draw their coins from.
-#[derive(Debug, Clone)]
-enum LaneSource<const W: usize> {
-    /// No superblock materialized yet.
-    Empty,
-    /// Word `w` holds the 64 consecutive samples of home block
-    /// `superblock · W + w`: coins come from transposed 64-lane
-    /// synthesis under one block key per word.
-    Aligned { keys: [u64; W] },
-    /// Lane `j` is the arbitrary sample `ids[j]` (bottom-k scoring's
-    /// hash order): each lane projects its own home block's synthesis,
-    /// one bit at a time. Only built at `W = 1`.
-    Scattered { keys: Vec<(u64, u32)> },
-}
-
 /// `W · 64` possible worlds as per-node and per-edge `[u64; W]`
 /// word-vectors, held in **per-superblock slots**: a word-vector is
 /// synthesized by [`node_word_lazy`](Self::node_word_lazy) or
@@ -228,7 +212,10 @@ pub struct SuperBlock<const W: usize> {
     /// Words of `lane_masks` that are non-zero — the per-edge lazy-skip
     /// accounting unit, so partial superblocks are not over-credited.
     covered_words: u64,
-    source: LaneSource<W>,
+    /// Block key of each word: word `w` holds the 64 consecutive
+    /// samples of home block `superblock · W + w`. `None` until the
+    /// first [`materialize`](Self::materialize).
+    keys: Option<[u64; W]>,
     /// Edge words not yet materialized in the current superblock
     /// (flushed into `usage.edge_words_skipped` when the next superblock
     /// begins).
@@ -257,9 +244,9 @@ impl<const W: usize> SuperBlock<W> {
             lane_masks: [0; W],
             covered_words: 0,
             // A lazy read before the first materialize() finds no slot
-            // and hits the LaneSource::Empty panic instead of silently
-            // serving an all-zero word.
-            source: LaneSource::Empty,
+            // and panics on the missing keys instead of silently serving
+            // an all-zero word.
+            keys: None,
             pending_edge_words: 0,
             usage: CoinUsage::default(),
             touched_nodes: TouchSet::new(graph.num_nodes()),
@@ -314,7 +301,7 @@ impl<const W: usize> SuperBlock<W> {
         }
         let masks = word_masks::<W>(first_id, lanes);
         self.begin_block(masks.iter().filter(|&&m| m != 0).count() as u64);
-        self.source = LaneSource::Aligned { keys };
+        self.keys = Some(keys);
         self.lane_masks = masks;
     }
 
@@ -376,9 +363,8 @@ impl<const W: usize> SuperBlock<W> {
     }
 
     /// Draws item `item`'s word-vector for the current lanes: one
-    /// transposed synthesis per home block on the aligned path, one
-    /// projected bit per lane on the scattered path. `caller` names the
-    /// public accessor in the read-before-materialize panic.
+    /// transposed synthesis per home block. `caller` names the public
+    /// accessor in the read-before-materialize panic.
     #[inline]
     fn synthesize(
         &mut self,
@@ -387,38 +373,12 @@ impl<const W: usize> SuperBlock<W> {
         item: usize,
         caller: &str,
     ) -> [u64; W] {
-        let mut vec = [0u64; W];
-        match &self.source {
-            LaneSource::Aligned { keys } => {
-                let mut item_keys = [0u64; W];
-                for w in 0..W {
-                    item_keys[w] = item_key(keys[w], item);
-                }
-                vec = bernoulli_words::<W>(
-                    threshold,
-                    &item_keys,
-                    &self.lane_masks,
-                    &mut self.usage.words,
-                );
-            }
-            LaneSource::Scattered { keys } => {
-                let mut word = 0u64;
-                if threshold != 0 {
-                    for (j, &(key, lane)) in keys.iter().enumerate() {
-                        let coin = bernoulli_bit(
-                            threshold,
-                            item_key(key, item),
-                            lane,
-                            &mut self.usage.words,
-                        );
-                        word |= (coin as u64) << j;
-                    }
-                }
-                vec[0] = word;
-            }
-            LaneSource::Empty => panic!("{caller} before materialize"),
+        let Some(keys) = &self.keys else { panic!("{caller} before materialize") };
+        let mut item_keys = [0u64; W];
+        for w in 0..W {
+            item_keys[w] = item_key(keys[w], item);
         }
-        vec
+        bernoulli_words::<W>(threshold, &item_keys, &self.lane_masks, &mut self.usage.words)
     }
 
     /// Eagerly synthesizes every node word-vector of the current
@@ -530,32 +490,6 @@ impl<const W: usize> SuperBlock<W> {
 }
 
 impl WorldBlock {
-    /// Materializes worlds for explicit sample ids (at most [`LANES`]):
-    /// lane `j` is sample `ids[j]`. Used by bottom-k scoring, which
-    /// visits samples in hash order. Each lane projects one bit out of
-    /// its home block's synthesis, so scattered blocks remain
-    /// bit-identical to the aligned path and the oracle. Scattered
-    /// replay is inherently single-word, so this only exists at
-    /// `W = 1`. Like [`materialize`](SuperBlock::materialize), it
-    /// draws no coin: node and edge words synthesize on first touch.
-    pub fn materialize_ids(
-        &mut self,
-        graph: &UncertainGraph,
-        coins: &CoinTable,
-        seed: u64,
-        ids: &[u64],
-    ) {
-        assert!(ids.len() <= LANES, "a block holds at most {LANES} lanes");
-        debug_assert!(coins.matches(graph), "stale coin table for this graph");
-        self.begin_block(1);
-        let keys: Vec<(u64, u32)> = ids
-            .iter()
-            .map(|&id| (block_key(seed, id / LANES as u64), (id % LANES as u64) as u32))
-            .collect();
-        self.lane_masks = [lane_mask(keys.len())];
-        self.source = LaneSource::Scattered { keys };
-    }
-
     /// Mask of materialized lanes — the single word of a width-1 block.
     #[inline]
     pub fn lane_mask(&self) -> u64 {
@@ -959,21 +893,6 @@ impl<const W: usize> SuperKernel<W> {
     }
 }
 
-impl BlockKernel {
-    /// Single-word [`SuperKernel::reverse_hit_words`]: the lane mask of
-    /// worlds where candidate `v` defaults, on aligned or scattered
-    /// lanes alike.
-    pub fn reverse_hit_word(
-        &mut self,
-        graph: &UncertainGraph,
-        coins: &CoinTable,
-        block: &mut WorldBlock,
-        v: NodeId,
-    ) -> u64 {
-        self.reverse_hit_words(graph, coins, block, v)[0]
-    }
-}
-
 /// Splits a sample-id range into chunks that never cross a 64-aligned
 /// block boundary — [`superblock_chunks`] at width 1.
 pub fn block_chunks(range: std::ops::Range<u64>) -> impl Iterator<Item = std::ops::Range<u64>> {
@@ -1186,51 +1105,34 @@ mod tests {
         for v in [4usize, 0, 2, 4, 1, 3] {
             assert_eq!(&lazy.node_word_lazy(&coins, v), eager.node_word_vec(v), "node {v}");
         }
-        // Scattered lanes take the same path, one projected bit a lane.
-        let ids = [900u64, 3, 64, 65, 4000];
-        let mut eager = WorldBlock::new(&g);
-        eager.materialize_ids(&g, &coins, 5, &ids);
-        eager.force_nodes(&coins);
-        let mut lazy = WorldBlock::new(&g);
-        lazy.materialize_ids(&g, &coins, 5, &ids);
-        for v in [3usize, 1, 3, 0] {
-            assert_eq!(lazy.node_word_lazy(&coins, v)[0], eager.node_word(v), "node {v}");
-        }
     }
 
     #[test]
     fn reverse_pass_draws_only_reached_node_words() {
         // Node 0 has no in-edges: its reverse search reads its own word
         // and nothing else, so the block draws one node word-vector,
-        // not all three — on aligned and scattered lanes alike.
+        // not all three.
         let g = from_parts(&[0.5, 0.5, 0.5], &[(0, 1, 0.5)], DuplicateEdgePolicy::Error).unwrap();
         let coins = CoinTable::new(&g);
-        let ids: Vec<u64> = (0..64).map(|i| i * 7 + 3).collect();
-        for scattered in [false, true] {
-            let fresh = || {
-                let mut block = WorldBlock::new(&g);
-                if scattered {
-                    block.materialize_ids(&g, &coins, 3, &ids);
-                } else {
-                    block.materialize(&g, &coins, 3, 0, 64);
-                }
-                block
-            };
-            let mut eager = fresh();
-            eager.force_nodes(&coins);
-            let eager_words = eager.take_usage().words;
-            let mut lazy = fresh();
-            assert_eq!(lazy.take_usage().words, 0, "materializing draws no coins");
-            let mut kernel = BlockKernel::new(&g);
-            kernel.begin_block();
-            let _ = kernel.reverse_hit_word(&g, &coins, &mut lazy, NodeId(0));
-            let lazy_words = lazy.take_usage().words;
-            assert!(lazy_words > 0);
-            assert!(lazy_words < eager_words, "untouched nodes must draw no coins");
-            let touched = lazy.touched_nodes();
-            assert!(touched.contains(0) && touched.count() == 1, "scattered = {scattered}");
-            assert_eq!(lazy.touched_edges().count(), 0);
-        }
+        let fresh = || {
+            let mut block = WorldBlock::new(&g);
+            block.materialize(&g, &coins, 3, 0, 64);
+            block
+        };
+        let mut eager = fresh();
+        eager.force_nodes(&coins);
+        let eager_words = eager.take_usage().words;
+        let mut lazy = fresh();
+        assert_eq!(lazy.take_usage().words, 0, "materializing draws no coins");
+        let mut kernel = BlockKernel::new(&g);
+        kernel.begin_block();
+        let _ = kernel.reverse_hit_words(&g, &coins, &mut lazy, NodeId(0));
+        let lazy_words = lazy.take_usage().words;
+        assert!(lazy_words > 0);
+        assert!(lazy_words < eager_words, "untouched nodes must draw no coins");
+        let touched = lazy.touched_nodes();
+        assert!(touched.contains(0) && touched.count() == 1);
+        assert_eq!(lazy.touched_edges().count(), 0);
     }
 
     /// A star into hub 8: source 0 always defaults over a certain edge,
@@ -1268,10 +1170,6 @@ mod tests {
         let mut wide = SuperBlock::<4>::new(&g);
         wide.materialize(&g, &coins, 5, 64, 3 * 64 - 7);
         hub_search_touches_one_edge(&g, &mut wide);
-        let ids: Vec<u64> = (0..40).map(|i| i * 11 + 2).collect();
-        let mut scattered = WorldBlock::new(&g);
-        scattered.materialize_ids(&g, &coins, 5, &ids);
-        hub_search_touches_one_edge(&g, &mut scattered);
     }
 
     #[test]
@@ -1622,15 +1520,5 @@ mod tests {
         let coins = CoinTable::new(&g);
         let mut block = SuperBlock::<2>::new(&g);
         block.materialize(&g, &coins, 1, 100, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 lanes")]
-    fn materialize_ids_rejects_oversized_blocks() {
-        let g = chain();
-        let coins = CoinTable::new(&g);
-        let mut block = WorldBlock::new(&g);
-        let ids: Vec<u64> = (0..65).collect();
-        block.materialize_ids(&g, &coins, 1, &ids);
     }
 }

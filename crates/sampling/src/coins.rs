@@ -29,10 +29,10 @@
 //! Sample `i` lives in lane `i % 64` of block `i / 64`. Its coin for an
 //! item (node `v` or canonical edge `e`) is bit `i % 64` of the
 //! synthesized word for that `(seed, i / 64, item)` — which
-//! [`bernoulli_bit`] reproduces one lane at a time, exactly. The scalar
-//! samplers, the [`PossibleWorld`](crate::PossibleWorld) oracle, and
-//! the lazy/eager block paths are all projections of the same function,
-//! which is what keeps counts bit-identical across every data path.
+//! [`bernoulli_bit`] reproduces one lane at a time, exactly. The
+//! [`PossibleWorld`](crate::PossibleWorld) oracle and the lazy/eager
+//! block paths are both projections of the same function, which is what
+//! keeps counts bit-identical across every data path.
 //!
 //! Quantization note: coins fire with probability exactly `T / 2^32`,
 //! i.e. probabilities are rounded to the nearest multiple of `2^-32`
@@ -335,9 +335,9 @@ impl CoinTable {
 }
 
 /// One sample's scalar coin view: lane `sample_id % 64` of block
-/// `sample_id / 64`. The scalar samplers and the
-/// [`PossibleWorld`](crate::PossibleWorld) oracle draw through this,
-/// which makes them bit-identical to the block kernels by construction.
+/// `sample_id / 64`. The [`PossibleWorld`](crate::PossibleWorld) oracle
+/// draws through this, one lane at a time and independently of the
+/// transposed synthesis the block kernels use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarCoins {
     block_key: u64,

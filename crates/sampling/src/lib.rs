@@ -23,18 +23,17 @@
 //! * [`SuperBlock`] / [`SuperKernel`] — the W×64-lane possible-world
 //!   kernel a pass runs on. The forward kernel only pushes: one
 //!   frontier traversal policy, kept in [`block`]. [`WorldBlock`] /
-//!   [`BlockKernel`] are the width-1 aliases that serve bottom-k
-//!   scoring, conditional scores and labels.
+//!   [`BlockKernel`] are the width-1 aliases that serve the adaptive
+//!   passes reading worlds in sample-id order: bottom-k scoring,
+//!   conditional scores and labels.
 //! * [`BlockWords`] — the supported superblock widths and the
 //!   budget/thread-aware planning heuristic every pass's width comes
 //!   from.
-//! * [`ForwardSampler`] — scalar reference for the inner loop of the
-//!   paper's Algorithm 1 (one world at a time).
-//! * [`ReverseSampler`] — scalar reference for Algorithm 5: per-candidate
-//!   reverse BFS with result caches and lazy coins.
 //! * [`PossibleWorld`] / [`WorldEnumerator`] — fully-materialized worlds,
-//!   the semantic oracle everything above is validated against
-//!   (bit-identical, not just in distribution).
+//!   the one semantic oracle everything above is validated against
+//!   (bit-identical, not just in distribution): its coins are drawn
+//!   one at a time through [`ScalarCoins`], independently of the block
+//!   synthesis.
 //!
 //! ```
 //! use ugraph::{from_parts, DuplicateEdgePolicy};
@@ -54,9 +53,7 @@ pub mod block;
 pub mod cancel;
 pub mod coins;
 pub mod counts;
-pub mod forward;
 pub mod parallel;
-pub mod reverse;
 pub mod rng;
 pub mod touch;
 pub mod width;
@@ -69,12 +66,10 @@ pub use block::{
 pub use cancel::CancelToken;
 pub use coins::{CoinTable, CoinUsage, ScalarCoins, COIN_PRECISION};
 pub use counts::DefaultCounts;
-pub use forward::{forward_counts, ForwardSampler};
 pub use parallel::{
-    parallel_forward_counts_range_width, parallel_reverse_counts_range_width, PassCounts,
-    SamplePass,
+    forward_counts, parallel_forward_counts_range_width, parallel_reverse_counts_range_width,
+    reverse_counts, PassCounts, SamplePass,
 };
-pub use reverse::{reverse_counts, ReverseSampler};
 pub use rng::Xoshiro256pp;
 pub use touch::{TouchLedger, TouchSet};
 pub use width::{BlockWords, MAX_BLOCK_WORDS};

@@ -121,8 +121,8 @@ impl SamplePass<'_> {
 
     /// Forward pass — Algorithm 1 without its top-k selection: per-node
     /// default counts, each chunk one `W`-wide bit-parallel BFS with
-    /// frontier-lazy edge words. Bit-identical to the scalar
-    /// [`ForwardSampler`](crate::ForwardSampler) reference.
+    /// frontier-lazy edge words. Bit-identical to evaluating each
+    /// sample's [`PossibleWorld`](crate::PossibleWorld).
     pub fn forward(&self, graph: &UncertainGraph, coins: &CoinTable, seed: u64) -> PassCounts {
         let (width, workers) = (self.fitted_width(), effective_threads(self.threads));
         let (segments, usage) =
@@ -133,8 +133,7 @@ impl SamplePass<'_> {
     /// Reverse pass — Algorithm 5: default counts of each of
     /// `candidates` (indexed by position), each chunk one bit-parallel
     /// reverse BFS per candidate that decides all `W·64` worlds at once.
-    /// Bit-identical to the scalar [`ReverseSampler`](crate::ReverseSampler)
-    /// reference and to the forward pass restricted to `candidates`.
+    /// Bit-identical to the forward pass restricted to `candidates`.
     pub fn reverse(
         &self,
         graph: &UncertainGraph,
@@ -277,6 +276,25 @@ impl SamplePass<'_> {
     }
 }
 
+/// Runs `t` forward samples (ids `0..t`) and returns per-node default
+/// counts: the whole of Algorithm 1 except the final top-k selection,
+/// as one [`SamplePass`] on the calling thread.
+pub fn forward_counts(graph: &UncertainGraph, t: u64, seed: u64) -> DefaultCounts {
+    SamplePass::new(0..t, 1).forward(graph, &CoinTable::new(graph), seed).merged().0
+}
+
+/// Runs `t` reverse samples (ids `0..t`) over `candidates` and returns
+/// per-candidate default counts (indexed by candidate position), as one
+/// [`SamplePass`] on the calling thread.
+pub fn reverse_counts(
+    graph: &UncertainGraph,
+    candidates: &[NodeId],
+    t: u64,
+    seed: u64,
+) -> DefaultCounts {
+    SamplePass::new(0..t, 1).reverse(graph, &CoinTable::new(graph), candidates, seed).merged().0
+}
+
 /// [`SamplePass::forward`] over `range` at a requested `width`, merged.
 pub fn parallel_forward_counts_range_width(
     graph: &UncertainGraph,
@@ -359,8 +377,7 @@ fn claim<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::forward_counts;
-    use crate::reverse::reverse_counts;
+    use crate::world::PossibleWorld;
     use ugraph::{from_parts, DuplicateEdgePolicy};
 
     fn graph() -> UncertainGraph {
@@ -860,6 +877,108 @@ mod tests {
         let out = SamplePass::new(0..0, 4).forward(&g, &CoinTable::new(&g), 1);
         assert_eq!(out.segments.len(), 1);
         assert_eq!(out.merged().0.samples(), 0);
+    }
+
+    fn chain() -> UncertainGraph {
+        from_parts(&[0.5, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)
+            .unwrap()
+    }
+
+    #[test]
+    fn forward_and_reverse_counts_match_the_oracle() {
+        // Budgets straddling block boundaries, including t % 64 != 0.
+        // Reverse counts are the oracle's masks read at the candidates.
+        let g = from_parts(
+            &[0.2, 0.2, 0.2, 0.2],
+            &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.5)],
+            DuplicateEdgePolicy::Error,
+        )
+        .unwrap();
+        let coins = CoinTable::new(&g);
+        let cands = [NodeId(3), NodeId(1)];
+        for t in [1u64, 63, 64, 65, 130, 500] {
+            let mut forward = DefaultCounts::new(g.num_nodes());
+            let mut reverse = DefaultCounts::new(cands.len());
+            for i in 0..t {
+                let world = PossibleWorld::sample_with_table(&g, &coins, 21, i);
+                let defaulted = world.defaulted_nodes(&g);
+                forward.record_mask(&defaulted);
+                reverse.record_mask(&cands.map(|v| defaulted[v.index()]));
+            }
+            assert_eq!(forward_counts(&g, t, 21), forward, "forward, t = {t}");
+            assert_eq!(reverse_counts(&g, &cands, t, 21), reverse, "reverse, t = {t}");
+        }
+    }
+
+    #[test]
+    fn certain_and_impossible_coins_count_exactly() {
+        // p = 1 and p = 0 coins agree in every world, and a node reached
+        // along two certain paths still counts once per world.
+        let certain = from_parts(
+            &[1.0, 0.0, 0.0, 0.0],
+            &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
+            DuplicateEdgePolicy::Error,
+        )
+        .unwrap();
+        let impossible =
+            from_parts(&[0.0, 0.0], &[(0, 1, 1.0)], DuplicateEdgePolicy::Error).unwrap();
+        for (g, expected) in [(&certain, 100), (&impossible, 0)] {
+            let cands: Vec<NodeId> = g.nodes().collect();
+            let (forward, reverse) = (forward_counts(g, 100, 1), reverse_counts(g, &cands, 100, 1));
+            for v in 0..g.num_nodes() {
+                assert_eq!((forward.count(v), reverse.count(v)), (expected, expected), "node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_converge_to_chain_marginals() {
+        // p(0) = 0.5, p(1) = 0.25, p(2) = 0.125. A singleton reverse run
+        // sees exactly the worlds of the forward run.
+        let g = chain();
+        let counts = forward_counts(&g, 40_000, 7);
+        assert!((counts.estimate(0) - 0.5).abs() < 0.02);
+        assert!((counts.estimate(1) - 0.25).abs() < 0.02);
+        assert!((counts.estimate(2) - 0.125).abs() < 0.02);
+        let single = reverse_counts(&g, &[NodeId(2)], 40_000, 7);
+        assert_eq!((single.len(), single.count(0)), (1, counts.count(2)));
+        assert_ne!(forward_counts(&g, 500, 11), forward_counts(&g, 500, 12), "seeds differ");
+    }
+
+    #[test]
+    fn usage_reports_lazy_skips_per_block() {
+        // No seed ever defaults, so no edge is ever touched: both edges
+        // of both blocks are skipped.
+        let g =
+            from_parts(&[0.0, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)
+                .unwrap();
+        let coins = CoinTable::new(&g);
+        let pass = SamplePass { width: BlockWords::W1, ..SamplePass::new(0..128, 1) };
+        let (counts, usage) = pass.forward(&g, &coins, 9).merged();
+        assert_eq!(counts.samples(), 128);
+        assert_eq!(usage.edge_words_materialized, 0);
+        assert_eq!(usage.edge_words_skipped, 4, "2 edges × 2 blocks");
+        assert_eq!(usage.lazy_skip_ratio(), 1.0);
+    }
+
+    #[test]
+    fn small_candidate_sets_skip_most_edge_words() {
+        // A long chain with a candidate at its head: the reverse BFS
+        // only walks the candidate's ancestor tree, so the lazy path
+        // must leave the downstream edges unmaterialized.
+        let n = 50usize;
+        let risks = vec![0.2; n];
+        let edges: Vec<(u32, u32, f64)> = (0..n as u32 - 1).map(|v| (v, v + 1, 0.5)).collect();
+        let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
+        let coins = CoinTable::new(&g);
+        let pass = SamplePass { width: BlockWords::W1, ..SamplePass::new(0..128, 1) };
+        let (_, usage) = pass.reverse(&g, &coins, &[NodeId(1)], 17).merged();
+        assert!(
+            usage.edge_words_materialized <= 2 * 2,
+            "candidate 1 has one in-edge per world-block, got {}",
+            usage.edge_words_materialized
+        );
+        assert!(usage.lazy_skip_ratio() > 0.9, "ratio {}", usage.lazy_skip_ratio());
     }
 
     #[test]

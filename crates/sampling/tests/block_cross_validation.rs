@@ -7,15 +7,14 @@
 //! counter-RNG function of `(s, i / 64, item)` projected at lane
 //! `i % 64` — and every counting API is a pure function of those worlds.
 //! So `DefaultCounts` must be **bit-identical** across the block kernel
-//! (lazy or eager edge materialization), the scalar samplers, and the
-//! parallel drivers, for any seed, any thread count, and any budget
+//! (lazy or eager edge materialization), the oracle, and every
+//! [`SamplePass`], for any seed, any thread count, and any budget
 //! including `t % 64 != 0`.
 
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::{
-    forward_counts, reverse_counts, BlockKernel, CoinTable, DefaultCounts, ForwardSampler,
-    PossibleWorld, ReverseSampler, SamplePass, ScalarCoins, WorldBlock, LANES,
+    forward_counts, reverse_counts, CoinTable, DefaultCounts, PossibleWorld, SamplePass, LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -62,10 +61,9 @@ fn oracle_reverse_counts(
 }
 
 /// Block-kernel forward counts are bit-identical to the materialized
-/// world oracle, to the scalar `ForwardSampler`, and to the parallel
-/// driver at every thread count.
+/// world oracle and to the parallel driver at every thread count.
 #[test]
-fn forward_block_equals_oracle_and_scalar_and_parallel() {
+fn forward_block_equals_oracle_and_parallel() {
     check(24, |rng| {
         let g = arb_graph(rng);
         let t = arb_budget(rng);
@@ -75,14 +73,6 @@ fn forward_block_equals_oracle_and_scalar_and_parallel() {
         assert_eq!(blockwise, oracle_forward_counts(&g, 0..t, seed), "oracle, t = {t}");
 
         let table = CoinTable::new(&g);
-        let mut sampler = ForwardSampler::new(&g);
-        let mut scalar = DefaultCounts::new(g.num_nodes());
-        for i in 0..t {
-            scalar.begin_sample();
-            sampler.sample_with(&g, &table, &ScalarCoins::new(seed, i), |v| scalar.bump(v.index()));
-        }
-        assert_eq!(blockwise, scalar, "scalar sampler, t = {t}");
-
         for threads in [2usize, 3, 7] {
             assert_eq!(
                 SamplePass::new(0..t, threads).forward(&g, &table, seed).merged().0,
@@ -94,11 +84,11 @@ fn forward_block_equals_oracle_and_scalar_and_parallel() {
 }
 
 /// Reverse sampling is a projection of the same worlds: block kernel,
-/// scalar `ReverseSampler` (with and without the negative cache), the
-/// oracle, and the parallel driver all agree bitwise on any candidate
-/// subset.
+/// oracle, and parallel driver all agree bitwise on any candidate
+/// subset, repeated candidates included (the verdict caches answer
+/// them).
 #[test]
-fn reverse_block_equals_oracle_and_scalar_and_parallel() {
+fn reverse_block_equals_oracle_and_parallel() {
     check(24, |rng| {
         let g = arb_graph(rng);
         let t = arb_budget(rng);
@@ -115,32 +105,6 @@ fn reverse_block_equals_oracle_and_scalar_and_parallel() {
         assert_eq!(blockwise, oracle_reverse_counts(&g, &candidates, t, seed), "oracle, t = {t}");
 
         let table = CoinTable::new(&g);
-        for negative_cache in [true, false] {
-            let mut sampler = if negative_cache {
-                ReverseSampler::new(&g)
-            } else {
-                ReverseSampler::new(&g).without_negative_cache()
-            };
-            let mut scalar = DefaultCounts::new(candidates.len());
-            let mut buf = Vec::new();
-            for i in 0..t {
-                sampler.sample_candidates(
-                    &g,
-                    &table,
-                    &candidates,
-                    ScalarCoins::new(seed, i),
-                    &mut buf,
-                );
-                scalar.begin_sample();
-                for (j, &hit) in buf.iter().enumerate() {
-                    if hit {
-                        scalar.bump(j);
-                    }
-                }
-            }
-            assert_eq!(blockwise, scalar, "scalar, negative_cache = {negative_cache}, t = {t}");
-        }
-
         for threads in [2usize, 5] {
             assert_eq!(
                 SamplePass::new(0..t, threads).reverse(&g, &table, &candidates, seed).merged().0,
@@ -177,39 +141,5 @@ fn unaligned_range_splits_merge_exactly() {
         let mut parts_r = reverse(0..cut);
         parts_r.merge(&reverse(cut..end));
         assert_eq!(whole_r, parts_r, "reverse cut {cut} of {end}");
-    });
-}
-
-/// `materialize_ids` with scattered, non-consecutive sample ids (the
-/// shape BSRBK's hash order produces) is lane-for-lane the oracle.
-#[test]
-fn scattered_id_blocks_match_oracle() {
-    check(16, |rng| {
-        let g = arb_graph(rng);
-        let seed = rng.next_bounded(1 << 20);
-        let lanes = rng.range_usize(1, LANES);
-        let ids: Vec<u64> = (0..lanes).map(|_| rng.next_bounded(10_000)).collect();
-        let table = CoinTable::new(&g);
-        let mut block = WorldBlock::new(&g);
-        let mut kernel = BlockKernel::new(&g);
-        block.materialize_ids(&g, &table, seed, &ids);
-        let words = kernel.forward_defaults(&g, &table, &mut block).to_vec();
-        for (lane, &id) in ids.iter().enumerate() {
-            let defaulted =
-                PossibleWorld::sample_with_table(&g, &table, seed, id).defaulted_nodes(&g);
-            for v in 0..g.num_nodes() {
-                assert_eq!(
-                    words[v] >> lane & 1 == 1,
-                    defaulted[v],
-                    "lane {lane} (sample {id}), node {v}"
-                );
-            }
-        }
-        // The reverse kernel agrees candidate by candidate.
-        kernel.begin_block();
-        for v in g.nodes() {
-            let word = kernel.reverse_hit_word(&g, &table, &mut block, v);
-            assert_eq!(word, words[v.index()], "reverse word of {v}");
-        }
     });
 }

@@ -7,6 +7,12 @@
 //! order `z` tightens the interval at `O(z (n + m))` cost; the paper's
 //! Figure 5 shows order 2 suffices on its datasets.
 //!
+//! Every bound is one level sweep: level 0 is the recursion's seed, and
+//! level `i` applies its step to level `i − 1` at every node. The batch
+//! functions here return the last level; [`crate::IncrementalBounds`]
+//! keeps every level and repairs them locally, so the two agree bit for
+//! bit.
+//!
 //! **Validity caveat:** the upper recursion is a
 //! true upper bound on every graph — default indicators are increasing
 //! functions of independent coins, so by positive association (FKG) the
@@ -21,14 +27,11 @@
 use crate::config::BoundsMethod;
 use ugraph::{NodeId, UncertainGraph};
 
-/// One round of Equation 1 for node `v` with neighbor estimates `prev`.
-/// Exposed to the incremental maintainer in [`crate::dynamic`].
+/// One round of Equation 1 for node `v`, reading in-neighbor `x`'s
+/// estimate as `p(x)`.
 #[inline]
-pub(crate) fn equation1(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
-    let mut no_transmit = 1.0f64;
-    for e in graph.in_edges(v) {
-        no_transmit *= 1.0 - e.prob * prev[e.source.index()];
-    }
+fn equation1(graph: &UncertainGraph, v: NodeId, p: impl Fn(usize) -> f64) -> f64 {
+    let no_transmit: f64 = graph.in_edges(v).map(|e| 1.0 - e.prob * p(e.source.index())).product();
     if no_transmit == 1.0 {
         // No (effective) in-neighbor contribution: exactly ps(v), without
         // the rounding of 1 − (1 − ps).
@@ -48,34 +51,77 @@ pub(crate) fn equation1(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 
 /// be safe: on a cycle the best incoming walk can start at `v` itself,
 /// double-counting `v`'s self coin (caught by the system property tests).
 #[inline]
-pub(crate) fn best_path_step(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
-    let mut best = graph.self_risk(v);
-    for e in graph.in_edges(v) {
-        best = best.max(e.prob * prev[e.source.index()]);
-    }
-    best
+fn best_path_step(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
+    graph.in_edges(v).fold(graph.self_risk(v), |best, e| best.max(e.prob * prev[e.source.index()]))
 }
 
-/// Algorithm 2: order-`z` lower bounds.
-///
-/// Iteration 1 sets `pl(v) = ps(v)`; each further iteration feeds the
-/// previous values through Equation 1. The change-propagation trick of
-/// the pseudocode ("only update if an in-neighbor changed") is realized
-/// with a dirty flag per node.
+/// One bound recursion: its level-0 seed and the step that derives
+/// level `i` from level `i − 1`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Recursion {
+    /// A lower recursion (Algorithm 2, or its safe variant); level 0 is
+    /// `ps`, Algorithm 2's order 1.
+    Lower(BoundsMethod),
+    /// The upper recursion (Algorithm 3); level 0 is Equation 1 with
+    /// every in-neighbor at 1, Algorithm 3's order 1.
+    Upper,
+}
+
+impl Recursion {
+    /// Level 0 at `v`.
+    #[inline]
+    pub(crate) fn seed(self, graph: &UncertainGraph, v: NodeId) -> f64 {
+        match self {
+            Recursion::Lower(_) => graph.self_risk(v),
+            // No all-ones vector: `1 − p · 1` is exactly `1 − p`.
+            Recursion::Upper => equation1(graph, v, |_| 1.0),
+        }
+    }
+
+    /// Level `i` at `v` from level `i − 1` (`prev`).
+    #[inline]
+    pub(crate) fn step(self, graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
+        match self {
+            Recursion::Lower(BoundsMethod::Safe) => best_path_step(graph, v, prev),
+            Recursion::Lower(BoundsMethod::Paper) | Recursion::Upper => {
+                equation1(graph, v, |x| prev[x])
+            }
+        }
+    }
+
+    /// Levels `0..z` of the recursion, i.e. orders `1..=z`.
+    pub(crate) fn levels(self, graph: &UncertainGraph, z: usize) -> Vec<Vec<f64>> {
+        let mut levels: Vec<Vec<f64>> = Vec::with_capacity(z);
+        levels.push(graph.nodes().map(|v| self.seed(graph, v)).collect());
+        for i in 1..z {
+            let next = graph.nodes().map(|v| self.step(graph, v, &levels[i - 1])).collect();
+            levels.push(next);
+        }
+        levels
+    }
+
+    /// The order-`z` bounds: the last level (order 0 reads as order 1).
+    fn at_order(self, graph: &UncertainGraph, z: usize) -> Vec<f64> {
+        self.levels(graph, z.max(1)).pop().unwrap_or_default()
+    }
+}
+
+/// Algorithm 2: order-`z` lower bounds. Order 1 is `pl(v) = ps(v)`;
+/// each further order feeds the previous one through Equation 1.
 pub fn lower_bounds_paper(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, equation1, |g, v| g.self_risk(v))
+    Recursion::Lower(BoundsMethod::Paper).at_order(graph, z)
 }
 
 /// Safe lower bounds: same shape as Algorithm 2 but combining in-neighbor
 /// contributions by `max` instead of noisy-or, which never overshoots.
 pub fn lower_bounds_safe(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, best_path_step, |g, v| g.self_risk(v))
+    Recursion::Lower(BoundsMethod::Safe).at_order(graph, z)
 }
 
-/// Algorithm 3: order-`z` upper bounds. The first iteration evaluates
-/// Equation 1 with all in-neighbor probabilities set to 1.
+/// Algorithm 3: order-`z` upper bounds. Order 1 evaluates Equation 1
+/// with all in-neighbor probabilities set to 1.
 pub fn upper_bounds(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, equation1, |_, _| 1.0)
+    Recursion::Upper.at_order(graph, z)
 }
 
 /// Dispatch on the configured method, returning `(lower, upper)`.
@@ -84,72 +130,7 @@ pub fn compute_bounds(
     z: usize,
     method: BoundsMethod,
 ) -> (Vec<f64>, Vec<f64>) {
-    let lower = match method {
-        BoundsMethod::Paper => lower_bounds_paper(graph, z),
-        BoundsMethod::Safe => lower_bounds_safe(graph, z),
-    };
-    (lower, upper_bounds(graph, z))
-}
-
-/// Shared iteration engine. `init(g, v)` seeds the neighbor estimates used
-/// by the first application of `step`; `z` counts iterations in the
-/// paper's convention (order 1 = seed values for the lower bound, one
-/// application for the upper bound).
-fn iterate(
-    graph: &UncertainGraph,
-    z: usize,
-    step: impl Fn(&UncertainGraph, NodeId, &[f64]) -> f64,
-    init: impl Fn(&UncertainGraph, NodeId) -> f64,
-) -> Vec<f64> {
-    let n = graph.num_nodes();
-    let mut prev: Vec<f64> = graph.nodes().map(|v| init(graph, v)).collect();
-    if z <= 1 {
-        // Order 1: lower bound returns the seeds (ps); upper bound's first
-        // iteration already applies the step once with neighbors at 1.
-        // We normalize both to "apply step z−0 times with a minimum of one
-        // application for the all-ones seed", matching Algorithms 2 and 3:
-        // Algorithm 2 order 1 = ps(v); Algorithm 3 order 1 = Eq.1 with 1s.
-        let all_init_one = (0..n).all(|i| prev[i] == 1.0) && n > 0;
-        if all_init_one {
-            let cur: Vec<f64> = graph.nodes().map(|v| step(graph, v, &prev)).collect();
-            return cur;
-        }
-        return prev;
-    }
-    // Dirty-flag propagation: recompute v only if some in-neighbor changed
-    // in the previous round (all nodes are dirty in round 2).
-    let mut dirty = vec![true; n];
-    let mut rounds = z - 1;
-    let all_init_one = n > 0 && prev.iter().all(|&x| x == 1.0);
-    if all_init_one {
-        // Upper bound: order z means z applications of Eq. 1 (the first
-        // with all-ones neighbors).
-        rounds = z;
-    }
-    let mut cur = prev.clone();
-    for _ in 0..rounds {
-        let mut next_dirty = vec![false; n];
-        let mut changed_any = false;
-        for v in graph.nodes() {
-            if !dirty[v.index()] {
-                continue;
-            }
-            let val = step(graph, v, &prev);
-            if (val - cur[v.index()]).abs() > 1e-15 {
-                cur[v.index()] = val;
-                changed_any = true;
-                for e in graph.out_edges(v) {
-                    next_dirty[e.target.index()] = true;
-                }
-            }
-        }
-        prev.copy_from_slice(&cur);
-        dirty = next_dirty;
-        if !changed_any {
-            break;
-        }
-    }
-    cur
+    (Recursion::Lower(method).at_order(graph, z), upper_bounds(graph, z))
 }
 
 /// Interval sanity check used by tests and debug assertions: every lower
@@ -279,27 +260,29 @@ mod tests {
         }
     }
 
+    /// The batch functions and the maintainer run one recursion, so they
+    /// agree to the last bit — including where a level moves by less
+    /// than 1e-15.
     #[test]
-    fn dirty_propagation_matches_full_recompute() {
-        // Recompute bounds without the dirty-flag shortcut and compare.
-        let g = from_parts(
-            &[0.2, 0.3, 0.1, 0.4, 0.05],
-            &[(0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (0, 4, 0.2), (1, 3, 0.7)],
-            DuplicateEdgePolicy::Error,
-        )
-        .unwrap();
-        for z in 2..=4 {
-            let fast = lower_bounds_paper(&g, z);
-            // Naive reference: z−1 full sweeps from ps.
-            let mut prev: Vec<f64> = g.nodes().map(|v| g.self_risk(v)).collect();
-            for _ in 0..z - 1 {
-                let next: Vec<f64> = g.nodes().map(|v| super::equation1(&g, v, &prev)).collect();
-                prev = next;
-            }
-            for v in 0..5 {
-                assert!((fast[v] - prev[v]).abs() < 1e-12, "z={z} v={v}");
+    fn batch_bounds_equal_the_maintainers_last_levels_bit_for_bit() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        // ps(u) = 1e-7, p(v|u) = 1e-8: order 2 lifts v by ~5e-16 over 0.5.
+        let tiny = from_parts(&[1e-7, 0.5], &[(0, 1, 1e-8)], DuplicateEdgePolicy::Error).unwrap();
+        let mut graphs = vec![tiny];
+        let mut rng = ugraph::testkit::TestRng::new(41);
+        graphs.extend((0..24).map(|_| ugraph::testkit::random_graph(&mut rng, 40, 120)));
+        for g in &graphs {
+            for method in [BoundsMethod::Paper, BoundsMethod::Safe] {
+                for z in 1..=4 {
+                    let inc = crate::dynamic::IncrementalBounds::new(g, z, method);
+                    let (lower, upper) = compute_bounds(g, z, method);
+                    assert_eq!(bits(&lower), bits(inc.lower()), "{method:?} z={z}");
+                    assert_eq!(bits(&upper), bits(inc.upper()), "{method:?} z={z}");
+                }
             }
         }
+        let lower = lower_bounds_paper(&graphs[0], 2);
+        assert!(lower[1] > 0.5 && lower[1] - 0.5 < 1e-15, "order-2 lower of v: {}", lower[1]);
     }
 
     #[test]

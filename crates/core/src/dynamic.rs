@@ -7,64 +7,55 @@
 //! Algorithms 2–3 can be repaired locally instead of recomputed from
 //! scratch — `O(|affected z-ball| · z)` instead of `O(z (n + m))`.
 //!
-//! Design: the maintainer caches every *level* of the bound recursions
-//! (`z` vectors each). An update dirties the changed node at level 1;
-//! dirtiness then flows along out-edges one level per round, exactly
-//! mirroring how the batch recursion consumes level `i−1` to produce
-//! level `i`. Repaired values are therefore bit-identical to a full
-//! recomputation, which the tests assert.
+//! Design: the maintainer keeps every *level* of the level sweep in
+//! [`crate::bounds`], over a shared graph `Arc` — in a [`crate::Detector`]
+//! session, the live epoch snapshot itself. An update touches the nodes
+//! whose inputs changed (a self-risk's node, an edge's target); each
+//! level recomputes them plus the out-neighbors of the nodes whose
+//! previous level changed, exactly as the sweep consumes level `i−1`, so
+//! repaired values are bit-identical to a full recomputation.
 
-use crate::bounds::{best_path_step, equation1};
+use std::sync::Arc;
+
+use crate::bounds::Recursion;
 use crate::config::BoundsMethod;
-use ugraph::{EdgeId, GraphError, NodeId, UncertainGraph};
+use crate::engine::IntoSharedGraph;
+use ugraph::{EdgeId, GraphDelta, GraphError, NodeId, UncertainGraph};
 
 /// Maintains order-`z` lower/upper bounds across probability updates.
 #[derive(Debug, Clone)]
 pub struct IncrementalBounds {
-    graph: UncertainGraph,
-    z: usize,
+    graph: Arc<UncertainGraph>,
     method: BoundsMethod,
-    /// `lower_levels[i]` — the lower recursion after `i+1` "orders"
-    /// (level 0 is `ps`, matching Algorithm 2 order 1).
+    /// `lower_levels[i]` — the lower recursion at order `i+1` (level 0
+    /// is `ps`, Algorithm 2 order 1).
     lower_levels: Vec<Vec<f64>>,
     /// `upper_levels[i]` — the upper recursion after `i+1` applications
     /// of Equation 1 (level 0 is Eq. 1 with all-ones neighbors,
-    /// matching Algorithm 3 order 1).
+    /// Algorithm 3 order 1).
     upper_levels: Vec<Vec<f64>>,
 }
 
 impl IncrementalBounds {
-    /// Computes initial bounds of order `z` (≥ 1).
-    pub fn new(graph: UncertainGraph, z: usize, method: BoundsMethod) -> Self {
+    /// Computes initial bounds of order `z` (≥ 1). Takes the graph in any
+    /// ownership shape ([`IntoSharedGraph`]); an `Arc` is shared, not
+    /// copied.
+    pub fn new(graph: impl IntoSharedGraph, z: usize, method: BoundsMethod) -> Self {
         assert!(z >= 1, "bound order must be at least 1");
-        let n = graph.num_nodes();
-        let mut lower_levels: Vec<Vec<f64>> = Vec::with_capacity(z);
-        lower_levels.push(graph.nodes().map(|v| graph.self_risk(v)).collect());
-        for i in 1..z {
-            let prev = &lower_levels[i - 1];
-            let next: Vec<f64> =
-                graph.nodes().map(|v| lower_step(method, &graph, v, prev)).collect();
-            lower_levels.push(next);
-        }
-        let ones = vec![1.0f64; n];
-        let mut upper_levels: Vec<Vec<f64>> = Vec::with_capacity(z);
-        upper_levels.push(graph.nodes().map(|v| equation1(&graph, v, &ones)).collect());
-        for i in 1..z {
-            let prev = &upper_levels[i - 1];
-            let next: Vec<f64> = graph.nodes().map(|v| equation1(&graph, v, prev)).collect();
-            upper_levels.push(next);
-        }
-        IncrementalBounds { graph, z, method, lower_levels, upper_levels }
+        let graph = graph.into_shared();
+        let lower_levels = Recursion::Lower(method).levels(&graph, z);
+        let upper_levels = Recursion::Upper.levels(&graph, z);
+        IncrementalBounds { graph, method, lower_levels, upper_levels }
     }
 
     /// The maintained graph.
-    pub fn graph(&self) -> &UncertainGraph {
+    pub fn graph(&self) -> &Arc<UncertainGraph> {
         &self.graph
     }
 
     /// The bound order `z`.
     pub fn order(&self) -> usize {
-        self.z
+        self.lower_levels.len()
     }
 
     /// Current (final-level) lower bounds.
@@ -83,111 +74,77 @@ impl IncrementalBounds {
 
     /// Updates a node's self-risk and repairs the bounds. Returns the
     /// number of (node, level) cells recomputed — the cost witness used
-    /// by tests and benchmarks.
+    /// by tests and benchmarks. Edits the graph in place when this
+    /// maintainer is its sole owner, and a private copy otherwise.
     pub fn update_self_risk(&mut self, v: NodeId, ps: f64) -> Result<usize, GraphError> {
-        self.graph.set_self_risk(v, ps)?;
-        Ok(self.repair(&[v], true))
+        Arc::make_mut(&mut self.graph).set_self_risk(v, ps)?;
+        Ok(self.repair(&[v.0]))
     }
 
-    /// Updates an edge's diffusion probability and repairs the bounds.
+    /// Updates an edge's diffusion probability and repairs the bounds
+    /// (same ownership rule as [`IncrementalBounds::update_self_risk`]).
     pub fn update_edge_prob(&mut self, e: EdgeId, prob: f64) -> Result<usize, GraphError> {
-        self.graph.set_edge_prob(e, prob)?;
+        Arc::make_mut(&mut self.graph).set_edge_prob(e, prob)?;
         let (_, target) = self.graph.edge_endpoints(e);
-        // The edge probability enters every level's step at the target,
-        // but not the lower level-0 seed (which is ps only).
-        Ok(self.repair(&[target], false))
+        Ok(self.repair(&[target.0]))
     }
 
-    /// Repairs all cached levels given the set of directly-touched nodes.
-    /// `touch_seed` says whether level 0 of the lower recursion (the `ps`
-    /// seeds) changed at those nodes.
-    fn repair(&mut self, touched: &[NodeId], touch_seed: bool) -> usize {
-        let n = self.graph.num_nodes();
-        let mut recomputed = 0usize;
+    /// Advances the maintainer to `next`, the snapshot that applying
+    /// `delta` to [`IncrementalBounds::graph`] produced: shares `next`
+    /// and repairs every touched node — the delta's dirty nodes and the
+    /// targets of its dirty edges — in one propagation.
+    pub fn advance_to(&mut self, next: &Arc<UncertainGraph>, delta: &GraphDelta) {
+        self.graph = Arc::clone(next);
+        let targets = delta.edge_prob.iter().map(|&(e, _)| next.edge_endpoints(EdgeId(e)).1 .0);
+        let touched: Vec<u32> = delta.self_risk.iter().map(|&(v, _)| v).chain(targets).collect();
+        self.repair(&touched);
+    }
 
-        let _ = n;
-        // --- lower recursion ---
-        // `changed` holds the nodes whose level-(i−1) value changed; the
-        // level-i candidates are their out-neighbors plus the touched
-        // nodes (whose own step inputs changed at every level).
-        let mut changed: Vec<u32> = Vec::new();
-        if touch_seed {
-            for &v in touched {
-                let ps = self.graph.self_risk(v);
-                if self.lower_levels[0][v.index()] != ps {
-                    self.lower_levels[0][v.index()] = ps;
-                    changed.push(v.0);
-                    recomputed += 1;
-                }
-            }
-        }
-        for i in 1..self.z {
-            let (before, rest) = self.lower_levels.split_at_mut(i);
-            let prev = &before[i - 1];
-            let cur = &mut rest[0];
-            let mut candidates: Vec<u32> = touched.iter().map(|v| v.0).collect();
-            for &c in &changed {
-                candidates.extend(self.graph.out_neighbors(NodeId(c)));
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut next_changed = Vec::new();
-            for &v in &candidates {
-                let val = lower_step(self.method, &self.graph, NodeId(v), prev);
-                recomputed += 1;
-                if val != cur[v as usize] {
-                    cur[v as usize] = val;
-                    next_changed.push(v);
-                }
-            }
-            changed = next_changed;
-        }
+    /// Repairs both level stacks given the nodes whose step inputs
+    /// changed.
+    fn repair(&mut self, touched: &[u32]) -> usize {
+        let lower = Recursion::Lower(self.method);
+        repair_levels(&self.graph, lower, &mut self.lower_levels, touched)
+            + repair_levels(&self.graph, Recursion::Upper, &mut self.upper_levels, touched)
+    }
+}
 
-        // --- upper recursion --- (level 0 is already one Eq.1 step, so
-        // touched nodes are dirty at level 0 too).
-        let ones = vec![1.0f64; self.graph.num_nodes()];
-        let mut changed: Vec<u32> = Vec::new();
-        for &v in touched {
-            let val = equation1(&self.graph, v, &ones);
+/// Repairs one level stack of `recursion` after the seed or step inputs
+/// of the `touched` nodes changed. Level `i` recomputes the touched nodes
+/// plus the out-neighbors of every node whose level `i − 1` changed;
+/// any other node's inputs are unchanged. Returns the cells recomputed.
+fn repair_levels(
+    graph: &UncertainGraph,
+    recursion: Recursion,
+    levels: &mut [Vec<f64>],
+    touched: &[u32],
+) -> usize {
+    let mut recomputed = 0usize;
+    let mut changed: Vec<u32> = Vec::new();
+    for i in 0..levels.len() {
+        let (before, rest) = levels.split_at_mut(i);
+        let cur = &mut rest[0];
+        let mut candidates = touched.to_vec();
+        for &c in &changed {
+            candidates.extend(graph.out_neighbors(NodeId(c)));
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        changed.clear();
+        for &v in &candidates {
+            let val = match before.last() {
+                None => recursion.seed(graph, NodeId(v)),
+                Some(prev) => recursion.step(graph, NodeId(v), prev),
+            };
             recomputed += 1;
-            if val != self.upper_levels[0][v.index()] {
-                self.upper_levels[0][v.index()] = val;
-                changed.push(v.0);
+            if val.to_bits() != cur[v as usize].to_bits() {
+                cur[v as usize] = val;
+                changed.push(v);
             }
         }
-        for i in 1..self.z {
-            let (before, rest) = self.upper_levels.split_at_mut(i);
-            let prev = &before[i - 1];
-            let cur = &mut rest[0];
-            let mut candidates: Vec<u32> = touched.iter().map(|v| v.0).collect();
-            for &c in &changed {
-                candidates.extend(self.graph.out_neighbors(NodeId(c)));
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut next_changed = Vec::new();
-            for &v in &candidates {
-                let val = equation1(&self.graph, NodeId(v), prev);
-                recomputed += 1;
-                if val != cur[v as usize] {
-                    cur[v as usize] = val;
-                    next_changed.push(v);
-                }
-            }
-            changed = next_changed;
-        }
-        recomputed
     }
+    recomputed
 }
-
-#[inline]
-fn lower_step(method: BoundsMethod, graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
-    match method {
-        BoundsMethod::Paper => equation1(graph, v, prev),
-        BoundsMethod::Safe => best_path_step(graph, v, prev),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,16 +169,17 @@ mod tests {
     fn assert_matches_batch(inc: &IncrementalBounds) {
         let (l, u) = compute_bounds(inc.graph(), inc.order(), inc.method);
         for v in 0..inc.graph().num_nodes() {
-            assert!(
-                (inc.lower()[v] - l[v]).abs() < 1e-12,
-                "lower mismatch at {v}: {} vs {}",
-                inc.lower()[v],
+            let (lower, upper) = (inc.lower()[v], inc.upper()[v]);
+            assert_eq!(
+                lower.to_bits(),
+                l[v].to_bits(),
+                "lower mismatch at {v}: {lower} vs {}",
                 l[v]
             );
-            assert!(
-                (inc.upper()[v] - u[v]).abs() < 1e-12,
-                "upper mismatch at {v}: {} vs {}",
-                inc.upper()[v],
+            assert_eq!(
+                upper.to_bits(),
+                u[v].to_bits(),
+                "upper mismatch at {v}: {upper} vs {}",
                 u[v]
             );
         }

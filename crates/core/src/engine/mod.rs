@@ -138,7 +138,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ugraph::{EdgeId, GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
+use ugraph::{GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
 use vulnds_sampling::{
     BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, PassCounts, SamplePass,
     TouchLedger,
@@ -481,9 +481,10 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Cap on cached bound maintainers (each owns a graph copy plus its
-/// level stacks). Keys are `(z, method)` — normally one per session —
-/// so the cap only guards hostile per-request `z` diversity.
+/// Cap on cached bound maintainers (each holds its `2z` level vectors;
+/// the graph is the shared epoch snapshot). Keys are `(z, method)` —
+/// normally one per session — so the cap only guards hostile
+/// per-request `z` diversity.
 const MAX_BOUND_MAINTAINERS: usize = 16;
 
 /// Session caches (bounds, reductions, sample streams) plus counters —
@@ -604,7 +605,7 @@ impl EngineState {
     fn revalidate(
         &self,
         prev: &UncertainGraph,
-        next: &UncertainGraph,
+        next: &Arc<UncertainGraph>,
         delta: &GraphDelta,
         config: &VulnConfig,
     ) -> Revalidation {
@@ -623,11 +624,11 @@ impl EngineState {
             coins.peek(next)
         };
 
-        // Bounds: repair each maintainer's dirty z-ball, then republish
-        // under the next version's key. Collected first and inserted
-        // after the maintainer lock drops — queries acquire slot locks
-        // before the maintainer lock, so holding both here could
-        // deadlock.
+        // Bounds: advance each maintainer to the committed snapshot,
+        // repairing its dirty z-ball, then republish under the next
+        // version's key. Collected first and inserted after the
+        // maintainer lock drops — queries acquire slot locks before the
+        // maintainer lock, so holding both here could deadlock.
         let mut repaired: Vec<((u64, usize, BoundsMethod), BoundsPair)> = Vec::new();
         {
             let (mut maintainers, _) = lock_tracked(&self.inc_bounds);
@@ -638,18 +639,7 @@ impl EngineState {
                     tally.invalidated += 1;
                     return false;
                 }
-                let applied = delta
-                    .self_risk
-                    .iter()
-                    .all(|&(v, ps)| inc.update_self_risk(NodeId(v), ps).is_ok())
-                    && delta
-                        .edge_prob
-                        .iter()
-                        .all(|&(e, p)| inc.update_edge_prob(EdgeId(e), p).is_ok());
-                if !applied {
-                    tally.invalidated += 1;
-                    return false;
-                }
+                inc.advance_to(next, delta);
                 let pair = (inc.lower().to_vec(), inc.upper().to_vec());
                 repaired.push(((next.version(), z, method), pair));
                 tally.revalidated += 1;
@@ -737,7 +727,7 @@ impl EngineState {
 /// accumulator, while all shared session state behind `state` is
 /// reached through interior-concurrent cells.
 pub struct EngineCtx<'a> {
-    graph: &'a UncertainGraph,
+    graph: &'a Arc<UncertainGraph>,
     config: &'a VulnConfig,
     state: &'a EngineState,
     request: EngineStats,
@@ -759,7 +749,7 @@ pub struct EngineCtx<'a> {
 impl<'a> EngineCtx<'a> {
     /// The session's graph.
     pub fn graph(&self) -> &'a UncertainGraph {
-        self.graph
+        self.graph.as_ref()
     }
 
     /// The session's resolved configuration.
@@ -813,11 +803,13 @@ impl<'a> EngineCtx<'a> {
     /// Bound vectors for the session's `(order, method)`, computed once
     /// per epoch (single-flight under concurrent misses).
     ///
-    /// The build runs through [`IncrementalBounds`] and parks the
-    /// maintainer in the session, so a later [`Detector::apply_delta`]
-    /// repairs the dirty z-ball instead of recomputing — and the
-    /// repaired vectors are bit-identical to what this cold path would
-    /// produce on the post-delta graph.
+    /// The build runs through [`IncrementalBounds`] over the pinned
+    /// snapshot itself (shared, not copied) and parks the maintainer in
+    /// the session, so a later [`Detector::apply_delta`] advances it to
+    /// the committed snapshot and repairs the dirty z-ball instead of
+    /// recomputing. Both paths run the one level sweep of
+    /// [`crate::bounds`], so the repaired vectors are bit-identical to
+    /// what this cold path would produce on the post-delta graph.
     pub fn bounds(&mut self) -> Arc<BoundsPair> {
         let first_access = !self.bounds_accessed;
         self.bounds_accessed = true;
@@ -825,7 +817,7 @@ impl<'a> EngineCtx<'a> {
         let key = (self.graph.version(), z, method);
         let (graph, state) = (self.graph, self.state);
         let (pair, flight) = self.state.bounds.get_or_build(&key, || {
-            let inc = IncrementalBounds::new(graph.clone(), z, method);
+            let inc = IncrementalBounds::new(graph, z, method);
             let pair = (inc.lower().to_vec(), inc.upper().to_vec());
             let (mut maintainers, _) = lock_tracked(&state.inc_bounds);
             if maintainers.len() < MAX_BOUND_MAINTAINERS || maintainers.contains_key(&(z, method)) {
@@ -1365,7 +1357,7 @@ impl Detector {
     /// A context for one query, borrowing the snapshot the query pinned
     /// at entry (so a concurrent delta commit cannot move the graph out
     /// from under it).
-    fn ctx<'a>(&'a self, graph: &'a UncertainGraph) -> EngineCtx<'a> {
+    fn ctx<'a>(&'a self, graph: &'a Arc<UncertainGraph>) -> EngineCtx<'a> {
         EngineCtx {
             graph,
             config: &self.config,
@@ -1383,7 +1375,7 @@ impl Detector {
     /// signal and draw cap into the stream draws.
     fn ctx_for<'a>(
         &'a self,
-        graph: &'a UncertainGraph,
+        graph: &'a Arc<UncertainGraph>,
         resolved: &ResolvedRequest,
     ) -> EngineCtx<'a> {
         let mut ctx = self.ctx(graph);
@@ -1529,7 +1521,12 @@ impl Detector {
     /// session caches (bounds/reductions computed here are reused by the
     /// actual run) but records no usage: planning is bookkeeping, not a
     /// query.
-    fn plan(&self, graph: &UncertainGraph, index: usize, req: &ResolvedRequest) -> (PlanKey, u64) {
+    fn plan(
+        &self,
+        graph: &Arc<UncertainGraph>,
+        index: usize,
+        req: &ResolvedRequest,
+    ) -> (PlanKey, u64) {
         let mut ctx = self.ctx(graph);
         ctx.record_usage = false;
         match req.algorithm {
@@ -1562,6 +1559,7 @@ mod tests {
     use super::*;
     use crate::error::VulnError;
     use crate::sample_size::achieved_epsilon;
+    use ugraph::EdgeId;
     use vulnds_sampling::Xoshiro256pp;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> UncertainGraph {
@@ -2140,6 +2138,70 @@ mod tests {
         // post-delta pruned query finds them warm.
         let pruned = warm.detect(&DetectRequest::new(5, AlgorithmKind::SampleReverse)).unwrap();
         assert!(pruned.engine.bounds_reused, "repaired bounds must be served from cache");
+    }
+
+    /// The session's maintainer (there is one per `(z, method)`).
+    fn maintainer_graph(d: &Detector) -> Arc<UncertainGraph> {
+        let (maintainers, _) = lock_tracked(&d.state.inc_bounds);
+        assert_eq!(maintainers.len(), 1);
+        maintainers.values().map(|inc| Arc::clone(inc.graph())).next().unwrap()
+    }
+
+    #[test]
+    fn the_bounds_maintainer_shares_the_live_snapshot() {
+        let g = random_graph(80, 160, 33);
+        let d = session(&g);
+        d.warm_bounds();
+        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()));
+        for (v, e) in [(4, 9), (11, 2)] {
+            let delta =
+                GraphDelta::default().set_self_risk(NodeId(v), 0.27).set_edge_prob(EdgeId(e), 0.33);
+            d.apply_delta(&delta).unwrap();
+            assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()), "after epoch {}", d.epoch());
+        }
+    }
+
+    #[test]
+    fn a_delta_with_chained_items_repairs_bounds_like_a_cold_session() {
+        // The first delta's items sit upstream of each other: u's
+        // self-risk feeds edge u→v, which feeds v, whose self-risk
+        // changes too. The second changes one edge probability alone, so
+        // only its target's inputs change.
+        let g = random_graph(60, 150, 35);
+        let e = EdgeId(17);
+        let (u, v) = g.edge_endpoints(e);
+        let deltas = [
+            GraphDelta::default()
+                .set_self_risk(u, 0.48)
+                .set_edge_prob(e, 0.46)
+                .set_self_risk(v, 0.02),
+            GraphDelta::default().set_edge_prob(EdgeId(40), 0.49),
+        ];
+        let bits = |pair: &BoundsPair| {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            (bits(&pair.0), bits(&pair.1))
+        };
+        for method in [BoundsMethod::Paper, BoundsMethod::Safe] {
+            for z in [2, 4] {
+                let build = |graph: &UncertainGraph| {
+                    Detector::builder(graph).bound_order(z).bounds_method(method).build().unwrap()
+                };
+                let warm = build(&g);
+                warm.warm_bounds();
+                let mut post = g.clone();
+                for delta in &deltas {
+                    warm.apply_delta(delta).unwrap();
+                    delta.apply(&mut post).unwrap();
+                    let cold = build(&post);
+                    assert_eq!(
+                        bits(&warm.warm_bounds()),
+                        bits(&cold.warm_bounds()),
+                        "{method:?} z = {z}, epoch {}",
+                        warm.epoch()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@ fn incremental_bounds_track_a_month_of_updates() {
             UpdateEvent::EdgeProb(e, p) => inc.update_edge_prob(e, p).unwrap(),
         };
     }
-    // Exactness against batch replay.
+    // Exactness against batch replay: one recursion, so bit for bit.
     let replayed = replay(&g, &events);
     let (l, u) = compute_bounds(&replayed, 2, BoundsMethod::Paper);
     for v in 0..replayed.num_nodes() {
-        assert!((inc.lower()[v] - l[v]).abs() < 1e-12, "lower mismatch at {v}");
-        assert!((inc.upper()[v] - u[v]).abs() < 1e-12, "upper mismatch at {v}");
+        assert_eq!(inc.lower()[v].to_bits(), l[v].to_bits(), "lower mismatch at {v}");
+        assert_eq!(inc.upper()[v].to_bits(), u[v].to_bits(), "upper mismatch at {v}");
     }
     // Locality: the near-tree Guarantee shape means repairs touch far
     // fewer cells than 200 full recomputations (200 · n · z cells).

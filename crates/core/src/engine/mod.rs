@@ -138,7 +138,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ugraph::{GraphDelta, NodeId, NodeMap, NodeOrder, UncertainGraph};
+use ugraph::{GraphDelta, NodeId, UncertainGraph};
 use vulnds_sampling::{
     BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, PassCounts, SamplePass,
     TouchLedger,
@@ -201,7 +201,6 @@ pub struct DetectorBuilder {
     graph: Arc<UncertainGraph>,
     config: VulnConfig,
     threads: Option<usize>,
-    relabel: Option<NodeOrder>,
 }
 
 impl DetectorBuilder {
@@ -257,40 +256,19 @@ impl DetectorBuilder {
         self
     }
 
-    /// Runs the session on a cache-relabeled copy of the graph: nodes
-    /// are renumbered by `order` (hubs and BFS-neighbors get adjacent
-    /// ids) so the samplers' hot adjacency walks become
-    /// cache-sequential, and every query's `top_k` is mapped back to
-    /// the caller's original node ids — the API is label-transparent.
-    ///
-    /// Unlike the thread count, relabeling is *not*
-    /// answer-preserving at the bit level: the relabeled graph has
-    /// different canonical edge ids and therefore different coin
-    /// streams, so sampled scores differ within the same `(ε, δ)`
-    /// contract (see `ugraph::relabel` for the determinism contract —
-    /// the relabeling itself is fully deterministic).
-    pub fn relabel(mut self, order: NodeOrder) -> Self {
-        self.relabel = Some(order);
-        self
-    }
-
-    /// Builds the session.
+    /// Builds the session. Fails with
+    /// [`VulnError::InvalidParameter`](crate::VulnError::InvalidParameter)
+    /// when the bound order is 0: the recursions of Algorithms 2–3 start
+    /// at order 1.
     pub fn build(self) -> Result<Detector> {
         let mut config = self.config;
+        if config.bound_order == 0 {
+            return Err(crate::VulnError::InvalidParameter(
+                "bound order must be at least 1".to_string(),
+            ));
+        }
         config.threads = self.threads.unwrap_or_else(default_threads).max(1);
-        let (graph, relabel) = match self.relabel {
-            None => (self.graph, None),
-            Some(order) => {
-                let (relabeled, map) = self.graph.relabeled(order);
-                (Arc::new(relabeled), Some(map))
-            }
-        };
-        Ok(Detector {
-            epochs: GraphEpochs::new(graph),
-            config,
-            state: EngineState::default(),
-            relabel,
-        })
+        Ok(Detector { epochs: GraphEpochs::new(self.graph), config, state: EngineState::default() })
     }
 }
 
@@ -362,9 +340,6 @@ pub struct SessionStats {
     /// Queries in flight at the moment of the snapshot — a gauge, not a
     /// monotone counter.
     pub in_flight: u64,
-    /// Whether the session runs on a cache-relabeled copy of the graph
-    /// (see [`DetectorBuilder::relabel`]).
-    pub relabel_applied: bool,
     /// Current epoch — 0 for the base graph, +1 per committed
     /// [`Detector::apply_delta`]. A gauge, not a counter.
     pub epoch: u64,
@@ -462,9 +437,8 @@ impl SessionTotals {
             // ORDERING: Relaxed — a momentary gauge; the monitoring
             // reader draws no cross-thread conclusions from it.
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            // Per-session facts and epoch gauges, not atomic counters;
-            // `Detector::session_stats` fills them in.
-            relabel_applied: false,
+            // Epoch gauges, not atomic counters; `Detector::session_stats`
+            // fills them in.
             epoch: 0,
             graph_version: 0,
         }
@@ -1214,9 +1188,6 @@ pub struct Detector {
     epochs: GraphEpochs,
     config: VulnConfig,
     state: EngineState,
-    /// Present iff the session runs on a relabeled copy of the caller's
-    /// graph: maps caller ids (`old`) to working ids (`new`) and back.
-    relabel: Option<NodeMap>,
 }
 
 // Compile-time proof of the 0.4 concurrency contract: a `Detector`
@@ -1231,36 +1202,14 @@ impl Detector {
     /// `&UncertainGraph` (clones), `UncertainGraph` (moves), or
     /// `Arc<UncertainGraph>` (shares); see [`IntoSharedGraph`].
     pub fn builder(graph: impl IntoSharedGraph) -> DetectorBuilder {
-        DetectorBuilder {
-            graph: graph.into_shared(),
-            config: VulnConfig::default(),
-            threads: None,
-            relabel: None,
-        }
+        DetectorBuilder { graph: graph.into_shared(), config: VulnConfig::default(), threads: None }
     }
 
-    /// A pinned snapshot of the session's current working graph. Under
-    /// [`DetectorBuilder::relabel`] this is the *relabeled* copy —
-    /// translate ids through [`Detector::node_map`] when comparing
-    /// against the caller's original labeling. The snapshot stays
+    /// A pinned snapshot of the session's current graph, shareable with
+    /// other sessions or threads without copying. The snapshot stays
     /// immutable (and valid) even as later [`Detector::apply_delta`]
     /// calls move the session to new epochs.
     pub fn graph(&self) -> Arc<UncertainGraph> {
-        self.epochs.pin()
-    }
-
-    /// The relabeling permutation, when the session was built with
-    /// [`DetectorBuilder::relabel`] (`None` otherwise). `top_k` answers
-    /// are already mapped back to original ids; the map is exposed for
-    /// callers that inspect the working graph directly.
-    pub fn node_map(&self) -> Option<&NodeMap> {
-        self.relabel.as_ref()
-    }
-
-    /// The session's current graph snapshot, shareable with other
-    /// sessions or threads without copying (same as
-    /// [`Detector::graph`]).
-    pub fn shared_graph(&self) -> Arc<UncertainGraph> {
         self.epochs.pin()
     }
 
@@ -1279,7 +1228,6 @@ impl Detector {
     /// of the atomic totals).
     pub fn session_stats(&self) -> SessionStats {
         let mut stats = self.state.totals.snapshot();
-        stats.relabel_applied = self.relabel.is_some();
         stats.epoch = self.epochs.epoch();
         stats.graph_version = self.epochs.pin().version();
         stats
@@ -1305,11 +1253,6 @@ impl Detector {
     /// a commit that repairs streams takes roughly the downstream set's
     /// share of a sampling pass, and queries starting meanwhile wait for
     /// the new epoch.
-    ///
-    /// Deltas address the session's **working graph**: under
-    /// [`DetectorBuilder::relabel`], translate node ids through
-    /// [`Detector::node_map`] and resolve edge ids against
-    /// [`Detector::graph`] first.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaOutcome> {
         let (mut live, _) = lock_tracked(&self.epochs.live);
         let prev = Arc::clone(&live);
@@ -1410,41 +1353,11 @@ impl Detector {
         SessionTotals::add(&self.state.totals.requests_shed, 1);
     }
 
-    /// Maps a request's candidate hint into the working labeling.
-    /// Must run *before* [`DetectRequest::resolve`]: the normalized
-    /// (sorted, deduplicated) candidate list is part of the
-    /// sample-cache key and of the per-sample coin-consumption order,
-    /// so it has to be normalized in working ids.
-    fn map_request(&self, request: &DetectRequest) -> DetectRequest {
-        let mut mapped = request.clone();
-        if let (Some(map), Some(hint)) = (&self.relabel, &mut mapped.candidates) {
-            for v in hint.iter_mut() {
-                if v.index() < map.len() {
-                    *v = map.to_new(*v);
-                }
-                // Out-of-bounds ids pass through untranslated so
-                // `resolve` reports the caller's original id.
-            }
-        }
-        mapped
-    }
-
-    /// Maps a response's `top_k` back to the caller's original node
-    /// ids and stamps the relabel flag.
-    fn unmap_response(&self, response: &mut DetectResponse) {
-        if let Some(map) = &self.relabel {
-            for scored in &mut response.top_k {
-                scored.node = map.to_old(scored.node);
-            }
-            response.engine.relabel_applied = true;
-        }
-    }
-
     /// Answers one request. Callable from any number of threads at
     /// once; the answer is bit-identical to a serial run.
     pub fn detect(&self, request: &DetectRequest) -> Result<DetectResponse> {
         let (graph, epoch) = self.epochs.pin_with_epoch();
-        let resolved = self.map_request(request).resolve(&graph, &self.config)?;
+        let resolved = request.resolve(&graph, &self.config)?;
         let _in_flight = self.state.totals.enter();
         let algo = algorithm(resolved.algorithm);
         let mut ctx = self.ctx_for(&graph, &resolved);
@@ -1452,7 +1365,6 @@ impl Detector {
             response.engine = ctx.request;
             response.engine.epoch = epoch;
             response.engine.graph_version = graph.version();
-            self.unmap_response(&mut response);
             response
         });
         self.note_outcome(&outcome);
@@ -1480,10 +1392,8 @@ impl Detector {
         // One pin for the whole batch: every request (and the planning
         // pass) runs on the same epoch, even mid-commit.
         let (graph, epoch) = self.epochs.pin_with_epoch();
-        let resolved: Vec<ResolvedRequest> = requests
-            .iter()
-            .map(|r| self.map_request(r).resolve(&graph, &self.config))
-            .collect::<Result<_>>()?;
+        let resolved: Vec<ResolvedRequest> =
+            requests.iter().map(|r| r.resolve(&graph, &self.config)).collect::<Result<_>>()?;
         let _in_flight = self.state.totals.enter();
 
         // Plan each request's stream and budget, then order: groups by
@@ -1506,7 +1416,6 @@ impl Detector {
                 response.engine = ctx.request;
                 response.engine.epoch = epoch;
                 response.engine.graph_version = graph.version();
-                self.unmap_response(&mut response);
                 response
             });
             self.note_outcome(&outcome);
@@ -1590,9 +1499,9 @@ mod tests {
         let by_arc_ref = Detector::builder(&arc).seed(1).build().unwrap();
         // Arc-built sessions share the caller's allocation; the others
         // own their own copy.
-        assert!(Arc::ptr_eq(&by_arc.shared_graph(), &arc));
-        assert!(Arc::ptr_eq(&by_arc_ref.shared_graph(), &arc));
-        assert!(!Arc::ptr_eq(&by_ref.shared_graph(), &arc));
+        assert!(Arc::ptr_eq(&by_arc.graph(), &arc));
+        assert!(Arc::ptr_eq(&by_arc_ref.graph(), &arc));
+        assert!(!Arc::ptr_eq(&by_ref.graph(), &arc));
         // All four answer identically.
         let req = DetectRequest::new(3, AlgorithmKind::BottomK);
         let reference = by_ref.detect(&req).unwrap();
@@ -1888,82 +1797,6 @@ mod tests {
         }
     }
 
-    /// A graph whose top-5 is unambiguous at any sane sample budget:
-    /// five scattered nodes carry well-separated high self-risks, the
-    /// rest are near zero, edges are weak. Lets relabeling tests assert
-    /// answer equality across *different* coin streams.
-    fn separated_graph() -> UncertainGraph {
-        let n = 60;
-        let mut risks = vec![0.01; n];
-        for (i, r) in [0.95, 0.85, 0.75, 0.65, 0.55].into_iter().enumerate() {
-            risks[10 * i + 3] = r;
-        }
-        let mut rng = Xoshiro256pp::new(0xF00D);
-        let mut edges = Vec::new();
-        while edges.len() < 120 {
-            let u = rng.next_bounded(n as u64) as u32;
-            let v = rng.next_bounded(n as u64) as u32;
-            if u != v {
-                edges.push((u, v, 0.05));
-            }
-        }
-        ugraph::from_parts(&risks, &edges, ugraph::DuplicateEdgePolicy::KeepMax).unwrap()
-    }
-
-    #[test]
-    fn relabeled_session_maps_answers_back_to_original_ids() {
-        let g = separated_graph();
-        let plain = session(&g);
-        for order in [NodeOrder::DegreeDescending, NodeOrder::BfsFromHub] {
-            let d = Detector::builder(&g)
-                .config(VulnConfig::default().with_seed(77))
-                .relabel(order)
-                .build()
-                .unwrap();
-            let map = d.node_map().expect("relabeled session must expose its map");
-            assert_eq!(map.len(), g.num_nodes());
-            assert!(d.session_stats().relabel_applied);
-            assert!(!plain.session_stats().relabel_applied);
-            for kind in AlgorithmKind::ALL {
-                let req = DetectRequest::new(5, kind);
-                let r = d.detect(&req).unwrap();
-                assert!(r.engine.relabel_applied, "{order:?}/{kind}");
-                // Different coin streams, same answer set: sampled
-                // scores differ within (ε, δ), but on this sharply
-                // separated graph the detected nodes cannot.
-                let mut got = r.node_ids();
-                let mut want = plain.detect(&req).unwrap().node_ids();
-                got.sort_unstable_by_key(|v| v.0);
-                want.sort_unstable_by_key(|v| v.0);
-                assert_eq!(got, want, "{order:?}/{kind}");
-                for s in &r.top_k {
-                    assert!(s.node.index() < g.num_nodes());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn relabeled_session_translates_candidate_hints() {
-        let g = separated_graph();
-        let d = Detector::builder(&g)
-            .config(VulnConfig::default().with_seed(77))
-            .relabel(NodeOrder::BfsFromHub)
-            .build()
-            .unwrap();
-        // Hint in ORIGINAL ids: the five risky nodes plus background.
-        let hint: Vec<NodeId> = vec![3, 13, 23, 33, 43, 0, 1, 2].into_iter().map(NodeId).collect();
-        let req = DetectRequest::new(3, AlgorithmKind::SampleReverse).with_candidates(hint.clone());
-        let r = d.detect(&req).unwrap();
-        for s in &r.top_k {
-            assert!(hint.contains(&s.node), "hint violated in original ids: {:?}", s.node);
-        }
-        // Out-of-bounds hints report the caller's original id.
-        let bad =
-            DetectRequest::new(1, AlgorithmKind::SampleReverse).with_candidates(vec![NodeId(999)]);
-        assert!(matches!(d.detect(&bad), Err(VulnError::CandidateOutOfBounds { node: 999, .. })));
-    }
-
     #[test]
     fn builder_defaults_threads_to_available_parallelism() {
         let g = random_graph(10, 10, 9);
@@ -1974,6 +1807,19 @@ mod tests {
         // `.config()` adopts the classic thread semantics wholesale.
         let f = Detector::builder(&g).config(VulnConfig::default()).build().unwrap();
         assert_eq!(f.config().threads, 1);
+    }
+
+    #[test]
+    fn builder_rejects_bound_order_zero() {
+        let g = random_graph(10, 10, 9);
+        let e = Detector::builder(&g).bound_order(0).build().unwrap_err();
+        assert!(matches!(e, VulnError::InvalidParameter(_)), "{e:?}");
+        let c = VulnConfig::default().with_bound_order(0);
+        assert!(matches!(
+            Detector::builder(&g).config(c).build(),
+            Err(VulnError::InvalidParameter(_))
+        ));
+        assert_eq!(Detector::builder(&g).bound_order(1).build().unwrap().config().bound_order, 1);
     }
 
     #[test]

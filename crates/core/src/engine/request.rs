@@ -244,9 +244,6 @@ pub struct EngineStats {
     pub block_words: usize,
     /// Superblocks this query materialized (one per `W·64`-world unit).
     pub superblocks: u64,
-    /// Whether this query ran on a cache-relabeled copy of the graph
-    /// (see [`DetectorBuilder::relabel`](super::DetectorBuilder::relabel)).
-    pub relabel_applied: bool,
     /// Epoch of the snapshot this query ran on (0 = base graph). A
     /// query pins its snapshot at entry, so under live updates this
     /// names the exact graph the answer is bit-reproducible against.

@@ -79,7 +79,6 @@ pub use precision::{precision_at_k, precision_with_ties, satisfies_epsilon_contr
 pub use sample_size::{basic_sample_size, reduced_sample_size};
 pub use scoring::{score_nodes_bottomk, score_nodes_mc};
 pub use topk::{select_top_k, select_top_k_dense, ScoredNode};
-pub use ugraph::{NodeMap, NodeOrder};
 pub use vulnds_sampling::BlockWords;
 pub use what_if::{
     apply_interventions, evaluate_interventions, greedy_hardening, Intervention, WhatIfReport,

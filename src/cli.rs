@@ -10,7 +10,7 @@
 //! vulnds bounds   <graph> [--order z]          lower/upper bound summary
 //! vulnds serve    <graph> [options]            JSON query service (stdin or TCP)
 //! vulnds generate <dataset> <out> [--scale s]  synthetic Table-2 dataset
-//! vulnds convert  <in> <out>                   text ↔ binary by extension
+//! vulnds convert  <in> <out> [--relabel o]     text ↔ binary by extension
 //! ```
 //!
 //! Detection runs through the session-oriented
@@ -21,11 +21,11 @@
 //! use — see [`crate::serve`]).
 
 use std::fmt::Write as _;
-use ugraph::{GraphStats, UncertainGraph};
+use ugraph::{GraphStats, NodeOrder, UncertainGraph};
 use vulnds_core::engine::{default_threads, DetectRequest, Detector};
 use vulnds_core::{
-    compute_bounds, score_nodes_bottomk, score_nodes_mc, AlgorithmKind, ApproxParams, NodeOrder,
-    VulnConfig, VulnError,
+    compute_bounds, score_nodes_bottomk, score_nodes_mc, AlgorithmKind, ApproxParams, VulnConfig,
+    VulnError,
 };
 use vulnds_datasets::Dataset;
 
@@ -59,7 +59,6 @@ pub enum Command {
         algorithm: AlgorithmKind,
         config: VulnConfig,
         format: OutputFormat,
-        relabel: Option<NodeOrder>,
     },
     /// `score <graph> --method ...`
     Score { path: String, bottomk: bool, config: VulnConfig, format: OutputFormat },
@@ -79,8 +78,8 @@ pub enum Command {
     Bounds { path: String, order: usize },
     /// `generate <dataset> <out> --scale <s> --seed <s>`
     Generate { dataset: Dataset, out: String, scale: f64, seed: u64 },
-    /// `convert <in> <out>`
-    Convert { input: String, output: String },
+    /// `convert <in> <out> [--relabel degree|bfs]`
+    Convert { input: String, output: String, relabel: Option<NodeOrder> },
     /// `--help` or no arguments.
     Help,
 }
@@ -98,7 +97,7 @@ USAGE:
   vulnds detect   <graph> --k <n> [--algorithm n|sn|sr|bsr|bsrbk]
                   [--epsilon <e>] [--delta <d>] [--seed <s>]
                   [--threads <t>] [--bound-order <z>]
-                  [--relabel none|degree|bfs] [--format human|json]
+                  [--format human|json]
   vulnds score    <graph> [--method mc|bottomk] [--seed <s>] [--threads <t>]
                   [--format human|json]
   vulnds bounds   <graph> [--order <z>]
@@ -112,17 +111,21 @@ USAGE:
   vulnds generate <dataset> <out> [--scale <0..1>] [--seed <s>]
                   datasets: bitcoin facebook wiki p2p citation
                             interbank guarantee fraud
-  vulnds convert  <in> <out>       (.bin extension selects binary format)
+  vulnds convert  <in> <out> [--relabel degree|bfs]
+                  (.bin extension selects binary format)
 
 --threads defaults to the machine's available parallelism; results are
 bit-identical for any thread count. The samplers' superblock width
 (worlds per traversal = words x 64) is planned per pass from the
 sample budget and the thread count, and every width returns
-bit-identical results. --relabel runs detection on a cache-relabeled
-copy of the graph (degree: hubs first; bfs: breadth-first from the
-biggest hub) and maps every answer back to the input labeling;
-unlike the other knobs it resamples with different coin streams, so
-scores vary within the same epsilon/delta contract.
+bit-identical results.
+
+convert --relabel renumbers the nodes for cache-friendly sampling
+(degree: hubs first; bfs: breadth-first from the biggest hub) and
+writes <out>.ids beside <out>: line i (after a # header) holds the
+input id of node i. Detect and serve on <out> then answer in the new
+ids; a relabeled graph has different coin streams, so its scores vary
+within the same epsilon/delta contract.
 
 serve answers newline-delimited JSON requests (see the vulnds::serve
 module docs for the wire format) from one shared session: stdin by
@@ -155,13 +158,12 @@ records of a log; vulnds wal verify exits 1 on a corrupt record,
 reporting the torn-tail offset.
 Graph files: text format (see ugraph::io) or binary (.bin).";
 
-/// Parses a `--relabel` value: `none`, `degree`, or `bfs`.
-fn parse_relabel(s: &str) -> Result<Option<NodeOrder>, VulnError> {
+/// Parses a `convert --relabel` value: `degree` or `bfs`.
+fn parse_relabel(s: &str) -> Result<NodeOrder, VulnError> {
     match s.to_ascii_lowercase().as_str() {
-        "none" => Ok(None),
-        "degree" => Ok(Some(NodeOrder::DegreeDescending)),
-        "bfs" => Ok(Some(NodeOrder::BfsFromHub)),
-        other => Err(err(format!("--relabel: unknown order {other} (none|degree|bfs)"))),
+        "degree" => Ok(NodeOrder::DegreeDescending),
+        "bfs" => Ok(NodeOrder::BfsFromHub),
+        other => Err(err(format!("--relabel: unknown order {other} (degree|bfs)"))),
     }
 }
 
@@ -195,7 +197,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             let mut config = VulnConfig::default();
             let mut threads: Option<usize> = None;
             let mut format = OutputFormat::Human;
-            let mut relabel: Option<NodeOrder> = None;
             let mut epsilon = config.approx.epsilon();
             let mut delta = config.approx.delta();
             let mut i = 0;
@@ -236,7 +237,6 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                             .parse()
                             .map_err(|_| err("--bound-order: not an integer"))?
                     }
-                    "--relabel" => relabel = parse_relabel(&value(&rest, &mut i)?)?,
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("detect: unknown option {other}"))),
                 }
@@ -245,7 +245,7 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             config.approx = ApproxParams::new(epsilon, delta)?;
             config.threads = threads.unwrap_or_else(default_threads).max(1);
             let k = k.ok_or_else(|| err("detect: --k is required"))?;
-            Ok(Command::Detect { path, k, algorithm, config, format, relabel })
+            Ok(Command::Detect { path, k, algorithm, config, format })
         }
         "score" => {
             let path = it.next().ok_or_else(|| err("score: missing <graph> path"))?.clone();
@@ -408,8 +408,10 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                 match rest[i].as_str() {
                     "--order" => {
                         order = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--order: not an integer"))?
+                            .parse::<usize>()
+                            .ok()
+                            .filter(|&z| z > 0)
+                            .ok_or_else(|| err("--order: not a positive integer"))?
                     }
                     other => return Err(err(format!("bounds: unknown option {other}"))),
                 }
@@ -446,8 +448,16 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
         "convert" => {
             let input = it.next().ok_or_else(|| err("convert: missing <in> path"))?.clone();
             let output = it.next().ok_or_else(|| err("convert: missing <out> path"))?.clone();
+            let relabel = match it.next().map(String::as_str) {
+                None => None,
+                Some("--relabel") => {
+                    let order = it.next().ok_or_else(|| err("--relabel: missing value"))?;
+                    Some(parse_relabel(order)?)
+                }
+                Some(other) => return Err(err(format!("convert: unknown option {other}"))),
+            };
             expect_empty(it)?;
-            Ok(Command::Convert { input, output })
+            Ok(Command::Convert { input, output, relabel })
         }
         other => Err(err(format!("unknown command {other}; see --help"))),
     }
@@ -577,16 +587,12 @@ pub fn run(command: Command) -> Result<String, VulnError> {
                 scc.non_trivial().len()
             );
         }
-        Command::Detect { path, k, algorithm, config, format, relabel } => {
+        Command::Detect { path, k, algorithm, config, format } => {
             let g = load(&path)?;
             if k == 0 || k > g.num_nodes() {
                 return Err(err(format!("--k must be in 1..={}", g.num_nodes())));
             }
-            let mut builder = Detector::builder(g).config(config);
-            if let Some(order) = relabel {
-                builder = builder.relabel(order);
-            }
-            let detector = builder.build()?;
+            let detector = Detector::builder(g).config(config).build()?;
             let r = detector.detect(&DetectRequest::new(k, algorithm))?;
             let session = detector.session_stats();
             if format == OutputFormat::Json {
@@ -619,8 +625,8 @@ pub fn run(command: Command) -> Result<String, VulnError> {
             );
             let _ = writeln!(
                 out,
-                "# blocks block-words {} | superblocks {} | relabeled {}",
-                r.engine.block_words, r.engine.superblocks, r.engine.relabel_applied
+                "# blocks block-words {} | superblocks {}",
+                r.engine.block_words, r.engine.superblocks
             );
             let _ = writeln!(
                 out,
@@ -752,9 +758,23 @@ pub fn run(command: Command) -> Result<String, VulnError> {
             let _ =
                 writeln!(out, "wrote {} ({} nodes, {} edges) to {path}", dataset, s.nodes, s.edges);
         }
-        Command::Convert { input, output } => {
+        Command::Convert { input, output, relabel } => {
             let g = load(&input)?;
-            save(&g, &output)?;
+            match relabel {
+                None => save(&g, &output)?,
+                Some(order) => {
+                    let (relabeled, map) = g.relabeled(order);
+                    save(&relabeled, &output)?;
+                    let ids = format!("{output}.ids");
+                    let mut text = format!("# original id of each node of {output}, in order\n");
+                    for new in 0..map.len() as u32 {
+                        let _ = writeln!(text, "{}", map.to_old(ugraph::NodeId(new)).0);
+                    }
+                    std::fs::write(&ids, text)
+                        .map_err(|e| err(format!("convert: cannot write {ids}: {e}")))?;
+                    let _ = writeln!(out, "wrote node ids to {ids}");
+                }
+            }
             let _ = writeln!(out, "converted {input} -> {output}");
         }
     }
@@ -783,7 +803,7 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Detect { path, k, algorithm, config, format, relabel } => {
+            Command::Detect { path, k, algorithm, config, format } => {
                 assert_eq!(path, "g.txt");
                 assert_eq!(k, 10);
                 assert_eq!(algorithm, AlgorithmKind::BoundedSampleReverse);
@@ -793,7 +813,6 @@ mod tests {
                 assert_eq!(config.threads, 4);
                 assert_eq!(config.bound_order, 3);
                 assert_eq!(format, OutputFormat::Human);
-                assert_eq!(relabel, None);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -812,17 +831,32 @@ mod tests {
             assert!(parse(&args(&format!("serve g.txt --direction {value}"))).is_err());
         }
 
-        for (value, expected) in [
-            ("none", None),
-            ("degree", Some(NodeOrder::DegreeDescending)),
-            ("bfs", Some(NodeOrder::BfsFromHub)),
+        // Relabeling happens once, at ingest: `convert` takes the order,
+        // and leaving the flag off keeps the input's ids.
+        for (line, expected) in [
+            ("convert g.txt g.bin", None),
+            ("convert g.txt g.bin --relabel degree", Some(NodeOrder::DegreeDescending)),
+            ("convert g.txt g.bin --relabel bfs", Some(NodeOrder::BfsFromHub)),
         ] {
-            match parse(&args(&format!("detect g.txt --k 3 --relabel {value}"))).unwrap() {
-                Command::Detect { relabel, .. } => assert_eq!(relabel, expected),
+            match parse(&args(line)).unwrap() {
+                Command::Convert { relabel, .. } => assert_eq!(relabel, expected, "{line}"),
                 other => panic!("wrong command: {other:?}"),
             }
         }
-        assert!(parse(&args("detect g.txt --k 3 --relabel hilbert")).is_err());
+        for line in [
+            "convert g.txt g.bin --relabel hilbert",
+            "convert g.txt g.bin --relabel none",
+            "convert g.txt g.bin --relabel",
+            "convert g.txt g.bin --relabel bfs extra",
+            "convert g.txt g.bin --frobnicate",
+            // A session answers in its graph file's ids only, so detect
+            // takes no order.
+            "detect g.txt --k 3 --relabel none",
+            "detect g.txt --k 3 --relabel degree",
+            "detect g.txt --k 3 --relabel bfs",
+        ] {
+            assert!(parse(&args(line)).is_err(), "{line}");
+        }
     }
 
     #[test]
@@ -1148,22 +1182,77 @@ mod tests {
     }
 
     #[test]
-    fn relabel_detect_reports_original_ids() {
+    fn relabel_convert_maps_answers_to_original_ids() {
         let dir = std::env::temp_dir().join("vulnds_cli_relabel_test");
         std::fs::create_dir_all(&dir).unwrap();
         let txt = dir.join("g.txt").to_string_lossy().to_string();
-        run(parse(&args(&format!("generate interbank {txt} --scale 1.0"))).unwrap()).unwrap();
-        let out = run(parse(&args(&format!(
-            "detect {txt} --k 5 --algorithm bsrbk --seed 2 --relabel bfs"
-        )))
-        .unwrap())
-        .unwrap();
-        assert!(out.contains("relabeled true"), "{out}");
-        // Reported node ids are in the input labeling (125 nodes).
-        for line in out.lines().filter(|l| !l.starts_with('#')) {
-            let node: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-            assert!(node < 125, "{line}");
+        let bfs = dir.join("g_bfs.txt").to_string_lossy().to_string();
+        run(parse(&args(&format!("generate interbank {txt} --scale 1.0 --seed 3"))).unwrap())
+            .unwrap();
+        let msg =
+            run(parse(&args(&format!("convert {txt} {bfs} --relabel bfs"))).unwrap()).unwrap();
+        assert!(msg.contains(&format!("{bfs}.ids")), "{msg}");
+
+        // The id map is a `#` header, then one input id per node of the
+        // written graph: a permutation of 0..n.
+        let ids_text = std::fs::read_to_string(format!("{bfs}.ids")).unwrap();
+        assert!(ids_text.starts_with('#'), "{ids_text}");
+        let ids: Vec<u32> =
+            ids_text.lines().filter(|l| !l.starts_with('#')).map(|l| l.parse().unwrap()).collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..125).collect::<Vec<u32>>());
+
+        // Detecting on the written file and mapping through the ids file
+        // answers bit for bit like an in-process session on the
+        // relabeled graph mapped through its `NodeMap`.
+        let g = load(&txt).unwrap();
+        let (relabeled, map) = g.relabeled(NodeOrder::BfsFromHub);
+        assert_eq!(load(&bfs).unwrap(), relabeled);
+        let config = VulnConfig::default().with_seed(2).with_threads(1);
+        let session = Detector::builder(relabeled).config(config).build().unwrap();
+        for kind in AlgorithmKind::ALL {
+            let label = kind.label().to_ascii_lowercase();
+            let out = run(parse(&args(&format!(
+                "detect {bfs} --k 5 --algorithm {label} --seed 2 --threads 1 --format json"
+            )))
+            .unwrap())
+            .unwrap();
+            let doc = Json::parse(out.trim()).unwrap();
+            let got: Vec<(u32, u64)> = doc
+                .get("top_k")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|e| {
+                    let node = e.get("node").and_then(Json::as_u64).unwrap() as usize;
+                    (ids[node], e.get("score").and_then(Json::as_f64).unwrap().to_bits())
+                })
+                .collect();
+            let want: Vec<(u32, u64)> = session
+                .detect(&DetectRequest::new(5, kind))
+                .unwrap()
+                .top_k
+                .iter()
+                .map(|s| (map.to_old(s.node).0, s.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{kind}");
         }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn detect_and_bounds_reject_bound_order_zero() {
+        let dir = std::env::temp_dir().join("vulnds_cli_order_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let txt = dir.join("g.txt").to_string_lossy().to_string();
+        run(parse(&args(&format!("generate interbank {txt} --scale 1.0"))).unwrap()).unwrap();
+        let line = format!("detect {txt} --k 3 --algorithm bsr --bound-order 0");
+        let e = run(parse(&args(&line)).unwrap()).unwrap_err();
+        assert!(matches!(e, VulnError::InvalidParameter(_)), "{e:?}");
+        let e = parse(&args(&format!("bounds {txt} --order 0"))).unwrap_err();
+        assert!(e.to_string().contains("--order"), "{e}");
+        assert!(run(parse(&args(&format!("bounds {txt} --order 1"))).unwrap()).is_ok());
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -981,7 +981,6 @@ pub fn engine_stats_json(engine: &EngineStats) -> Json {
         ("lazy_edge_words_skipped", engine.lazy_edge_words_skipped.into()),
         ("block_words", engine.block_words.into()),
         ("superblocks", engine.superblocks.into()),
-        ("relabel_applied", engine.relabel_applied.into()),
         ("epoch", engine.epoch.into()),
         ("graph_version", engine.graph_version.into()),
     ])
@@ -1010,7 +1009,6 @@ pub fn session_stats_json(session: &SessionStats) -> Json {
         ("cache_waits", session.cache_waits.into()),
         ("builds_deduped", session.builds_deduped.into()),
         ("concurrent_peak", session.concurrent_peak.into()),
-        ("relabel_applied", session.relabel_applied.into()),
         ("epoch", session.epoch.into()),
         ("graph_version", session.graph_version.into()),
         ("deltas_applied", session.deltas_applied.into()),

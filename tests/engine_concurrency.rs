@@ -370,10 +370,10 @@ fn detector_is_send_sync_and_shareable_by_reference() {
 
 #[test]
 fn shared_arc_graph_feeds_many_sessions_without_copying() {
-    let shared_graph = Arc::new(graph());
-    let a = Detector::builder(Arc::clone(&shared_graph)).seed(1).build().unwrap();
-    let b = Detector::builder(Arc::clone(&shared_graph)).seed(1).build().unwrap();
-    assert!(Arc::ptr_eq(&a.shared_graph(), &b.shared_graph()));
+    let shared = Arc::new(graph());
+    let a = Detector::builder(Arc::clone(&shared)).seed(1).build().unwrap();
+    let b = Detector::builder(Arc::clone(&shared)).seed(1).build().unwrap();
+    assert!(Arc::ptr_eq(&a.graph(), &b.graph()));
     let req = DetectRequest::new(4, AlgorithmKind::BottomK);
     assert_eq!(
         fingerprint(&a.detect(&req).unwrap()),

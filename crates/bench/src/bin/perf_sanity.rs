@@ -22,19 +22,26 @@
 //!    traversal against push alone on a synthetic dense-frontier graph.
 //!    The forward kernel now only pushes: on the paper's graphs the
 //!    switch never won measurably, and the timing gate flaked.
-//! 4. **Relabeling**: a BFS-order relabel must beat the same graph
-//!    under a scrambled node order by at least
-//!    [`RELABEL_REQUIRED_SPEEDUP`] end-to-end. Two deliberate choices:
-//!    the gate scrambles the ingest labels first, because generators
-//!    emit nodes in an already cache-friendly creation order with
-//!    nothing left to recover (measured ≈ 1.0×) — the scramble models
+//! 4. **Relabeling**: a BFS-order relabel must put each window of
+//!    [`LAYOUT_WINDOW`] consecutive node ids' out-neighbours on at least
+//!    [`RELABEL_REQUIRED_LINE_RATIO`] times fewer distinct 64-byte lines
+//!    of a per-node `u64` array than the same graph under a scrambled
+//!    node order, summed over windows. A superblock pass reads per-node
+//!    words of a frontier's neighbours, so fewer lines per window of ids
+//!    is the locality the relabel buys. The gate counts lines and
+//!    measures no time: the ~1.1× wall-time effect of the layout on a
+//!    fixed-budget forward pass is printed as a diagnostic but does not
+//!    gate, because on shared hardware its run-to-run spread
+//!    (0.91–1.69× across four paired runs) is wider than the effect.
+//!    Two deliberate choices: the gate scrambles the ingest labels
+//!    first, because generators emit nodes in an already cache-friendly
+//!    creation order with nothing left to recover — the scramble models
 //!    the arbitrary-id layout real ingest produces. And it runs on the
 //!    erdos family, not pref_attach: a hub-dominated graph keeps its
 //!    hot set (the few high-degree hubs) cache-resident under *any*
-//!    labeling, so pref_attach shows no layout effect even scrambled
-//!    (measured ≈ 0.96–1.2× run-to-run, pure noise), while the flat
-//!    erdos degree profile makes neighbor locality — exactly what
-//!    relabeling buys — the dominant cache effect.
+//!    labeling, while the flat erdos degree profile makes neighbour
+//!    locality — exactly what relabeling buys — the dominant cache
+//!    effect.
 //! 5. **Reverse search cost**: on Guarantee at scale 0.1 (k = 1% of n,
 //!    ε 0.1), SR must draw fewer than [`SR_MAX_COIN_WORDS_RATIO`] times
 //!    BSR's coin words per sample. SR's candidate set keeps the
@@ -105,9 +112,17 @@ const SUPERBLOCK_REQUIRED_SPEEDUP: f64 = 1.05;
 /// superblocks, so both paths amortize their setup identically.
 const SUPERBLOCK_BUDGET: u64 = 4 * (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
 
-/// The BFS-order relabel must beat the scrambled node order by at least
-/// this factor on the fixed-budget forward workload, or the gate fails.
-const RELABEL_REQUIRED_SPEEDUP: f64 = 1.05;
+/// Consecutive node ids per window of the relabeling gate: the nodes
+/// one 64-lane step of a traversal is most likely to touch together.
+const LAYOUT_WINDOW: usize = 64;
+
+/// `u64` entries per 64-byte cache line.
+const LINE_NODES: u32 = 8;
+
+/// The scrambled node order must touch at least this many times the
+/// BFS-relabeled order's distinct neighbour lines, or the gate fails.
+/// The gate's graph measures 1.348× (297,673 lines against 220,787).
+const RELABEL_REQUIRED_LINE_RATIO: f64 = 1.25;
 
 /// SR's coin words per sample must stay below this multiple of BSR's on
 /// the Guarantee workload, or the gate fails.
@@ -127,6 +142,25 @@ const BSRBK_MAX_COIN_WORDS_RATIO: f64 = 1.5;
 /// busiest superblock drew (slab growth slack, the reach slots and the
 /// verdict slots), on top of their slot indexes.
 const PASS_SCRATCH_DRAWN_MULTIPLE: usize = 4;
+
+/// Distinct 64-byte lines of a per-node `u64` array that the
+/// out-neighbours of each window of [`LAYOUT_WINDOW`] consecutive node
+/// ids fall in, summed over the windows.
+fn neighbour_lines(graph: &ugraph::UncertainGraph) -> usize {
+    let n = graph.num_nodes();
+    let mut lines = Vec::new();
+    let mut total = 0;
+    for start in (0..n).step_by(LAYOUT_WINDOW) {
+        lines.clear();
+        for v in start..(start + LAYOUT_WINDOW).min(n) {
+            lines.extend(graph.out_neighbors(NodeId(v as u32)).iter().map(|&w| w / LINE_NODES));
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        total += lines.len();
+    }
+    total
+}
 
 /// A fresh single-threaded session and the gates' request for `kind`:
 /// k = 1% of n, ε 0.1.
@@ -238,8 +272,7 @@ fn sr_pass_scratch(graph: &ugraph::UncertainGraph) -> PassScratch {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let defaulted_budget = quick && std::env::var("VULNDS_BENCH_MS").is_err();
-    if defaulted_budget {
+    if quick && std::env::var("VULNDS_BENCH_MS").is_err() {
         std::env::set_var("VULNDS_BENCH_MS", "60");
     }
 
@@ -308,10 +341,7 @@ fn main() {
     // Relabeling gate: erdos under scrambled ingest labels (see the
     // module docs for the family choice), BFS relabel vs the scrambled
     // layout it must recover. 100k nodes puts the per-superblock working
-    // set past L3, so the layout effect is a DRAM-latency effect and
-    // survives the frequency throttling that erases cache-resident
-    // layout wins on shared runners.
-    let relabel_budget = (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
+    // set past L3, so the timed diagnostic reads a DRAM-latency effect.
     let mut relabel_rng = Xoshiro256pp::new(0x4E1A_8E10);
     let re_edges = erdos::generate(100_000, 300_000, &mut relabel_rng);
     let mut perm: Vec<u32> = (0..100_000u32).collect();
@@ -326,48 +356,35 @@ fn main() {
         ProbabilityModel::financial(),
         &mut relabel_rng,
     );
-    let scrambled_table = CoinTable::new(&scrambled);
     let (relabeled, _) = scrambled.relabeled(NodeOrder::BfsFromHub);
-    let relabeled_table = CoinTable::new(&relabeled);
-    // The layout effect is ~1.1× — resolving it over run-to-run noise
-    // needs more batches than the quick default's 3–4, so this gate
-    // restores the full budget even under --quick and pays a few extra
-    // seconds of wall time for a stable verdict.
-    if defaulted_budget {
-        std::env::set_var("VULNDS_BENCH_MS", "300");
-    }
-    // Interleaved rounds with a per-side minimum: frequency and page
-    // placement drift between measurements otherwise dominates the
-    // ~1.1× layout effect this gate resolves.
-    let mut before = f64::INFINITY;
-    let mut after = f64::INFINITY;
-    let relabel_pass = sequential(0..relabel_budget, planned);
-    for round in 0..4 {
-        let b =
-            measure(&format!("perf_sanity/relabel_forward_fixed_budget_scrambled_{round}"), || {
-                relabel_pass.forward(&scrambled, &scrambled_table, 13).segments[0].samples()
-            });
-        before = before.min(b.median_secs);
-        let a =
-            measure(&format!("perf_sanity/relabel_forward_fixed_budget_bfs_order_{round}"), || {
-                relabel_pass.forward(&relabeled, &relabeled_table, 13).segments[0].samples()
-            });
-        after = after.min(a.median_secs);
-    }
-    let relabel_speedup = before / after;
+    let (scrambled_lines, relabeled_lines) =
+        (neighbour_lines(&scrambled), neighbour_lines(&relabeled));
+    let line_ratio = scrambled_lines as f64 / relabeled_lines as f64;
     println!(
-        "perf_sanity: BFS relabel vs scrambled layout speedup {relabel_speedup:.2}x \
-         (required ≥ {RELABEL_REQUIRED_SPEEDUP}x)"
+        "perf_sanity: BFS relabel puts {LAYOUT_WINDOW}-id windows' out-neighbours on \
+         {relabeled_lines} lines, {line_ratio:.3}x fewer than the scrambled order's \
+         {scrambled_lines} (required ≥ {RELABEL_REQUIRED_LINE_RATIO}x)"
     );
-    if relabel_speedup.is_nan() || relabel_speedup < RELABEL_REQUIRED_SPEEDUP {
+    if line_ratio.is_nan() || line_ratio < RELABEL_REQUIRED_LINE_RATIO {
         eprintln!(
-            "perf_sanity FAILED: the BFS-relabeled layout ({:.3} ms) is not ≥ \
-             {RELABEL_REQUIRED_SPEEDUP}x faster than the scrambled node order ({:.3} ms)",
-            after * 1e3,
-            before * 1e3,
+            "perf_sanity FAILED: the BFS-relabeled layout touches {relabeled_lines} neighbour \
+             lines, not ≥ {RELABEL_REQUIRED_LINE_RATIO}x fewer than the scrambled order's \
+             {scrambled_lines}"
         );
         failed = true;
     }
+    // Diagnostic only: the same fixed-budget forward pass on both layouts.
+    let relabel_pass = sequential(0..(vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64, planned);
+    let timed = |name: &str, graph: &ugraph::UncertainGraph| {
+        let table = CoinTable::new(graph);
+        let name = format!("perf_sanity/relabel_forward_fixed_budget_{name}");
+        measure(&name, || relabel_pass.forward(graph, &table, 13).segments[0].samples()).median_secs
+    };
+    let (before, after) = (timed("scrambled", &scrambled), timed("bfs_order", &relabeled));
+    println!(
+        "perf_sanity: BFS relabel vs scrambled layout wall time {:.2}x (diagnostic, not gated)",
+        before / after
+    );
 
     // Reverse-search gate: coin counts are deterministic, so one run
     // per algorithm decides it.

@@ -10,7 +10,7 @@
 //! {2, 4, 6, 8, 10}% grid its figures plot.
 
 use ugraph::UncertainGraph;
-use vulnds_core::{ground_truth, VulnConfig};
+use vulnds_core::{ground_truth, VulnConfig, PAPER_GROUND_TRUTH_SAMPLES};
 use vulnds_datasets::Dataset;
 
 /// Reads the experiment scale from `VULNDS_SCALE` (default 0.1).
@@ -37,9 +37,10 @@ pub fn generate(ds: Dataset) -> UncertainGraph {
     ds.generate_scaled(seed(), scale())
 }
 
-/// Ground truth with the paper's 20,000-sample convention, parallelized.
+/// Ground truth with the paper's sample convention
+/// ([`PAPER_GROUND_TRUTH_SAMPLES`]), parallelized.
 pub fn truth(graph: &UncertainGraph) -> Vec<f64> {
-    ground_truth(graph, 20_000, seed() ^ 0x6007, threads())
+    ground_truth(graph, PAPER_GROUND_TRUTH_SAMPLES, seed() ^ 0x6007, threads())
 }
 
 /// Worker threads for ground-truth computation (all available cores).

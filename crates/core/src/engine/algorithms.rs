@@ -11,8 +11,6 @@ use std::time::Instant;
 use ugraph::NodeId;
 use vulnds_sampling::DefaultCounts;
 
-use crate::algo::reverse_common::{assemble_result, merge_verified, Pruned};
-use crate::algo::{AlgorithmKind, RunStats};
 use crate::candidates::CandidateReduction;
 use crate::error::{Result, VulnError};
 use crate::sample_size::{
@@ -21,7 +19,7 @@ use crate::sample_size::{
 use crate::topk::{select_top_k, select_top_k_dense, ScoredNode};
 
 use super::cache::looks_below;
-use super::request::{DetectResponse, EngineStats, ResolvedRequest};
+use super::request::{AlgorithmKind, DetectResponse, EngineStats, ResolvedRequest, RunStats};
 use super::EngineCtx;
 
 /// One detection algorithm, runnable inside a [`Detector`](super::Detector)
@@ -215,6 +213,59 @@ pub(super) fn reverse_plan(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Re
         ctx.config().cap_samples(reduced_sample_size(candidates.len(), k_rem, req.approx)).max(1)
     };
     ReversePlan { candidates, k_verified, k_rem, degenerate, budget }
+}
+
+/// Borrowed view of the pruning phase: bound vectors plus the candidate
+/// reduction built from them. The session owns the cached bounds and
+/// reductions; the reverse-sampling algorithms only borrow them.
+struct Pruned<'a> {
+    lower: &'a [f64],
+    upper: &'a [f64],
+    reduction: &'a CandidateReduction,
+}
+
+impl Pruned<'_> {
+    /// Score assigned to nodes that skip estimation (verified nodes, and
+    /// candidates auto-included when `|B| ≤ k − k'`): the bound-interval
+    /// midpoint, which is the best available point estimate without
+    /// sampling.
+    fn midpoint_score(&self, v: NodeId) -> f64 {
+        0.5 * (self.lower[v.index()] + self.upper[v.index()])
+    }
+}
+
+/// Assembles the final ranking: verified nodes first (scored by their
+/// bound midpoints, clamped to dominate), then the best `k − k'`
+/// estimated candidates.
+fn assemble_result(
+    pruned: &Pruned<'_>,
+    candidates: &[NodeId],
+    estimates: &DefaultCounts,
+    k: usize,
+) -> Vec<ScoredNode> {
+    let k_rem = k - pruned.reduction.verified.len().min(k);
+    let chosen = select_top_k(
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| ScoredNode { node, score: estimates.estimate(i) }),
+        k_rem,
+    );
+    merge_verified(pruned, chosen, k)
+}
+
+/// Places verified nodes ahead of the estimated selection, preserving both
+/// orders, truncated to `k`.
+fn merge_verified(pruned: &Pruned<'_>, chosen: Vec<ScoredNode>, k: usize) -> Vec<ScoredNode> {
+    let mut out: Vec<ScoredNode> = pruned
+        .reduction
+        .verified
+        .iter()
+        .map(|&node| ScoredNode { node, score: pruned.midpoint_score(node) })
+        .collect();
+    out.extend(chosen);
+    out.truncate(k);
+    out
 }
 
 /// The sampling-free answer for a degenerate BSR/BSRBK plan: open slots
@@ -506,6 +557,25 @@ fn certified_epsilon(counts: &DefaultCounts, k_rem: usize, log_inv_alpha: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::compute_bounds;
+    use crate::candidates::reduce_candidates;
+    use crate::config::VulnConfig;
+    use crate::engine::{DetectRequest, Detector};
+    use ugraph::{from_parts, DuplicateEdgePolicy, UncertainGraph};
+
+    /// One cold session answering one request: the harness of the
+    /// per-algorithm suites below.
+    fn detect(
+        graph: &UncertainGraph,
+        k: usize,
+        kind: AlgorithmKind,
+        config: &VulnConfig,
+    ) -> Result<DetectResponse> {
+        Detector::builder(graph)
+            .config(config.clone())
+            .build()?
+            .detect(&DetectRequest::new(k, kind))
+    }
 
     #[test]
     fn dispatch_covers_all_kinds() {
@@ -539,5 +609,420 @@ mod tests {
             bsr_candidates(&r, Some(&[NodeId(1), NodeId(3), NodeId(5)])),
             vec![NodeId(1), NodeId(5)]
         );
+    }
+
+    fn prune(g: &UncertainGraph, k: usize) -> (Vec<f64>, Vec<f64>, CandidateReduction) {
+        let cfg = VulnConfig::default();
+        let (lower, upper) = compute_bounds(g, cfg.bound_order, cfg.bounds_method);
+        let reduction = reduce_candidates(&lower, &upper, k);
+        (lower, upper, reduction)
+    }
+
+    #[test]
+    fn prune_produces_consistent_reduction() {
+        let g = from_parts(
+            &[0.9, 0.1, 0.1, 0.05],
+            &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
+            DuplicateEdgePolicy::Error,
+        )
+        .unwrap();
+        let (lower, upper, reduction) = prune(&g, 2);
+        assert_eq!(lower.len(), 4);
+        assert_eq!(upper.len(), 4);
+        // Verified + candidates never exceeds n, covers at least k.
+        let total = reduction.verified_count() + reduction.candidate_count();
+        assert!(total >= 2);
+        assert!(total <= 4);
+    }
+
+    #[test]
+    fn assemble_orders_verified_first() {
+        let g = from_parts(&[0.9, 0.2, 0.1], &[(0, 1, 0.9)], DuplicateEdgePolicy::Error).unwrap();
+        let (lower, upper, reduction) = prune(&g, 2);
+        let pruned = Pruned { lower: &lower, upper: &upper, reduction: &reduction };
+        let cands = reduction.candidates.clone();
+        let mut est = DefaultCounts::new(cands.len());
+        est.begin_sample();
+        for i in 0..cands.len() {
+            est.bump(i);
+        }
+        let out = assemble_result(&pruned, &cands, &est, 2);
+        assert_eq!(out.len(), 2);
+        // Any verified node must appear before non-verified ones.
+        for (i, v) in reduction.verified.iter().enumerate() {
+            assert_eq!(out[i].node, *v);
+        }
+    }
+
+    /// `N` — Algorithm 1 with a fixed sample budget.
+    mod naive {
+        use super::*;
+
+        fn detect_naive(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::Naive, config).unwrap()
+        }
+
+        fn chain() -> UncertainGraph {
+            from_parts(&[0.6, 0.0, 0.0], &[(0, 1, 0.9), (1, 2, 0.9)], DuplicateEdgePolicy::Error)
+                .unwrap()
+        }
+
+        #[test]
+        fn finds_obvious_ranking() {
+            // p = (0.6, 0.54, 0.486): ranking 0 > 1 > 2.
+            let g = chain();
+            let cfg = VulnConfig::default().with_seed(1);
+            let r = detect_naive(&g, 2, &cfg);
+            assert_eq!(r.node_ids(), vec![NodeId(0), NodeId(1)]);
+            assert_eq!(r.stats.samples_used, cfg.naive_samples);
+            assert_eq!(r.stats.candidates, 3);
+        }
+
+        #[test]
+        fn deterministic_given_seed() {
+            let g = chain();
+            let cfg = VulnConfig::default().with_seed(7);
+            assert_eq!(detect_naive(&g, 2, &cfg).top_k, detect_naive(&g, 2, &cfg).top_k);
+        }
+
+        #[test]
+        fn parallel_matches_sequential() {
+            let g = chain();
+            let seq = detect_naive(&g, 2, &VulnConfig::default().with_seed(3));
+            let par = detect_naive(&g, 2, &VulnConfig::default().with_seed(3).with_threads(4));
+            assert_eq!(seq.top_k, par.top_k);
+        }
+
+        #[test]
+        fn rejects_zero_k() {
+            let r = detect(&chain(), 0, AlgorithmKind::Naive, &VulnConfig::default());
+            assert_eq!(r.unwrap_err(), VulnError::InvalidK { k: 0, n: 3 });
+        }
+
+        #[test]
+        fn rejects_oversized_k() {
+            let r = detect(&chain(), 4, AlgorithmKind::Naive, &VulnConfig::default());
+            assert_eq!(r.unwrap_err(), VulnError::InvalidK { k: 4, n: 3 });
+        }
+    }
+
+    /// `SN` — Algorithm 1 with the sample size of Equation 3, making it
+    /// an `(ε, δ)`-approximation (Theorem 4).
+    mod sn {
+        use super::*;
+
+        fn detect_sn(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::SampledNaive, config).unwrap()
+        }
+
+        fn graph() -> UncertainGraph {
+            from_parts(
+                &[0.7, 0.05, 0.05, 0.05, 0.05],
+                &[(0, 1, 0.8), (1, 2, 0.8), (2, 3, 0.2), (3, 4, 0.2)],
+                DuplicateEdgePolicy::Error,
+            )
+            .unwrap()
+        }
+
+        #[test]
+        fn uses_equation3_budget() {
+            let g = graph();
+            let cfg = VulnConfig::default();
+            let r = detect_sn(&g, 2, &cfg);
+            assert_eq!(r.stats.sample_budget, basic_sample_size(5, 2, cfg.approx));
+            assert_eq!(r.stats.algorithm, AlgorithmKind::SampledNaive);
+        }
+
+        #[test]
+        fn finds_clear_winner() {
+            let g = graph();
+            let r = detect_sn(&g, 1, &VulnConfig::default().with_seed(11));
+            assert_eq!(r.node_ids(), vec![NodeId(0)]);
+        }
+
+        #[test]
+        fn respects_sample_cap() {
+            let g = graph();
+            let r = detect_sn(&g, 2, &VulnConfig::default().with_max_samples(10));
+            assert_eq!(r.stats.sample_budget, 10);
+        }
+
+        #[test]
+        fn k_equals_n_needs_one_sample_only() {
+            // Eq. 3 is 0 for k = n (no pairs to order); the implementation
+            // clamps to ≥ 1 sample so estimates exist.
+            let g = graph();
+            let r = detect_sn(&g, 5, &VulnConfig::default());
+            assert_eq!(r.stats.sample_budget, 1);
+            assert_eq!(r.top_k.len(), 5);
+        }
+    }
+
+    /// `SR` — reverse sampling over the candidate set derived with the
+    /// *second* rule of Lemma 1 only (no verification).
+    mod sr {
+        use super::*;
+
+        fn detect_sr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::SampleReverse, config).unwrap()
+        }
+
+        fn graph() -> UncertainGraph {
+            from_parts(
+                &[0.8, 0.1, 0.05, 0.02, 0.01],
+                &[(0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.3), (3, 4, 0.1)],
+                DuplicateEdgePolicy::Error,
+            )
+            .unwrap()
+        }
+
+        #[test]
+        fn finds_clear_top2() {
+            // p ≈ (0.8, 0.748, 0.4, 0.13, 0.02).
+            let g = graph();
+            let r = detect_sr(&g, 2, &VulnConfig::default().with_seed(5));
+            assert_eq!(r.node_ids(), vec![NodeId(0), NodeId(1)]);
+            assert_eq!(r.stats.verified, 0, "SR never verifies");
+        }
+
+        #[test]
+        fn candidate_set_is_at_most_n() {
+            let g = graph();
+            let r = detect_sr(&g, 2, &VulnConfig::default());
+            assert!(r.stats.candidates <= 5);
+            assert!(r.stats.candidates >= 2);
+        }
+
+        #[test]
+        fn parallel_matches_sequential() {
+            let g = graph();
+            let seq = detect_sr(&g, 2, &VulnConfig::default().with_seed(9));
+            let par = detect_sr(&g, 2, &VulnConfig::default().with_seed(9).with_threads(3));
+            assert_eq!(seq.top_k, par.top_k);
+        }
+
+        #[test]
+        fn sample_cap_respected() {
+            let g = graph();
+            let r = detect_sr(&g, 2, &VulnConfig::default().with_max_samples(7));
+            assert!(r.stats.sample_budget <= 7);
+        }
+    }
+
+    /// `BSR` — bounds + verification + reverse sampling with the reduced
+    /// sample size of Equation 4 (Theorem 5).
+    mod bsr {
+        use super::*;
+
+        fn detect_bsr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::BoundedSampleReverse, config).unwrap()
+        }
+
+        fn skewed() -> UncertainGraph {
+            // One dominant node, a mid-tier pair, a long tail of safe nodes.
+            let mut risks = vec![0.95, 0.5, 0.45];
+            risks.extend(std::iter::repeat_n(0.01, 30));
+            let edges: Vec<(u32, u32, f64)> = (3..32).map(|v| (0u32, v as u32, 0.02)).collect();
+            from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap()
+        }
+
+        #[test]
+        fn finds_dominant_nodes() {
+            let g = skewed();
+            let r = detect_bsr(&g, 3, &VulnConfig::default().with_seed(2));
+            let mut ids = r.node_ids();
+            ids.sort_unstable_by_key(|v| v.0);
+            assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        }
+
+        #[test]
+        fn budget_not_larger_than_sn() {
+            // Equation 4 is the point of BSR: with pruning, never more
+            // samples than Equation 3.
+            let g = skewed();
+            let cfg = VulnConfig::default();
+            let r = detect_bsr(&g, 3, &cfg);
+            let sn_budget = basic_sample_size(g.num_nodes(), 3, cfg.approx);
+            assert!(
+                r.stats.sample_budget <= sn_budget,
+                "bsr {} > sn {sn_budget}",
+                r.stats.sample_budget
+            );
+        }
+
+        #[test]
+        fn pruning_shrinks_candidates() {
+            let g = skewed();
+            let r = detect_bsr(&g, 3, &VulnConfig::default());
+            assert!(
+                r.stats.candidates < g.num_nodes(),
+                "no pruning happened: {} candidates",
+                r.stats.candidates
+            );
+        }
+
+        #[test]
+        fn zero_sampling_when_bounds_decide() {
+            // Distinct deterministic risks and no edges: bounds are exact
+            // and everything is verified.
+            let g = from_parts(&[0.9, 0.7, 0.5, 0.3], &[], DuplicateEdgePolicy::Error).unwrap();
+            let r = detect_bsr(&g, 2, &VulnConfig::default());
+            assert_eq!(r.stats.samples_used, 0);
+            assert_eq!(r.node_ids(), vec![NodeId(0), NodeId(1)]);
+            assert_eq!(r.stats.verified, 2);
+        }
+
+        #[test]
+        fn result_always_has_k_entries() {
+            let g = skewed();
+            for k in [1, 2, 5, 10, 33] {
+                let r = detect_bsr(&g, k, &VulnConfig::default());
+                assert_eq!(r.top_k.len(), k, "k = {k}");
+            }
+        }
+
+        #[test]
+        fn parallel_matches_sequential() {
+            let g = skewed();
+            let seq = detect_bsr(&g, 3, &VulnConfig::default().with_seed(4));
+            let par = detect_bsr(&g, 3, &VulnConfig::default().with_seed(4).with_threads(4));
+            assert_eq!(seq.top_k, par.top_k);
+        }
+    }
+
+    /// `BSRBK` — BSR plus a sound sequential early stop (paper §3.3),
+    /// read off BSR's cached reverse stream.
+    mod bsrbk {
+        use super::*;
+        use crate::config::ApproxParams;
+        use crate::engine::tests::random_graph;
+        use crate::exact::{ground_truth, PAPER_GROUND_TRUTH_SAMPLES};
+        use crate::precision::precision_with_ties;
+        use vulnds_sampling::Xoshiro256pp;
+
+        fn detect_bsrbk(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::BottomK, config).unwrap()
+        }
+
+        fn detect_bsr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
+            detect(graph, k, AlgorithmKind::BoundedSampleReverse, config).unwrap()
+        }
+
+        /// Financial-style skew (a few clearly risky nodes, most tiny):
+        /// the top of the ranking is separated, so sampling can certify
+        /// it early.
+        fn skewed_graph(seed: u64) -> UncertainGraph {
+            let n = 300usize;
+            let mut rng = Xoshiro256pp::new(seed);
+            let risks: Vec<f64> = (0..n)
+                .map(|_| {
+                    let r = rng.next_f64();
+                    0.9 * r * r * r // cubic skew: most tiny, a few large
+                })
+                .collect();
+            let mut edges = Vec::new();
+            while edges.len() < 500 {
+                let u = rng.next_bounded(n as u64) as u32;
+                let v = rng.next_bounded(n as u64) as u32;
+                if u != v {
+                    edges.push((u, v, rng.next_f64() * 0.3));
+                }
+            }
+            from_parts(&risks, &edges, DuplicateEdgePolicy::KeepMax).unwrap()
+        }
+
+        #[test]
+        fn early_stops_when_the_sampled_boundary_is_separated() {
+            let g = skewed_graph(29);
+            let approx = ApproxParams::new(0.1, 0.1).unwrap();
+            let cfg = VulnConfig::default().with_seed(29).with_approx(approx);
+            let r = detect_bsrbk(&g, 5, &cfg);
+            assert!(r.stats.candidates > 0, "bounds resolved everything; test graph too easy");
+            assert!(r.stats.early_stopped, "expected early stop; stats: {:?}", r.stats);
+            assert!(r.stats.samples_used < r.stats.sample_budget);
+            assert!(r.stats.samples_used.is_power_of_two(), "stops only at a look");
+            assert_eq!(r.top_k.len(), 5);
+        }
+
+        #[test]
+        fn a_crowded_boundary_runs_to_the_cap_and_answers_like_bsr() {
+            // Uniform risks crowd the top-5 boundary: no look certifies ε,
+            // so BSRBK returns BSR's answer at the full budget.
+            let g = random_graph(300, 600, 3);
+            let cfg = VulnConfig::default().with_seed(3);
+            let (bk, bsr) = (detect_bsrbk(&g, 5, &cfg), detect_bsr(&g, 5, &cfg));
+            assert!(!bk.stats.early_stopped);
+            assert_eq!(bk.stats.samples_used, bsr.stats.sample_budget);
+            assert_eq!(bk.top_k, bsr.top_k);
+        }
+
+        #[test]
+        fn uses_fewer_samples_than_bsr() {
+            let g = random_graph(400, 800, 5);
+            let cfg = VulnConfig::default().with_seed(5);
+            let bsr = detect_bsr(&g, 10, &cfg);
+            let bk = detect_bsrbk(&g, 10, &cfg);
+            assert!(
+                bk.stats.samples_used <= bsr.stats.samples_used,
+                "bsrbk {} > bsr {}",
+                bk.stats.samples_used,
+                bsr.stats.samples_used
+            );
+        }
+
+        #[test]
+        fn falls_back_gracefully_on_tiny_budget() {
+            // A budget below the first look: nothing to certify, so no
+            // early stop, and still k nodes.
+            let g = random_graph(100, 200, 7);
+            let cfg = VulnConfig::default().with_seed(7).with_max_samples(5);
+            let r = detect_bsrbk(&g, 3, &cfg);
+            assert!(!r.stats.early_stopped);
+            assert_eq!(r.top_k.len(), 3);
+            assert_eq!(r.stats.samples_used, r.stats.sample_budget);
+        }
+
+        #[test]
+        fn deterministic() {
+            let g = random_graph(150, 300, 11);
+            let cfg = VulnConfig::default().with_seed(11);
+            assert_eq!(detect_bsrbk(&g, 3, &cfg).top_k, detect_bsrbk(&g, 3, &cfg).top_k);
+        }
+
+        #[test]
+        fn returned_nodes_are_near_the_true_boundary() {
+            // Every returned node's true probability should sit near or
+            // above the true k-th value: the default ε = 0.3 contract, on
+            // a crowded uniform boundary, with a tolerance of 0.15.
+            let g = random_graph(300, 600, 13);
+            let cfg = VulnConfig::default().with_seed(13);
+            let k = 15;
+            let truth = ground_truth(&g, PAPER_GROUND_TRUTH_SAMPLES, 999, 1);
+            let r = detect_bsrbk(&g, k, &cfg);
+            let p = precision_with_ties(&r.top_k, &truth, k, 0.15);
+            assert!(p >= 0.8, "tolerant precision {p} too low");
+        }
+
+        #[test]
+        fn high_precision_on_skewed_risks() {
+            // Financial-style skew: BSRBK should match the true top-k
+            // almost exactly, as in the paper's Figure 7.
+            let g = skewed_graph(29);
+            let truth = ground_truth(&g, PAPER_GROUND_TRUTH_SAMPLES, 777, 1);
+            let k = 10;
+            let r = detect_bsrbk(&g, k, &VulnConfig::default().with_seed(29));
+            let p = precision_with_ties(&r.top_k, &truth, k, 0.02);
+            assert!(p >= 0.7, "precision {p} too low on skewed risks");
+        }
+
+        #[test]
+        fn verified_nodes_always_included() {
+            let mut risks = vec![0.99];
+            risks.extend(std::iter::repeat_n(0.2, 50));
+            let edges: Vec<(u32, u32, f64)> = (1..=50).map(|v| (v as u32, 0u32, 0.1)).collect();
+            let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
+            let r = detect_bsrbk(&g, 3, &VulnConfig::default().with_seed(1));
+            assert!(r.node_ids().contains(&NodeId(0)), "dominant node missing");
+        }
     }
 }

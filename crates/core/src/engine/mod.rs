@@ -5,9 +5,8 @@
 //! run configuration, a worker thread count, and **reusable state** —
 //! bound vectors (Algorithms 2–3), candidate reductions (Algorithm 4),
 //! and cumulative sampled-world counts — so that repeated queries
-//! (multiple `k`, tweaked `ε`/`δ`, what-if follow-ups) amortize each
-//! other's work instead of re-deriving everything from scratch like the
-//! classic free functions.
+//! (multiple `k`, tweaked `ε`/`δ`, follow-ups after an update) amortize
+//! each other's work instead of re-deriving everything from scratch.
 //!
 //! Since 0.4 the engine is built for **concurrent multi-client use**:
 //! [`Detector::detect`], [`Detector::detect_many`],
@@ -132,7 +131,9 @@ pub use algorithms::{
     algorithm, Algorithm, BottomKEarlyStop, BoundedSampleReverse, NaiveMonteCarlo, SampleReverse,
     SampledNaive,
 };
-pub use request::{DetectRequest, DetectResponse, EngineStats, ResolvedRequest};
+pub use request::{
+    AlgorithmKind, DetectRequest, DetectResponse, EngineStats, ResolvedRequest, RunStats,
+};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -144,7 +145,6 @@ use vulnds_sampling::{
     TouchLedger,
 };
 
-use crate::algo::AlgorithmKind;
 use crate::candidates::{reduce_candidates, CandidateReduction};
 use crate::config::{ApproxParams, BoundsMethod, VulnConfig};
 use crate::dynamic::IncrementalBounds;
@@ -204,8 +204,7 @@ pub struct DetectorBuilder {
 }
 
 impl DetectorBuilder {
-    /// Adopts a full configuration (including its thread count, for
-    /// drop-in compatibility with the classic API).
+    /// Adopts a full configuration, including its thread count.
     pub fn config(mut self, config: VulnConfig) -> Self {
         self.threads = Some(config.threads);
         self.config = config;
@@ -1471,7 +1470,7 @@ mod tests {
     use ugraph::EdgeId;
     use vulnds_sampling::Xoshiro256pp;
 
-    fn random_graph(n: usize, m: usize, seed: u64) -> UncertainGraph {
+    pub(super) fn random_graph(n: usize, m: usize, seed: u64) -> UncertainGraph {
         let mut rng = Xoshiro256pp::new(seed);
         let risks: Vec<f64> = (0..n).map(|_| rng.next_f64() * 0.5).collect();
         let mut edges = Vec::with_capacity(m);
@@ -1507,20 +1506,6 @@ mod tests {
         let reference = by_ref.detect(&req).unwrap();
         for d in [&by_value, &by_arc, &by_arc_ref] {
             assert_eq!(d.detect(&req).unwrap().top_k, reference.top_k);
-        }
-    }
-
-    #[test]
-    fn cold_session_matches_legacy_shims() {
-        let g = random_graph(120, 240, 1);
-        let cfg = VulnConfig::default().with_seed(77);
-        for kind in AlgorithmKind::ALL {
-            let legacy = crate::algo::run_one_shot(&g, 6, kind, &cfg);
-            let d = session(&g);
-            let resp = d.detect(&DetectRequest::new(6, kind)).unwrap();
-            assert_eq!(resp.top_k, legacy.top_k, "{kind}");
-            assert_eq!(resp.stats.samples_used, legacy.stats.samples_used, "{kind}");
-            assert_eq!(resp.stats.sample_budget, legacy.stats.sample_budget, "{kind}");
         }
     }
 
@@ -1804,7 +1789,7 @@ mod tests {
         assert_eq!(d.config().threads, default_threads());
         let e = Detector::builder(&g).threads(3).build().unwrap();
         assert_eq!(e.config().threads, 3);
-        // `.config()` adopts the classic thread semantics wholesale.
+        // `.config()` adopts the configuration's thread count too.
         let f = Detector::builder(&g).config(VulnConfig::default()).build().unwrap();
         assert_eq!(f.config().threads, 1);
     }
@@ -2316,6 +2301,38 @@ mod tests {
         assert_eq!(post.self_risk(NodeId(0)), 0.9);
         let stats = d.session_stats();
         assert_eq!((stats.epoch, stats.graph_version), (1, post.version()));
+    }
+
+    #[test]
+    fn a_session_on_the_post_delta_snapshot_matches_a_fresh_graph() {
+        // The snapshot a live session exposes after `apply_delta` is the
+        // same input as a from-scratch graph with the delta applied: a
+        // new session on either answers bit for bit alike.
+        let base = random_graph(40, 80, 12);
+        let delta =
+            GraphDelta::default().set_self_risk(NodeId(2), 0.55).set_edge_prob(EdgeId(1), 0.35);
+        let live = session(&base);
+        // Warm the session first, so the delta revalidates its caches
+        // rather than swapping a cold graph.
+        live.detect(&DetectRequest::new(2, AlgorithmKind::SampledNaive)).unwrap();
+        live.apply_delta(&delta).unwrap();
+        let mut fresh = base;
+        delta.apply(&mut fresh).unwrap();
+        let bits = |r: &DetectResponse| -> Vec<(u32, u64)> {
+            r.top_k.iter().map(|s| (s.node.0, s.score.to_bits())).collect()
+        };
+        // The new session shares the live snapshot's `Arc`, uncopied.
+        let updated =
+            Detector::builder(live.graph()).config(VulnConfig::default().with_seed(77)).build();
+        let (updated, cold) = (updated.unwrap(), session(&fresh));
+        assert!(Arc::ptr_eq(&updated.graph(), &live.graph()));
+        for kind in AlgorithmKind::ALL {
+            let req = DetectRequest::new(3, kind);
+            let (a, b) = (updated.detect(&req).unwrap(), cold.detect(&req).unwrap());
+            assert_eq!(bits(&a), bits(&b), "{kind}");
+            assert_eq!(a.stats.samples_used, b.stats.samples_used, "{kind}");
+            assert_eq!(a.achieved_epsilon.to_bits(), b.achieved_epsilon.to_bits(), "{kind}");
+        }
     }
 
     type BsrbkCase = (UncertainGraph, DetectRequest);

@@ -3,7 +3,6 @@
 
 use std::time::{Duration, Instant};
 
-use crate::algo::{AlgorithmKind, RunStats};
 use crate::config::ApproxParams;
 use crate::error::{Result, VulnError};
 use crate::topk::ScoredNode;
@@ -11,6 +10,78 @@ use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::CancelToken;
 
 use super::VulnConfig;
+
+/// Which of the paper's five detection algorithms answers a query.
+///
+/// | Name | Paper label | Ingredients |
+/// |------|-------------|-------------|
+/// | [`Naive`](AlgorithmKind::Naive) | N | Algorithm 1, fixed sample size |
+/// | [`SampledNaive`](AlgorithmKind::SampledNaive) | SN | Algorithm 1, Eq. 3 sample size |
+/// | [`SampleReverse`](AlgorithmKind::SampleReverse) | SR | reverse sampling + Lemma 1 rule 2 |
+/// | [`BoundedSampleReverse`](AlgorithmKind::BoundedSampleReverse) | BSR | + verification (rule 1) + Eq. 4 |
+/// | [`BottomK`](AlgorithmKind::BottomK) | BSRBK | + sequential early stop on BSR's stream |
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AlgorithmKind {
+    /// `N` — basic sampling with a fixed budget.
+    Naive,
+    /// `SN` — basic sampling sized by Equation 3.
+    SampledNaive,
+    /// `SR` — reverse sampling over rule-2 candidates.
+    SampleReverse,
+    /// `BSR` — bounds, verification, reverse sampling sized by Equation 4.
+    BoundedSampleReverse,
+    /// `BSRBK` — BSR plus a sound sequential early stop.
+    BottomK,
+}
+
+impl AlgorithmKind {
+    /// All five, in the paper's presentation order.
+    pub const ALL: [AlgorithmKind; 5] = [
+        AlgorithmKind::Naive,
+        AlgorithmKind::SampledNaive,
+        AlgorithmKind::SampleReverse,
+        AlgorithmKind::BoundedSampleReverse,
+        AlgorithmKind::BottomK,
+    ];
+
+    /// The paper's short label (N, SN, SR, BSR, BSRBK).
+    pub fn label(&self) -> &'static str {
+        match self {
+            AlgorithmKind::Naive => "N",
+            AlgorithmKind::SampledNaive => "SN",
+            AlgorithmKind::SampleReverse => "SR",
+            AlgorithmKind::BoundedSampleReverse => "BSR",
+            AlgorithmKind::BottomK => "BSRBK",
+        }
+    }
+}
+
+impl std::fmt::Display for AlgorithmKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Diagnostics of one detection run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunStats {
+    /// Which algorithm produced the result.
+    pub algorithm: AlgorithmKind,
+    /// Sample budget computed from theory (Eq. 3 / Eq. 4) or configuration.
+    pub sample_budget: u64,
+    /// Samples actually consumed (< budget for a degraded answer, and
+    /// for a BSRBK answer whose sequential stop fired at a look).
+    pub samples_used: u64,
+    /// Candidate-set size `|B|` after pruning (n for N/SN).
+    pub candidates: usize,
+    /// Verified nodes `k'` (0 for everything but BSR/BSRBK).
+    pub verified: usize,
+    /// `true` if BSRBK's sequential stop certified ε at a look before
+    /// the budget ran out.
+    pub early_stopped: bool,
+    /// Wall-clock time of the run.
+    pub elapsed: Duration,
+}
 
 /// One detection query against a [`Detector`](super::Detector) session.
 ///
@@ -258,7 +329,7 @@ pub struct DetectResponse {
     /// The k detected nodes, most vulnerable first.
     pub top_k: Vec<ScoredNode>,
     /// Algorithm-level diagnostics (budget, candidates, verification,
-    /// early stop — same shape as the classic API).
+    /// early stop).
     pub stats: RunStats,
     /// Session-cache diagnostics for this query.
     pub engine: EngineStats,
@@ -289,10 +360,16 @@ impl DetectResponse {
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.top_k.iter().map(|s| s.node).collect()
     }
+}
 
-    /// Converts to the classic [`DetectionResult`](crate::DetectionResult)
-    /// shape (drops the engine stats).
-    pub fn into_detection_result(self) -> crate::algo::DetectionResult {
-        crate::algo::DetectionResult { top_k: self.top_k, stats: self.stats }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn labels_match_paper() {
+        let labels: Vec<&str> = AlgorithmKind::ALL.iter().map(|a| a.label()).collect();
+        assert_eq!(labels, vec!["N", "SN", "SR", "BSR", "BSRBK"]);
+        assert_eq!(AlgorithmKind::BottomK.to_string(), "BSRBK");
     }
 }

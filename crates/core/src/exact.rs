@@ -3,9 +3,9 @@
 //! * [`exact_default_probabilities`] — full possible-world enumeration,
 //!   exponential, only for graphs with at most 24 coins. The reference for
 //!   unit tests.
-//! * [`ground_truth`] — the paper's experimental convention: 20,000
-//!   forward Monte-Carlo samples (§4.1) define the "true" ranking that
-//!   precision is measured against.
+//! * [`ground_truth`] — the paper's experimental convention:
+//!   [`PAPER_GROUND_TRUTH_SAMPLES`] forward Monte-Carlo samples (§4.1)
+//!   define the "true" ranking that precision is measured against.
 
 use ugraph::UncertainGraph;
 use vulnds_sampling::{CoinTable, SamplePass, WorldEnumerator};
@@ -40,11 +40,6 @@ pub fn exact_default_probabilities(graph: &UncertainGraph) -> Vec<f64> {
 pub fn ground_truth(graph: &UncertainGraph, samples: u64, seed: u64, threads: usize) -> Vec<f64> {
     let pass = SamplePass::new(0..samples, threads);
     pass.forward(graph, &CoinTable::new(graph), seed).merged().0.estimates()
-}
-
-/// Ground truth with the paper's sample budget.
-pub fn paper_ground_truth(graph: &UncertainGraph, seed: u64, threads: usize) -> Vec<f64> {
-    ground_truth(graph, PAPER_GROUND_TRUTH_SAMPLES, seed, threads)
 }
 
 #[cfg(test)]

@@ -48,10 +48,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod algo;
 pub mod bounds;
 pub mod candidates;
-pub mod conditional;
 pub mod config;
 pub mod dynamic;
 pub mod engine;
@@ -61,25 +59,19 @@ pub mod precision;
 pub mod sample_size;
 pub mod scoring;
 pub mod topk;
-pub mod what_if;
 
-pub use algo::{AlgorithmKind, DetectionResult, RunStats};
 pub use bounds::{compute_bounds, lower_bounds_paper, lower_bounds_safe, upper_bounds};
 pub use candidates::{reduce_candidates, CandidateReduction};
-pub use conditional::{conditional_scores, intervention_scores, ConditionalScores};
 pub use config::{ApproxParams, BoundsMethod, ConfigError, VulnConfig};
 pub use dynamic::IncrementalBounds;
 pub use engine::{
-    DeltaOutcome, DetectRequest, DetectResponse, Detector, DetectorBuilder, EngineStats,
-    IntoSharedGraph, SessionStats,
+    AlgorithmKind, DeltaOutcome, DetectRequest, DetectResponse, Detector, DetectorBuilder,
+    EngineStats, IntoSharedGraph, RunStats, SessionStats,
 };
 pub use error::VulnError;
-pub use exact::{exact_default_probabilities, ground_truth, paper_ground_truth};
+pub use exact::{exact_default_probabilities, ground_truth, PAPER_GROUND_TRUTH_SAMPLES};
 pub use precision::{precision_at_k, precision_with_ties, satisfies_epsilon_contract};
 pub use sample_size::{basic_sample_size, reduced_sample_size};
 pub use scoring::{score_nodes_bottomk, score_nodes_mc};
 pub use topk::{select_top_k, select_top_k_dense, ScoredNode};
 pub use vulnds_sampling::BlockWords;
-pub use what_if::{
-    apply_interventions, evaluate_interventions, greedy_hardening, Intervention, WhatIfReport,
-};

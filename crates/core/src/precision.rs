@@ -1,7 +1,6 @@
 //! Precision@k — the effectiveness metric of the paper's Figures 4 and 7.
 
 use crate::topk::{select_top_k_dense, ScoredNode};
-use ugraph::NodeId;
 
 /// Strict precision: `|returned ∩ true top-k| / k`.
 ///
@@ -62,19 +61,10 @@ pub fn satisfies_epsilon_contract(
     true
 }
 
-/// Convenience: wraps raw node ids as unit-scored entries, for metrics
-/// over baseline rankings that carry no calibrated scores.
-pub fn as_scored(nodes: &[NodeId]) -> Vec<ScoredNode> {
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| ScoredNode { node, score: 1.0 - i as f64 * 1e-9 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ugraph::NodeId;
 
     fn scored(ids: &[u32]) -> Vec<ScoredNode> {
         ids.iter()
@@ -126,12 +116,5 @@ mod tests {
         assert!(!satisfies_epsilon_contract(&scored(&[0, 3]), &truth, 2, 0.05));
         // Excluding a node far above Pk + ε violates.
         assert!(!satisfies_epsilon_contract(&scored(&[2, 3]), &truth, 2, 0.05));
-    }
-
-    #[test]
-    fn as_scored_preserves_order() {
-        let s = as_scored(&[NodeId(7), NodeId(3)]);
-        assert_eq!(s[0].node, NodeId(7));
-        assert!(s[0].score > s[1].score);
     }
 }

@@ -14,7 +14,7 @@
 //! [`WorldBlock`] and [`BlockKernel`] are the `W = 1` aliases — the
 //! classic 64-lane block path, still used by the adaptive passes that
 //! stop mid-stream and so read worlds 64 at a time in sample-id order:
-//! bottom-k scoring, conditional scores and labels. Runtime width
+//! bottom-k scoring and labels. Runtime width
 //! selection lives in [`BlockWords`](crate::BlockWords).
 //!
 //! Materialization is bit-parallel too: lane words are synthesized

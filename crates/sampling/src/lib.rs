@@ -24,8 +24,8 @@
 //!   kernel a pass runs on. The forward kernel only pushes: one
 //!   frontier traversal policy, kept in [`block`]. [`WorldBlock`] /
 //!   [`BlockKernel`] are the width-1 aliases that serve the adaptive
-//!   passes reading worlds in sample-id order: bottom-k scoring,
-//!   conditional scores and labels.
+//!   passes reading worlds in sample-id order: bottom-k scoring and
+//!   labels.
 //! * [`BlockWords`] — the supported superblock widths and the
 //!   budget/thread-aware planning heuristic every pass's width comes
 //!   from.

@@ -65,9 +65,8 @@ pub mod prelude {
     };
     pub use vulnds_core::{
         precision_at_k, AlgorithmKind, ApproxParams, BlockWords, BoundsMethod, DeltaOutcome,
-        DetectRequest, DetectResponse, DetectionResult, Detector, DetectorBuilder, EngineStats,
-        IncrementalBounds, Intervention, IntoSharedGraph, ScoredNode, SessionStats, VulnConfig,
-        VulnError, WhatIfReport,
+        DetectRequest, DetectResponse, Detector, DetectorBuilder, EngineStats, IncrementalBounds,
+        IntoSharedGraph, ScoredNode, SessionStats, VulnConfig, VulnError,
     };
     pub use vulnds_datasets::{Dataset, ProbabilityModel};
     pub use vulnds_sampling::{forward_counts, reverse_counts, CancelToken, Xoshiro256pp};

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: dataset generation → detection → metrics,
 //! exercising the engine API the way the bench harness does.
 
-use vulnds::core::{ground_truth, precision_with_ties};
+use vulnds::core::{ground_truth, precision_with_ties, PAPER_GROUND_TRUTH_SAMPLES};
 use vulnds::prelude::*;
 
 fn small(ds: Dataset) -> UncertainGraph {
@@ -22,7 +22,7 @@ fn detect_once(
 #[test]
 fn full_pipeline_on_interbank() {
     let g = Dataset::Interbank.generate(7);
-    let truth = ground_truth(&g, 20_000, 99, 2);
+    let truth = ground_truth(&g, PAPER_GROUND_TRUTH_SAMPLES, 99, 2);
     let k = (g.num_nodes() / 10).max(1);
     // One session answers all five algorithms.
     let d = Detector::builder(&g).config(VulnConfig::default().with_seed(5)).build().unwrap();

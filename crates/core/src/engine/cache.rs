@@ -1,5 +1,6 @@
-//! Session caches: bounds, candidate reductions, and prefix-extendable
-//! sample counts — all safe to reach from many query threads at once.
+//! Memo cells for an epoch's bounds and candidate reductions, and the
+//! session's prefix-extendable sample counts — all safe to reach from
+//! many query threads at once.
 //!
 //! # Concurrency model
 //!
@@ -10,14 +11,13 @@
 //! value while the others block on the same slot and then share the
 //! one `Arc` — never two redundant builds, never a torn read.
 //!
-//! * [`FlightMap`] — a keyed memo map (bounds, candidate reductions)
-//!   whose per-key slots serialize the build and let later arrivals
-//!   join an in-flight one.
+//! * [`FlightMap`] — a keyed memo map (one epoch's bounds, or its
+//!   candidate reductions) whose per-key slots serialize the build and
+//!   let later arrivals join an in-flight one.
 //! * [`StreamMap`] — per-sample-stream [`SampleCache`] cells. The
 //!   stream's mutex is held across a draw, which *is* the single-flight
 //!   property: a second query that wanted the same prefix blocks, then
 //!   finds the snapshot and draws nothing.
-//! * [`CoinCache`] — one mutex around the session's coin table.
 //!
 //! Lock ordering: a map-level mutex is only ever held to clone a slot
 //! `Arc` out (never across a build), and slot/stream locks are never
@@ -58,8 +58,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use ugraph::UncertainGraph;
-use vulnds_sampling::{CoinTable, DefaultCounts, TouchLedger};
+use vulnds_sampling::{DefaultCounts, TouchLedger};
 
 /// Cap on stored snapshots per stream: a session sweeping many distinct
 /// budgets would otherwise accumulate one O(slots) counts vector per
@@ -209,43 +208,13 @@ impl<K: Ord + Clone, V> FlightMap<K, V> {
         (v, Flight::Built)
     }
 
-    /// Forgets every cached value. In-flight builds keep their detached
-    /// slots and complete normally; only future lookups see a cold map.
-    pub(crate) fn clear(&self) {
-        lock_tracked(&self.slots).0.clear();
-    }
-
-    /// Replaces (or creates) the cached value for `key` outright — the
-    /// epoch-revalidation path, where a repaired value was computed
-    /// outside any slot lock and must supersede whatever is there.
+    /// Stores `value` for `key` outright — how a delta commit seeds the
+    /// next epoch's bounds with its repaired vectors before any query
+    /// can see the map.
     pub(crate) fn insert(&self, key: &K, value: V) {
         let slot = self.slot(key);
         let (mut cell, _) = lock_tracked(&slot.value);
         *cell = Some(Arc::new(value));
-    }
-
-    /// Drops every slot whose key fails the predicate (epoch
-    /// revalidation: stale-version keys become unreachable). Returns how
-    /// many *built* values were dropped — empty in-flight slots detach
-    /// without counting.
-    pub(crate) fn retain(&self, mut keep: impl FnMut(&K) -> bool) -> u64 {
-        let (mut slots, _) = lock_tracked(&self.slots);
-        let mut dropped = 0u64;
-        slots.retain(|key, slot| {
-            if keep(key) {
-                return true;
-            }
-            // xlint: allow(lock-nesting) — lock order is slots -> slot
-            // value, the same order `get_or_build` uses (it clones the
-            // slot Arc under `slots`, releases, then locks the value);
-            // no path locks a value first and `slots` second, so the
-            // nesting cannot invert.
-            if lock_tracked(&slot.value).0.is_some() {
-                dropped += 1;
-            }
-            false
-        });
-        dropped
     }
 }
 
@@ -345,85 +314,6 @@ impl<K: Ord + Clone> StreamMap<K> {
     /// in-flight draw — so the ledger it inspects is complete.
     pub(crate) fn retain(&self, mut keep: impl FnMut(&K, &StreamCell) -> bool) {
         lock_tracked(&self.streams).0.retain(|key, cell| keep(key, cell));
-    }
-}
-
-/// Session cache of the graph's [`CoinTable`] — the per-graph
-/// fixed-point thresholds the counter-RNG synthesis reads.
-///
-/// Built once per session and revalidated on every access against the
-/// graph's probability version: a `set_self_risk`/`set_edge_prob` call
-/// bumps the version, so a stale table is **rebuilt** instead of
-/// serving old thresholds (and the rebuild is counted, so sessions can
-/// report it). A `Detector` shares its graph immutably through an
-/// `Arc`, so within a session the table is effectively built once; the
-/// revalidation guards the cache when it is driven directly against a
-/// graph that mutates between calls.
-#[derive(Debug, Default)]
-pub(crate) struct CoinCache {
-    table: Option<Arc<CoinTable>>,
-    builds: u64,
-}
-
-impl CoinCache {
-    /// The cached table, if it is current for `graph` — never builds.
-    pub(crate) fn peek(&self, graph: &UncertainGraph) -> Option<Arc<CoinTable>> {
-        self.table.as_ref().filter(|table| table.matches(graph)).cloned()
-    }
-
-    /// Returns a current table for `graph`, building (or rebuilding)
-    /// it if the cached one is missing or stale. The flag reports
-    /// whether this call built a table.
-    pub(crate) fn get(&mut self, graph: &UncertainGraph) -> (Arc<CoinTable>, bool) {
-        if let Some(table) = self.peek(graph) {
-            return (table, false);
-        }
-        let table = Arc::new(CoinTable::new(graph));
-        self.table = Some(table.clone());
-        self.builds += 1;
-        (table, true)
-    }
-
-    /// Forgets the cached table.
-    pub(crate) fn clear(&mut self) {
-        self.table = None;
-    }
-
-    /// Epoch revalidation: re-quantizes only the delta's dirty items of
-    /// the cached table for the post-delta graph (bit-identical to a
-    /// full rebuild — thresholds are per-item pure). Patching is only
-    /// sound from a table that matches `prev` exactly; a stale table
-    /// (an in-flight old-epoch query may have rebuilt for its own
-    /// snapshot) is dropped instead, so the next query rebuilds.
-    ///
-    /// Returns `Some(true)` when the table was patched in place,
-    /// `Some(false)` when a stale table was dropped, `None` when
-    /// nothing was cached.
-    pub(crate) fn patch(
-        &mut self,
-        prev: &UncertainGraph,
-        next: &UncertainGraph,
-        dirty_nodes: &[u32],
-        dirty_edges: &[u32],
-    ) -> Option<bool> {
-        match self.table.as_mut() {
-            Some(table) if table.matches(prev) => {
-                Arc::make_mut(table).patch(next, dirty_nodes, dirty_edges);
-                Some(true)
-            }
-            Some(_) => {
-                self.table = None;
-                Some(false)
-            }
-            None => None,
-        }
-    }
-
-    /// Tables built (including rebuilds after invalidation) over the
-    /// cache's lifetime.
-    #[cfg(test)]
-    pub(crate) fn builds(&self) -> u64 {
-        self.builds
     }
 }
 
@@ -561,33 +451,6 @@ impl SampleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugraph::{from_parts, DuplicateEdgePolicy, EdgeId, NodeId};
-
-    #[test]
-    fn coin_cache_rebuilds_on_probability_updates() {
-        let mut g = from_parts(&[0.5, 0.1], &[(0, 1, 0.7)], DuplicateEdgePolicy::Error).unwrap();
-        let mut cache = CoinCache::default();
-        let (t1, built) = cache.get(&g);
-        assert!(built);
-        let (t2, built) = cache.get(&g);
-        assert!(!built, "unchanged graph must hit the cached table");
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(cache.builds(), 1);
-
-        // A probability update bumps the graph version: the stale table
-        // must be rebuilt, not served.
-        g.set_edge_prob(EdgeId(0), 0.2).unwrap();
-        let (t3, built) = cache.get(&g);
-        assert!(built, "stale coin table served after set_edge_prob");
-        assert!(!Arc::ptr_eq(&t1, &t3));
-        assert_eq!(t3.edge_threshold(0), vulnds_sampling::coins::quantize_probability(0.2));
-
-        g.set_self_risk(NodeId(1), 0.9).unwrap();
-        let (t4, built) = cache.get(&g);
-        assert!(built, "stale coin table served after set_self_risk");
-        assert_eq!(t4.node_threshold(1), vulnds_sampling::coins::quantize_probability(0.9));
-        assert_eq!(cache.builds(), 3);
-    }
 
     #[test]
     fn flight_map_builds_once_and_hits_after() {
@@ -599,10 +462,10 @@ mod tests {
         assert_eq!((*v, flight), (42, Flight::Hit));
         let (v, joined) = map.get(&7).expect("built key probes as present");
         assert_eq!((*v, joined), (42, false));
-        map.clear();
-        assert!(map.get(&7).is_none());
-        let (_, flight) = map.get_or_build(&7, || 43);
-        assert_eq!(flight, Flight::Built, "clear() must cold-start future lookups");
+        // A seeded key (the next epoch's repaired bounds) hits, never builds.
+        map.insert(&8, 5);
+        let (v, flight) = map.get_or_build(&8, || panic!("a seeded key must not build"));
+        assert_eq!((*v, flight), (5, Flight::Hit));
     }
 
     #[test]

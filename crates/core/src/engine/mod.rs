@@ -105,16 +105,20 @@
 //!
 //! [`Detector::apply_delta`] commits a batched [`GraphDelta`]
 //! (probability recalibrations — topology is immutable) as a new
-//! **epoch**: the session's live graph is an `Arc` snapshot that every
-//! query pins at entry, so in-flight queries finish bit-identically on
-//! the pre-delta snapshot while queries that start after the commit see
-//! the new one. Session caches are *revalidated*, not dropped: the coin
-//! table re-quantizes only the dirty items, cached bound vectors are
-//! repaired through [`IncrementalBounds`] (`O(|dirty z-ball|)` instead
-//! of `O(z (n + m))`), and a cached sample stream survives whenever its
-//! touch ledger proves no draw ever materialized a dirty node's or a
-//! dirty edge's coin — all bit-identical to a cold rebuild against the
-//! post-delta graph, which the tests assert. Node coins are as
+//! **epoch**: a graph snapshot that every query pins at entry, together
+//! with everything that is a pure function of it alone — the coin
+//! table, the bound vectors, and the candidate reductions. In-flight
+//! queries finish bit-identically on the pre-delta epoch while queries
+//! that start after the commit see the new one, so no derived value is
+//! ever checked against a graph version. The next epoch is not built
+//! cold: it inherits the retiring coin table with only the dirty items
+//! re-quantized, and bound vectors repaired through
+//! [`IncrementalBounds`] (`O(|dirty z-ball|)` instead of
+//! `O(z (n + m))`). Sample streams outlive epochs: a cached stream
+//! survives whenever its touch ledger proves no draw ever materialized
+//! a dirty node's or a dirty edge's coin — all bit-identical to a cold
+//! rebuild against the post-delta graph, which the tests assert. Node
+//! coins are as
 //! frontier-lazy as edge coins, so a reverse stream (SR, BSR) survives
 //! a self-risk change to any node its searches never reached. A stream
 //! the delta does reach — every forward stream (N, SN) on a self-risk
@@ -137,7 +141,7 @@ pub use request::{
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ugraph::{GraphDelta, NodeId, UncertainGraph};
 use vulnds_sampling::{
@@ -150,7 +154,7 @@ use crate::config::{ApproxParams, BoundsMethod, VulnConfig};
 use crate::dynamic::IncrementalBounds;
 use crate::error::Result;
 
-use cache::{lock_tracked, CoinCache, Flight, FlightMap, MarkerReset, SampleCache, StreamMap};
+use cache::{lock_tracked, Flight, FlightMap, MarkerReset, SampleCache, StreamMap};
 
 /// Lower and upper bound vectors, as cached by a session.
 pub type BoundsPair = (Vec<f64>, Vec<f64>);
@@ -267,7 +271,7 @@ impl DetectorBuilder {
             ));
         }
         config.threads = self.threads.unwrap_or_else(default_threads).max(1);
-        Ok(Detector { epochs: GraphEpochs::new(self.graph), config, state: EngineState::default() })
+        Ok(Detector { config, state: EngineState::new(self.graph) })
     }
 }
 
@@ -299,9 +303,6 @@ pub struct SessionStats {
     pub reductions_computed: u64,
     /// Candidate-reduction cache hits.
     pub reductions_reused: u64,
-    /// Coin tables built, including rebuilds after a probability update
-    /// invalidated the cached one.
-    pub coin_tables_built: u64,
     /// Uniform 64-bit words synthesized by the counter-RNG coin
     /// generator (the raw materialization cost).
     pub coin_words_synthesized: u64,
@@ -347,11 +348,12 @@ pub struct SessionStats {
     pub graph_version: u64,
     /// Delta batches committed by [`Detector::apply_delta`].
     pub deltas_applied: u64,
-    /// Cached structures that **survived** a delta by being patched or
-    /// re-stamped in place: the coin table, repaired bound vectors, and
-    /// sample streams whose touch ledger cleared them.
+    /// Bound vectors and sample streams that **survived** a delta: the
+    /// vectors repaired into the next epoch, and the streams re-stamped
+    /// in place, whether their touch ledger cleared them or they were
+    /// repaired.
     pub caches_revalidated: u64,
-    /// Cached structures a delta dropped because its dirty set touched
+    /// Sample streams a delta dropped because its dirty set touched
     /// them (rebuilt lazily by the next query that needs them).
     pub caches_invalidated: u64,
     /// Sample streams a delta reached but repaired in place by
@@ -370,7 +372,6 @@ struct SessionTotals {
     bounds_reused: AtomicU64,
     reductions_computed: AtomicU64,
     reductions_reused: AtomicU64,
-    coin_tables_built: AtomicU64,
     coin_words_synthesized: AtomicU64,
     lazy_edge_words_skipped: AtomicU64,
     superblocks_evaluated: AtomicU64,
@@ -418,7 +419,6 @@ impl SessionTotals {
             bounds_reused: self.bounds_reused.load(Ordering::Relaxed),
             reductions_computed: self.reductions_computed.load(Ordering::Relaxed),
             reductions_reused: self.reductions_reused.load(Ordering::Relaxed),
-            coin_tables_built: self.coin_tables_built.load(Ordering::Relaxed),
             coin_words_synthesized: self.coin_words_synthesized.load(Ordering::Relaxed),
             lazy_edge_words_skipped: self.lazy_edge_words_skipped.load(Ordering::Relaxed),
             superblocks_evaluated: self.superblocks_evaluated.load(Ordering::Relaxed),
@@ -460,29 +460,68 @@ impl Drop for InFlightGuard<'_> {
 /// per-request `z` diversity.
 const MAX_BOUND_MAINTAINERS: usize = 16;
 
-/// Session caches (bounds, reductions, sample streams) plus counters —
-/// every cell safe to reach from many query threads at once (see the
-/// [`cache`] module docs for the concurrency model).
+/// One committed epoch: a graph snapshot and everything that is a pure
+/// function of it alone — the coin thresholds, the bound vectors
+/// (Algorithms 2–3), and the candidate reductions (Algorithm 4). A query
+/// pins one `Arc<Epoch>` at entry and reads only its epoch's values, so
+/// none of them carries a version to check.
+#[derive(Debug)]
+struct Epoch {
+    graph: Arc<UncertainGraph>,
+    /// 0 for the base graph, +1 per committed [`Detector::apply_delta`].
+    number: u64,
+    /// Quantized on first use, so a session that never samples never
+    /// builds one; concurrent first uses build once.
+    coins: OnceLock<CoinTable>,
+    bounds: FlightMap<(usize, BoundsMethod), BoundsPair>,
+    reductions: FlightMap<(usize, usize, BoundsMethod), CandidateReduction>,
+}
+
+impl Epoch {
+    fn new(graph: Arc<UncertainGraph>, number: u64, coins: Option<CoinTable>) -> Self {
+        Epoch {
+            graph,
+            number,
+            coins: coins.map_or_else(OnceLock::new, OnceLock::from),
+            bounds: FlightMap::default(),
+            reductions: FlightMap::default(),
+        }
+    }
+
+    /// The epoch's coin table, quantized on first use.
+    fn coin_table(&self) -> &CoinTable {
+        self.coins.get_or_init(|| CoinTable::new(&self.graph))
+    }
+}
+
+/// What the commit lock guards: the live epoch, and the incremental
+/// bound maintainers, keyed `(z, method)`, that always track its graph.
+/// A delta advances each maintainer to the committed snapshot and seeds
+/// the next epoch's bounds from it instead of recomputing from scratch.
+#[derive(Debug)]
+struct Live {
+    epoch: Arc<Epoch>,
+    maintainers: BTreeMap<(usize, BoundsMethod), IncrementalBounds>,
+}
+
+/// Session state: the live cell plus what outlives epochs — the sample
+/// streams and the counters. Every cell is safe to reach from many query
+/// threads at once (see the [`cache`] module docs for the concurrency
+/// model).
 ///
-/// The bounds and reduction memo keys lead with the graph's probability
-/// version: a committed delta makes every stale entry unreachable by
-/// construction, so an old-epoch query racing a commit can never
-/// publish a value a new-epoch query would read.
-#[derive(Debug, Default)]
+/// The `live` mutex is the session's **commit lock**:
+/// [`Detector::apply_delta`] holds it from reading the retiring epoch to
+/// swapping in the next, so deltas serialize and a pin always observes
+/// a fully built epoch. Queries hold it only to pin, or to park a
+/// maintainer while their epoch is still the live one. A query parks
+/// while holding a slot of its own epoch's bounds map; a commit, holding
+/// the lock, takes stream cells and slots of the next epoch's map only,
+/// which no query can hold yet, so the lock orders cannot form a cycle.
+#[derive(Debug)]
 struct EngineState {
-    bounds: FlightMap<(u64, usize, BoundsMethod), BoundsPair>,
-    reductions: FlightMap<(u64, usize, usize, BoundsMethod), CandidateReduction>,
-    /// The incremental maintainers behind every cached bounds entry,
-    /// keyed `(z, method)`: a delta repairs the dirty z-ball here and
-    /// republishes into `bounds` instead of recomputing from scratch.
-    inc_bounds: std::sync::Mutex<BTreeMap<(usize, BoundsMethod), IncrementalBounds>>,
+    live: Mutex<Live>,
     forward: StreamMap<u64>,
     reverse: StreamMap<(u64, Vec<u32>)>,
-    coins: std::sync::Mutex<CoinCache>,
-    /// True while a query holds `coins` for a table (re)build — lets a
-    /// blocked `coin_table` call tell a single-flight join from warm
-    /// lock contention (see [`EngineCtx::coin_table`]).
-    coins_building: std::sync::atomic::AtomicBool,
     totals: SessionTotals,
 }
 
@@ -513,12 +552,11 @@ const REPAIR_REACH_DIVISOR: usize = 8;
 /// deltas is never dropped for idleness.
 const MAX_UNREAD_REPAIRS: u32 = 3;
 
-/// How one delta repairs the streams its dirty items reach: the
-/// post-delta graph and patched coin table, the delta's downstream set,
-/// and the thread count the recount runs at.
+/// How one delta repairs the streams its dirty items reach: the next
+/// epoch (its graph and coin table), the delta's downstream set, and the
+/// thread count the recount runs at.
 struct StreamRepair<'a> {
-    graph: &'a UncertainGraph,
-    coins: Arc<CoinTable>,
+    epoch: &'a Epoch,
     downstream: Vec<u32>,
     threads: usize,
     usage: CoinUsage,
@@ -556,14 +594,14 @@ impl StreamRepair<'_> {
                 ledger: Some(ledger),
                 ..SamplePass::new(0..t_max, self.threads)
             };
-            let out = pass.reverse(self.graph, &self.coins, &nodes, seed);
+            let out = pass.reverse(&self.epoch.graph, self.epoch.coin_table(), &nodes, seed);
             self.usage.merge(&out.usage);
             out.segments
         });
     }
 }
 
-/// What [`EngineState::revalidate`] did to the session caches.
+/// What [`EngineState::next_epoch`] carried across one commit.
 #[derive(Debug, Default)]
 struct Revalidation {
     revalidated: u64,
@@ -572,63 +610,52 @@ struct Revalidation {
 }
 
 impl EngineState {
-    /// Revalidates every session cache for the committed swap
-    /// `prev → next`. Runs under the epoch commit lock; stream repairs
-    /// run at `config`'s thread count.
-    fn revalidate(
+    fn new(graph: Arc<UncertainGraph>) -> Self {
+        let epoch = Arc::new(Epoch::new(graph, 0, None));
+        EngineState {
+            live: Mutex::new(Live { epoch, maintainers: BTreeMap::new() }),
+            forward: StreamMap::default(),
+            reverse: StreamMap::default(),
+            totals: SessionTotals::default(),
+        }
+    }
+
+    /// Pins the live epoch (a brief lock around an `Arc` clone).
+    fn pin(&self) -> Arc<Epoch> {
+        Arc::clone(&lock_tracked(&self.live).0.epoch)
+    }
+
+    /// Builds the epoch that `delta` commits over the live one, whose
+    /// graph with the delta applied is `graph`, and carries the
+    /// session-level state across: keeps, repairs, or drops each sample
+    /// stream, then advances every bound maintainer. Runs under the
+    /// commit lock and publishes nothing: the caller swaps the returned
+    /// epoch in, so a panic midway leaves the live epoch whole. Stream
+    /// repairs run at `config`'s thread count.
+    fn next_epoch(
         &self,
-        prev: &UncertainGraph,
-        next: &Arc<UncertainGraph>,
+        live: &mut Live,
+        graph: Arc<UncertainGraph>,
         delta: &GraphDelta,
         config: &VulnConfig,
-    ) -> Revalidation {
+    ) -> (Epoch, Revalidation) {
         let (dirty_nodes, dirty_edges) = (delta.dirty_nodes(), delta.dirty_edges());
         let mut tally = Revalidation::default();
 
-        // Coin table: thresholds are per-item pure, so only the dirty
-        // items re-quantize (bit-identical to a rebuild).
-        let coins = {
-            let (mut coins, _) = lock_tracked(&self.coins);
-            match coins.patch(prev, next, &dirty_nodes, &dirty_edges) {
-                Some(true) => tally.revalidated += 1,
-                Some(false) => tally.invalidated += 1,
-                None => {}
-            }
-            coins.peek(next)
+        // Coin table: the retiring one, re-quantized at the dirty items
+        // only (bit-identical to a rebuild — thresholds are per-item
+        // pure). It moves when no query pins the retiring epoch and is
+        // copied when one does; the retiring epoch stays correct without
+        // it, rebuilding on demand.
+        let mut coins = match Arc::get_mut(&mut live.epoch) {
+            Some(retiring) => retiring.coins.take(),
+            None => live.epoch.coins.get().cloned(),
         };
-
-        // Bounds: advance each maintainer to the committed snapshot,
-        // repairing its dirty z-ball, then republish under the next
-        // version's key. Collected first and inserted after the
-        // maintainer lock drops — queries acquire slot locks before the
-        // maintainer lock, so holding both here could deadlock.
-        let mut repaired: Vec<((u64, usize, BoundsMethod), BoundsPair)> = Vec::new();
-        {
-            let (mut maintainers, _) = lock_tracked(&self.inc_bounds);
-            maintainers.retain(|&(z, method), inc| {
-                // A maintainer from a lagging old-epoch build cannot be
-                // repaired across the unobserved gap; drop it.
-                if inc.graph().version() != prev.version() {
-                    tally.invalidated += 1;
-                    return false;
-                }
-                inc.advance_to(next, delta);
-                let pair = (inc.lower().to_vec(), inc.upper().to_vec());
-                repaired.push(((next.version(), z, method), pair));
-                tally.revalidated += 1;
-                true
-            });
+        if let Some(table) = coins.as_mut() {
+            table.patch(&graph, &dirty_nodes, &dirty_edges);
         }
-        let dropped = self.bounds.retain(|&(version, _, _)| version == next.version());
-        tally.invalidated += dropped.saturating_sub(repaired.len() as u64);
-        for (key, pair) in repaired {
-            self.bounds.insert(&key, pair);
-        }
-
-        // Reductions are cheap derivations of the bounds: drop stale
-        // versions and let the next query rebuild from the repaired
-        // vectors.
-        tally.invalidated += self.reductions.retain(|&(version, ..)| version == next.version());
+        let prev = &live.epoch.graph;
+        let next = Epoch::new(graph, live.epoch.number + 1, coins);
 
         // Sample streams. A stream survives as-is when its ledger
         // proves no draw ever materialized a dirty node's or a dirty
@@ -638,25 +665,25 @@ impl EngineState {
         // force every node word, so any self-risk change reaches them.
         // A reached stream is repaired when the delta's downstream set
         // is small: only those slots are recounted, into fresh
-        // snapshots. Past the reach cap, without a patched coin table,
-        // or when no query has read the stream across its last
+        // snapshots, against `next`'s coin table. Past the reach cap, or
+        // when no query has read the stream across its last
         // `MAX_UNREAD_REPAIRS` repairs, it is dropped instead, and the
         // next query that wants it redraws it.
         //
         // Locking the cell waits out in-flight draws, so the ledger is
         // complete when inspected, and survivors are re-stamped to the
         // next version under the same lock.
-        let cap = next.num_nodes() / REPAIR_REACH_DIVISOR;
-        let mut repair = coins.and_then(|coins| {
-            let downstream = ugraph::traversal::downstream(next, &dirty_nodes, &dirty_edges, cap)?;
-            Some(StreamRepair {
-                graph: next,
-                coins,
-                downstream,
-                threads: config.threads,
-                usage: CoinUsage::default(),
-            })
-        });
+        let cap = next.graph.num_nodes() / REPAIR_REACH_DIVISOR;
+        let mut repair =
+            ugraph::traversal::downstream(&next.graph, &dirty_nodes, &dirty_edges, cap).map(
+                |downstream| StreamRepair {
+                    epoch: &next,
+                    downstream,
+                    threads: config.threads,
+                    usage: CoinUsage::default(),
+                },
+            );
+        let (num_nodes, num_edges) = (next.graph.num_nodes(), next.graph.num_edges());
         let mut verdict = |cell: &cache::StreamCell, seed: u64, candidates: Option<&[u32]>| {
             let (mut cache, _) = lock_tracked(&cell.cache);
             match cache.graph_version {
@@ -673,13 +700,13 @@ impl EngineState {
                         tally.invalidated += 1;
                         return false;
                     };
-                    let ledger = cell.ledger(next.num_nodes(), next.num_edges());
+                    let ledger = cell.ledger(num_nodes, num_edges);
                     repair.recount(&mut cache, ledger, seed, candidates);
                     cache.unread_repairs += 1;
                     tally.repaired += 1;
                 }
             }
-            cache.graph_version = Some(next.version());
+            cache.graph_version = Some(next.graph.version());
             tally.revalidated += 1;
             true
         };
@@ -688,19 +715,36 @@ impl EngineState {
         if let Some(repair) = repair {
             SessionTotals::add(&self.totals.coin_words_synthesized, repair.usage.words);
         }
-        tally
+
+        // Bounds: queries park a maintainer only on the live epoch, so
+        // each tracks `prev`, unless a commit that panicked advanced it
+        // past `prev`; that one cannot be repaired across the gap and is
+        // dropped. The rest advance to `next`, repairing their dirty
+        // z-balls, and seed `next`'s map, which no query can reach
+        // before the swap. This runs after the stream repairs so those
+        // never allocate beside both epochs' vectors. Reductions are
+        // cheap derivations of the bounds: `next` starts without any,
+        // and the next query rebuilds from the repaired vectors.
+        live.maintainers.retain(|_, inc| Arc::ptr_eq(inc.graph(), prev));
+        for (key, inc) in live.maintainers.iter_mut() {
+            inc.advance_to(&next.graph, delta);
+            next.bounds.insert(key, (inc.lower().to_vec(), inc.upper().to_vec()));
+            tally.revalidated += 1;
+        }
+        (next, tally)
     }
 }
 
-/// What [`Algorithm`] implementations see of a session: the graph, the
-/// resolved configuration, and cache accessors that record usage.
+/// What [`Algorithm`] implementations see of a session: the pinned
+/// epoch's graph, the resolved configuration, and cache accessors that
+/// record usage.
 ///
 /// One `EngineCtx` exists per query, on the query's stack: the
 /// mutability (`&mut self` accessors) is the query's own stat
-/// accumulator, while all shared session state behind `state` is
+/// accumulator, while all shared state behind `epoch` and `state` is
 /// reached through interior-concurrent cells.
 pub struct EngineCtx<'a> {
-    graph: &'a Arc<UncertainGraph>,
+    epoch: &'a Epoch,
     config: &'a VulnConfig,
     state: &'a EngineState,
     request: EngineStats,
@@ -720,9 +764,9 @@ pub struct EngineCtx<'a> {
 }
 
 impl<'a> EngineCtx<'a> {
-    /// The session's graph.
+    /// The pinned epoch's graph.
     pub fn graph(&self) -> &'a UncertainGraph {
-        self.graph.as_ref()
+        &self.epoch.graph
     }
 
     /// The session's resolved configuration.
@@ -777,24 +821,28 @@ impl<'a> EngineCtx<'a> {
     /// per epoch (single-flight under concurrent misses).
     ///
     /// The build runs through [`IncrementalBounds`] over the pinned
-    /// snapshot itself (shared, not copied) and parks the maintainer in
-    /// the session, so a later [`Detector::apply_delta`] advances it to
-    /// the committed snapshot and repairs the dirty z-ball instead of
-    /// recomputing. Both paths run the one level sweep of
-    /// [`crate::bounds`], so the repaired vectors are bit-identical to
-    /// what this cold path would produce on the post-delta graph.
+    /// snapshot itself (shared, not copied) and, while that epoch is
+    /// still live, parks the maintainer in the session, so a later
+    /// [`Detector::apply_delta`] advances it to the committed snapshot
+    /// and repairs the dirty z-ball instead of recomputing. A build on
+    /// a retired epoch parks nothing: it must not displace the
+    /// maintainer a commit already advanced. Both paths run the one
+    /// level sweep of [`crate::bounds`], so the repaired vectors are
+    /// bit-identical to what this cold path would produce on the
+    /// post-delta graph.
     pub fn bounds(&mut self) -> Arc<BoundsPair> {
         let first_access = !self.bounds_accessed;
         self.bounds_accessed = true;
-        let (z, method) = (self.config.bound_order, self.config.bounds_method);
-        let key = (self.graph.version(), z, method);
-        let (graph, state) = (self.graph, self.state);
-        let (pair, flight) = self.state.bounds.get_or_build(&key, || {
-            let inc = IncrementalBounds::new(graph, z, method);
+        let key = (self.config.bound_order, self.config.bounds_method);
+        let (epoch, state) = (self.epoch, self.state);
+        let (pair, flight) = epoch.bounds.get_or_build(&key, || {
+            let inc = IncrementalBounds::new(&epoch.graph, key.0, key.1);
             let pair = (inc.lower().to_vec(), inc.upper().to_vec());
-            let (mut maintainers, _) = lock_tracked(&state.inc_bounds);
-            if maintainers.len() < MAX_BOUND_MAINTAINERS || maintainers.contains_key(&(z, method)) {
-                maintainers.insert((z, method), inc);
+            let (mut live, _) = lock_tracked(&state.live);
+            let room = live.maintainers.len() < MAX_BOUND_MAINTAINERS
+                || live.maintainers.contains_key(&key);
+            if room && std::ptr::eq(Arc::as_ptr(&live.epoch), epoch) {
+                live.maintainers.insert(key, inc);
             }
             pair
         });
@@ -807,50 +855,25 @@ impl<'a> EngineCtx<'a> {
     pub fn reduction(&mut self, k: usize) -> Arc<CandidateReduction> {
         let first_access = !self.reduction_accessed;
         self.reduction_accessed = true;
-        let key = (self.graph.version(), k, self.config.bound_order, self.config.bounds_method);
+        let key = (k, self.config.bound_order, self.config.bounds_method);
         // Probe before touching bounds: a cached reduction must not
         // pull the bound vectors (pre-0.4 behavior, preserved).
-        if let Some((hit, joined)) = self.state.reductions.get(&key) {
+        if let Some((hit, joined)) = self.epoch.reductions.get(&key) {
             let flight = if joined { Flight::Joined } else { Flight::Hit };
             self.note_flight(flight, first_access, MemoLayer::Reductions);
             return hit;
         }
         let bounds = self.bounds();
         let (reduction, flight) =
-            self.state.reductions.get_or_build(&key, || reduce_candidates(&bounds.0, &bounds.1, k));
+            self.epoch.reductions.get_or_build(&key, || reduce_candidates(&bounds.0, &bounds.1, k));
         self.note_flight(flight, first_access, MemoLayer::Reductions);
         reduction
     }
 
-    /// The session's [`CoinTable`], built on first use and rebuilt
-    /// whenever the graph's probability version changes (so a stale
-    /// table can never serve old thresholds). Concurrent first uses
-    /// build once: the cache mutex is held across the build, and the
-    /// `coins_building` marker distinguishes "waited on a real build"
-    /// (a single-flight join) from warm-lookup lock contention, which
-    /// counts as neither a wait nor a dedup.
-    pub fn coin_table(&mut self) -> Arc<CoinTable> {
-        // ORDERING: Acquire pairs with the Release store below; the
-        // marker only classifies a wait as a single-flight join — the
-        // table itself is transferred under the cache mutex.
-        let build_seen = self.state.coins_building.load(Ordering::Acquire);
-        let (mut coins, waited) = lock_tracked(&self.state.coins);
-        if let Some(table) = coins.peek(self.graph) {
-            drop(coins);
-            if waited && build_seen {
-                self.note_join();
-            }
-            return table;
-        }
-        // ORDERING: Release pairs with the Acquire probe above (see
-        // there); the guard clears the marker with the same pairing.
-        self.state.coins_building.store(true, Ordering::Release);
-        let building_reset = MarkerReset(&self.state.coins_building);
-        let (table, _) = coins.get(self.graph);
-        drop(building_reset);
-        drop(coins);
-        SessionTotals::add(&self.state.totals.coin_tables_built, 1);
-        table
+    /// The pinned epoch's [`CoinTable`], quantized on first use
+    /// (concurrent first uses build once).
+    pub fn coin_table(&self) -> &'a CoinTable {
+        self.epoch.coin_table()
     }
 
     /// Cumulative forward-sample counts over ids `0..t` for `seed`,
@@ -865,10 +888,9 @@ impl<'a> EngineCtx<'a> {
     /// counts report how many samples they actually cover via
     /// [`DefaultCounts::samples`].
     pub fn forward_counts(&mut self, t: u64, seed: u64) -> Arc<DefaultCounts> {
-        let coins = self.coin_table();
-        let graph = self.graph;
+        let (graph, coins) = (self.graph(), self.coin_table());
         let stream = self.state.forward.stream(seed);
-        self.stream_counts(&stream, &[t], false, |_| None, |pass| pass.forward(graph, &coins, seed))
+        self.stream_counts(&stream, &[t], false, |_| None, |pass| pass.forward(graph, coins, seed))
     }
 
     /// Cumulative reverse-sample counts over ids `0..t` for
@@ -912,12 +934,11 @@ impl<'a> EngineCtx<'a> {
         seed: u64,
         next: impl FnMut(&DefaultCounts) -> Option<u64>,
     ) -> Arc<DefaultCounts> {
-        let coins = self.coin_table();
-        let graph = self.graph;
+        let (graph, coins) = (self.graph(), self.coin_table());
         let key = (seed, candidates.iter().map(|v| v.0).collect::<Vec<u32>>());
         let stream = self.state.reverse.stream(key);
         self.stream_counts(&stream, looks, true, next, |pass| {
-            pass.reverse(graph, &coins, candidates, seed)
+            pass.reverse(graph, coins, candidates, seed)
         })
     }
 
@@ -963,8 +984,9 @@ impl<'a> EngineCtx<'a> {
     ) -> Arc<DefaultCounts> {
         let threads = self.config.threads;
         let cancel = self.cancel.clone();
-        let version = self.graph.version();
-        let (num_nodes, num_edges) = (self.graph.num_nodes(), self.graph.num_edges());
+        let graph = self.graph();
+        let version = graph.version();
+        let (num_nodes, num_edges) = (graph.num_nodes(), graph.num_edges());
         // ORDERING: Acquire pairs with the Release store in the serve
         // closure; the marker only classifies this query's wait — all
         // counts are transferred under the cell mutex.
@@ -1112,61 +1134,18 @@ enum PlanKey {
     Solo { index: usize },
 }
 
-/// The session's live-graph cell: the current epoch's snapshot plus the
-/// epoch counter. Queries pin an `Arc` clone at entry and run to
-/// completion on it; [`Detector::apply_delta`] swaps the next snapshot
-/// in under the cell mutex, which doubles as the session's **commit
-/// lock** — held across swap *and* cache revalidation, so deltas
-/// serialize and a pin always observes a fully revalidated epoch.
-#[derive(Debug)]
-struct GraphEpochs {
-    live: std::sync::Mutex<Arc<UncertainGraph>>,
-    /// Epochs committed: 0 for the base graph, +1 per applied delta.
-    epoch: AtomicU64,
-}
-
-impl GraphEpochs {
-    fn new(graph: Arc<UncertainGraph>) -> Self {
-        GraphEpochs { live: std::sync::Mutex::new(graph), epoch: AtomicU64::new(0) }
-    }
-
-    /// Pins the current snapshot (a brief lock around an `Arc` clone).
-    fn pin(&self) -> Arc<UncertainGraph> {
-        Arc::clone(&lock_tracked(&self.live).0)
-    }
-
-    /// Pins the current snapshot together with its epoch number. The
-    /// epoch is read under the live lock, where `apply_delta` bumps it,
-    /// so the pair is always consistent.
-    fn pin_with_epoch(&self) -> (Arc<UncertainGraph>, u64) {
-        let (live, _) = lock_tracked(&self.live);
-        // ORDERING: Acquire pairs with the Release bump in
-        // `Detector::apply_delta`; the live lock already serializes
-        // against the bump, so this only needs to carry the epoch
-        // value, not extra publication.
-        (Arc::clone(&live), self.epoch.load(Ordering::Acquire))
-    }
-
-    fn epoch(&self) -> u64 {
-        // ORDERING: Acquire pairs with the Release bump in
-        // `Detector::apply_delta`: an observer that sees epoch `e` also
-        // sees every cache revalidation that commit published.
-        self.epoch.load(Ordering::Acquire)
-    }
-}
-
 /// What one [`Detector::apply_delta`] commit did: the new epoch plus
-/// the cache-revalidation tally.
+/// what the session carried into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaOutcome {
     /// Epoch after the commit (the base graph is epoch 0).
     pub epoch: u64,
     /// Probability version of the new live graph.
     pub graph_version: u64,
-    /// Cached structures that survived by being patched or re-stamped
-    /// in place (coin table, repaired bounds, surviving streams).
+    /// Bound vectors repaired into the new epoch, plus sample streams
+    /// that survived in place.
     pub revalidated: u64,
-    /// Cached structures dropped because the dirty set touched them.
+    /// Sample streams dropped because the dirty set touched them.
     pub invalidated: u64,
     /// Sample streams the dirty set reached that were repaired in place
     /// by recounting only the nodes downstream of the delta (counted in
@@ -1184,7 +1163,6 @@ pub struct DeltaOutcome {
 /// every client.
 #[derive(Debug)]
 pub struct Detector {
-    epochs: GraphEpochs,
     config: VulnConfig,
     state: EngineState,
 }
@@ -1209,13 +1187,13 @@ impl Detector {
     /// immutable (and valid) even as later [`Detector::apply_delta`]
     /// calls move the session to new epochs.
     pub fn graph(&self) -> Arc<UncertainGraph> {
-        self.epochs.pin()
+        Arc::clone(&self.state.pin().graph)
     }
 
     /// The session's current epoch: 0 for the base graph, +1 per
     /// committed [`Detector::apply_delta`].
     pub fn epoch(&self) -> u64 {
-        self.epochs.epoch()
+        self.state.pin().number
     }
 
     /// The session's resolved configuration (threads already defaulted).
@@ -1224,11 +1202,12 @@ impl Detector {
     }
 
     /// Cumulative cache counters for the session (a consistent snapshot
-    /// of the atomic totals).
+    /// of the atomic totals), with the epoch gauges read from one pin.
     pub fn session_stats(&self) -> SessionStats {
+        let epoch = self.state.pin();
         let mut stats = self.state.totals.snapshot();
-        stats.epoch = self.epochs.epoch();
-        stats.graph_version = self.epochs.pin().version();
+        stats.epoch = epoch.number;
+        stats.graph_version = epoch.graph.version();
         stats
     }
 
@@ -1237,15 +1216,17 @@ impl Detector {
     /// The whole batch validates against the current snapshot before
     /// any item applies — an invalid batch changes nothing (no epoch, no
     /// cache effect). On success the swap is atomic: queries already in
-    /// flight finish bit-identically on their pinned pre-delta
-    /// snapshot; queries that start afterwards see the new graph and
-    /// the *revalidated* caches — the coin table patched in place,
-    /// bound vectors repaired through their incremental maintainers,
-    /// every sample stream whose touch ledger proves independence of
-    /// the dirty nodes and edges carried over, and every other stream
-    /// repaired by recounting only the nodes downstream of the delta
-    /// (or dropped, when that set passes the repair cap). All surviving
-    /// state is bit-identical to a cold rebuild against the post-delta
+    /// flight finish bit-identically on their pinned pre-delta epoch;
+    /// queries that start afterwards see the new epoch — its coin table
+    /// the retiring one with only the dirty items re-quantized (moved
+    /// when no query pins the retiring epoch, copied when one does),
+    /// its bound vectors repaired through their incremental maintainers,
+    /// its candidate reductions rebuilt on demand — and the session's
+    /// sample streams: every stream whose touch ledger proves
+    /// independence of the dirty nodes and edges carried over, and every
+    /// other stream repaired by recounting only the nodes downstream of
+    /// the delta (or dropped, when that set passes the repair cap). All
+    /// of it is bit-identical to a cold rebuild against the post-delta
     /// graph.
     ///
     /// Repairs run under the commit lock, on the session's thread count:
@@ -1253,17 +1234,13 @@ impl Detector {
     /// share of a sampling pass, and queries starting meanwhile wait for
     /// the new epoch.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaOutcome> {
-        let (mut live, _) = lock_tracked(&self.epochs.live);
-        let prev = Arc::clone(&live);
-        let mut next = Arc::clone(&live);
-        delta.apply(Arc::make_mut(&mut next))?;
-        let Revalidation { revalidated, invalidated, repaired } =
-            self.state.revalidate(&prev, &next, delta, &self.config);
-        let graph_version = next.version();
-        *live = next;
-        // ORDERING: Release pairs with the Acquire in `GraphEpochs::epoch`
-        // — observers of the new epoch number see the revalidation above.
-        let epoch = self.epochs.epoch.fetch_add(1, Ordering::Release) + 1;
+        let (mut live, _) = lock_tracked(&self.state.live);
+        let mut graph = Arc::clone(&live.epoch.graph);
+        delta.apply(Arc::make_mut(&mut graph))?;
+        let (next, Revalidation { revalidated, invalidated, repaired }) =
+            self.state.next_epoch(&mut live, graph, delta, &self.config);
+        let (epoch, graph_version) = (next.number, next.graph.version());
+        live.epoch = Arc::new(next);
         SessionTotals::add(&self.state.totals.deltas_applied, 1);
         SessionTotals::add(&self.state.totals.caches_revalidated, revalidated);
         SessionTotals::add(&self.state.totals.caches_invalidated, invalidated);
@@ -1271,37 +1248,41 @@ impl Detector {
         Ok(DeltaOutcome { epoch, graph_version, revalidated, invalidated, repaired })
     }
 
-    /// Drops all cached state (bounds, reductions, coin table, sampled
-    /// worlds) but keeps the session counters. Subsequent queries
-    /// behave like a fresh session — results are identical either way.
+    /// Drops all derived state (coin table, bounds, reductions, sampled
+    /// worlds) but keeps the session counters and the epoch number:
+    /// the live epoch is replaced by a fresh one on the same snapshot.
+    /// Subsequent queries behave like a fresh session — results are
+    /// identical either way.
     ///
     /// Safe to call while other queries are in flight: an in-flight
-    /// query keeps `Arc` snapshots of (and detached cells for) whatever
-    /// state it already reached, finishes on them, and returns exactly
-    /// what it would have returned without the clear; only queries that
-    /// *start* afterwards see a cold cache.
+    /// query keeps its pinned epoch (and detached cells for whatever
+    /// streams it already reached), finishes on them, and returns
+    /// exactly what it would have returned without the clear; only
+    /// queries that *start* afterwards see a cold cache.
     pub fn clear_cache(&self) {
-        self.state.bounds.clear();
-        self.state.reductions.clear();
-        lock_tracked(&self.state.inc_bounds).0.clear();
+        {
+            let (mut live, _) = lock_tracked(&self.state.live);
+            let (graph, number) = (Arc::clone(&live.epoch.graph), live.epoch.number);
+            live.epoch = Arc::new(Epoch::new(graph, number, None));
+            live.maintainers.clear();
+        }
         self.state.forward.clear();
         self.state.reverse.clear();
-        lock_tracked(&self.state.coins).0.clear();
     }
 
     /// Precomputes the session's bound vectors (useful before taking
     /// traffic) and returns them.
     pub fn warm_bounds(&self) -> Arc<BoundsPair> {
-        let graph = self.epochs.pin();
-        self.ctx(&graph).bounds()
+        let epoch = self.state.pin();
+        self.ctx(&epoch).bounds()
     }
 
-    /// A context for one query, borrowing the snapshot the query pinned
-    /// at entry (so a concurrent delta commit cannot move the graph out
+    /// A context for one query, borrowing the epoch the query pinned at
+    /// entry (so a concurrent delta commit cannot move the graph out
     /// from under it).
-    fn ctx<'a>(&'a self, graph: &'a Arc<UncertainGraph>) -> EngineCtx<'a> {
+    fn ctx<'a>(&'a self, epoch: &'a Epoch) -> EngineCtx<'a> {
         EngineCtx {
-            graph,
+            epoch,
             config: &self.config,
             state: &self.state,
             request: EngineStats::default(),
@@ -1315,12 +1296,8 @@ impl Detector {
 
     /// A query context carrying one resolved request's cancellation
     /// signal and draw cap into the stream draws.
-    fn ctx_for<'a>(
-        &'a self,
-        graph: &'a Arc<UncertainGraph>,
-        resolved: &ResolvedRequest,
-    ) -> EngineCtx<'a> {
-        let mut ctx = self.ctx(graph);
+    fn ctx_for<'a>(&'a self, epoch: &'a Epoch, resolved: &ResolvedRequest) -> EngineCtx<'a> {
+        let mut ctx = self.ctx(epoch);
         ctx.cancel = resolved.cancel.clone();
         ctx.sample_cap = resolved.sample_cap;
         ctx
@@ -1355,15 +1332,15 @@ impl Detector {
     /// Answers one request. Callable from any number of threads at
     /// once; the answer is bit-identical to a serial run.
     pub fn detect(&self, request: &DetectRequest) -> Result<DetectResponse> {
-        let (graph, epoch) = self.epochs.pin_with_epoch();
-        let resolved = request.resolve(&graph, &self.config)?;
+        let epoch = self.state.pin();
+        let resolved = request.resolve(&epoch.graph, &self.config)?;
         let _in_flight = self.state.totals.enter();
         let algo = algorithm(resolved.algorithm);
-        let mut ctx = self.ctx_for(&graph, &resolved);
+        let mut ctx = self.ctx_for(&epoch, &resolved);
         let outcome = algo.run(&mut ctx, &resolved).map(|mut response| {
             response.engine = ctx.request;
-            response.engine.epoch = epoch;
-            response.engine.graph_version = graph.version();
+            response.engine.epoch = epoch.number;
+            response.engine.graph_version = epoch.graph.version();
             response
         });
         self.note_outcome(&outcome);
@@ -1390,16 +1367,18 @@ impl Detector {
     pub fn detect_many(&self, requests: &[DetectRequest]) -> Result<Vec<DetectResponse>> {
         // One pin for the whole batch: every request (and the planning
         // pass) runs on the same epoch, even mid-commit.
-        let (graph, epoch) = self.epochs.pin_with_epoch();
-        let resolved: Vec<ResolvedRequest> =
-            requests.iter().map(|r| r.resolve(&graph, &self.config)).collect::<Result<_>>()?;
+        let epoch = self.state.pin();
+        let resolved: Vec<ResolvedRequest> = requests
+            .iter()
+            .map(|r| r.resolve(&epoch.graph, &self.config))
+            .collect::<Result<_>>()?;
         let _in_flight = self.state.totals.enter();
 
         // Plan each request's stream and budget, then order: groups by
         // first appearance, ascending budget within a group (so later
         // requests extend earlier prefixes instead of redrawing).
         let plans: Vec<(PlanKey, u64)> =
-            resolved.iter().enumerate().map(|(i, r)| self.plan(&graph, i, r)).collect();
+            resolved.iter().enumerate().map(|(i, r)| self.plan(&epoch, i, r)).collect();
         let mut first_seen: BTreeMap<&PlanKey, usize> = BTreeMap::new();
         for (i, (key, _)) in plans.iter().enumerate() {
             first_seen.entry(key).or_insert(i);
@@ -1410,11 +1389,11 @@ impl Detector {
         let mut responses: Vec<Option<DetectResponse>> = vec![None; resolved.len()];
         for i in order {
             let algo = algorithm(resolved[i].algorithm);
-            let mut ctx = self.ctx_for(&graph, &resolved[i]);
+            let mut ctx = self.ctx_for(&epoch, &resolved[i]);
             let outcome = algo.run(&mut ctx, &resolved[i]).map(|mut response| {
                 response.engine = ctx.request;
-                response.engine.epoch = epoch;
-                response.engine.graph_version = graph.version();
+                response.engine.epoch = epoch.number;
+                response.engine.graph_version = epoch.graph.version();
                 response
             });
             self.note_outcome(&outcome);
@@ -1429,13 +1408,8 @@ impl Detector {
     /// session caches (bounds/reductions computed here are reused by the
     /// actual run) but records no usage: planning is bookkeeping, not a
     /// query.
-    fn plan(
-        &self,
-        graph: &Arc<UncertainGraph>,
-        index: usize,
-        req: &ResolvedRequest,
-    ) -> (PlanKey, u64) {
-        let mut ctx = self.ctx(graph);
+    fn plan(&self, epoch: &Epoch, index: usize, req: &ResolvedRequest) -> (PlanKey, u64) {
+        let mut ctx = self.ctx(epoch);
         ctx.record_usage = false;
         match req.algorithm {
             AlgorithmKind::Naive => {
@@ -1762,9 +1736,9 @@ mod tests {
             .threads(8)
             .build()
             .unwrap();
-        let graph = d.graph();
+        let epoch = d.state.pin();
         {
-            let mut ctx = d.ctx(&graph);
+            let mut ctx = d.ctx(&epoch);
             let _ = ctx.forward_counts(20_000, 9);
             assert_eq!(ctx.request.block_words, 8, "big cold pass runs wide");
         }
@@ -1772,7 +1746,7 @@ mod tests {
         // narrows it so 8 threads keep fine-grained chunks — and the
         // stats must report the width that actually executed.
         {
-            let mut ctx = d.ctx(&graph);
+            let mut ctx = d.ctx(&epoch);
             let _ = ctx.forward_counts(20_200, 9);
             assert_eq!(ctx.request.samples_drawn, 200);
             assert_eq!(
@@ -1952,7 +1926,12 @@ mod tests {
         let outcome = warm.apply_delta(&delta).unwrap();
         assert_eq!(outcome.epoch, 1);
         assert_eq!(warm.epoch(), 1);
-        assert!(outcome.revalidated >= 1, "coin table and bounds should be patched in place");
+        assert!(outcome.revalidated >= 1, "bounds should be repaired into the new epoch");
+        // Bounds were repaired through the incremental maintainer and
+        // seeded into the new epoch, so the first post-delta pruned
+        // query finds them warm.
+        let pruned = warm.detect(&DetectRequest::new(5, AlgorithmKind::SampleReverse)).unwrap();
+        assert!(pruned.engine.bounds_reused, "repaired bounds must be served from cache");
 
         let mut post = g.clone();
         delta.apply(&mut post).unwrap();
@@ -1964,18 +1943,13 @@ mod tests {
             assert_eq!(w.top_k, c.top_k, "{kind}");
             assert_eq!(w.stats.samples_used, c.stats.samples_used, "{kind}");
         }
-        // Bounds were repaired through the incremental maintainer and
-        // re-published under the new graph version, so the first
-        // post-delta pruned query finds them warm.
-        let pruned = warm.detect(&DetectRequest::new(5, AlgorithmKind::SampleReverse)).unwrap();
-        assert!(pruned.engine.bounds_reused, "repaired bounds must be served from cache");
     }
 
     /// The session's maintainer (there is one per `(z, method)`).
     fn maintainer_graph(d: &Detector) -> Arc<UncertainGraph> {
-        let (maintainers, _) = lock_tracked(&d.state.inc_bounds);
-        assert_eq!(maintainers.len(), 1);
-        maintainers.values().map(|inc| Arc::clone(inc.graph())).next().unwrap()
+        let (live, _) = lock_tracked(&d.state.live);
+        assert_eq!(live.maintainers.len(), 1);
+        live.maintainers.values().map(|inc| Arc::clone(inc.graph())).next().unwrap()
     }
 
     #[test]
@@ -1990,6 +1964,81 @@ mod tests {
             d.apply_delta(&delta).unwrap();
             assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()), "after epoch {}", d.epoch());
         }
+    }
+
+    #[test]
+    fn a_stale_epoch_query_does_not_displace_the_live_maintainer() {
+        let g = random_graph(80, 160, 37);
+        let delta = |v: u32| {
+            GraphDelta::default().set_self_risk(NodeId(v), 0.31).set_edge_prob(EdgeId(v), 0.29)
+        };
+        // A query pinned before a commit reads its epoch's bounds after
+        // it: the read hits, and the advanced maintainer stays parked.
+        let d = session(&g);
+        d.warm_bounds();
+        let old = d.state.pin();
+        d.apply_delta(&delta(3)).unwrap();
+        let computed = d.session_stats().bounds_computed;
+        d.ctx(&old).bounds();
+        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()), "a stale maintainer was parked");
+        assert_eq!(d.apply_delta(&delta(5)).unwrap().invalidated, 0);
+        d.warm_bounds();
+        assert_eq!(d.session_stats().bounds_computed, computed, "bounds were recomputed");
+
+        // A query pinned before a commit that builds its bounds only
+        // after it parks nothing.
+        let d = session(&g);
+        let old = d.state.pin();
+        d.apply_delta(&delta(3)).unwrap();
+        d.ctx(&old).bounds();
+        assert!(lock_tracked(&d.state.live).0.maintainers.is_empty(), "a retired epoch parked");
+        d.warm_bounds();
+        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()));
+    }
+
+    #[test]
+    fn each_epoch_reads_a_table_equal_to_a_fresh_quantization() {
+        let g = random_graph(60, 120, 39);
+        let deltas: Vec<GraphDelta> = (0..3u32)
+            .map(|i| {
+                GraphDelta::default()
+                    .set_self_risk(NodeId(i), 0.41 + 0.01 * f64::from(i))
+                    .set_edge_prob(EdgeId(2 * i), 0.37)
+            })
+            .collect();
+        let fresh = |epoch: &Epoch| CoinTable::new(&epoch.graph);
+
+        // A table built before the commit moves into the next epoch
+        // patched, or is copied when a query pins the retiring epoch,
+        // whose own table must stay as it was.
+        let d = session(&g);
+        for (i, delta) in deltas.iter().enumerate() {
+            d.detect(&DetectRequest::new(3, AlgorithmKind::SampledNaive)).unwrap();
+            let pinned = (i % 2 == 1).then(|| d.state.pin());
+            d.apply_delta(delta).unwrap();
+            let live = d.state.pin();
+            assert_eq!(live.coins.get(), Some(&fresh(&live)), "epoch {}", live.number);
+            if let Some(old) = pinned {
+                assert_eq!(old.coins.get(), Some(&fresh(&old)), "epoch {}", old.number);
+            }
+            // Two queries in one epoch share one table.
+            let other = d.state.pin();
+            assert!(std::ptr::eq(d.ctx(&live).coin_table(), d.ctx(&other).coin_table()));
+        }
+
+        // Without a table before the commit, none is built by it; an
+        // epoch pinned before the commit quantizes its own snapshot
+        // when it first reads one after it.
+        let d = session(&g);
+        for delta in &deltas {
+            d.warm_bounds();
+            let old = d.state.pin();
+            d.apply_delta(delta).unwrap();
+            assert!(d.state.pin().coins.get().is_none(), "a commit quantized");
+            assert_eq!(*d.ctx(&old).coin_table(), fresh(&old), "epoch {}", old.number);
+        }
+        let live = d.state.pin();
+        assert_eq!(*d.ctx(&live).coin_table(), fresh(&live));
     }
 
     #[test]
@@ -2048,8 +2097,8 @@ mod tests {
         let drawn_before = d.session_stats().samples_drawn;
 
         let outcome = d.apply_delta(&GraphDelta::default().set_edge_prob(dormant, 0.01)).unwrap();
-        // 10 sample streams + the coin table survive; nothing is dropped.
-        assert!(outcome.revalidated >= 11, "revalidated only {}", outcome.revalidated);
+        // All 10 sample streams survive, one count each; nothing is dropped.
+        assert_eq!(outcome.revalidated, 10);
         assert_eq!(outcome.invalidated, 0);
         assert!(
             outcome.revalidated * 10 >= (outcome.revalidated + outcome.invalidated) * 9,
@@ -2071,7 +2120,7 @@ mod tests {
         let stats = d.session_stats();
         assert_eq!(stats.epoch, 1);
         assert_eq!(stats.deltas_applied, 1);
-        assert!(stats.caches_revalidated >= 11);
+        assert_eq!(stats.caches_revalidated, 10);
         assert_eq!(stats.caches_invalidated, 0);
     }
 
@@ -2422,9 +2471,9 @@ mod tests {
             assert!(bk.stats.early_stopped && !bk.degraded && used < bk.stats.sample_budget);
             assert!(cache::looks_below(bk.stats.sample_budget).any(|look| look == used));
             assert_eq!(bk.achieved_epsilon, req.epsilon.unwrap());
-            let graph = d.graph();
-            let mut ctx = d.ctx(&graph);
-            let resolved = req.resolve(&graph, d.config()).unwrap();
+            let epoch = d.state.pin();
+            let mut ctx = d.ctx(&epoch);
+            let resolved = req.resolve(&epoch.graph, d.config()).unwrap();
             let plan = algorithms::reverse_plan(&mut ctx, &resolved);
             let counts = ctx.reverse_counts(&plan.candidates, used, resolved.seed);
             let mut expected: Vec<(u64, u32)> =
@@ -2479,8 +2528,8 @@ mod tests {
         let g = random_graph(60, 120, 21);
         let candidates: Vec<NodeId> = (0..10).map(NodeId).collect();
         let d = session(&g);
-        let graph = d.graph();
-        let mut ctx = d.ctx(&graph);
+        let epoch = d.state.pin();
+        let mut ctx = d.ctx(&epoch);
         let mut seen = Vec::new();
         let read = ctx.reverse_counts_until(&candidates, &[64, 128, 256, 300], 5, |c| {
             seen.push(c.samples());
@@ -2490,7 +2539,7 @@ mod tests {
         assert_eq!(read.samples(), 128);
         assert_eq!(ctx.request.samples_drawn, 300, "the hint drew to the last look");
         let fresh = session(&g);
-        let plain = fresh.ctx(&graph).reverse_counts(&candidates, 128, 5);
+        let plain = fresh.ctx(&fresh.state.pin()).reverse_counts(&candidates, 128, 5);
         assert_eq!(*read, *plain);
     }
 }

@@ -9,9 +9,10 @@
 //! Bernoulli synthesis**:
 //!
 //! * Every probability is quantized once per graph into a fixed-point
-//!   threshold `T = round(p · 2^32)` held in a [`CoinTable`] (engines
-//!   cache one per session; [`CoinTable::matches`] detects stale tables
-//!   through the graph's version counter).
+//!   threshold `T = round(p · 2^32)` held in a [`CoinTable`] (the engine
+//!   keeps one per graph snapshot it serves; [`CoinTable::matches`]
+//!   detects a table that is stale for a graph through the graph's
+//!   version counter).
 //! * The uniform source is a pure function of `(seed, block, item,
 //!   level)` — no sequential state, so any coin can be generated at any
 //!   time, in any order, on any thread, including *lazily* when a BFS
@@ -247,10 +248,12 @@ pub fn bernoulli_bit(threshold: u64, item_key: u64, lane: u32, words: &mut u64) 
 /// Per-graph fixed-point thresholds for every node self-default and
 /// edge survival coin — the precomputation the synthesis kernels read.
 ///
-/// Building one is `O(n + m)`; engines cache it per session and
-/// revalidate with [`CoinTable::matches`] (the graph bumps a version
-/// counter on every probability update, so a stale table is rebuilt
-/// instead of serving old thresholds).
+/// Building one is `O(n + m)`. The engine builds one per graph snapshot
+/// on first use and carries it to the next snapshot with
+/// [`CoinTable::patch`]. The table records the graph's probability
+/// version, which every probability update bumps, so
+/// [`CoinTable::matches`] catches a table read against a graph it was
+/// not built for (the block kernels debug-assert it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinTable {
     node_thresholds: Box<[u64]>,

@@ -618,10 +618,8 @@ pub fn run(command: Command) -> Result<String, VulnError> {
             );
             let _ = writeln!(
                 out,
-                "# coins coin-words {} | lazy edge-words skipped {} | tables built {}",
-                r.engine.coin_words_synthesized,
-                r.engine.lazy_edge_words_skipped,
-                session.coin_tables_built
+                "# coins coin-words {} | lazy edge-words skipped {}",
+                r.engine.coin_words_synthesized, r.engine.lazy_edge_words_skipped
             );
             let _ = writeln!(
                 out,
@@ -1097,7 +1095,6 @@ mod tests {
         assert!(det.lines().count() >= 8, "{det}");
         assert!(det.contains("# algorithm BSRBK"), "{det}");
         assert!(det.contains("# coins coin-words"), "{det}");
-        assert!(det.contains("tables built 1"), "{det}");
         assert!(det.contains("# blocks block-words"), "{det}");
 
         let conv = run(parse(&args(&format!("convert {txt} {bin}"))).unwrap()).unwrap();

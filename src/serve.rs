@@ -1001,7 +1001,6 @@ pub fn session_stats_json(session: &SessionStats) -> Json {
         ("bounds_reused", session.bounds_reused.into()),
         ("reductions_computed", session.reductions_computed.into()),
         ("reductions_reused", session.reductions_reused.into()),
-        ("coin_tables_built", session.coin_tables_built.into()),
         ("coin_words_synthesized", session.coin_words_synthesized.into()),
         ("lazy_edge_words_skipped", session.lazy_edge_words_skipped.into()),
         ("superblocks_evaluated", session.superblocks_evaluated.into()),

@@ -91,8 +91,8 @@ fn warm_cache_matches_cold_cache() {
 
 /// Regression for coin-table invalidation: `set_edge_prob` /
 /// `set_self_risk` bump the graph's probability version, so a session
-/// must rebuild its cached `CoinTable` instead of serving stale
-/// thresholds. The graph is rigged so the stale answer would be
+/// on the updated graph must quantize its new thresholds instead of
+/// serving stale ones. The graph is rigged so the stale answer would be
 /// deterministically wrong.
 #[test]
 fn coin_table_invalidated_by_probability_updates() {
@@ -107,12 +107,7 @@ fn coin_table_invalidated_by_probability_updates() {
 
     let first = {
         let d = Detector::builder(&g).config(cfg.clone()).build().unwrap();
-        let r = d.detect(&req).unwrap();
-        assert_eq!(d.session_stats().coin_tables_built, 1);
-        // A warm repeat reuses the cached table (and the cached worlds).
-        d.detect(&req).unwrap();
-        assert_eq!(d.session_stats().coin_tables_built, 1, "warm query rebuilt the coin table");
-        score_of(&r)
+        score_of(&d.detect(&req).unwrap())
     };
     assert_eq!(first, 0.0, "dead edge must never transmit");
 

@@ -1,6 +1,6 @@
 //! CI perf-sanity gates for the world-superblock data path.
 //!
-//! Eight regressions fail this binary (and CI); gate 3 is retired and
+//! Nine regressions fail this binary (and CI); gate 3 is retired and
 //! the others keep their numbers:
 //!
 //! 1. **Forward pass**: a width-1 [`SamplePass`] forward over 64 worlds
@@ -82,12 +82,25 @@
 //!    graph, so a block that holds dense `n·W` node and `m·W` edge
 //!    words, or a kernel with dense `n·W` reach vectors, fails. Counts
 //!    words, measures no time.
+//! 10. **Copy-free commits**: on the same graph, a session warmed with
+//!     SN, SR and BSR (k = 1% of n, ε 0.1) commits
+//!     [`COMMIT_GATE_DELTAS`] seeded deltas of gate 6's shape, each
+//!     graph handle dropped before the next commit, and
+//!     `Detector::graph()` must name one allocation throughout: a commit
+//!     patches the graph nothing else holds in place. Then one handle
+//!     held across a commit must force exactly one copy — the live
+//!     graph moves once and stays put on the next commit — and must
+//!     keep its pre-delta probabilities. An engine that copies the graph
+//!     on every commit, or patches a graph a handle still reads, fails.
+//!     Compares pointers and probabilities, measures no time.
 //!
 //! Usage: `perf_sanity [--quick]`. `--quick` caps the per-measurement
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
 //! seconds.
 
-use ugraph::{EdgeId, GraphDelta, NodeId, NodeOrder};
+use std::sync::Arc;
+
+use ugraph::{EdgeId, GraphDelta, NodeId, NodeOrder, UncertainGraph};
 use vulnds_bench::microbench::measure;
 use vulnds_core::{
     compute_bounds, reduce_candidates, AlgorithmKind, DetectRequest, Detector, VulnConfig,
@@ -143,6 +156,9 @@ const BSRBK_MAX_COIN_WORDS_RATIO: f64 = 1.5;
 /// verdict slots), on top of their slot indexes.
 const PASS_SCRATCH_DRAWN_MULTIPLE: usize = 4;
 
+/// Seeded deltas the copy-free-commit gate commits on one warm session.
+const COMMIT_GATE_DELTAS: usize = 20;
+
 /// Distinct 64-byte lines of a per-node `u64` array that the
 /// out-neighbours of each window of [`LAYOUT_WINDOW`] consecutive node
 /// ids fall in, summed over the windows.
@@ -189,6 +205,72 @@ fn bsrbk_after_bsr(graph: &ugraph::UncertainGraph) -> (u64, u64) {
     (response.engine.coin_words_synthesized, response.engine.samples_drawn)
 }
 
+/// One delta of the `serve-update` benchmark's shape: two self-risks and
+/// three edge probabilities, drawn from `rng`.
+fn seeded_delta(rng: &mut Xoshiro256pp, graph: &UncertainGraph) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    for _ in 0..2 {
+        let v = rng.next_bounded(graph.num_nodes() as u64) as u32;
+        delta = delta.set_self_risk(NodeId(v), 0.05 + 0.45 * rng.next_f64());
+    }
+    for _ in 0..3 {
+        let e = rng.next_bounded(graph.num_edges() as u64) as u32;
+        delta = delta.set_edge_prob(EdgeId(e), 0.05 + 0.45 * rng.next_f64());
+    }
+    delta
+}
+
+/// Every self-risk and edge probability of `graph`, as bits.
+fn probability_bits(graph: &UncertainGraph) -> Vec<u64> {
+    let risks = graph.nodes().map(|v| graph.self_risk(v).to_bits());
+    risks.chain(graph.edges().map(|e| graph.edge_prob(e).to_bits())).collect()
+}
+
+/// What commits did to a warm session's graph allocation.
+struct CommitCopies {
+    /// Unheld commits after which `Detector::graph()` named another
+    /// allocation than before the first.
+    moved: usize,
+    /// Whether the commit made with a handle held moved the live graph
+    /// off the handle's allocation.
+    held_copied: bool,
+    /// Whether the held handle kept its pre-delta probabilities.
+    held_kept: bool,
+    /// Whether the next commit, with the handle dropped, moved the live
+    /// graph again.
+    copied_again: bool,
+}
+
+/// Warms a single-threaded session with SN, SR and BSR (k = 1% of n,
+/// ε 0.1), commits [`COMMIT_GATE_DELTAS`] seeded deltas without holding
+/// a graph handle across any, then one with a handle held and one more
+/// after dropping it, and reports where the graph lived.
+fn commit_copies(graph: &UncertainGraph) -> CommitCopies {
+    let (detector, sn) = gate_session(graph, AlgorithmKind::SampledNaive);
+    for kind in [AlgorithmKind::SampleReverse, AlgorithmKind::BoundedSampleReverse] {
+        let mut request = sn.clone();
+        request.algorithm = kind;
+        detector.detect(&request).expect("query answers");
+    }
+    detector.detect(&sn).expect("query answers");
+    let mut rng = Xoshiro256pp::new(0xC0_FFEE);
+    let first = Arc::as_ptr(&detector.graph());
+    let mut moved = 0;
+    for _ in 0..COMMIT_GATE_DELTAS {
+        detector.apply_delta(&seeded_delta(&mut rng, graph)).expect("delta applies");
+        moved += usize::from(Arc::as_ptr(&detector.graph()) != first);
+    }
+    let held = detector.graph();
+    let before = probability_bits(&held);
+    detector.apply_delta(&seeded_delta(&mut rng, graph)).expect("delta applies");
+    let copy = Arc::as_ptr(&detector.graph());
+    let (held_copied, held_kept) = (copy != Arc::as_ptr(&held), probability_bits(&held) == before);
+    drop(held);
+    detector.apply_delta(&seeded_delta(&mut rng, graph)).expect("delta applies");
+    let copied_again = Arc::as_ptr(&detector.graph()) != copy;
+    CommitCopies { moved, held_copied, held_kept, copied_again }
+}
+
 /// Coin words a fresh single-threaded session spends on SN (k = 1% of
 /// n, ε 0.1): its cold draw, and then — after one seeded delta of two
 /// self-risks and three edge probabilities — `apply_delta` plus the
@@ -199,16 +281,7 @@ fn sn_coin_words_around_a_delta(graph: &ugraph::UncertainGraph) -> (u64, u64) {
     let sn = DetectRequest::new(k, AlgorithmKind::SampledNaive).with_epsilon(0.1);
     let cold = detector.detect(&sn).expect("query answers").engine.coin_words_synthesized;
 
-    let mut rng = Xoshiro256pp::new(0xDE17A);
-    let mut delta = GraphDelta::new();
-    for _ in 0..2 {
-        let v = rng.next_bounded(graph.num_nodes() as u64) as u32;
-        delta = delta.set_self_risk(NodeId(v), 0.05 + 0.45 * rng.next_f64());
-    }
-    for _ in 0..3 {
-        let e = rng.next_bounded(graph.num_edges() as u64) as u32;
-        delta = delta.set_edge_prob(EdgeId(e), 0.05 + 0.45 * rng.next_f64());
-    }
+    let delta = seeded_delta(&mut Xoshiro256pp::new(0xDE17A), graph);
     let before = detector.session_stats().coin_words_synthesized;
     detector.apply_delta(&delta).expect("delta applies");
     let repair = detector.session_stats().coin_words_synthesized - before;
@@ -485,6 +558,33 @@ fn main() {
             "perf_sanity FAILED: a w{w} block and kernel hold {held} scratch words on Guarantee \
              (scale 0.1, n = {n}, m = {m}, D = {drawn}), not ≤ their slot indexes {indexes} + \
              {PASS_SCRATCH_DRAWN_MULTIPLE}·D·W = {bound}"
+        );
+        failed = true;
+    }
+
+    // Copy-free-commit gate: pointers and probabilities, one run.
+    let commits = commit_copies(&guarantee);
+    println!(
+        "perf_sanity: {} of {COMMIT_GATE_DELTAS} unheld commits moved the graph (required 0); a \
+         held handle forced a copy: {}, kept its values: {}, and the next commit copied again: \
+         {} (required true, true, false)",
+        commits.moved, commits.held_copied, commits.held_kept, commits.copied_again
+    );
+    if commits.moved != 0 {
+        eprintln!(
+            "perf_sanity FAILED: {} of {COMMIT_GATE_DELTAS} commits on a warm session with no \
+             graph handle held moved the graph to another allocation on Guarantee (scale 0.1), \
+             not 0",
+            commits.moved
+        );
+        failed = true;
+    }
+    if !commits.held_copied || !commits.held_kept || commits.copied_again {
+        eprintln!(
+            "perf_sanity FAILED: a graph handle held across a commit on Guarantee (scale 0.1) \
+             must force exactly one copy and keep its values (copied {}, kept {}, copied again \
+             {})",
+            commits.held_copied, commits.held_kept, commits.copied_again
         );
         failed = true;
     }

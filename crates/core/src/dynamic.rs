@@ -7,13 +7,18 @@
 //! Algorithms 2–3 can be repaired locally instead of recomputed from
 //! scratch — `O(|affected z-ball| · z)` instead of `O(z (n + m))`.
 //!
-//! Design: the maintainer keeps every *level* of the level sweep in
-//! [`crate::bounds`], over a shared graph `Arc` — in a [`crate::Detector`]
-//! session, the live epoch snapshot itself. An update touches the nodes
-//! whose inputs changed (a self-risk's node, an edge's target); each
-//! level recomputes them plus the out-neighbors of the nodes whose
-//! previous level changed, exactly as the sweep consumes level `i−1`, so
-//! repaired values are bit-identical to a full recomputation.
+//! Design: `BoundLevels` keeps every *level* of the level sweep in
+//! [`crate::bounds`] and repairs them against whichever graph it is
+//! handed; it holds no graph itself. A [`crate::Detector`] session keeps
+//! one per `(z, method)` beside its live epoch and repairs it against
+//! each committed snapshot, so the session's graph has one owner and a
+//! commit can patch it in place. [`IncrementalBounds`] is the same level
+//! stacks paired with their own shared graph `Arc`. An update touches
+//! the nodes whose inputs changed (a self-risk's node, an edge's
+//! target); each level recomputes them plus the out-neighbors of the
+//! nodes whose previous level changed, exactly as the sweep consumes
+//! level `i−1`, so repaired values are bit-identical to a full
+//! recomputation.
 
 use std::sync::Arc;
 
@@ -22,10 +27,10 @@ use crate::config::BoundsMethod;
 use crate::engine::IntoSharedGraph;
 use ugraph::{EdgeId, GraphDelta, GraphError, NodeId, UncertainGraph};
 
-/// Maintains order-`z` lower/upper bounds across probability updates.
+/// Every level of the order-`z` lower and upper recursions of one graph,
+/// without the graph: each repair names the graph it repairs against.
 #[derive(Debug, Clone)]
-pub struct IncrementalBounds {
-    graph: Arc<UncertainGraph>,
+pub(crate) struct BoundLevels {
     method: BoundsMethod,
     /// `lower_levels[i]` — the lower recursion at order `i+1` (level 0
     /// is `ps`, Algorithm 2 order 1).
@@ -36,16 +41,67 @@ pub struct IncrementalBounds {
     upper_levels: Vec<Vec<f64>>,
 }
 
+impl BoundLevels {
+    /// Sweeps every level of order `z` (≥ 1) over `graph`.
+    pub(crate) fn new(graph: &UncertainGraph, z: usize, method: BoundsMethod) -> Self {
+        assert!(z >= 1, "bound order must be at least 1");
+        let lower_levels = Recursion::Lower(method).levels(graph, z);
+        let upper_levels = Recursion::Upper.levels(graph, z);
+        BoundLevels { method, lower_levels, upper_levels }
+    }
+
+    /// Current (final-level) lower bounds.
+    pub(crate) fn lower(&self) -> &[f64] {
+        // xlint: allow(panic-hygiene) — the constructor rejects
+        // `z == 0`, so both level stacks are never empty.
+        self.lower_levels.last().expect("z >= 1")
+    }
+
+    /// Current (final-level) upper bounds.
+    pub(crate) fn upper(&self) -> &[f64] {
+        // xlint: allow(panic-hygiene) — same `z >= 1` construction
+        // invariant as `lower`.
+        self.upper_levels.last().expect("z >= 1")
+    }
+
+    /// Repairs the levels after `delta` moved the levels' graph to
+    /// `graph`: every touched node — the delta's dirty nodes and the
+    /// targets of its dirty edges — in one propagation.
+    pub(crate) fn advance(&mut self, graph: &UncertainGraph, delta: &GraphDelta) {
+        let targets = delta.edge_prob.iter().map(|&(e, _)| graph.edge_endpoints(EdgeId(e)).1 .0);
+        let touched: Vec<u32> = delta.self_risk.iter().map(|&(v, _)| v).chain(targets).collect();
+        self.repair(graph, &touched);
+    }
+
+    /// Repairs both level stacks against `graph` given the nodes whose
+    /// step inputs changed. Returns the cells recomputed.
+    fn repair(&mut self, graph: &UncertainGraph, touched: &[u32]) -> usize {
+        let lower = Recursion::Lower(self.method);
+        repair_levels(graph, lower, &mut self.lower_levels, touched)
+            + repair_levels(graph, Recursion::Upper, &mut self.upper_levels, touched)
+    }
+}
+
+/// Maintains order-`z` lower/upper bounds across probability updates of
+/// its own shared graph. Each update edits that graph through
+/// [`Arc::make_mut`] — in place when this maintainer is its sole owner —
+/// and repairs the levels. A [`crate::Detector`] session runs the same
+/// repair on level stacks that hold no graph, so its maintainers never
+/// keep the live snapshot shared and a commit can patch it in place.
+#[derive(Debug, Clone)]
+pub struct IncrementalBounds {
+    graph: Arc<UncertainGraph>,
+    levels: BoundLevels,
+}
+
 impl IncrementalBounds {
     /// Computes initial bounds of order `z` (≥ 1). Takes the graph in any
     /// ownership shape ([`IntoSharedGraph`]); an `Arc` is shared, not
     /// copied.
     pub fn new(graph: impl IntoSharedGraph, z: usize, method: BoundsMethod) -> Self {
-        assert!(z >= 1, "bound order must be at least 1");
         let graph = graph.into_shared();
-        let lower_levels = Recursion::Lower(method).levels(&graph, z);
-        let upper_levels = Recursion::Upper.levels(&graph, z);
-        IncrementalBounds { graph, method, lower_levels, upper_levels }
+        let levels = BoundLevels::new(&graph, z, method);
+        IncrementalBounds { graph, levels }
     }
 
     /// The maintained graph.
@@ -55,21 +111,17 @@ impl IncrementalBounds {
 
     /// The bound order `z`.
     pub fn order(&self) -> usize {
-        self.lower_levels.len()
+        self.levels.lower_levels.len()
     }
 
     /// Current (final-level) lower bounds.
     pub fn lower(&self) -> &[f64] {
-        // xlint: allow(panic-hygiene) — the constructor rejects
-        // `z == 0`, so both level stacks are never empty.
-        self.lower_levels.last().expect("z >= 1")
+        self.levels.lower()
     }
 
     /// Current (final-level) upper bounds.
     pub fn upper(&self) -> &[f64] {
-        // xlint: allow(panic-hygiene) — same `z >= 1` construction
-        // invariant as `lower`.
-        self.upper_levels.last().expect("z >= 1")
+        self.levels.upper()
     }
 
     /// Updates a node's self-risk and repairs the bounds. Returns the
@@ -78,7 +130,7 @@ impl IncrementalBounds {
     /// maintainer is its sole owner, and a private copy otherwise.
     pub fn update_self_risk(&mut self, v: NodeId, ps: f64) -> Result<usize, GraphError> {
         Arc::make_mut(&mut self.graph).set_self_risk(v, ps)?;
-        Ok(self.repair(&[v.0]))
+        Ok(self.levels.repair(&self.graph, &[v.0]))
     }
 
     /// Updates an edge's diffusion probability and repairs the bounds
@@ -86,26 +138,7 @@ impl IncrementalBounds {
     pub fn update_edge_prob(&mut self, e: EdgeId, prob: f64) -> Result<usize, GraphError> {
         Arc::make_mut(&mut self.graph).set_edge_prob(e, prob)?;
         let (_, target) = self.graph.edge_endpoints(e);
-        Ok(self.repair(&[target.0]))
-    }
-
-    /// Advances the maintainer to `next`, the snapshot that applying
-    /// `delta` to [`IncrementalBounds::graph`] produced: shares `next`
-    /// and repairs every touched node — the delta's dirty nodes and the
-    /// targets of its dirty edges — in one propagation.
-    pub fn advance_to(&mut self, next: &Arc<UncertainGraph>, delta: &GraphDelta) {
-        self.graph = Arc::clone(next);
-        let targets = delta.edge_prob.iter().map(|&(e, _)| next.edge_endpoints(EdgeId(e)).1 .0);
-        let touched: Vec<u32> = delta.self_risk.iter().map(|&(v, _)| v).chain(targets).collect();
-        self.repair(&touched);
-    }
-
-    /// Repairs both level stacks given the nodes whose step inputs
-    /// changed.
-    fn repair(&mut self, touched: &[u32]) -> usize {
-        let lower = Recursion::Lower(self.method);
-        repair_levels(&self.graph, lower, &mut self.lower_levels, touched)
-            + repair_levels(&self.graph, Recursion::Upper, &mut self.upper_levels, touched)
+        Ok(self.levels.repair(&self.graph, &[target.0]))
     }
 }
 
@@ -167,7 +200,7 @@ mod tests {
     }
 
     fn assert_matches_batch(inc: &IncrementalBounds) {
-        let (l, u) = compute_bounds(inc.graph(), inc.order(), inc.method);
+        let (l, u) = compute_bounds(inc.graph(), inc.order(), inc.levels.method);
         for v in 0..inc.graph().num_nodes() {
             let (lower, upper) = (inc.lower()[v], inc.upper()[v]);
             assert_eq!(

@@ -56,7 +56,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vulnds_sampling::{DefaultCounts, TouchLedger};
 
@@ -206,6 +206,16 @@ impl<K: Ord + Clone, V> FlightMap<K, V> {
         *value = Some(v.clone());
         drop(building_reset);
         (v, Flight::Built)
+    }
+
+    /// Takes the value built for `key` out of the map when nothing else
+    /// shares it — how a delta commit moves the unpinned retiring
+    /// epoch's bound vectors into the next epoch instead of allocating.
+    pub(crate) fn take(&mut self, key: &K) -> Option<V> {
+        let slots = self.slots.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let slot = Arc::try_unwrap(slots.remove(key)?).ok()?;
+        let value = slot.value.into_inner().unwrap_or_else(PoisonError::into_inner)?;
+        Arc::try_unwrap(value).ok()
     }
 
     /// Stores `value` for `key` outright — how a delta commit seeds the
@@ -425,8 +435,10 @@ impl SampleCache {
     /// in ascending order and returns, in one pass over `0..t_max`, the
     /// counts of exactly `slots` (in order) over each segment between
     /// consecutive keys; their running sums are the repaired prefixes.
-    /// Each snapshot is replaced by a fresh `Arc` — an in-flight query of
-    /// the old epoch may still hold the old one.
+    /// Each snapshot is patched through [`Arc::make_mut`]: in place when
+    /// the cache is its only holder, on a copy when an in-flight query
+    /// of the old epoch still holds it (that query keeps reading the
+    /// counts it was served).
     pub(crate) fn repair(
         &mut self,
         slots: &[usize],
@@ -441,9 +453,7 @@ impl SampleCache {
         let mut prefix = DefaultCounts::new(slots.len());
         for (snapshot, segment) in self.snapshots.values_mut().zip(&segments) {
             prefix.merge(segment);
-            let mut fresh = (**snapshot).clone();
-            fresh.overwrite(slots, &prefix);
-            *snapshot = Arc::new(fresh);
+            Arc::make_mut(snapshot).overwrite(slots, &prefix);
         }
     }
 }
@@ -690,12 +700,13 @@ mod tests {
     }
 
     #[test]
-    fn repair_rewrites_the_listed_slots_of_every_snapshot_in_fresh_arcs() {
+    fn repair_patches_unheld_snapshots_in_place_and_copies_held_ones() {
         // Two slots; the fake recount marks slot 1 in every sample.
         let draw2 = |start, ends: &[u64]| segments(2, start, ends, u64::MAX);
         let mut cache = SampleCache::default();
         cache.serve(100, 64, false, draw2);
         let held = cache.snapshots[&100].clone();
+        let unheld = Arc::as_ptr(&cache.snapshots[&64]);
         let mut seen = Vec::new();
         cache.repair(&[1], |keys: &[u64]| {
             seen.extend_from_slice(keys);
@@ -717,6 +728,8 @@ mod tests {
             assert_eq!((snapshot.count(0), snapshot.count(1), snapshot.samples()), (t, t, t));
         }
         assert_eq!(held.count(1), 0, "a held snapshot must not change under its reader");
+        assert!(!Arc::ptr_eq(&held, &cache.snapshots[&100]), "a held snapshot is copied");
+        assert_eq!(Arc::as_ptr(&cache.snapshots[&64]), unheld, "an unheld one is patched in place");
         let (c, drawn, _) = cache.serve(100, 64, false, draw2);
         assert_eq!((c.count(1), drawn), (100, 0), "repaired snapshots serve later hits");
     }

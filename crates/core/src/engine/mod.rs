@@ -111,10 +111,15 @@
 //! queries finish bit-identically on the pre-delta epoch while queries
 //! that start after the commit see the new one, so no derived value is
 //! ever checked against a graph version. The next epoch is not built
-//! cold: it inherits the retiring coin table with only the dirty items
-//! re-quantized, and bound vectors repaired through
-//! [`IncrementalBounds`] (`O(|dirty z-ball|)` instead of
-//! `O(z (n + m))`). Sample streams outlive epochs: a cached stream
+//! cold, and mostly not built anew: what the retiring epoch owns moves
+//! into it when no query pins the retiring epoch, and is copied when
+//! one does. The graph is patched in place at the delta's items, the
+//! coin table re-quantized at the dirty items only, and the bound
+//! vectors overwritten from level stacks the session repairs over the
+//! dirty z-ball (`O(|dirty z-ball|)` instead of `O(z (n + m))`, the
+//! same repair as [`IncrementalBounds`](crate::IncrementalBounds)). A
+//! [`Detector::graph`] handle held across a commit makes that commit
+//! copy the graph once. Sample streams outlive epochs: a cached stream
 //! survives whenever its touch ledger proves no draw ever materialized
 //! a dirty node's or a dirty edge's coin — all bit-identical to a cold
 //! rebuild against the post-delta graph, which the tests assert. Node
@@ -123,9 +128,9 @@
 //! a self-risk change to any node its searches never reached. A stream
 //! the delta does reach — every forward stream (N, SN) on a self-risk
 //! change — is repaired: only the nodes downstream of the delta can
-//! change count, so just those slots are recounted. Streams are dropped
-//! and redrawn only when that downstream set is a large share of the
-//! graph.
+//! change count, so just those slots are recounted, in place in each
+//! snapshot no in-flight query holds. Streams are dropped and redrawn
+//! only when that downstream set is a large share of the graph.
 
 mod algorithms;
 mod cache;
@@ -143,7 +148,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ugraph::{GraphDelta, NodeId, UncertainGraph};
+use ugraph::{DeltaUndo, GraphDelta, NodeId, UncertainGraph};
 use vulnds_sampling::{
     BlockWords, CancelToken, CoinTable, CoinUsage, DefaultCounts, PassCounts, SamplePass,
     TouchLedger,
@@ -151,7 +156,7 @@ use vulnds_sampling::{
 
 use crate::candidates::{reduce_candidates, CandidateReduction};
 use crate::config::{ApproxParams, BoundsMethod, VulnConfig};
-use crate::dynamic::IncrementalBounds;
+use crate::dynamic::BoundLevels;
 use crate::error::Result;
 
 use cache::{lock_tracked, Flight, FlightMap, MarkerReset, SampleCache, StreamMap};
@@ -454,10 +459,9 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Cap on cached bound maintainers (each holds its `2z` level vectors;
-/// the graph is the shared epoch snapshot). Keys are `(z, method)` —
-/// normally one per session — so the cap only guards hostile
-/// per-request `z` diversity.
+/// Cap on cached bound maintainers (each holds its `2z` level vectors,
+/// and no graph). Keys are `(z, method)` — normally one per session —
+/// so the cap only guards hostile per-request `z` diversity.
 const MAX_BOUND_MAINTAINERS: usize = 16;
 
 /// One committed epoch: a graph snapshot and everything that is a pure
@@ -478,11 +482,11 @@ struct Epoch {
 }
 
 impl Epoch {
-    fn new(graph: Arc<UncertainGraph>, number: u64, coins: Option<CoinTable>) -> Self {
+    fn new(graph: Arc<UncertainGraph>, number: u64, coins: OnceLock<CoinTable>) -> Self {
         Epoch {
             graph,
             number,
-            coins: coins.map_or_else(OnceLock::new, OnceLock::from),
+            coins,
             bounds: FlightMap::default(),
             reductions: FlightMap::default(),
         }
@@ -494,14 +498,66 @@ impl Epoch {
     }
 }
 
-/// What the commit lock guards: the live epoch, and the incremental
-/// bound maintainers, keyed `(z, method)`, that always track its graph.
-/// A delta advances each maintainer to the committed snapshot and seeds
-/// the next epoch's bounds from it instead of recomputing from scratch.
+/// What the commit lock guards: the live epoch, and the bound
+/// maintainers, keyed `(z, method)`, that track its graph. A delta
+/// repairs each maintainer against the committed snapshot and seeds the
+/// next epoch's bounds from it instead of recomputing from scratch.
 #[derive(Debug)]
 struct Live {
     epoch: Arc<Epoch>,
-    maintainers: BTreeMap<(usize, BoundsMethod), IncrementalBounds>,
+    maintainers: BTreeMap<(usize, BoundsMethod), Maintainer>,
+}
+
+/// A parked bound maintainer: every level of one `(z, method)`
+/// recursion, valid for the graph of the epoch numbered `epoch`. It
+/// holds no graph, so the live snapshot has one owner and a commit can
+/// patch it in place.
+#[derive(Debug)]
+struct Maintainer {
+    epoch: u64,
+    levels: BoundLevels,
+}
+
+/// A commit's patch of the graph the next epoch is built on, and the
+/// undo record of the delta it applied: the graph is patched in place
+/// through [`Arc::make_mut`] — moved when nothing shares it, copied
+/// when something does. Armed until [`Patch::seal`]: a patch dropped
+/// armed — the commit unwound — restores the delta's prior values and
+/// the graph's version, so a graph patched inside the unpinned retiring
+/// epoch is that epoch's graph again, bit for bit.
+struct Patch<'a> {
+    graph: &'a mut Arc<UncertainGraph>,
+    undo: Option<DeltaUndo>,
+}
+
+impl<'a> Patch<'a> {
+    fn apply(graph: &'a mut Arc<UncertainGraph>, delta: &GraphDelta) -> Result<Self> {
+        let undo = delta.apply_recorded(Arc::make_mut(graph))?;
+        Ok(Patch { graph, undo: Some(undo) })
+    }
+
+    /// The patched graph.
+    fn graph(&self) -> &UncertainGraph {
+        self.graph
+    }
+
+    /// Disarms the undo record — the commit completed — and shares the
+    /// patched graph with the next epoch.
+    fn seal(mut self) -> Arc<UncertainGraph> {
+        self.undo = None;
+        Arc::clone(self.graph)
+    }
+}
+
+impl Drop for Patch<'_> {
+    fn drop(&mut self) {
+        if let Some(undo) = self.undo.take() {
+            // Nothing shares the patched graph before `seal`.
+            if let Some(graph) = Arc::get_mut(self.graph) {
+                undo.revert(graph);
+            }
+        }
+    }
 }
 
 /// Session state: the live cell plus what outlives epochs — the sample
@@ -552,11 +608,12 @@ const REPAIR_REACH_DIVISOR: usize = 8;
 /// deltas is never dropped for idleness.
 const MAX_UNREAD_REPAIRS: u32 = 3;
 
-/// How one delta repairs the streams its dirty items reach: the next
-/// epoch (its graph and coin table), the delta's downstream set, and the
-/// thread count the recount runs at.
+/// How one delta repairs the streams its dirty items reach: the patched
+/// graph and its coin table (quantized on first use), the delta's
+/// downstream set, and the thread count the recount runs at.
 struct StreamRepair<'a> {
-    epoch: &'a Epoch,
+    graph: &'a UncertainGraph,
+    coins: &'a OnceLock<CoinTable>,
     downstream: Vec<u32>,
     threads: usize,
     usage: CoinUsage,
@@ -594,7 +651,8 @@ impl StreamRepair<'_> {
                 ledger: Some(ledger),
                 ..SamplePass::new(0..t_max, self.threads)
             };
-            let out = pass.reverse(&self.epoch.graph, self.epoch.coin_table(), &nodes, seed);
+            let coins = self.coins.get_or_init(|| CoinTable::new(self.graph));
+            let out = pass.reverse(self.graph, coins, &nodes, seed);
             self.usage.merge(&out.usage);
             out.segments
         });
@@ -611,7 +669,7 @@ struct Revalidation {
 
 impl EngineState {
     fn new(graph: Arc<UncertainGraph>) -> Self {
-        let epoch = Arc::new(Epoch::new(graph, 0, None));
+        let epoch = Arc::new(Epoch::new(graph, 0, OnceLock::new()));
         EngineState {
             live: Mutex::new(Live { epoch, maintainers: BTreeMap::new() }),
             forward: StreamMap::default(),
@@ -625,37 +683,59 @@ impl EngineState {
         Arc::clone(&lock_tracked(&self.live).0.epoch)
     }
 
-    /// Builds the epoch that `delta` commits over the live one, whose
-    /// graph with the delta applied is `graph`, and carries the
-    /// session-level state across: keeps, repairs, or drops each sample
-    /// stream, then advances every bound maintainer. Runs under the
-    /// commit lock and publishes nothing: the caller swaps the returned
-    /// epoch in, so a panic midway leaves the live epoch whole. Stream
-    /// repairs run at `config`'s thread count.
+    /// Builds the epoch that `delta` commits over the live one and
+    /// carries the session-level state across: patches the graph, keeps,
+    /// repairs, or drops each sample stream, then repairs every bound
+    /// maintainer. Runs under the commit lock and publishes nothing: the
+    /// caller swaps the returned epoch in. The delta is validated before
+    /// anything moves, so a rejected delta changes nothing. What the
+    /// retiring epoch owns — its graph, coin table and bound vectors —
+    /// moves into the next epoch when no query pins the retiring one, and
+    /// is copied when one does. A panic midway still leaves the live
+    /// epoch whole: the [`Patch`]'s undo record puts the graph's prior
+    /// values back, a maintainer is marked advanced before its repair
+    /// starts (so the next commit drops it), streams re-stamped to the
+    /// next version read as stale, and a taken coin table or bound pair
+    /// is rebuilt on demand. Stream repairs run at `config`'s thread
+    /// count.
     fn next_epoch(
         &self,
         live: &mut Live,
-        graph: Arc<UncertainGraph>,
         delta: &GraphDelta,
         config: &VulnConfig,
-    ) -> (Epoch, Revalidation) {
+    ) -> Result<(Epoch, Revalidation)> {
+        delta.validate(&live.epoch.graph)?;
         let (dirty_nodes, dirty_edges) = (delta.dirty_nodes(), delta.dirty_edges());
         let mut tally = Revalidation::default();
+        let (prev_version, number) = (live.epoch.graph.version(), live.epoch.number + 1);
+        let Live { epoch: retiring, maintainers } = live;
 
-        // Coin table: the retiring one, re-quantized at the dirty items
-        // only (bit-identical to a rebuild — thresholds are per-item
-        // pure). It moves when no query pins the retiring epoch and is
-        // copied when one does; the retiring epoch stays correct without
-        // it, rebuilding on demand.
-        let mut coins = match Arc::get_mut(&mut live.epoch) {
-            Some(retiring) => retiring.coins.take(),
-            None => live.epoch.coins.get().cloned(),
+        // The retiring epoch's graph, coin table and bound pairs move
+        // when no query pins it (the graph is still copied if a
+        // `Detector::graph` handle shares it); a pinned epoch keeps all
+        // three, and the next epoch patches copies. A coin table is
+        // re-quantized at the dirty items only (bit-identical to a
+        // rebuild — thresholds are per-item pure).
+        let mut copy = None;
+        let (slot, coins, mut spare) = match Arc::get_mut(retiring) {
+            Some(unpinned) => {
+                (&mut unpinned.graph, unpinned.coins.take(), std::mem::take(&mut unpinned.bounds))
+            }
+            None => (
+                copy.insert(Arc::clone(&retiring.graph)),
+                retiring.coins.get().cloned(),
+                FlightMap::default(),
+            ),
         };
-        if let Some(table) = coins.as_mut() {
-            table.patch(&graph, &dirty_nodes, &dirty_edges);
-        }
-        let prev = &live.epoch.graph;
-        let next = Epoch::new(graph, live.epoch.number + 1, coins);
+        let patch = Patch::apply(slot, delta)?;
+        let graph = patch.graph();
+        let coins = match coins {
+            Some(mut table) => {
+                table.patch(graph, &dirty_nodes, &dirty_edges);
+                OnceLock::from(table)
+            }
+            None => OnceLock::new(),
+        };
 
         // Sample streams. A stream survives as-is when its ledger
         // proves no draw ever materialized a dirty node's or a dirty
@@ -664,32 +744,32 @@ impl EngineState {
         // streams usually outlive deltas elsewhere; forward streams
         // force every node word, so any self-risk change reaches them.
         // A reached stream is repaired when the delta's downstream set
-        // is small: only those slots are recounted, into fresh
-        // snapshots, against `next`'s coin table. Past the reach cap, or
-        // when no query has read the stream across its last
-        // `MAX_UNREAD_REPAIRS` repairs, it is dropped instead, and the
-        // next query that wants it redraws it.
+        // is small: only those slots are recounted, against the patched
+        // graph's coin table. Past the reach cap, or when no query has
+        // read the stream across its last `MAX_UNREAD_REPAIRS` repairs,
+        // it is dropped instead, and the next query that wants it
+        // redraws it.
         //
         // Locking the cell waits out in-flight draws, so the ledger is
         // complete when inspected, and survivors are re-stamped to the
         // next version under the same lock.
-        let cap = next.graph.num_nodes() / REPAIR_REACH_DIVISOR;
-        let mut repair =
-            ugraph::traversal::downstream(&next.graph, &dirty_nodes, &dirty_edges, cap).map(
-                |downstream| StreamRepair {
-                    epoch: &next,
-                    downstream,
-                    threads: config.threads,
-                    usage: CoinUsage::default(),
-                },
-            );
-        let (num_nodes, num_edges) = (next.graph.num_nodes(), next.graph.num_edges());
+        let (num_nodes, num_edges) = (graph.num_nodes(), graph.num_edges());
+        let cap = num_nodes / REPAIR_REACH_DIVISOR;
+        let mut repair = ugraph::traversal::downstream(graph, &dirty_nodes, &dirty_edges, cap).map(
+            |downstream| StreamRepair {
+                graph,
+                coins: &coins,
+                downstream,
+                threads: config.threads,
+                usage: CoinUsage::default(),
+            },
+        );
         let mut verdict = |cell: &cache::StreamCell, seed: u64, candidates: Option<&[u32]>| {
             let (mut cache, _) = lock_tracked(&cell.cache);
             match cache.graph_version {
                 // Never drawn into: nothing to validate or count.
                 None => return true,
-                Some(version) if version != prev.version() => {
+                Some(version) if version != prev_version => {
                     tally.invalidated += 1;
                     return false;
                 }
@@ -706,7 +786,7 @@ impl EngineState {
                     tally.repaired += 1;
                 }
             }
-            cache.graph_version = Some(next.graph.version());
+            cache.graph_version = Some(graph.version());
             tally.revalidated += 1;
             true
         };
@@ -717,21 +797,34 @@ impl EngineState {
         }
 
         // Bounds: queries park a maintainer only on the live epoch, so
-        // each tracks `prev`, unless a commit that panicked advanced it
-        // past `prev`; that one cannot be repaired across the gap and is
-        // dropped. The rest advance to `next`, repairing their dirty
-        // z-balls, and seed `next`'s map, which no query can reach
-        // before the swap. This runs after the stream repairs so those
-        // never allocate beside both epochs' vectors. Reductions are
-        // cheap derivations of the bounds: `next` starts without any,
-        // and the next query rebuilds from the repaired vectors.
-        live.maintainers.retain(|_, inc| Arc::ptr_eq(inc.graph(), prev));
-        for (key, inc) in live.maintainers.iter_mut() {
-            inc.advance_to(&next.graph, delta);
-            next.bounds.insert(key, (inc.lower().to_vec(), inc.upper().to_vec()));
+        // each tracks the retiring one, unless a commit that panicked
+        // marked it advanced; that one cannot be repaired across the gap
+        // and is dropped. The rest are marked, then repaired against the
+        // patched graph, and their last levels overwrite the retiring
+        // epoch's pair when it moved (a fresh pair otherwise) to seed the
+        // next epoch's map, which no query can reach before the swap.
+        // This runs after the stream repairs so those never allocate
+        // beside both epochs' vectors. Reductions are cheap derivations
+        // of the bounds: the next epoch starts without any, and the next
+        // query rebuilds from the repaired vectors.
+        maintainers.retain(|_, maintainer| maintainer.epoch + 1 == number);
+        let mut pairs = Vec::with_capacity(maintainers.len());
+        for (key, maintainer) in maintainers.iter_mut() {
+            maintainer.epoch = number;
+            maintainer.levels.advance(graph, delta);
+            let (mut lower, mut upper) = spare.take(key).unwrap_or_default();
+            lower.clear();
+            lower.extend_from_slice(maintainer.levels.lower());
+            upper.clear();
+            upper.extend_from_slice(maintainer.levels.upper());
+            pairs.push((*key, (lower, upper)));
             tally.revalidated += 1;
         }
-        (next, tally)
+        let next = Epoch::new(patch.seal(), number, coins);
+        for (key, pair) in pairs {
+            next.bounds.insert(&key, pair);
+        }
+        Ok((next, tally))
     }
 }
 
@@ -820,29 +913,28 @@ impl<'a> EngineCtx<'a> {
     /// Bound vectors for the session's `(order, method)`, computed once
     /// per epoch (single-flight under concurrent misses).
     ///
-    /// The build runs through [`IncrementalBounds`] over the pinned
-    /// snapshot itself (shared, not copied) and, while that epoch is
-    /// still live, parks the maintainer in the session, so a later
-    /// [`Detector::apply_delta`] advances it to the committed snapshot
-    /// and repairs the dirty z-ball instead of recomputing. A build on
-    /// a retired epoch parks nothing: it must not displace the
-    /// maintainer a commit already advanced. Both paths run the one
-    /// level sweep of [`crate::bounds`], so the repaired vectors are
-    /// bit-identical to what this cold path would produce on the
-    /// post-delta graph.
+    /// The build sweeps every level over the pinned snapshot and, while
+    /// that epoch is still live (by epoch number), parks the levels in
+    /// the session, so a later [`Detector::apply_delta`] repairs the
+    /// dirty z-ball against the committed snapshot instead of
+    /// recomputing. A build on a retired epoch parks nothing: it must
+    /// not displace the maintainer a commit already advanced. Both paths
+    /// run the one level sweep of [`crate::bounds`], so the repaired
+    /// vectors are bit-identical to what this cold path would produce on
+    /// the post-delta graph.
     pub fn bounds(&mut self) -> Arc<BoundsPair> {
         let first_access = !self.bounds_accessed;
         self.bounds_accessed = true;
         let key = (self.config.bound_order, self.config.bounds_method);
         let (epoch, state) = (self.epoch, self.state);
         let (pair, flight) = epoch.bounds.get_or_build(&key, || {
-            let inc = IncrementalBounds::new(&epoch.graph, key.0, key.1);
-            let pair = (inc.lower().to_vec(), inc.upper().to_vec());
+            let levels = BoundLevels::new(&epoch.graph, key.0, key.1);
+            let pair = (levels.lower().to_vec(), levels.upper().to_vec());
             let (mut live, _) = lock_tracked(&state.live);
             let room = live.maintainers.len() < MAX_BOUND_MAINTAINERS
                 || live.maintainers.contains_key(&key);
-            if room && std::ptr::eq(Arc::as_ptr(&live.epoch), epoch) {
-                live.maintainers.insert(key, inc);
+            if room && live.epoch.number == epoch.number {
+                live.maintainers.insert(key, Maintainer { epoch: epoch.number, levels });
             }
             pair
         });
@@ -1185,7 +1277,10 @@ impl Detector {
     /// A pinned snapshot of the session's current graph, shareable with
     /// other sessions or threads without copying. The snapshot stays
     /// immutable (and valid) even as later [`Detector::apply_delta`]
-    /// calls move the session to new epochs.
+    /// calls move the session to new epochs. A commit patches the live
+    /// graph in place when nothing else holds it, so holding this handle
+    /// across a commit makes that commit copy the graph once; drop it
+    /// before the next delta to keep commits copy-free.
     pub fn graph(&self) -> Arc<UncertainGraph> {
         Arc::clone(&self.state.pin().graph)
     }
@@ -1217,10 +1312,12 @@ impl Detector {
     /// any item applies — an invalid batch changes nothing (no epoch, no
     /// cache effect). On success the swap is atomic: queries already in
     /// flight finish bit-identically on their pinned pre-delta epoch;
-    /// queries that start afterwards see the new epoch — its coin table
-    /// the retiring one with only the dirty items re-quantized (moved
-    /// when no query pins the retiring epoch, copied when one does),
-    /// its bound vectors repaired through their incremental maintainers,
+    /// queries that start afterwards see the new epoch — its graph the
+    /// retiring one patched in place, its coin table the retiring one
+    /// with only the dirty items re-quantized, its bound vectors the
+    /// retiring ones overwritten from their repaired maintainers (each
+    /// moved when no query pins the retiring epoch and nothing else
+    /// holds it, copied otherwise; a [`Detector::graph`] handle counts),
     /// its candidate reductions rebuilt on demand — and the session's
     /// sample streams: every stream whose touch ledger proves
     /// independence of the dirty nodes and edges carried over, and every
@@ -1235,10 +1332,8 @@ impl Detector {
     /// the new epoch.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaOutcome> {
         let (mut live, _) = lock_tracked(&self.state.live);
-        let mut graph = Arc::clone(&live.epoch.graph);
-        delta.apply(Arc::make_mut(&mut graph))?;
         let (next, Revalidation { revalidated, invalidated, repaired }) =
-            self.state.next_epoch(&mut live, graph, delta, &self.config);
+            self.state.next_epoch(&mut live, delta, &self.config)?;
         let (epoch, graph_version) = (next.number, next.graph.version());
         live.epoch = Arc::new(next);
         SessionTotals::add(&self.state.totals.deltas_applied, 1);
@@ -1263,7 +1358,7 @@ impl Detector {
         {
             let (mut live, _) = lock_tracked(&self.state.live);
             let (graph, number) = (Arc::clone(&live.epoch.graph), live.epoch.number);
-            live.epoch = Arc::new(Epoch::new(graph, number, None));
+            live.epoch = Arc::new(Epoch::new(graph, number, OnceLock::new()));
             live.maintainers.clear();
         }
         self.state.forward.clear();
@@ -1945,24 +2040,25 @@ mod tests {
         }
     }
 
-    /// The session's maintainer (there is one per `(z, method)`).
-    fn maintainer_graph(d: &Detector) -> Arc<UncertainGraph> {
+    /// The epoch the session's maintainer tracks (there is one per
+    /// `(z, method)`).
+    fn maintainer_epoch(d: &Detector) -> u64 {
         let (live, _) = lock_tracked(&d.state.live);
         assert_eq!(live.maintainers.len(), 1);
-        live.maintainers.values().map(|inc| Arc::clone(inc.graph())).next().unwrap()
+        live.maintainers.values().map(|maintainer| maintainer.epoch).next().unwrap()
     }
 
     #[test]
-    fn the_bounds_maintainer_shares_the_live_snapshot() {
+    fn the_bounds_maintainer_tracks_the_live_epoch() {
         let g = random_graph(80, 160, 33);
         let d = session(&g);
         d.warm_bounds();
-        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()));
+        assert_eq!(maintainer_epoch(&d), d.epoch());
         for (v, e) in [(4, 9), (11, 2)] {
             let delta =
                 GraphDelta::default().set_self_risk(NodeId(v), 0.27).set_edge_prob(EdgeId(e), 0.33);
             d.apply_delta(&delta).unwrap();
-            assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()), "after epoch {}", d.epoch());
+            assert_eq!(maintainer_epoch(&d), d.epoch(), "after epoch {}", d.epoch());
         }
     }
 
@@ -1980,7 +2076,7 @@ mod tests {
         d.apply_delta(&delta(3)).unwrap();
         let computed = d.session_stats().bounds_computed;
         d.ctx(&old).bounds();
-        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()), "a stale maintainer was parked");
+        assert_eq!(maintainer_epoch(&d), 1, "a stale maintainer was parked");
         assert_eq!(d.apply_delta(&delta(5)).unwrap().invalidated, 0);
         d.warm_bounds();
         assert_eq!(d.session_stats().bounds_computed, computed, "bounds were recomputed");
@@ -1993,7 +2089,7 @@ mod tests {
         d.ctx(&old).bounds();
         assert!(lock_tracked(&d.state.live).0.maintainers.is_empty(), "a retired epoch parked");
         d.warm_bounds();
-        assert!(Arc::ptr_eq(&maintainer_graph(&d), &d.graph()));
+        assert_eq!(maintainer_epoch(&d), 1);
     }
 
     #[test]
@@ -2319,20 +2415,161 @@ mod tests {
         assert_eq!(w.engine.samples_drawn, 0);
     }
 
+    /// Every self-risk and edge probability of `g`, as bits.
+    fn probability_bits(g: &UncertainGraph) -> Vec<u64> {
+        let risks = g.nodes().map(|v| g.self_risk(v).to_bits());
+        risks.chain(g.edges().map(|e| g.edge_prob(e).to_bits())).collect()
+    }
+
+    /// The requests that warm a session's SN, SR and BSR streams and its
+    /// bounds.
+    fn warming_requests() -> Vec<DetectRequest> {
+        [AlgorithmKind::SampledNaive, AlgorithmKind::SampleReverse, AlgorithmKind::BottomK]
+            .into_iter()
+            .chain([AlgorithmKind::BoundedSampleReverse])
+            .map(|kind| DetectRequest::new(4, kind))
+            .collect()
+    }
+
+    /// Answers `req` on a pinned epoch, live or retired.
+    fn detect_on(d: &Detector, epoch: &Epoch, req: &DetectRequest) -> DetectResponse {
+        let resolved = req.resolve(&epoch.graph, d.config()).unwrap();
+        algorithm(resolved.algorithm).run(&mut d.ctx_for(epoch, &resolved), &resolved).unwrap()
+    }
+
     #[test]
     fn invalid_delta_is_rejected_without_side_effects() {
-        let g = random_graph(20, 40, 6);
+        let g = random_graph(40, 80, 6);
         let d = session(&g);
-        let req = DetectRequest::new(2, AlgorithmKind::SampledNaive);
+        let requests = warming_requests();
+        let before: Vec<DetectResponse> = requests.iter().map(|r| d.detect(r).unwrap()).collect();
+        let (ptr, version) = (Arc::as_ptr(&d.graph()), d.graph().version());
+        for bad in [
+            GraphDelta::default().set_edge_prob(EdgeId(0), 0.2).set_self_risk(NodeId(999), 0.5),
+            GraphDelta::default().set_self_risk(NodeId(1), 0.2).set_edge_prob(EdgeId(9_999), 0.5),
+            GraphDelta::default().set_self_risk(NodeId(1), 0.2).set_self_risk(NodeId(2), 1.5),
+        ] {
+            assert!(d.apply_delta(&bad).is_err(), "{bad:?}");
+        }
+        let stats = d.session_stats();
+        assert_eq!((d.epoch(), stats.graph_version, stats.deltas_applied), (0, version, 0));
+        assert_eq!(Arc::as_ptr(&d.graph()), ptr, "a rejected delta moved the graph");
+        assert_eq!(probability_bits(&d.graph()), probability_bits(&g));
+        for (req, before) in requests.iter().zip(&before) {
+            let after = d.detect(req).unwrap();
+            assert_eq!(before.top_k, after.top_k, "{req:?}");
+            assert_eq!(after.engine.samples_drawn, 0, "caches must be untouched");
+        }
+    }
+
+    #[test]
+    fn an_unpinned_warm_session_commits_on_one_graph_allocation() {
+        let g = random_graph(80, 160, 43);
+        let d = session(&g);
+        let requests = warming_requests();
+        for req in &requests {
+            d.detect(req).unwrap();
+        }
+        let graph_ptr = Arc::as_ptr(&d.graph());
+        let lower_ptr = d.warm_bounds().0.as_ptr();
+        let mut post = g.clone();
+        for i in 0..3u32 {
+            let delta = GraphDelta::default()
+                .set_self_risk(NodeId(3 + i), 0.3 + 0.05 * f64::from(i))
+                .set_edge_prob(EdgeId(5 * i), 0.44);
+            d.apply_delta(&delta).unwrap();
+            delta.apply(&mut post).unwrap();
+            assert_eq!(Arc::as_ptr(&d.graph()), graph_ptr, "epoch {} copied the graph", d.epoch());
+            assert_eq!(d.warm_bounds().0.as_ptr(), lower_ptr, "epoch {} reallocated", d.epoch());
+            assert_eq!(probability_bits(&d.graph()), probability_bits(&post));
+            let cold = session(&post);
+            for req in &requests {
+                let (w, c) = (d.detect(req).unwrap(), cold.detect(req).unwrap());
+                let bits = |r: &DetectResponse| -> Vec<(u32, u64)> {
+                    r.top_k.iter().map(|s| (s.node.0, s.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&w), bits(&c), "{req:?} at epoch {}", d.epoch());
+                assert_eq!(w.stats.samples_used, c.stats.samples_used, "{req:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_handle_held_across_a_commit_keeps_its_values_and_costs_one_copy() {
+        let g = random_graph(80, 160, 47);
+        let requests = warming_requests();
+        let delta =
+            GraphDelta::default().set_self_risk(NodeId(2), 0.47).set_edge_prob(EdgeId(7), 0.39);
+        let mut post = g.clone();
+        delta.apply(&mut post).unwrap();
+        let (cold_pre, cold_post) = (session(&g), session(&post));
+        for pin in [true, false] {
+            let d = session(&g);
+            for req in &requests {
+                d.detect(req).unwrap();
+            }
+            let (epoch, graph) = (pin.then(|| d.state.pin()), (!pin).then(|| d.graph()));
+            let held = graph.clone().unwrap_or_else(|| Arc::clone(&epoch.as_ref().unwrap().graph));
+            d.apply_delta(&delta).unwrap();
+            // The held snapshot is the pre-delta allocation, unchanged;
+            // the live one is its one copy, patched.
+            let live = d.graph();
+            assert!(!Arc::ptr_eq(&held, &live), "pin {pin}: the commit patched a held graph");
+            assert_eq!(probability_bits(&held), probability_bits(&g), "pin {pin}");
+            assert_eq!(probability_bits(&live), probability_bits(&post), "pin {pin}");
+            if let Some(epoch) = &epoch {
+                for req in &requests {
+                    let r = detect_on(&d, epoch, req);
+                    assert_eq!(r.top_k, cold_pre.detect(req).unwrap().top_k, "{req:?}");
+                }
+            }
+            for req in &requests {
+                assert_eq!(d.detect(req).unwrap().top_k, cold_post.detect(req).unwrap().top_k);
+            }
+            // With every handle dropped, the next commit copies nothing.
+            let copy = Arc::as_ptr(&live);
+            drop((epoch, graph, held, live));
+            let undo = GraphDelta::default().set_self_risk(NodeId(2), g.self_risk(NodeId(2)));
+            d.apply_delta(&undo).unwrap();
+            assert_eq!(Arc::as_ptr(&d.graph()), copy, "pin {pin}: a second copy");
+        }
+    }
+
+    #[test]
+    fn an_armed_patch_dropped_on_unwind_puts_the_retiring_graph_back() {
+        let g = random_graph(40, 80, 53);
+        let d = session(&g);
+        let req = DetectRequest::new(3, AlgorithmKind::SampledNaive);
         let before = d.detect(&req).unwrap();
-        let bad =
-            GraphDelta::default().set_edge_prob(EdgeId(0), 0.2).set_self_risk(NodeId(999), 0.5);
-        assert!(d.apply_delta(&bad).is_err());
-        assert_eq!(d.epoch(), 0);
-        assert_eq!(d.session_stats().deltas_applied, 0);
+        let delta = GraphDelta::default()
+            .set_self_risk(NodeId(3), 0.9)
+            .set_edge_prob(EdgeId(4), 0.8)
+            .set_self_risk(NodeId(3), 0.7);
+        let (ptr, version) = (Arc::as_ptr(&d.graph()), d.graph().version());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (mut live, _) = lock_tracked(&d.state.live);
+            let retiring = Arc::get_mut(&mut live.epoch).expect("no query pins the epoch");
+            let patch = Patch::apply(&mut retiring.graph, &delta).unwrap();
+            assert_eq!(patch.graph().self_risk(NodeId(3)), 0.7);
+            assert!(std::ptr::eq(patch.graph(), ptr), "the patch copied an unshared graph");
+            panic!("a commit unwinds with its patch armed");
+        }));
+        assert!(unwound.is_err());
+        // The graph is back in the retiring (still live) epoch, bit for
+        // bit, version included, and the session answers as before.
+        let live = d.state.pin();
+        assert_eq!((Arc::as_ptr(&live.graph), live.graph.version()), (ptr, version));
+        assert_eq!(probability_bits(&live.graph), probability_bits(&g));
+        assert_eq!(live.number, 0);
         let after = d.detect(&req).unwrap();
-        assert_eq!(before.top_k, after.top_k);
-        assert_eq!(after.engine.samples_drawn, 0, "caches must be untouched");
+        assert_eq!(after.top_k, before.top_k);
+        assert_eq!(after.engine.samples_drawn, 0, "the stream outlived the unwound patch");
+        // A commit after it lands on the restored graph.
+        drop(live);
+        d.apply_delta(&delta).unwrap();
+        let mut post = g.clone();
+        delta.apply(&mut post).unwrap();
+        assert_eq!(d.detect(&req).unwrap().top_k, session(&post).detect(&req).unwrap().top_k);
     }
 
     #[test]

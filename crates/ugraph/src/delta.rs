@@ -88,6 +88,30 @@ impl GraphDelta {
         Ok(())
     }
 
+    /// [`GraphDelta::apply`], plus a record of what it overwrote: the
+    /// prior value of every queued item and the graph's prior version.
+    /// [`DeltaUndo::revert`] puts the graph back bit for bit in
+    /// `O(|delta|)`, so a caller that patches a graph in place can roll
+    /// the patch back instead of keeping a copy.
+    pub fn apply_recorded(&self, graph: &mut UncertainGraph) -> Result<DeltaUndo> {
+        self.validate(graph)?;
+        let undo = DeltaUndo {
+            self_risk: self
+                .self_risk
+                .iter()
+                .map(|&(v, _)| (v, graph.self_risk[v as usize]))
+                .collect(),
+            edge_prob: self
+                .edge_prob
+                .iter()
+                .map(|&(e, _)| (e, graph.edge_prob[e as usize]))
+                .collect(),
+            version: graph.version,
+        };
+        self.apply(graph)?;
+        Ok(undo)
+    }
+
     /// Canonical byte encoding — the WAL record payload:
     ///
     /// ```text
@@ -158,6 +182,30 @@ impl GraphDelta {
     }
 }
 
+/// What [`GraphDelta::apply_recorded`] overwrote: each item's prior
+/// value, in the delta's order, and the graph's prior version.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeltaUndo {
+    self_risk: Vec<(u32, f64)>,
+    edge_prob: Vec<(u32, f64)>,
+    version: u64,
+}
+
+impl DeltaUndo {
+    /// Restores the prior values and version on the graph the delta was
+    /// applied to. Items are restored in reverse order, so an item the
+    /// batch wrote twice gets the value it had before the first write.
+    pub fn revert(&self, graph: &mut UncertainGraph) {
+        for &(v, ps) in self.self_risk.iter().rev() {
+            graph.self_risk[v as usize] = ps;
+        }
+        for &(e, prob) in self.edge_prob.iter().rev() {
+            graph.edge_prob[e as usize] = prob;
+        }
+        graph.version = self.version;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +253,33 @@ mod tests {
             assert_eq!(g, before, "failed batch must not partially apply");
             assert_eq!(g.version(), version, "failed batch must not bump the version");
         }
+    }
+
+    #[test]
+    fn a_reverted_delta_restores_values_and_version_bit_for_bit() {
+        let mut g = sample();
+        g.set_edge_prob(EdgeId(1), 0.3).unwrap();
+        let before = g.clone();
+        let delta = GraphDelta::new()
+            .set_self_risk(NodeId(2), 0.9)
+            .set_edge_prob(EdgeId(1), 0.05)
+            .set_self_risk(NodeId(2), 0.7)
+            .set_edge_prob(EdgeId(3), 0.0);
+        let undo = delta.apply_recorded(&mut g).unwrap();
+        assert_eq!(g.self_risk(NodeId(2)), 0.7);
+        assert_eq!(g.version(), before.version() + 4);
+        undo.revert(&mut g);
+        assert_eq!(g, before);
+        assert_eq!(g.version(), before.version());
+        let bits = |g: &UncertainGraph| -> Vec<u64> {
+            let risks = g.nodes().map(|v| g.self_risk(v).to_bits());
+            risks.chain(g.edges().map(|e| g.edge_prob(e).to_bits())).collect()
+        };
+        assert_eq!(bits(&g), bits(&before));
+        // An invalid batch records nothing and changes nothing.
+        let bad = GraphDelta::new().set_self_risk(NodeId(0), 0.5).set_self_risk(NodeId(9), 0.5);
+        assert!(bad.apply_recorded(&mut g).is_err());
+        assert_eq!((g.clone(), g.version()), (before.clone(), before.version()));
     }
 
     #[test]

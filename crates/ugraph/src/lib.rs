@@ -60,7 +60,7 @@ pub mod traversal;
 
 pub use builder::{from_parts, DuplicateEdgePolicy, GraphBuilder};
 pub use crc32::{crc32, Crc32};
-pub use delta::GraphDelta;
+pub use delta::{DeltaUndo, GraphDelta};
 pub use error::{GraphError, Result};
 pub use graph::{EdgeRef, InEdges, OutEdges, UncertainGraph};
 pub use ids::{EdgeId, NodeId};

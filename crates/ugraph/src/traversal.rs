@@ -7,7 +7,7 @@
 
 use crate::graph::UncertainGraph;
 use crate::ids::{EdgeId, NodeId};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Direction of a traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,24 +90,29 @@ pub fn reachable_count(graph: &UncertainGraph, root: NodeId, direction: Directio
 /// the heads of `edges`, those roots included, sorted ascending. An
 /// edge's tail is not a root — the edge only carries defaults into its
 /// head. Returns `None` as soon as the set grows past `cap` nodes, so a
-/// caller probing a large reach pays for at most `cap + 1` visits.
+/// caller probing a large reach pays for at most `cap + 1` visits. The
+/// visited set is the reach itself, so the probe allocates in the size
+/// of what it reaches and the out-edges of that, never in the size of
+/// the graph.
 pub fn downstream(
     graph: &UncertainGraph,
     nodes: &[u32],
     edges: &[u32],
     cap: usize,
 ) -> Option<Vec<u32>> {
-    let heads = edges.iter().map(|&e| graph.edge_endpoints(EdgeId(e)).1);
-    let roots = nodes.iter().map(|&v| NodeId(v)).chain(heads);
-    let mut reach = Vec::new();
-    for (v, _) in Bfs::from_roots(graph, roots, Direction::Forward) {
-        if reach.len() == cap {
-            return None;
+    let heads = edges.iter().map(|&e| graph.edge_endpoints(EdgeId(e)).1 .0);
+    let mut pending: Vec<u32> = nodes.iter().copied().chain(heads).collect();
+    let mut reach = BTreeSet::new();
+    while let Some(v) = pending.pop() {
+        if reach.insert(v) {
+            if reach.len() > cap {
+                return None;
+            }
+            let out = graph.out_neighbors(NodeId(v));
+            pending.extend(out.iter().filter(|w| !reach.contains(*w)));
         }
-        reach.push(v.0);
     }
-    reach.sort_unstable();
-    Some(reach)
+    Some(reach.into_iter().collect())
 }
 
 /// Number of weakly-connected components (edges treated as undirected).

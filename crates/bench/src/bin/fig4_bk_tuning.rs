@@ -6,7 +6,7 @@
 //!
 //! In the paper the sweep tunes BSRBK's stopping rule. Here BSRBK stops
 //! on a Chernoff–KL certificate that has no `bk` (see
-//! `vulnds_core::engine::BottomKEarlyStop`), so `bk` only shapes the
+//! `vulnds_core::AlgorithmKind::BottomK`), so `bk` only shapes the
 //! bottom-k sketch estimates of `vulnds score --method bottomk`, which
 //! is what this binary sweeps.
 //!

@@ -1,7 +1,7 @@
-//! The object-safe [`Algorithm`] trait and one implementation per paper
-//! algorithm (N, SN, SR, BSR, BSRBK).
+//! One function per paper algorithm (N, SN, SR, BSR, BSRBK), dispatched
+//! by [`run`].
 //!
-//! Implementations are stateless: all reusable state (bounds, candidate
+//! The algorithms are stateless: all reusable state (bounds, candidate
 //! reductions, sampled-world counts) lives in the session and is reached
 //! through [`EngineCtx`], so two sessions never share state and one
 //! session's queries amortize each other's work.
@@ -22,30 +22,20 @@ use super::cache::looks_below;
 use super::request::{AlgorithmKind, DetectResponse, EngineStats, ResolvedRequest, RunStats};
 use super::EngineCtx;
 
-/// One detection algorithm, runnable inside a [`Detector`](super::Detector)
-/// session.
-///
-/// The trait is object-safe; [`algorithm`] returns the built-in
-/// implementation for each [`AlgorithmKind`]. The `engine` field of the
-/// returned response is overwritten by the session with the cache
-/// counters it observed, so implementations may leave it defaulted.
-pub trait Algorithm {
-    /// Which paper algorithm this is.
-    fn kind(&self) -> AlgorithmKind;
-
-    /// Answers one resolved request using (and filling) the session's
-    /// caches.
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse>;
-}
-
-/// The built-in implementation of each paper algorithm.
-pub fn algorithm(kind: AlgorithmKind) -> &'static dyn Algorithm {
-    match kind {
-        AlgorithmKind::Naive => &NaiveMonteCarlo,
-        AlgorithmKind::SampledNaive => &SampledNaive,
-        AlgorithmKind::SampleReverse => &SampleReverse,
-        AlgorithmKind::BoundedSampleReverse => &BoundedSampleReverse,
-        AlgorithmKind::BottomK => &BottomKEarlyStop,
+/// Answers one resolved request with the algorithm it names, using (and
+/// filling) the session's caches. The `engine` field of the returned
+/// response is left defaulted: the session overwrites it with the cache
+/// counters it observed.
+pub(super) fn run(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
+    match req.algorithm {
+        AlgorithmKind::Naive => naive(ctx, req),
+        AlgorithmKind::SampledNaive => {
+            let t = sn_budget(ctx, req);
+            forward_detect(ctx, req, t, AlgorithmKind::SampledNaive)
+        }
+        AlgorithmKind::SampleReverse => sample_reverse(ctx, req),
+        AlgorithmKind::BoundedSampleReverse => bounded_sample_reverse(ctx, req),
+        AlgorithmKind::BottomK => bottom_k_early_stop(ctx, req),
     }
 }
 
@@ -107,40 +97,19 @@ fn forward_detect(
 /// The budget ignores `(ε, δ)`, so a full pass reports the requested `ε`
 /// or, when the budget is below Eq. 3's, the wider `ε` its samples
 /// deliver at the request's `δ`.
-pub struct NaiveMonteCarlo;
-
-impl Algorithm for NaiveMonteCarlo {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::Naive
+fn naive(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
+    let t = ctx.config().naive_samples;
+    let mut response = forward_detect(ctx, req, t, AlgorithmKind::Naive)?;
+    if !response.degraded {
+        let (a, b) = (req.k as u64, ctx.graph().num_nodes().saturating_sub(req.k) as u64);
+        let delivered = achieved_epsilon(a, b, req.approx.delta(), response.stats.samples_used);
+        response.achieved_epsilon = response.achieved_epsilon.max(delivered);
     }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-        let t = ctx.config().naive_samples;
-        let mut response = forward_detect(ctx, req, t, AlgorithmKind::Naive)?;
-        if !response.degraded {
-            let (a, b) = (req.k as u64, ctx.graph().num_nodes().saturating_sub(req.k) as u64);
-            let delivered = achieved_epsilon(a, b, req.approx.delta(), response.stats.samples_used);
-            response.achieved_epsilon = response.achieved_epsilon.max(delivered);
-        }
-        Ok(response)
-    }
+    Ok(response)
 }
 
-/// `SN` — Algorithm 1 with the Equation-3 sample size (Theorem 4).
-pub struct SampledNaive;
-
-impl Algorithm for SampledNaive {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::SampledNaive
-    }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-        let t = sn_budget(ctx, req);
-        forward_detect(ctx, req, t, AlgorithmKind::SampledNaive)
-    }
-}
-
-/// SN's Equation-3 budget, shared with the batch planner.
+/// `SN` — Algorithm 1 with the Equation-3 sample size (Theorem 4): its
+/// budget, shared with the batch planner.
 pub(super) fn sn_budget(ctx: &EngineCtx<'_>, req: &ResolvedRequest) -> u64 {
     ctx.config().cap_samples(basic_sample_size(ctx.graph().num_nodes(), req.k, req.approx)).max(1)
 }
@@ -176,7 +145,7 @@ pub(super) fn bsr_candidates(
 /// candidate set, verification split, and sample budget.
 ///
 /// Derived in exactly one place — [`reverse_plan`] — and consumed both by
-/// the `Algorithm` implementations and by `detect_many`'s batch planner,
+/// the algorithm runs and by `detect_many`'s batch planner,
 /// so the grouping key can never drift from what a run actually samples.
 pub(super) struct ReversePlan {
     /// The set `B` sampling estimates (candidate positions index counts).
@@ -303,119 +272,106 @@ fn degenerate_response(
 
 /// `SR` — reverse sampling over the rule-2 candidate set, no
 /// verification.
-pub struct SampleReverse;
-
-impl Algorithm for SampleReverse {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::SampleReverse
+fn sample_reverse(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
+    // xlint: allow(no-wall-clock) — `elapsed` is a reported
+    // diagnostic; no answer bit depends on the clock.
+    let start = Instant::now();
+    let bounds = ctx.bounds();
+    let reduction = ctx.reduction(req.k);
+    let plan = reverse_plan(ctx, req);
+    let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
+    let samples_used = counts.samples();
+    if samples_used == 0 && plan.budget > 0 {
+        return Err(VulnError::Cancelled);
     }
+    let (degraded, achieved) = epsilon_outcome(
+        req,
+        req.k as u64,
+        plan.candidates.len().saturating_sub(req.k) as u64,
+        plan.budget,
+        samples_used,
+    );
 
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-        // xlint: allow(no-wall-clock) — `elapsed` is a reported
-        // diagnostic; no answer bit depends on the clock.
-        let start = Instant::now();
-        let bounds = ctx.bounds();
-        let reduction = ctx.reduction(req.k);
-        let plan = reverse_plan(ctx, req);
-        let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
-        let samples_used = counts.samples();
-        if samples_used == 0 && plan.budget > 0 {
-            return Err(VulnError::Cancelled);
-        }
-        let (degraded, achieved) = epsilon_outcome(
-            req,
-            req.k as u64,
-            plan.candidates.len().saturating_sub(req.k) as u64,
-            plan.budget,
+    // Rank purely by estimates: an empty verified set in the view.
+    let unverified = CandidateReduction {
+        verified: Vec::new(),
+        candidates: plan.candidates.clone(),
+        t_lower: reduction.t_lower,
+        t_upper: reduction.t_upper,
+    };
+    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &unverified };
+    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
+    Ok(DetectResponse {
+        top_k,
+        stats: RunStats {
+            algorithm: AlgorithmKind::SampleReverse,
+            sample_budget: plan.budget,
             samples_used,
-        );
-
-        // Rank purely by estimates: an empty verified set in the view.
-        let unverified = CandidateReduction {
-            verified: Vec::new(),
-            candidates: plan.candidates.clone(),
-            t_lower: reduction.t_lower,
-            t_upper: reduction.t_upper,
-        };
-        let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &unverified };
-        let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
-        Ok(DetectResponse {
-            top_k,
-            stats: RunStats {
-                algorithm: AlgorithmKind::SampleReverse,
-                sample_budget: plan.budget,
-                samples_used,
-                candidates: plan.candidates.len(),
-                verified: 0,
-                early_stopped: false,
-                elapsed: start.elapsed(),
-            },
-            engine: EngineStats::default(),
-            degraded,
-            achieved_epsilon: achieved,
-        })
-    }
+            candidates: plan.candidates.len(),
+            verified: 0,
+            early_stopped: false,
+            elapsed: start.elapsed(),
+        },
+        engine: EngineStats::default(),
+        degraded,
+        achieved_epsilon: achieved,
+    })
 }
 
 /// `BSR` — bounds + verification + reverse sampling with the Equation-4
 /// budget (Theorem 5).
-pub struct BoundedSampleReverse;
+fn bounded_sample_reverse(
+    ctx: &mut EngineCtx<'_>,
+    req: &ResolvedRequest,
+) -> Result<DetectResponse> {
+    // xlint: allow(no-wall-clock) — `elapsed` is a reported
+    // diagnostic; no answer bit depends on the clock.
+    let start = Instant::now();
+    let bounds = ctx.bounds();
+    let reduction = ctx.reduction(req.k);
+    let plan = reverse_plan(ctx, req);
+    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
 
-impl Algorithm for BoundedSampleReverse {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::BoundedSampleReverse
-    }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-        // xlint: allow(no-wall-clock) — `elapsed` is a reported
-        // diagnostic; no answer bit depends on the clock.
-        let start = Instant::now();
-        let bounds = ctx.bounds();
-        let reduction = ctx.reduction(req.k);
-        let plan = reverse_plan(ctx, req);
-        let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
-
-        // Degenerate cases: everything decided by the bounds alone.
-        if plan.degenerate {
-            return Ok(degenerate_response(
-                req,
-                &pruned,
-                &plan,
-                req.k,
-                AlgorithmKind::BoundedSampleReverse,
-                start,
-            ));
-        }
-
-        let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
-        let samples_used = counts.samples();
-        if samples_used == 0 && plan.budget > 0 {
-            return Err(VulnError::Cancelled);
-        }
-        let (degraded, achieved) = epsilon_outcome(
+    // Degenerate cases: everything decided by the bounds alone.
+    if plan.degenerate {
+        return Ok(degenerate_response(
             req,
-            plan.k_rem as u64,
-            plan.candidates.len().saturating_sub(plan.k_rem) as u64,
-            plan.budget,
-            samples_used,
-        );
-        let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
-        Ok(DetectResponse {
-            top_k,
-            stats: RunStats {
-                algorithm: AlgorithmKind::BoundedSampleReverse,
-                sample_budget: plan.budget,
-                samples_used,
-                candidates: plan.candidates.len(),
-                verified: plan.k_verified,
-                early_stopped: false,
-                elapsed: start.elapsed(),
-            },
-            engine: EngineStats::default(),
-            degraded,
-            achieved_epsilon: achieved,
-        })
+            &pruned,
+            &plan,
+            req.k,
+            AlgorithmKind::BoundedSampleReverse,
+            start,
+        ));
     }
+
+    let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
+    let samples_used = counts.samples();
+    if samples_used == 0 && plan.budget > 0 {
+        return Err(VulnError::Cancelled);
+    }
+    let (degraded, achieved) = epsilon_outcome(
+        req,
+        plan.k_rem as u64,
+        plan.candidates.len().saturating_sub(plan.k_rem) as u64,
+        plan.budget,
+        samples_used,
+    );
+    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
+    Ok(DetectResponse {
+        top_k,
+        stats: RunStats {
+            algorithm: AlgorithmKind::BoundedSampleReverse,
+            sample_budget: plan.budget,
+            samples_used,
+            candidates: plan.candidates.len(),
+            verified: plan.k_verified,
+            early_stopped: false,
+            elapsed: start.elapsed(),
+        },
+        engine: EngineStats::default(),
+        degraded,
+        achieved_epsilon: achieved,
+    })
 }
 
 /// `BSRBK` — BSR with a sound sequential early stop (paper §3.3, in
@@ -444,80 +400,65 @@ impl Algorithm for BoundedSampleReverse {
 /// The stop look is a pure function of the graph, seed and request, so
 /// `sample_cap` replays stay bit-exact; a cut (cancellation or cap)
 /// degrades exactly as BSR's does, at the Eq. 4 inversion for `δ/2`.
-pub struct BottomKEarlyStop;
+fn bottom_k_early_stop(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
+    // xlint: allow(no-wall-clock) — `elapsed` is a reported
+    // diagnostic; no answer bit depends on the clock.
+    let start = Instant::now();
+    let bounds = ctx.bounds();
+    let reduction = ctx.reduction(req.k);
+    let plan = reverse_plan(ctx, req);
+    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
 
-impl Algorithm for BottomKEarlyStop {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::BottomK
+    if plan.degenerate {
+        return Ok(degenerate_response(req, &pruned, &plan, req.k, AlgorithmKind::BottomK, start));
     }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-        // xlint: allow(no-wall-clock) — `elapsed` is a reported
-        // diagnostic; no answer bit depends on the clock.
-        let start = Instant::now();
-        let bounds = ctx.bounds();
-        let reduction = ctx.reduction(req.k);
-        let plan = reverse_plan(ctx, req);
-        let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
-
-        if plan.degenerate {
-            return Ok(degenerate_response(
-                req,
-                &pruned,
-                &plan,
-                req.k,
-                AlgorithmKind::BottomK,
-                start,
-            ));
+    let (t, k_rem) = (plan.budget, plan.k_rem);
+    let mut looks: Vec<u64> = looks_below(t).collect();
+    looks.push(t);
+    let half_delta = req.approx.delta() / 2.0;
+    // δ/2 spread over both sides of all |B| candidates at every look.
+    let log_inv_alpha =
+        (4.0 * plan.candidates.len() as f64 * looks.len() as f64 / req.approx.delta()).ln();
+    // The certified ε at the last look read (a cap below a look is
+    // read but never certified: the union bound covers looks only).
+    let mut certified: Option<(u64, f64)> = None;
+    let counts = ctx.reverse_counts_until(&plan.candidates, &looks, req.seed, |counts| {
+        if looks.binary_search(&counts.samples()).is_err() {
+            return Some(0);
         }
-        let (t, k_rem) = (plan.budget, plan.k_rem);
-        let mut looks: Vec<u64> = looks_below(t).collect();
-        looks.push(t);
-        let half_delta = req.approx.delta() / 2.0;
-        // δ/2 spread over both sides of all |B| candidates at every look.
-        let log_inv_alpha =
-            (4.0 * plan.candidates.len() as f64 * looks.len() as f64 / req.approx.delta()).ln();
-        // The certified ε at the last look read (a cap below a look is
-        // read but never certified: the union bound covers looks only).
-        let mut certified: Option<(u64, f64)> = None;
-        let counts = ctx.reverse_counts_until(&plan.candidates, &looks, req.seed, |counts| {
-            if looks.binary_search(&counts.samples()).is_err() {
-                return Some(0);
-            }
-            let look = certified_epsilon(counts, k_rem, log_inv_alpha);
-            certified = Some((counts.samples(), look.epsilon));
-            (look.epsilon > req.approx.epsilon()).then(|| look.ahead(req.approx.epsilon()))
-        });
-        let samples_used = counts.samples();
-        if samples_used == 0 {
-            return Err(VulnError::Cancelled);
-        }
-        let at_used = certified.filter(|&(n, _)| n == samples_used).map(|(_, e)| e);
-        let early_stopped = samples_used < t && at_used.is_some_and(|e| e <= req.approx.epsilon());
-        let degraded = samples_used < t && !early_stopped;
-        let achieved = if early_stopped {
-            req.approx.epsilon()
-        } else {
-            let (a, b) = (k_rem as u64, plan.candidates.len().saturating_sub(k_rem) as u64);
-            achieved_epsilon(a, b, half_delta, samples_used).min(at_used.unwrap_or(f64::INFINITY))
-        };
-        let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
-        Ok(DetectResponse {
-            top_k,
-            stats: RunStats {
-                algorithm: AlgorithmKind::BottomK,
-                sample_budget: t,
-                samples_used,
-                candidates: plan.candidates.len(),
-                verified: plan.k_verified,
-                early_stopped,
-                elapsed: start.elapsed(),
-            },
-            engine: EngineStats::default(),
-            degraded,
-            achieved_epsilon: achieved,
-        })
+        let look = certified_epsilon(counts, k_rem, log_inv_alpha);
+        certified = Some((counts.samples(), look.epsilon));
+        (look.epsilon > req.approx.epsilon()).then(|| look.ahead(req.approx.epsilon()))
+    });
+    let samples_used = counts.samples();
+    if samples_used == 0 {
+        return Err(VulnError::Cancelled);
     }
+    let at_used = certified.filter(|&(n, _)| n == samples_used).map(|(_, e)| e);
+    let early_stopped = samples_used < t && at_used.is_some_and(|e| e <= req.approx.epsilon());
+    let degraded = samples_used < t && !early_stopped;
+    let achieved = if early_stopped {
+        req.approx.epsilon()
+    } else {
+        let (a, b) = (k_rem as u64, plan.candidates.len().saturating_sub(k_rem) as u64);
+        achieved_epsilon(a, b, half_delta, samples_used).min(at_used.unwrap_or(f64::INFINITY))
+    };
+    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
+    Ok(DetectResponse {
+        top_k,
+        stats: RunStats {
+            algorithm: AlgorithmKind::BottomK,
+            sample_budget: t,
+            samples_used,
+            candidates: plan.candidates.len(),
+            verified: plan.k_verified,
+            early_stopped,
+            elapsed: start.elapsed(),
+        },
+        engine: EngineStats::default(),
+        degraded,
+        achieved_epsilon: achieved,
+    })
 }
 
 /// What one look certifies, and how far off a certifying look is.
@@ -575,13 +516,6 @@ mod tests {
             .config(config.clone())
             .build()?
             .detect(&DetectRequest::new(k, kind))
-    }
-
-    #[test]
-    fn dispatch_covers_all_kinds() {
-        for kind in AlgorithmKind::ALL {
-            assert_eq!(algorithm(kind).kind(), kind);
-        }
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! designed for **single-flight** builds: when several queries miss on
 //! the same key at the same moment, exactly one of them computes the
 //! value while the others block on the same slot and then share the
-//! one `Arc` — never two redundant builds, never a torn read.
+//! one `Arc` — never two redundant builds, never a torn read. The lock
+//! held across the build is the whole protocol: a query that blocked on
+//! it reads the value as a plain hit.
 //!
 //! * [`FlightMap`] — a keyed memo map (one epoch's bounds, or its
-//!   candidate reductions) whose per-key slots serialize the build and
-//!   let later arrivals join an in-flight one.
+//!   candidate reductions) whose per-key slot mutex is held across the
+//!   build.
 //! * [`StreamMap`] — per-sample-stream [`SampleCache`] cells. The
 //!   stream's mutex is held across a draw, which *is* the single-flight
 //!   property: a second query that wanted the same prefix blocks, then
@@ -55,7 +57,6 @@
 //! any reverse query drew as a sequence of cache hits.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vulnds_sampling::{DefaultCounts, TouchLedger};
@@ -98,47 +99,26 @@ const MAX_STREAMS: usize = 64;
 /// rationale as [`MAX_STREAMS`].
 const MAX_SLOTS: usize = 256;
 
-/// Locks a mutex, recovering from poison (see the module docs), and
-/// reports whether the caller had to block to get it — the engine's
-/// `cache_waits` contention signal. Best-effort: a failed `try_lock`
-/// may also be a reader passing through, not a build.
-pub(crate) fn lock_tracked<T>(mutex: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
-    match mutex.try_lock() {
-        Ok(guard) => (guard, false),
-        Err(std::sync::TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
-        Err(std::sync::TryLockError::WouldBlock) => {
-            let guard = mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            (guard, true)
-        }
-    }
+/// Locks a mutex, recovering from poison (see the module docs). Every
+/// engine lock goes through here, which is what the lock-nesting lint
+/// audits.
+pub(crate) fn lock_tracked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How a [`FlightMap`] lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flight {
-    /// The value was already cached; nothing was waited on.
+    /// The value was already built — possibly while this caller waited
+    /// on the slot for the build to finish.
     Hit,
     /// This caller computed the value.
     Built,
-    /// Another caller was computing the value; this one blocked on the
-    /// same slot and shares the result (a deduplicated build).
-    Joined,
 }
 
-/// One single-flight slot: the `building` flag marks an in-progress
-/// build so late arrivals can tell "cache hit" from "joined a flight",
-/// and the value mutex is what they block on.
-#[derive(Debug)]
-struct Slot<V> {
-    building: AtomicBool,
-    value: Mutex<Option<Arc<V>>>,
-}
-
-impl<V> Default for Slot<V> {
-    fn default() -> Self {
-        Slot { building: AtomicBool::new(false), value: Mutex::new(None) }
-    }
-}
+/// One single-flight slot: the value, whose mutex a build holds and
+/// every other caller of the key blocks on.
+type Slot<V> = Mutex<Option<Arc<V>>>;
 
 /// A keyed memo map with single-flight builds: concurrent misses on the
 /// same key build once; everyone else blocks on the same slot and
@@ -155,56 +135,41 @@ impl<K, V> Default for FlightMap<K, V> {
 
 impl<K, V> std::fmt::Debug for FlightMap<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = lock_tracked(&self.slots).0.len();
+        let len = lock_tracked(&self.slots).len();
         f.debug_struct("FlightMap").field("slots", &len).finish()
     }
 }
 
 impl<K: Ord + Clone, V> FlightMap<K, V> {
     fn slot(&self, key: &K) -> Arc<Slot<V>> {
-        let (mut slots, _) = lock_tracked(&self.slots);
+        let mut slots = lock_tracked(&self.slots);
         if !slots.contains_key(key) && slots.len() >= MAX_SLOTS {
             evict_one(&mut slots, key);
         }
         slots.entry(key.clone()).or_default().clone()
     }
 
-    /// Non-building probe. Returns the cached value and whether the
-    /// caller joined an in-flight build to get it; `None` if the key
-    /// has never finished building.
-    pub(crate) fn get(&self, key: &K) -> Option<(Arc<V>, bool)> {
+    /// Non-building probe: the cached value (waiting out an in-flight
+    /// build of it), or `None` if the key has never finished building.
+    pub(crate) fn get(&self, key: &K) -> Option<Arc<V>> {
         let slot = {
-            let (slots, _) = lock_tracked(&self.slots);
+            let slots = lock_tracked(&self.slots);
             slots.get(key)?.clone()
         };
-        // ORDERING: Acquire pairs with the Release store/reset in
-        // `get_or_build`; seeing `true` here means a build was in
-        // flight when this probe started, which is all the flag
-        // classifies — the value itself is published under the mutex.
-        let joined = slot.building.load(Ordering::Acquire);
-        let (value, _) = lock_tracked(&slot.value);
-        value.as_ref().map(|v| (v.clone(), joined))
+        let value = lock_tracked(&slot);
+        value.clone()
     }
 
     /// Returns the value for `key`, running `build` if (and only if) no
     /// other caller has built or is building it.
     pub(crate) fn get_or_build(&self, key: &K, build: impl FnOnce() -> V) -> (Arc<V>, Flight) {
         let slot = self.slot(key);
-        // ORDERING: Acquire/Release on `building` only classifies the
-        // wait (hit vs joined flight); the value is transferred under
-        // the slot mutex, so stronger orderings would buy nothing.
-        let in_flight = slot.building.load(Ordering::Acquire);
-        let (mut value, _) = lock_tracked(&slot.value);
+        let mut value = lock_tracked(&slot);
         if let Some(v) = &*value {
-            return (v.clone(), if in_flight { Flight::Joined } else { Flight::Hit });
+            return (v.clone(), Flight::Hit);
         }
-        // ORDERING: Release — the paired store for the Acquire probes
-        // above; cleared with the same pairing by the guard below.
-        slot.building.store(true, Ordering::Release);
-        let building_reset = MarkerReset(&slot.building);
         let v = Arc::new(build());
         *value = Some(v.clone());
-        drop(building_reset);
         (v, Flight::Built)
     }
 
@@ -214,7 +179,7 @@ impl<K: Ord + Clone, V> FlightMap<K, V> {
     pub(crate) fn take(&mut self, key: &K) -> Option<V> {
         let slots = self.slots.get_mut().unwrap_or_else(PoisonError::into_inner);
         let slot = Arc::try_unwrap(slots.remove(key)?).ok()?;
-        let value = slot.value.into_inner().unwrap_or_else(PoisonError::into_inner)?;
+        let value = slot.into_inner().unwrap_or_else(PoisonError::into_inner)?;
         Arc::try_unwrap(value).ok()
     }
 
@@ -222,9 +187,7 @@ impl<K: Ord + Clone, V> FlightMap<K, V> {
     /// next epoch's bounds with its repaired vectors before any query
     /// can see the map.
     pub(crate) fn insert(&self, key: &K, value: V) {
-        let slot = self.slot(key);
-        let (mut cell, _) = lock_tracked(&slot.value);
-        *cell = Some(Arc::new(value));
+        *lock_tracked(&self.slot(key)) = Some(Arc::new(value));
     }
 }
 
@@ -237,13 +200,10 @@ fn evict_one<K: Ord + Clone, V>(map: &mut BTreeMap<K, V>, keep: &K) {
     }
 }
 
-/// One sample stream: the prefix-extendable cache plus a `drawing`
-/// marker set while a query materializes worlds under the cell lock, so
-/// a blocked second query can tell "joined an in-flight draw" from
-/// plain lock contention on a warm cell.
+/// One sample stream: the prefix-extendable cache, whose mutex a draw
+/// holds, and the stream's touch ledger.
 #[derive(Debug, Default)]
 pub(crate) struct StreamCell {
-    pub(crate) drawing: AtomicBool,
     pub(crate) cache: Mutex<SampleCache>,
     /// Union of the node and edge coins every draw (and delta repair)
     /// into this cell ever materialized — the survival witness for
@@ -266,20 +226,6 @@ impl StreamCell {
     }
 }
 
-/// Clears an atomic build/draw marker on drop — **including on
-/// unwind** — so a panicking build can never leave the join-detection
-/// flag stuck `true` (which would misclassify every later wait on that
-/// key as a deduplicated build).
-pub(crate) struct MarkerReset<'a>(pub(crate) &'a AtomicBool);
-
-impl Drop for MarkerReset<'_> {
-    fn drop(&mut self) {
-        // ORDERING: Release pairs with the Acquire loads that classify
-        // waits; the marker is advisory and protects no data.
-        self.0.store(false, Ordering::Release);
-    }
-}
-
 /// Per-stream [`StreamCell`]s (one per seed, or per
 /// `(seed, candidate-set)` for reverse sampling). The cell mutex is held
 /// across a draw, which gives sample streams their single-flight
@@ -296,7 +242,7 @@ impl<K> Default for StreamMap<K> {
 
 impl<K> std::fmt::Debug for StreamMap<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = lock_tracked(&self.streams).0.len();
+        let len = lock_tracked(&self.streams).len();
         f.debug_struct("StreamMap").field("streams", &len).finish()
     }
 }
@@ -304,7 +250,7 @@ impl<K> std::fmt::Debug for StreamMap<K> {
 impl<K: Ord + Clone> StreamMap<K> {
     /// The stream's cache cell, created cold on first access.
     pub(crate) fn stream(&self, key: K) -> Arc<StreamCell> {
-        let (mut streams, _) = lock_tracked(&self.streams);
+        let mut streams = lock_tracked(&self.streams);
         if !streams.contains_key(&key) && streams.len() >= MAX_STREAMS {
             evict_one(&mut streams, &key);
         }
@@ -314,7 +260,7 @@ impl<K: Ord + Clone> StreamMap<K> {
     /// Forgets every stream. Queries mid-draw keep their detached cell
     /// (and their snapshots stay valid); future queries start cold.
     pub(crate) fn clear(&self) {
-        lock_tracked(&self.streams).0.clear();
+        lock_tracked(&self.streams).clear();
     }
 
     /// Applies an epoch-revalidation verdict to every cached stream:
@@ -323,7 +269,7 @@ impl<K: Ord + Clone> StreamMap<K> {
     /// snapshot). `keep` typically locks the cell, which waits out any
     /// in-flight draw — so the ledger it inspects is complete.
     pub(crate) fn retain(&self, mut keep: impl FnMut(&K, &StreamCell) -> bool) {
-        lock_tracked(&self.streams).0.retain(|key, cell| keep(key, cell));
+        lock_tracked(&self.streams).retain(|key, cell| keep(key, cell));
     }
 }
 
@@ -461,6 +407,7 @@ impl SampleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn flight_map_builds_once_and_hits_after() {
@@ -470,8 +417,8 @@ mod tests {
         assert_eq!((*v, flight), (42, Flight::Built));
         let (v, flight) = map.get_or_build(&7, || panic!("must not rebuild"));
         assert_eq!((*v, flight), (42, Flight::Hit));
-        let (v, joined) = map.get(&7).expect("built key probes as present");
-        assert_eq!((*v, joined), (42, false));
+        let v = map.get(&7).expect("built key probes as present");
+        assert_eq!(*v, 42);
         // A seeded key (the next epoch's repaired bounds) hits, never builds.
         map.insert(&8, 5);
         let (v, flight) = map.get_or_build(&8, || panic!("a seeded key must not build"));
@@ -520,14 +467,14 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same key must share one cell");
         let other = map.stream(6);
         assert!(!Arc::ptr_eq(&a, &other));
-        lock_tracked(&a.cache).0.serve(10, 64, false, draw);
+        lock_tracked(&a.cache).serve(10, 64, false, draw);
         map.clear();
         let fresh = map.stream(5);
         assert!(!Arc::ptr_eq(&a, &fresh), "clear() must detach old cells");
-        let (_, drawn, reused) = lock_tracked(&fresh.cache).0.serve(10, 64, false, draw);
+        let (_, drawn, reused) = lock_tracked(&fresh.cache).serve(10, 64, false, draw);
         assert_eq!((drawn, reused), (10, 0), "post-clear stream must start cold");
         // The detached cell still works for whoever holds it.
-        let (_, drawn, reused) = lock_tracked(&a.cache).0.serve(10, 64, false, draw);
+        let (_, drawn, reused) = lock_tracked(&a.cache).serve(10, 64, false, draw);
         assert_eq!((drawn, reused), (0, 10));
     }
 
@@ -538,9 +485,9 @@ mod tests {
         let map: StreamMap<u64> = StreamMap::default();
         for seed in 0..(MAX_STREAMS as u64 * 4) {
             let cell = map.stream(seed);
-            lock_tracked(&cell.cache).0.serve(10, 64, false, draw);
+            lock_tracked(&cell.cache).serve(10, 64, false, draw);
         }
-        let len = lock_tracked(&map.streams).0.len();
+        let len = lock_tracked(&map.streams).len();
         assert!(len <= MAX_STREAMS, "stream map grew to {len}");
         // Same for single-flight slots under a k sweep.
         let slots: FlightMap<u64, u64> = FlightMap::default();
@@ -548,7 +495,7 @@ mod tests {
             let (v, _) = slots.get_or_build(&k, || k);
             assert_eq!(*v, k);
         }
-        let len = lock_tracked(&slots.slots).0.len();
+        let len = lock_tracked(&slots.slots).len();
         assert!(len <= MAX_SLOTS, "slot map grew to {len}");
         // An evicted key simply rebuilds — values are pure.
         let (v, _) = slots.get_or_build(&0, || 0);

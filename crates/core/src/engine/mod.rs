@@ -91,8 +91,8 @@
 //!
 //! ## BSRBK on BSR's stream
 //!
-//! BSRBK ([`BottomKEarlyStop`]) samples no stream of its own: it reads
-//! BSR's reverse stream `(seed, B)` at a fixed doubling schedule of
+//! BSRBK ([`AlgorithmKind::BottomK`]) samples no stream of its own: it
+//! reads BSR's reverse stream `(seed, B)` at a fixed doubling schedule of
 //! *looks* below BSR's budget `t`, then at `t`, and stops at the first
 //! look whose Chernoff–KL bounds certify the requested ε. Every draw
 //! into a reverse stream snapshots the looks it crosses in the same
@@ -136,13 +136,7 @@ mod algorithms;
 mod cache;
 mod request;
 
-pub use algorithms::{
-    algorithm, Algorithm, BottomKEarlyStop, BoundedSampleReverse, NaiveMonteCarlo, SampleReverse,
-    SampledNaive,
-};
-pub use request::{
-    AlgorithmKind, DetectRequest, DetectResponse, EngineStats, ResolvedRequest, RunStats,
-};
+pub use request::{AlgorithmKind, DetectRequest, DetectResponse, EngineStats, RunStats};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -159,7 +153,8 @@ use crate::config::{ApproxParams, BoundsMethod, VulnConfig};
 use crate::dynamic::BoundLevels;
 use crate::error::Result;
 
-use cache::{lock_tracked, Flight, FlightMap, MarkerReset, SampleCache, StreamMap};
+use cache::{lock_tracked, Flight, FlightMap, SampleCache, StreamMap};
+use request::ResolvedRequest;
 
 /// Lower and upper bound vectors, as cached by a session.
 pub type BoundsPair = (Vec<f64>, Vec<f64>);
@@ -320,14 +315,6 @@ pub struct SessionStats {
     /// Widest superblock (in 64-lane words) any pass of the session ran
     /// on — 0 until a sampling pass executes.
     pub widest_block_words: usize,
-    /// Times a query blocked on session state another query was holding
-    /// (an in-flight single-flight build, or a sample stream mid-draw).
-    /// Best-effort: brief reader/reader contention can count too.
-    pub cache_waits: u64,
-    /// Builds avoided by single-flight deduplication: the query wanted
-    /// a value another query was already computing, waited, and shared
-    /// the result instead of redoing the work.
-    pub builds_deduped: u64,
     /// Most `detect`/`detect_many` calls ever in flight at once — the
     /// session's observed concurrency level (1 under serial use).
     pub concurrent_peak: u64,
@@ -381,8 +368,6 @@ struct SessionTotals {
     lazy_edge_words_skipped: AtomicU64,
     superblocks_evaluated: AtomicU64,
     widest_block_words: AtomicUsize,
-    cache_waits: AtomicU64,
-    builds_deduped: AtomicU64,
     concurrent_peak: AtomicU64,
     in_flight: AtomicU64,
     queries_degraded: AtomicU64,
@@ -428,8 +413,6 @@ impl SessionTotals {
             lazy_edge_words_skipped: self.lazy_edge_words_skipped.load(Ordering::Relaxed),
             superblocks_evaluated: self.superblocks_evaluated.load(Ordering::Relaxed),
             widest_block_words: self.widest_block_words.load(Ordering::Relaxed),
-            cache_waits: self.cache_waits.load(Ordering::Relaxed),
-            builds_deduped: self.builds_deduped.load(Ordering::Relaxed),
             concurrent_peak: self.concurrent_peak.load(Ordering::Relaxed),
             queries_degraded: self.queries_degraded.load(Ordering::Relaxed),
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
@@ -680,7 +663,7 @@ impl EngineState {
 
     /// Pins the live epoch (a brief lock around an `Arc` clone).
     fn pin(&self) -> Arc<Epoch> {
-        Arc::clone(&lock_tracked(&self.live).0.epoch)
+        Arc::clone(&lock_tracked(&self.live).epoch)
     }
 
     /// Builds the epoch that `delta` commits over the live one and
@@ -765,7 +748,7 @@ impl EngineState {
             },
         );
         let mut verdict = |cell: &cache::StreamCell, seed: u64, candidates: Option<&[u32]>| {
-            let (mut cache, _) = lock_tracked(&cell.cache);
+            let mut cache = lock_tracked(&cell.cache);
             match cache.graph_version {
                 // Never drawn into: nothing to validate or count.
                 None => return true,
@@ -828,15 +811,14 @@ impl EngineState {
     }
 }
 
-/// What [`Algorithm`] implementations see of a session: the pinned
-/// epoch's graph, the resolved configuration, and cache accessors that
-/// record usage.
+/// What an algorithm run sees of a session: the pinned epoch's graph,
+/// the resolved configuration, and cache accessors that record usage.
 ///
 /// One `EngineCtx` exists per query, on the query's stack: the
 /// mutability (`&mut self` accessors) is the query's own stat
 /// accumulator, while all shared state behind `epoch` and `state` is
 /// reached through interior-concurrent cells.
-pub struct EngineCtx<'a> {
+pub(crate) struct EngineCtx<'a> {
     epoch: &'a Epoch,
     config: &'a VulnConfig,
     state: &'a EngineState,
@@ -867,19 +849,10 @@ impl<'a> EngineCtx<'a> {
         self.config
     }
 
-    /// Records a single-flight join (this query waited for another
-    /// query's in-flight build and shared its result).
-    fn note_join(&mut self) {
-        if self.record_usage {
-            SessionTotals::add(&self.state.totals.cache_waits, 1);
-            SessionTotals::add(&self.state.totals.builds_deduped, 1);
-        }
-    }
-
     /// Single-flight lookup accounting shared by every memo layer: a
-    /// build counts as computed; a hit (or join) on the request's first
-    /// access marks the layer reused; a join additionally counts
-    /// wait + dedup. One implementation so the layers cannot drift.
+    /// build counts as computed; a hit on the request's first access
+    /// marks the layer reused. One implementation so the layers cannot
+    /// drift.
     fn note_flight(&mut self, flight: Flight, first_access: bool, layer: MemoLayer) {
         let state = self.state;
         match flight {
@@ -890,23 +863,17 @@ impl<'a> EngineCtx<'a> {
                 };
                 SessionTotals::add(computed, 1);
             }
-            Flight::Hit | Flight::Joined => {
-                if first_access && self.record_usage {
-                    match layer {
-                        MemoLayer::Bounds => {
-                            self.request.bounds_reused = true;
-                            SessionTotals::add(&state.totals.bounds_reused, 1);
-                        }
-                        MemoLayer::Reductions => {
-                            self.request.reduction_reused = true;
-                            SessionTotals::add(&state.totals.reductions_reused, 1);
-                        }
-                    }
+            Flight::Hit if first_access && self.record_usage => match layer {
+                MemoLayer::Bounds => {
+                    self.request.bounds_reused = true;
+                    SessionTotals::add(&state.totals.bounds_reused, 1);
                 }
-                if flight == Flight::Joined {
-                    self.note_join();
+                MemoLayer::Reductions => {
+                    self.request.reduction_reused = true;
+                    SessionTotals::add(&state.totals.reductions_reused, 1);
                 }
-            }
+            },
+            Flight::Hit => {}
         }
     }
 
@@ -930,7 +897,7 @@ impl<'a> EngineCtx<'a> {
         let (pair, flight) = epoch.bounds.get_or_build(&key, || {
             let levels = BoundLevels::new(&epoch.graph, key.0, key.1);
             let pair = (levels.lower().to_vec(), levels.upper().to_vec());
-            let (mut live, _) = lock_tracked(&state.live);
+            let mut live = lock_tracked(&state.live);
             let room = live.maintainers.len() < MAX_BOUND_MAINTAINERS
                 || live.maintainers.contains_key(&key);
             if room && live.epoch.number == epoch.number {
@@ -950,9 +917,8 @@ impl<'a> EngineCtx<'a> {
         let key = (k, self.config.bound_order, self.config.bounds_method);
         // Probe before touching bounds: a cached reduction must not
         // pull the bound vectors (pre-0.4 behavior, preserved).
-        if let Some((hit, joined)) = self.epoch.reductions.get(&key) {
-            let flight = if joined { Flight::Joined } else { Flight::Hit };
-            self.note_flight(flight, first_access, MemoLayer::Reductions);
+        if let Some(hit) = self.epoch.reductions.get(&key) {
+            self.note_flight(Flight::Hit, first_access, MemoLayer::Reductions);
             return hit;
         }
         let bounds = self.bounds();
@@ -1036,25 +1002,16 @@ impl<'a> EngineCtx<'a> {
 
     /// The shared stream-cell protocol behind
     /// [`EngineCtx::forward_counts`]/[`EngineCtx::reverse_counts_until`]:
-    /// probe the `drawing` marker, lock the cell, serve each target
-    /// prefix through the prefix cache until `next` accepts one (see
-    /// [`EngineCtx::reverse_counts_until`]), and
-    /// account waits/coins/width. `draw(pass)` runs the one
+    /// lock the cell, serve each target prefix through the prefix cache
+    /// until `next` accepts one (see [`EngineCtx::reverse_counts_until`]),
+    /// and account samples/coins/width. `draw(pass)` runs the one
     /// [`SamplePass`] each cache miss builds — its range is the drawn
     /// gap, split at every snapshot key inside it, at the planner's
     /// width for the target and the session's threads, with the
     /// request's cancel token and the stream's ledger. `looks` makes the
-    /// cache snapshot (and keep) BSRBK's look prefixes.
-    ///
-    /// Protocol invariants (correctness-sensitive for the wait/dedup
-    /// counters, so they live in exactly one place):
-    /// * the marker is read *before* the lock — that snapshot is what
-    ///   distinguishes "joined an in-flight draw" from warm lock
-    ///   contention;
-    /// * the marker flips *inside* the serve closure, which only runs
-    ///   when worlds are actually materialized, so a warm hit never
-    ///   marks;
-    /// * the guard clears the marker even on unwind.
+    /// cache snapshot (and keep) BSRBK's look prefixes. Holding the cell
+    /// lock across the draw is the single-flight property: a query that
+    /// blocked on it finds the prefix cached and draws nothing.
     ///
     /// A pass narrows the planned width when a drawn gap is too small
     /// to keep every thread busy (e.g. a short cache extension); the
@@ -1079,11 +1036,7 @@ impl<'a> EngineCtx<'a> {
         let graph = self.graph();
         let version = graph.version();
         let (num_nodes, num_edges) = (graph.num_nodes(), graph.num_edges());
-        // ORDERING: Acquire pairs with the Release store in the serve
-        // closure; the marker only classifies this query's wait — all
-        // counts are transferred under the cell mutex.
-        let draw_in_flight = stream.drawing.load(Ordering::Acquire);
-        let (mut cache, waited) = lock_tracked(&stream.cache);
+        let mut cache = lock_tracked(&stream.cache);
         let stale = cache.graph_version.is_some_and(|v| v != version);
         let ledger = (!stale).then(|| stream.ledger(num_nodes, num_edges));
         let mut scratch = SampleCache::default();
@@ -1096,15 +1049,11 @@ impl<'a> EngineCtx<'a> {
         };
         let mut usage = CoinUsage::default();
         let mut used_width: Option<BlockWords> = None;
-        let drawing_reset = MarkerReset(&stream.drawing);
         let sample_cap = self.sample_cap;
         let capped = |t: u64| sample_cap.map_or(t, |cap| t.min(cap));
         let mut serve = |t: u64| {
             let width = BlockWords::plan(t, threads);
             let (read, fresh, _) = serve_cache.serve(t, width.lanes(), looks, |start, ends| {
-                // ORDERING: Release pairs with the Acquire probe above —
-                // set only when worlds actually materialize.
-                stream.drawing.store(true, Ordering::Release);
                 // xlint: allow(panic-hygiene) — `SampleCache::serve` ends
                 // every draw at its target, so `ends` is never empty.
                 let (&end, splits) = ends.split_last().expect("a draw ends at its target");
@@ -1145,12 +1094,10 @@ impl<'a> EngineCtx<'a> {
                 None => break,
             }
         }
-        drop(drawing_reset);
         drop(cache);
         // xlint: allow(panic-hygiene) — every caller passes at least one
         // target, and the first one is always read.
         let counts = counts.expect("at least one target");
-        self.note_stream_wait(waited, draw_in_flight, drawn);
         // A draw ahead of an accepted look reuses nothing of it.
         self.note_usage(drawn, counts.samples().saturating_sub(drawn));
         self.note_coins(&usage);
@@ -1179,21 +1126,6 @@ impl<'a> EngineCtx<'a> {
         // ORDERING: Relaxed — a monotone high-water stat; no other
         // memory depends on observing it.
         self.state.totals.widest_block_words.fetch_max(width.words(), Ordering::Relaxed);
-    }
-
-    /// Stream-cell contention bookkeeping. `waited` means the query
-    /// blocked on the cell lock; a *deduplicated build* is only counted
-    /// when the cell's `drawing` marker showed an actual materialization
-    /// in flight when this query arrived AND the query then drew
-    /// nothing itself — plain lock contention between warm cache hits
-    /// counts as a wait, never as a dedup.
-    fn note_stream_wait(&mut self, waited: bool, draw_in_flight: bool, drawn: u64) {
-        if waited && self.record_usage {
-            SessionTotals::add(&self.state.totals.cache_waits, 1);
-            if draw_in_flight && drawn == 0 {
-                SessionTotals::add(&self.state.totals.builds_deduped, 1);
-            }
-        }
     }
 
     fn note_usage(&mut self, drawn: u64, reused: u64) {
@@ -1331,7 +1263,7 @@ impl Detector {
     /// share of a sampling pass, and queries starting meanwhile wait for
     /// the new epoch.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaOutcome> {
-        let (mut live, _) = lock_tracked(&self.state.live);
+        let mut live = lock_tracked(&self.state.live);
         let (next, Revalidation { revalidated, invalidated, repaired }) =
             self.state.next_epoch(&mut live, delta, &self.config)?;
         let (epoch, graph_version) = (next.number, next.graph.version());
@@ -1356,7 +1288,7 @@ impl Detector {
     /// queries that *start* afterwards see a cold cache.
     pub fn clear_cache(&self) {
         {
-            let (mut live, _) = lock_tracked(&self.state.live);
+            let mut live = lock_tracked(&self.state.live);
             let (graph, number) = (Arc::clone(&live.epoch.graph), live.epoch.number);
             live.epoch = Arc::new(Epoch::new(graph, number, OnceLock::new()));
             live.maintainers.clear();
@@ -1430,9 +1362,8 @@ impl Detector {
         let epoch = self.state.pin();
         let resolved = request.resolve(&epoch.graph, &self.config)?;
         let _in_flight = self.state.totals.enter();
-        let algo = algorithm(resolved.algorithm);
         let mut ctx = self.ctx_for(&epoch, &resolved);
-        let outcome = algo.run(&mut ctx, &resolved).map(|mut response| {
+        let outcome = algorithms::run(&mut ctx, &resolved).map(|mut response| {
             response.engine = ctx.request;
             response.engine.epoch = epoch.number;
             response.engine.graph_version = epoch.graph.version();
@@ -1483,9 +1414,8 @@ impl Detector {
 
         let mut responses: Vec<Option<DetectResponse>> = vec![None; resolved.len()];
         for i in order {
-            let algo = algorithm(resolved[i].algorithm);
             let mut ctx = self.ctx_for(&epoch, &resolved[i]);
-            let outcome = algo.run(&mut ctx, &resolved[i]).map(|mut response| {
+            let outcome = algorithms::run(&mut ctx, &resolved[i]).map(|mut response| {
                 response.engine = ctx.request;
                 response.engine.epoch = epoch.number;
                 response.engine.graph_version = epoch.graph.version();
@@ -2043,7 +1973,7 @@ mod tests {
     /// The epoch the session's maintainer tracks (there is one per
     /// `(z, method)`).
     fn maintainer_epoch(d: &Detector) -> u64 {
-        let (live, _) = lock_tracked(&d.state.live);
+        let live = lock_tracked(&d.state.live);
         assert_eq!(live.maintainers.len(), 1);
         live.maintainers.values().map(|maintainer| maintainer.epoch).next().unwrap()
     }
@@ -2087,7 +2017,7 @@ mod tests {
         let old = d.state.pin();
         d.apply_delta(&delta(3)).unwrap();
         d.ctx(&old).bounds();
-        assert!(lock_tracked(&d.state.live).0.maintainers.is_empty(), "a retired epoch parked");
+        assert!(lock_tracked(&d.state.live).maintainers.is_empty(), "a retired epoch parked");
         d.warm_bounds();
         assert_eq!(maintainer_epoch(&d), 1);
     }
@@ -2434,7 +2364,7 @@ mod tests {
     /// Answers `req` on a pinned epoch, live or retired.
     fn detect_on(d: &Detector, epoch: &Epoch, req: &DetectRequest) -> DetectResponse {
         let resolved = req.resolve(&epoch.graph, d.config()).unwrap();
-        algorithm(resolved.algorithm).run(&mut d.ctx_for(epoch, &resolved), &resolved).unwrap()
+        algorithms::run(&mut d.ctx_for(epoch, &resolved), &resolved).unwrap()
     }
 
     #[test]
@@ -2547,7 +2477,7 @@ mod tests {
             .set_self_risk(NodeId(3), 0.7);
         let (ptr, version) = (Arc::as_ptr(&d.graph()), d.graph().version());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (mut live, _) = lock_tracked(&d.state.live);
+            let mut live = lock_tracked(&d.state.live);
             let retiring = Arc::get_mut(&mut live.epoch).expect("no query pins the epoch");
             let patch = Patch::apply(&mut retiring.graph, &delta).unwrap();
             assert_eq!(patch.graph().self_risk(NodeId(3)), 0.7);

@@ -188,8 +188,7 @@ impl DetectRequest {
     }
 
     /// Validates the request against a graph and session configuration,
-    /// producing the fully-resolved form the [`Algorithm`](super::Algorithm)
-    /// implementations run on.
+    /// producing the fully-resolved form the algorithms run on.
     pub(crate) fn resolve(
         &self,
         graph: &UncertainGraph,
@@ -270,9 +269,9 @@ impl DetectRequest {
 }
 
 /// A validated request with all session defaults applied. This is what
-/// [`Algorithm`](super::Algorithm) implementations receive.
+/// the algorithms receive.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResolvedRequest {
+pub(crate) struct ResolvedRequest {
     /// How many nodes to return.
     pub k: usize,
     /// Which algorithm runs.

@@ -21,6 +21,8 @@
 //! use — see [`crate::serve`]).
 
 use std::fmt::Write as _;
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::str::FromStr;
 use ugraph::{GraphStats, NodeOrder, UncertainGraph};
 use vulnds_core::engine::{default_threads, DetectRequest, Detector};
 use vulnds_core::{
@@ -202,41 +204,13 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--k" => {
-                        k = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--k: not an integer"))?,
-                        )
-                    }
+                    "--k" => k = Some(flag(&rest, &mut i)?),
                     "--algorithm" => algorithm = parse_algorithm(&value(&rest, &mut i)?)?,
-                    "--epsilon" => {
-                        epsilon = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--epsilon: not a number"))?
-                    }
-                    "--delta" => {
-                        delta = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--delta: not a number"))?
-                    }
-                    "--seed" => {
-                        config.seed = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--seed: not an integer"))?
-                    }
-                    "--threads" => {
-                        threads = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--threads: not an integer"))?,
-                        )
-                    }
-                    "--bound-order" => {
-                        config.bound_order = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--bound-order: not an integer"))?
-                    }
+                    "--epsilon" => epsilon = flag(&rest, &mut i)?,
+                    "--delta" => delta = flag(&rest, &mut i)?,
+                    "--seed" => config.seed = flag(&rest, &mut i)?,
+                    "--threads" => threads = Some(flag(&rest, &mut i)?),
+                    "--bound-order" => config.bound_order = flag(&rest, &mut i)?,
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("detect: unknown option {other}"))),
                 }
@@ -264,18 +238,8 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                             other => return Err(err(format!("--method: unknown method {other}"))),
                         }
                     }
-                    "--seed" => {
-                        config.seed = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--seed: not an integer"))?
-                    }
-                    "--threads" => {
-                        threads = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--threads: not an integer"))?,
-                        )
-                    }
+                    "--seed" => config.seed = flag(&rest, &mut i)?,
+                    "--threads" => threads = Some(flag(&rest, &mut i)?),
                     "--format" => format = parse_format(&value(&rest, &mut i)?)?,
                     other => return Err(err(format!("score: unknown option {other}"))),
                 }
@@ -301,13 +265,7 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--workers" => {
-                        workers = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--workers: not an integer"))?,
-                        )
-                    }
+                    "--workers" => workers = Some(flag(&rest, &mut i)?),
                     "--tcp" => tcp = Some(value(&rest, &mut i)?),
                     "--wal" => wal = Some(value(&rest, &mut i)?),
                     "--fsync" => {
@@ -317,57 +275,17 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
                         })?
                     }
                     "--compact-every" => {
-                        compact_every = Some(
-                            value(&rest, &mut i)?
-                                .parse::<u64>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| err("--compact-every: not a positive integer"))?,
-                        )
+                        compact_every = Some(flag::<NonZeroU64>(&rest, &mut i)?.get())
                     }
-                    "--max-samples" => {
-                        max_samples = value(&rest, &mut i)?
-                            .parse::<u64>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--max-samples: not a positive integer"))?
-                    }
-                    "--default-timeout-ms" => {
-                        default_timeout_ms = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--default-timeout-ms: not an integer"))?,
-                        )
-                    }
+                    "--max-samples" => max_samples = flag::<NonZeroU64>(&rest, &mut i)?.get(),
+                    "--default-timeout-ms" => default_timeout_ms = Some(flag(&rest, &mut i)?),
                     "--max-connections" => {
-                        max_connections = value(&rest, &mut i)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--max-connections: not a positive integer"))?
+                        max_connections = flag::<NonZeroUsize>(&rest, &mut i)?.get()
                     }
-                    "--drain-ms" => {
-                        drain_ms = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--drain-ms: not an integer"))?
-                    }
-                    "--seed" => {
-                        config.seed = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--seed: not an integer"))?
-                    }
-                    "--threads" => {
-                        threads = Some(
-                            value(&rest, &mut i)?
-                                .parse()
-                                .map_err(|_| err("--threads: not an integer"))?,
-                        )
-                    }
-                    "--bound-order" => {
-                        config.bound_order = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--bound-order: not an integer"))?
-                    }
+                    "--drain-ms" => drain_ms = flag(&rest, &mut i)?,
+                    "--seed" => config.seed = flag(&rest, &mut i)?,
+                    "--threads" => threads = Some(flag(&rest, &mut i)?),
+                    "--bound-order" => config.bound_order = flag(&rest, &mut i)?,
                     other => return Err(err(format!("serve: unknown option {other}"))),
                 }
                 i += 1;
@@ -406,13 +324,7 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--order" => {
-                        order = value(&rest, &mut i)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&z| z > 0)
-                            .ok_or_else(|| err("--order: not a positive integer"))?
-                    }
+                    "--order" => order = flag::<NonZeroUsize>(&rest, &mut i)?.get(),
                     other => return Err(err(format!("bounds: unknown option {other}"))),
                 }
                 i += 1;
@@ -429,16 +341,8 @@ pub fn parse(args: &[String]) -> Result<Command, VulnError> {
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
-                    "--scale" => {
-                        scale = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--scale: not a number"))?
-                    }
-                    "--seed" => {
-                        seed = value(&rest, &mut i)?
-                            .parse()
-                            .map_err(|_| err("--seed: not an integer"))?
-                    }
+                    "--scale" => scale = flag(&rest, &mut i)?,
+                    "--seed" => seed = flag(&rest, &mut i)?,
                     other => return Err(err(format!("generate: unknown option {other}"))),
                 }
                 i += 1;
@@ -510,6 +414,38 @@ fn run_serve(
 fn value(rest: &[String], i: &mut usize) -> Result<String, VulnError> {
     *i += 1;
     rest.get(*i).cloned().ok_or_else(|| err(format!("{}: missing value", rest[*i - 1])))
+}
+
+/// A typed flag value, and what its parse error says the value is not.
+trait FlagValue: FromStr {
+    const WANTED: &'static str;
+}
+
+impl FlagValue for u64 {
+    const WANTED: &'static str = "an integer";
+}
+
+impl FlagValue for usize {
+    const WANTED: &'static str = "an integer";
+}
+
+impl FlagValue for f64 {
+    const WANTED: &'static str = "a number";
+}
+
+impl FlagValue for NonZeroU64 {
+    const WANTED: &'static str = "a positive integer";
+}
+
+impl FlagValue for NonZeroUsize {
+    const WANTED: &'static str = "a positive integer";
+}
+
+/// Reads the value of the flag at `rest[*i]` (advancing `i` past it) as
+/// a `T`, failing with `<flag>: not <T::WANTED>`.
+fn flag<T: FlagValue>(rest: &[String], i: &mut usize) -> Result<T, VulnError> {
+    let text = value(rest, i)?;
+    text.parse().map_err(|_| err(format!("{}: not {}", rest[*i - 1], T::WANTED)))
 }
 
 fn expect_empty<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), VulnError> {

@@ -397,34 +397,27 @@ struct ServeCtx<'a> {
 }
 
 /// Answers newline-delimited JSON requests from `input` on a pool of
-/// `workers` threads sharing `detector` — [`serve_with`] with default
-/// options. Kept as the simplest entry point (and the one the in-repo
-/// tests exercise).
+/// `workers` threads sharing `detector` — [`serve_durable`] with default
+/// options and no write-ahead log. Kept as the simplest entry point (and
+/// the one the in-repo tests exercise).
 pub fn serve(
     detector: &Detector,
     workers: usize,
     input: impl BufRead,
     output: impl Write + Send,
 ) -> Result<ServeSummary, VulnError> {
-    serve_with(detector, &ServeOptions { workers, ..ServeOptions::default() }, input, output)
+    let options = ServeOptions { workers, ..ServeOptions::default() };
+    serve_durable(detector, &options, None, input, output)
 }
 
 /// Answers newline-delimited JSON requests from `input` on
 /// `options.workers` pool threads sharing `detector`, writing one JSON
 /// response line per request to `output` as each completes. Returns
 /// when `input` ends or a `shutdown` request arrives, after draining
-/// in-flight queries under `options.drain_ms`.
-pub fn serve_with(
-    detector: &Detector,
-    options: &ServeOptions,
-    input: impl BufRead,
-    output: impl Write + Send,
-) -> Result<ServeSummary, VulnError> {
-    serve_inner(detector, options, None, input, output, &ServeControl::default())
-}
-
-/// [`serve_with`] plus a write-ahead log: `update` commits append to
-/// `updates` (fsync per its policy) before being acked.
+/// in-flight queries under `options.drain_ms`. With `updates`, `update`
+/// commits append to that write-ahead log (fsync per its policy) before
+/// being acked; without it they apply atomically but are lost on
+/// restart.
 pub fn serve_durable(
     detector: &Detector,
     options: &ServeOptions,
@@ -1005,8 +998,6 @@ pub fn session_stats_json(session: &SessionStats) -> Json {
         ("lazy_edge_words_skipped", session.lazy_edge_words_skipped.into()),
         ("superblocks_evaluated", session.superblocks_evaluated.into()),
         ("widest_block_words", session.widest_block_words.into()),
-        ("cache_waits", session.cache_waits.into()),
-        ("builds_deduped", session.builds_deduped.into()),
         ("concurrent_peak", session.concurrent_peak.into()),
         ("epoch", session.epoch.into()),
         ("graph_version", session.graph_version.into()),
@@ -1048,8 +1039,8 @@ mod tests {
         input: &str,
     ) -> (ServeSummary, Vec<Json>) {
         let mut output = Vec::new();
-        let summary =
-            serve_with(detector, options, input.as_bytes(), &mut output).expect("serve runs");
+        let summary = serve_durable(detector, options, None, input.as_bytes(), &mut output)
+            .expect("serve runs");
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<Json> =
             text.lines().map(|l| Json::parse(l).expect("valid response JSON")).collect();
@@ -1062,6 +1053,80 @@ mod tests {
             .iter()
             .find(|l| l.get("id").and_then(Json::as_u64) == Some(id))
             .unwrap_or_else(|| panic!("no response with id {id}"))
+    }
+
+    /// The keys of a JSON object, in wire order.
+    fn keys(json: &Json) -> Vec<&str> {
+        match json {
+            Json::Obj(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn wire_key_lists_are_pinned() {
+        // Clients read these objects by key: a key that vanishes or moves
+        // must fail here, not silently on the wire.
+        let detector = service();
+        let lines = run_lines(&detector, 1, "{\"id\": 1, \"cmd\": \"stats\"}\n");
+        let session = by_id(&lines, 1).get("session").expect("stats carry the session");
+        assert_eq!(
+            keys(session),
+            [
+                "queries",
+                "queries_degraded",
+                "queries_cancelled",
+                "requests_shed",
+                "in_flight",
+                "samples_drawn",
+                "samples_reused",
+                "bounds_computed",
+                "bounds_reused",
+                "reductions_computed",
+                "reductions_reused",
+                "coin_words_synthesized",
+                "lazy_edge_words_skipped",
+                "superblocks_evaluated",
+                "widest_block_words",
+                "concurrent_peak",
+                "epoch",
+                "graph_version",
+                "deltas_applied",
+                "caches_revalidated",
+                "caches_invalidated",
+                "caches_repaired",
+            ]
+        );
+        let response = detector.detect(&DetectRequest::new(3, AlgorithmKind::BottomK)).unwrap();
+        let answer = detect_response_json(&response);
+        assert_eq!(keys(&answer), ["top_k", "degraded", "achieved_epsilon", "stats", "engine"]);
+        assert_eq!(
+            keys(answer.get("stats").unwrap()),
+            [
+                "algorithm",
+                "sample_budget",
+                "samples_used",
+                "candidates",
+                "verified",
+                "early_stopped",
+                "elapsed_ms",
+            ]
+        );
+        assert_eq!(
+            keys(answer.get("engine").unwrap()),
+            [
+                "samples_drawn",
+                "samples_reused",
+                "bounds_reused",
+                "reduction_reused",
+                "coin_words_synthesized",
+                "lazy_edge_words_skipped",
+                "block_words",
+                "superblocks",
+                "epoch",
+                "graph_version",
+            ]
+        );
     }
 
     #[test]

@@ -1,27 +1,15 @@
-//! Bottom-k sketch micro-benchmarks: insertion throughput and hash-order
-//! generation.
+//! Bottom-k estimator micro-benchmarks: hash-order generation and unit
+//! hashing, the two per-sample costs of the whole-graph bottom-k scorer.
 
 use vulnds_bench::microbench::bench;
-use vulnds_sketch::{hash_order, BottomK, UnitHasher};
+use vulnds_sketch::{hash_order, UnitHasher};
 
 fn main() {
-    let h = UnitHasher::new(1);
-    let values: Vec<f64> = (0..10_000u64).map(|k| h.hash_unit(k)).collect();
-    for bk in [8usize, 64, 512] {
-        bench(&format!("bottomk_insert_10k/{bk}"), || {
-            let mut s = BottomK::new(bk);
-            for &v in &values {
-                s.insert(v);
-            }
-            s.kth_smallest()
-        });
-    }
-
-    let h2 = UnitHasher::new(2);
+    let h = UnitHasher::new(2);
     for t in [1_000usize, 10_000] {
-        bench(&format!("hash_order/{t}"), || hash_order(&h2, t));
+        bench(&format!("hash_order/{t}"), || hash_order(&h, t));
     }
 
-    let h3 = UnitHasher::new(3);
-    bench("hash_unit_1k", || (0..1000u64).map(|k| h3.hash_unit(k)).sum::<f64>());
+    let h = UnitHasher::new(3);
+    bench("hash_unit_1k", || (0..1000u64).map(|k| h.hash_unit(k)).sum::<f64>());
 }

@@ -133,20 +133,18 @@ pub fn compute_bounds(
     (Recursion::Lower(method).at_order(graph, z), upper_bounds(graph, z))
 }
 
-/// Interval sanity check used by tests and debug assertions: every lower
-/// value ≤ its upper value, everything in `[0, 1]`.
-pub fn check_interval(lower: &[f64], upper: &[f64]) -> bool {
-    lower.len() == upper.len()
-        && lower
-            .iter()
-            .zip(upper)
-            .all(|(&l, &u)| (0.0..=1.0).contains(&l) && (0.0..=1.0).contains(&u) && l <= u + 1e-12)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ugraph::{from_parts, DuplicateEdgePolicy};
+
+    /// Every lower value ≤ its upper value, everything in `[0, 1]`.
+    fn check_interval(lower: &[f64], upper: &[f64]) -> bool {
+        lower.len() == upper.len()
+            && lower.iter().zip(upper).all(|(&l, &u)| {
+                (0.0..=1.0).contains(&l) && (0.0..=1.0).contains(&u) && l <= u + 1e-12
+            })
+    }
 
     fn chain() -> UncertainGraph {
         from_parts(&[0.5, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)

@@ -144,12 +144,6 @@ impl VulnConfig {
         self
     }
 
-    /// Builder-style bounds-method override.
-    pub fn with_bounds_method(mut self, method: BoundsMethod) -> Self {
-        self.bounds_method = method;
-        self
-    }
-
     /// Builder-style sample cap override.
     pub fn with_max_samples(mut self, cap: u64) -> Self {
         self.max_samples = Some(cap);

@@ -1,20 +1,7 @@
-//! Sample-size theory: Hoeffding tail bounds and the paper's Equations 3
-//! and 4.
+//! Sample-size theory: the paper's Equations 3 and 4, the `ε` a cut
+//! pass still delivers, and the Chernoff–KL bounds behind BSRBK's stop.
 
 use crate::config::ApproxParams;
-
-/// Hoeffding tail for the mean of `t` i.i.d. variables with range width 2
-/// (the pairwise estimator `p_u − p_v` of Theorem 3):
-/// `Pr[estimate − truth ≥ ε] ≤ exp(−t ε² / 2)`.
-pub fn pairwise_tail(t: u64, epsilon: f64) -> f64 {
-    (-(t as f64) * epsilon * epsilon / 2.0).exp()
-}
-
-/// Hoeffding tail for a single `[0, 1]` mean (range width 1):
-/// `Pr[|estimate − truth| ≥ ε] ≤ 2 exp(−2 t ε²)`.
-pub fn single_mean_tail(t: u64, epsilon: f64) -> f64 {
-    2.0 * (-2.0 * t as f64 * epsilon * epsilon).exp()
-}
 
 /// Equation 3: sample size for the basic sampling algorithm,
 /// `t = (2/ε²) · ln(k (n − k) / δ)`, bounding the order of the
@@ -49,13 +36,6 @@ fn pair_bound_sample_size(a: u64, b: u64, approx: ApproxParams) -> u64 {
     } else {
         t.ceil() as u64
     }
-}
-
-/// Inverse view used in tests and docs: with `t` samples, the per-pair
-/// failure probability is `exp(−t ε² / 2)`; with `pairs` pairs the union
-/// bound gives the overall failure probability.
-pub fn failure_probability(t: u64, pairs: u64, epsilon: f64) -> f64 {
-    (pairs as f64 * pairwise_tail(t, epsilon)).min(1.0)
 }
 
 /// Inverts the Eq. 3/4 bound at the samples actually drawn: the `ε` the
@@ -163,23 +143,6 @@ mod tests {
         let tight_delta = basic_sample_size(1000, 10, ApproxParams::new(0.3, 0.01).unwrap());
         assert!(tight_eps > loose);
         assert!(tight_delta > loose);
-    }
-
-    #[test]
-    fn tails_decrease_with_samples() {
-        assert!(pairwise_tail(100, 0.3) > pairwise_tail(1000, 0.3));
-        assert!(single_mean_tail(100, 0.3) > single_mean_tail(1000, 0.3));
-        assert!(pairwise_tail(0, 0.3) == 1.0);
-    }
-
-    #[test]
-    fn eq3_sample_size_achieves_delta() {
-        // Plugging Eq. 3's t back into the union bound must give ≤ δ.
-        let n = 5000;
-        let k = 50;
-        let t = basic_sample_size(n, k, paper());
-        let fail = failure_probability(t, (k * (n - k)) as u64, 0.3);
-        assert!(fail <= 0.1 + 1e-9, "fail = {fail}");
     }
 
     #[test]

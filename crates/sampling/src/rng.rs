@@ -84,21 +84,6 @@ impl Xoshiro256pp {
     }
 }
 
-impl Xoshiro256pp {
-    /// Fills `dest` with raw output bytes (little-endian words).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,13 +159,5 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_words() {
-        let mut r = Xoshiro256pp::new(23);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -1,56 +1,11 @@
-//! Estimators built on top of the bottom-k machinery.
+//! The bottom-k default-probability estimator.
 
-use crate::bottomk::BottomK;
-use crate::hash::UnitHasher;
-
-/// Streaming distinct-count estimator over `u64` keys.
-///
-/// Thin convenience wrapper pairing a [`UnitHasher`] with a [`BottomK`]
-/// sketch; exact below saturation, estimated above.
-#[derive(Debug, Clone)]
-pub struct DistinctCounter {
-    hasher: UnitHasher,
-    sketch: BottomK,
-    observed: usize,
-}
-
-impl DistinctCounter {
-    /// Creates a counter with sketch parameter `bk` and the given seed.
-    pub fn new(bk: usize, seed: u64) -> Self {
-        DistinctCounter { hasher: UnitHasher::new(seed), sketch: BottomK::new(bk), observed: 0 }
-    }
-
-    /// Observes a key (duplicates allowed).
-    pub fn observe(&mut self, key: u64) {
-        self.observed += 1;
-        self.sketch.insert(self.hasher.hash_unit(key));
-    }
-
-    /// Total observations, including duplicates.
-    pub fn observations(&self) -> usize {
-        self.observed
-    }
-
-    /// Estimated number of distinct keys.
-    ///
-    /// Before the sketch saturates the retained count is exact, so it is
-    /// returned directly. Note this under-reports if duplicate keys were
-    /// observed pre-saturation (the sketch retains duplicate hash values);
-    /// this matches the bottom-k contract, which assumes distinct inputs.
-    pub fn estimate(&self) -> f64 {
-        self.sketch.distinct_estimate().unwrap_or(self.sketch.len() as f64)
-    }
-
-    /// Access to the underlying sketch.
-    pub fn sketch(&self) -> &BottomK {
-        &self.sketch
-    }
-}
-
-/// Estimates, from a saturated per-node counter in BSRBK, the default
-/// probability of the node: `p̂(v) = (bk − 1) / (h · t)` where `h` is the
-/// hash value of the `bk`-th sample in which `v` defaulted and `t` the
-/// total sample budget (paper, proof of Theorem 6).
+/// Estimates the default probability of a node whose counter reached
+/// `bk` hits: `p̂(v) = (bk − 1) / (h · t)`, where `h` is the hash value of
+/// the `bk`-th sample in which `v` defaulted and `t` the total sample
+/// budget (paper, proof of Theorem 6). The whole-graph bottom-k scorer
+/// (`vulnds score --method bottomk`) freezes each saturated node at this
+/// estimate; the engine's BSRBK does not call it.
 ///
 /// Returns a value clamped into `[0, 1]`.
 pub fn bottomk_default_probability(bk: usize, kth_hash: f64, t: usize) -> f64 {
@@ -62,28 +17,6 @@ pub fn bottomk_default_probability(bk: usize, kth_hash: f64, t: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_below_saturation() {
-        let mut c = DistinctCounter::new(16, 1);
-        for k in 0..10u64 {
-            c.observe(k);
-        }
-        assert_eq!(c.estimate(), 10.0);
-        assert_eq!(c.observations(), 10);
-    }
-
-    #[test]
-    fn estimates_above_saturation() {
-        let mut c = DistinctCounter::new(64, 2);
-        for k in 0..30_000u64 {
-            c.observe(k);
-            c.observe(k); // duplicates post-saturation don't change anything
-        }
-        let est = c.estimate();
-        assert!((est - 30_000.0).abs() / 30_000.0 < 0.5, "est = {est}");
-        assert_eq!(c.observations(), 60_000);
-    }
 
     #[test]
     fn default_probability_formula() {

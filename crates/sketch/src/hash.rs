@@ -59,9 +59,11 @@ const RADIX_PASSES: usize = 53usize.div_ceil(RADIX_BITS as usize);
 /// Hashes the integers `0..t` and returns a permutation of `0..t` ordered
 /// by ascending hash value.
 ///
-/// This is exactly the order in which the BSRBK algorithm materializes
-/// samples: it "sorts the samples in ascending order based on the hash
-/// value" (paper §3.3) without materializing them first. `O(t)`: an
+/// The paper's BSRBK "sorts the samples in ascending order based on the
+/// hash value" (§3.3); this gives that order without materializing the
+/// samples. The whole-graph bottom-k scorer pairs the `j`-th sampled
+/// world with the `j`-th smallest hash; the engine's BSRBK stops on a
+/// Chernoff–KL certificate instead and never reads it. `O(t)`: an
 /// LSD radix sort over the integer ranks behind
 /// [`UnitHasher::hash_unit`]. Samples whose hashes tie (about `t²/2⁵⁴`
 /// expected pairs) are ordered by id.

@@ -1,94 +1,9 @@
-//! Randomized property tests for the bottom-k sketch machinery, on the
+//! Randomized property tests for the unit hash and hash order, on the
 //! shared deterministic test kit (`ugraph::testkit`, a dev-dependency —
 //! the crate itself stays dependency-free).
 
-use ugraph::testkit::{check, TestRng};
-use vulnds_sketch::{hash_order, BottomK, UnitHasher};
-
-/// Values strictly inside `(0.0001, 0.9999)`, like the old proptest
-/// strategy.
-fn unit_values(rng: &mut TestRng, max_len: usize) -> Vec<f64> {
-    let len = rng.range_usize(1, max_len.max(1));
-    (0..len).map(|_| 0.0001 + rng.next_f64() * 0.9998).collect()
-}
-
-/// The sketch retains exactly the bk smallest distinct values.
-#[test]
-fn retains_bk_smallest() {
-    check(64, |rng| {
-        let values = unit_values(rng, 200);
-        let bk = rng.range_usize(1, 32);
-        let mut sketch = BottomK::new(bk);
-        for &v in &values {
-            sketch.insert(v);
-        }
-        let mut distinct = values.clone();
-        distinct.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        distinct.dedup();
-        distinct.truncate(bk);
-        assert_eq!(sketch.sorted_values(), distinct);
-    });
-}
-
-/// Insertion order never matters.
-#[test]
-fn order_invariant() {
-    check(64, |rng| {
-        let mut values = unit_values(rng, 100);
-        let bk = rng.range_usize(1, 16);
-        let mut a = BottomK::new(bk);
-        for &v in &values {
-            a.insert(v);
-        }
-        values.reverse();
-        let mut b = BottomK::new(bk);
-        for &v in &values {
-            b.insert(v);
-        }
-        assert_eq!(a.sorted_values(), b.sorted_values());
-    });
-}
-
-/// Merging sketches equals sketching the concatenation.
-#[test]
-fn merge_is_union() {
-    check(64, |rng| {
-        let xs = unit_values(rng, 80);
-        let ys = unit_values(rng, 80);
-        let bk = rng.range_usize(1, 16);
-        let mut a = BottomK::new(bk);
-        for &v in &xs {
-            a.insert(v);
-        }
-        let mut b = BottomK::new(bk);
-        for &v in &ys {
-            b.insert(v);
-        }
-        a.merge(&b);
-        let mut all = BottomK::new(bk);
-        for &v in xs.iter().chain(&ys) {
-            all.insert(v);
-        }
-        assert_eq!(a.sorted_values(), all.sorted_values());
-    });
-}
-
-/// Distinct-count estimates stay within a generous multiplicative band of
-/// the truth once saturated.
-#[test]
-fn estimate_within_band() {
-    check(50, |rng| {
-        let n = 500 + rng.next_bounded(4500);
-        let seed = rng.next_bounded(50);
-        let h = UnitHasher::new(seed);
-        let mut sketch = BottomK::new(64);
-        for k in 0..n {
-            sketch.insert(h.hash_unit(k));
-        }
-        let est = sketch.distinct_estimate().unwrap();
-        assert!(est > n as f64 * 0.5 && est < n as f64 * 2.0, "n = {n}, est = {est}");
-    });
-}
+use ugraph::testkit::check;
+use vulnds_sketch::{hash_order, UnitHasher};
 
 /// hash_order is always a permutation, stable across calls.
 #[test]

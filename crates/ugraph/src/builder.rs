@@ -2,7 +2,7 @@
 
 use crate::error::{check_probability, GraphError, Result};
 use crate::graph::UncertainGraph;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 
 /// What to do when the same `(u, v)` edge is added more than once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,17 +62,6 @@ impl GraphBuilder {
     /// Number of edges added so far (before duplicate resolution).
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Appends a new node with self-risk `ps` and returns its id.
-    pub fn add_node(&mut self, ps: f64) -> Result<NodeId> {
-        let ps = check_probability(ps, "node self-risk")?;
-        if self.self_risk.len() >= u32::MAX as usize {
-            return Err(GraphError::CapacityExceeded { what: "nodes" });
-        }
-        let id = NodeId(self.self_risk.len() as u32);
-        self.self_risk.push(ps);
-        Ok(id)
     }
 
     /// Sets the self-risk probability of an existing node.
@@ -209,24 +198,10 @@ pub fn from_parts(
     b.build()
 }
 
-/// Returns the canonical [`EdgeId`] assigned to the `i`-th edge (in sorted
-/// `(source, target)` order) of a freshly built graph. Mostly useful in
-/// tests that need stable ids.
-pub fn canonical_edge_id(i: usize) -> EdgeId {
-    EdgeId(i as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_node_returns_sequential_ids() {
-        let mut b = GraphBuilder::new(0);
-        assert_eq!(b.add_node(0.1).unwrap(), NodeId(0));
-        assert_eq!(b.add_node(0.2).unwrap(), NodeId(1));
-        assert_eq!(b.num_nodes(), 2);
-    }
+    use crate::ids::EdgeId;
 
     #[test]
     fn rejects_invalid_self_risk() {

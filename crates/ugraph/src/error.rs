@@ -42,7 +42,7 @@ pub enum GraphError {
     },
     /// The number of nodes or edges would exceed the `u32` index space.
     CapacityExceeded {
-        /// What overflowed ("nodes" or "edges").
+        /// What overflowed (the builder reports "edges").
         what: &'static str,
     },
     /// A parse error while reading a graph from text.

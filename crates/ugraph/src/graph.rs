@@ -110,14 +110,6 @@ impl UncertainGraph {
         self.self_risk[v.index()]
     }
 
-    /// Checked variant of [`self_risk`](Self::self_risk).
-    pub fn try_self_risk(&self, v: NodeId) -> Result<f64> {
-        self.self_risk
-            .get(v.index())
-            .copied()
-            .ok_or(GraphError::NodeOutOfBounds { node: v.0, len: self.num_nodes() as u32 })
-    }
-
     /// Diffusion probability of the edge with canonical id `e`.
     #[inline]
     pub fn edge_prob(&self, e: EdgeId) -> f64 {
@@ -530,13 +522,6 @@ mod tests {
             let id = tt.find_edge(u, v).expect("edge survives double transpose");
             assert_eq!(tt.edge_prob(id), g.edge_prob(e));
         }
-    }
-
-    #[test]
-    fn try_self_risk_bounds_check() {
-        let g = figure3();
-        assert!(g.try_self_risk(NodeId(4)).is_ok());
-        assert!(g.try_self_risk(NodeId(5)).is_err());
     }
 
     #[test]

@@ -49,9 +49,15 @@ pub fn read_graph<R: BufRead>(reader: R) -> Result<UncertainGraph> {
     if it.next().is_some() {
         return Err(parse_err(lineno, "trailing tokens in header"));
     }
+    // Node and edge ids are u32, so larger counts describe no graph.
+    if n > u32::MAX as usize || m > u32::MAX as usize {
+        return Err(parse_err(lineno, format!("counts n = {n}, m = {m} exceed the u32 id range")));
+    }
 
-    let mut builder = GraphBuilder::new(n);
-    let mut seen = vec![false; n];
+    // Collect the node section before allocating anything sized by `n`:
+    // memory follows the lines actually read, so a header cannot make
+    // the loader reserve more than the file holds.
+    let mut nodes = Vec::new();
     for _ in 0..n {
         let (lineno, line) =
             lines.next().ok_or_else(|| parse_err(0, "unexpected EOF in node section"))?;
@@ -73,6 +79,11 @@ pub fn read_graph<R: BufRead>(reader: R) -> Result<UncertainGraph> {
         if (id as usize) >= n {
             return Err(parse_err(lineno, format!("node id {id} >= n = {n}")));
         }
+        nodes.push((lineno, id, ps));
+    }
+    let mut builder = GraphBuilder::new(n);
+    let mut seen = vec![false; n];
+    for (lineno, id, ps) in nodes {
         if seen[id as usize] {
             return Err(parse_err(lineno, format!("node id {id} repeated")));
         }
@@ -248,6 +259,9 @@ mod tests {
             "2 0\n0 0.1\n5 0.2\n",          // node id out of range
             "2 1\n0 0.1\n1 0.2\n0 1 2.0\n", // probability out of range
             "1 0\n0 0.1\nleftover\n",       // trailing content
+            "4611686018427387904 0",        // n past the u32 id range
+            "0 4611686018427387904",        // m past the u32 id range
+            "4294967295 0",                 // a u32::MAX header with no body
         ] {
             assert!(read_graph(std::io::Cursor::new(bad)).is_err(), "accepted: {bad:?}");
         }

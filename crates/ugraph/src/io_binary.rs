@@ -106,29 +106,35 @@ pub fn read_binary<R: Read>(r: R) -> Result<UncertainGraph> {
     if &magic != MAGIC {
         return Err(bad("bad magic: not a vulnds binary graph"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    // Sanity caps before allocating (corrupted headers must not OOM).
-    if n > (1 << 33) || m > (1 << 35) {
+    let n = read_u64(&mut r)?;
+    let m = read_u64(&mut r)?;
+    // Node and edge ids are u32, so larger counts describe no graph.
+    if n > u64::from(u32::MAX) || m > u64::from(u32::MAX) {
         return Err(bad(format!("implausible header: n = {n}, m = {m}")));
     }
 
-    let mut b = GraphBuilder::new(n).with_duplicate_policy(DuplicateEdgePolicy::Error);
-    for v in 0..n as u32 {
-        let ps = read_f64(&mut r)?;
+    // Every buffer grows with the bytes actually read, never from the
+    // header alone: a short file fails at EOF before anything sized by
+    // `n` or `m` is reserved.
+    let mut risks = Vec::new();
+    for _ in 0..n {
+        risks.push(read_f64(&mut r)?);
+    }
+    let mut b = GraphBuilder::new(risks.len()).with_duplicate_policy(DuplicateEdgePolicy::Error);
+    for (v, ps) in (0..).zip(risks) {
         b.set_self_risk(NodeId(v), ps).map_err(|e| bad(e.to_string()))?;
     }
-    let mut sources = Vec::with_capacity(m);
+    let mut sources = Vec::new();
     for _ in 0..m {
         sources.push(read_u32(&mut r)?);
     }
-    let mut targets = Vec::with_capacity(m);
+    let mut targets = Vec::new();
     for _ in 0..m {
         targets.push(read_u32(&mut r)?);
     }
-    for i in 0..m {
+    for (u, v) in sources.into_iter().zip(targets) {
         let p = read_f64(&mut r)?;
-        b.add_edge(NodeId(sources[i]), NodeId(targets[i]), p).map_err(|e| bad(e.to_string()))?;
+        b.add_edge(NodeId(u), NodeId(v), p).map_err(|e| bad(e.to_string()))?;
     }
     // Everything after the edge section must be absent (legacy v1) or
     // exactly the 5-byte trailer. Read up to one byte more than the
@@ -303,14 +309,35 @@ mod tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn rejects_implausible_header() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_binary(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(err.to_string().contains("implausible"), "{err}");
+        // Ids are u32: larger counts are refused before any body byte.
+        for (n, m) in [(u64::MAX, 0), ((1 << 32) + 1, 0), (0, (1 << 32) + 1), (0, 1 << 35)] {
+            let mut buf = header(n, m);
+            buf.extend_from_slice(&[0; 5]);
+            let err = read_binary(std::io::Cursor::new(buf)).unwrap_err();
+            assert!(err.to_string().contains("implausible"), "{err}");
+        }
+    }
+
+    #[test]
+    fn huge_counts_with_a_short_body_fail_at_eof() {
+        // Headers the u32 cap lets through must still fail on the bytes,
+        // not by reserving 2^32 slots up front.
+        for (n, m) in [(0, u64::from(u32::MAX)), (u64::from(u32::MAX), 0), (1, 1 << 31)] {
+            let mut buf = header(n, m);
+            buf.extend_from_slice(&0.5f64.to_le_bytes());
+            buf.extend_from_slice(&[0; 6]);
+            let err = read_binary(std::io::Cursor::new(buf)).unwrap_err();
+            assert!(matches!(err, GraphError::Io(_)), "n = {n}, m = {m}: {err}");
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod io_binary;
 pub mod relabel;
 pub mod scc;
 pub mod stats;
-pub mod subgraph;
 pub mod testkit;
 pub mod traversal;
 
@@ -66,6 +65,5 @@ pub use graph::{EdgeRef, InEdges, OutEdges, UncertainGraph};
 pub use ids::{EdgeId, NodeId};
 pub use relabel::{NodeMap, NodeOrder};
 pub use scc::{strongly_connected_components, SccDecomposition};
-pub use stats::{DegreeHistogram, GraphStats};
-pub use subgraph::{induced_subgraph, neighborhood, Subgraph};
+pub use stats::GraphStats;
 pub use traversal::{Bfs, Direction};

@@ -46,11 +46,6 @@ impl SccDecomposition {
             .map(|(v, _)| NodeId(v as u32))
             .collect()
     }
-
-    /// `true` when every component is a single node (the graph is a DAG).
-    pub fn is_dag(&self) -> bool {
-        self.count == self.component.len()
-    }
 }
 
 /// Computes SCCs with an iterative Tarjan (explicit stack, no recursion —
@@ -131,7 +126,6 @@ mod tests {
         .unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 4);
-        assert!(scc.is_dag());
         assert!(scc.non_trivial().is_empty());
     }
 
@@ -145,7 +139,6 @@ mod tests {
         .unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 1);
-        assert!(!scc.is_dag());
         assert_eq!(scc.sizes(), vec![3]);
         assert_eq!(scc.members(0).len(), 3);
     }
@@ -200,6 +193,5 @@ mod tests {
         let g = UncertainGraph::builder(0).build().unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 0);
-        assert!(scc.is_dag());
     }
 }

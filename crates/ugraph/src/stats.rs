@@ -1,7 +1,6 @@
 //! Degree and probability statistics (reproduces the paper's Table 2).
 
 use crate::graph::UncertainGraph;
-use crate::ids::NodeId;
 
 /// Summary statistics of an uncertain graph, as reported in Table 2 of the
 /// paper: node count, edge count, average degree (`m / n`) and maximum
@@ -57,83 +56,6 @@ impl GraphStats {
     }
 }
 
-/// Histogram of total degrees, used to validate that synthetic datasets
-/// reproduce the degree shape of the originals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeHistogram {
-    /// `counts[d]` = number of nodes with total degree `d`.
-    pub counts: Vec<usize>,
-}
-
-impl DegreeHistogram {
-    /// Builds the histogram of total (in + out) degrees.
-    pub fn total(g: &UncertainGraph) -> DegreeHistogram {
-        let mut counts = Vec::new();
-        for v in g.nodes() {
-            let d = g.degree(v);
-            if d >= counts.len() {
-                counts.resize(d + 1, 0);
-            }
-            counts[d] += 1;
-        }
-        DegreeHistogram { counts }
-    }
-
-    /// Fraction of nodes with degree at least `d`: the complementary CDF.
-    pub fn ccdf(&self, d: usize) -> f64 {
-        let total: usize = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let at_least: usize = self.counts.iter().skip(d).sum();
-        at_least as f64 / total as f64
-    }
-
-    /// Estimates the power-law exponent `alpha` by the Clauset–Shalizi–Newman
-    /// continuous MLE over degrees `>= d_min`:
-    /// `alpha = 1 + n / Σ ln(d_i / (d_min - 0.5))`.
-    ///
-    /// Returns `None` when fewer than two nodes have degree `>= d_min`.
-    pub fn power_law_alpha_mle(&self, d_min: usize) -> Option<f64> {
-        let d_min = d_min.max(1);
-        let mut n = 0usize;
-        let mut log_sum = 0.0;
-        for (d, &c) in self.counts.iter().enumerate().skip(d_min) {
-            if c == 0 {
-                continue;
-            }
-            n += c;
-            log_sum += c as f64 * (d as f64 / (d_min as f64 - 0.5)).ln();
-        }
-        if n < 2 || log_sum <= 0.0 {
-            return None;
-        }
-        Some(1.0 + n as f64 / log_sum)
-    }
-}
-
-/// Per-node degree triple, convenient for feature extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegreeTriple {
-    /// In-degree of the node.
-    pub in_deg: u32,
-    /// Out-degree of the node.
-    pub out_deg: u32,
-}
-
-/// Collects `(in_degree, out_degree)` for every node.
-pub fn degree_triples(g: &UncertainGraph) -> Vec<DegreeTriple> {
-    g.nodes()
-        .map(|v| DegreeTriple { in_deg: g.in_degree(v) as u32, out_deg: g.out_degree(v) as u32 })
-        .collect()
-}
-
-/// Returns the node with the maximum total degree (ties broken by id), or
-/// `None` for an empty graph.
-pub fn max_degree_node(g: &UncertainGraph) -> Option<NodeId> {
-    g.nodes().max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v.0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,57 +91,5 @@ mod tests {
         assert_eq!(s.nodes, 0);
         assert_eq!(s.avg_degree, 0.0);
         assert_eq!(s.mean_self_risk, 0.0);
-    }
-
-    #[test]
-    fn histogram_on_star() {
-        let h = DegreeHistogram::total(&star());
-        // Four leaves with degree 1, hub with degree 4.
-        assert_eq!(h.counts[1], 4);
-        assert_eq!(h.counts[4], 1);
-        assert!((h.ccdf(1) - 1.0).abs() < 1e-12);
-        assert!((h.ccdf(2) - 0.2).abs() < 1e-12);
-        assert_eq!(h.ccdf(5), 0.0);
-    }
-
-    #[test]
-    fn ccdf_is_monotone() {
-        let h = DegreeHistogram::total(&star());
-        let mut prev = f64::INFINITY;
-        for d in 0..8 {
-            let c = h.ccdf(d);
-            assert!(c <= prev + 1e-15);
-            prev = c;
-        }
-    }
-
-    #[test]
-    fn alpha_mle_recovers_heavy_tail_direction() {
-        // A graph with all equal degrees has no heavy tail; the MLE should
-        // still return a finite alpha > 1 when defined.
-        let g = from_parts(
-            &[0.0; 4],
-            &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)],
-            DuplicateEdgePolicy::Error,
-        )
-        .unwrap();
-        let h = DegreeHistogram::total(&g);
-        let alpha = h.power_law_alpha_mle(1).unwrap();
-        assert!(alpha > 1.0);
-    }
-
-    #[test]
-    fn max_degree_node_is_hub() {
-        assert_eq!(max_degree_node(&star()), Some(NodeId(0)));
-        let empty = UncertainGraph::builder(0).build().unwrap();
-        assert_eq!(max_degree_node(&empty), None);
-    }
-
-    #[test]
-    fn degree_triples_match() {
-        let t = degree_triples(&star());
-        assert_eq!(t[0].out_deg, 4);
-        assert_eq!(t[0].in_deg, 0);
-        assert_eq!(t[3].in_deg, 1);
     }
 }

@@ -1,9 +1,10 @@
 //! Deterministic (probability-blind) traversals over the graph structure.
 //!
 //! The samplers in `vulnds-sampling` implement their own probabilistic
-//! BFS; the traversals here treat every edge as present and are used by
-//! dataset generators, statistics, and baselines (e.g. connectivity
-//! checks, reachability counts).
+//! BFS; the traversals here treat every edge as present. [`downstream`]
+//! bounds what a graph delta can touch, so the engine repairs only those
+//! nodes' sample counts; [`reachable_count`] sizes a node's contagion
+//! reach (the `loan_risk` example's exposure report).
 
 use crate::graph::UncertainGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -70,16 +71,6 @@ impl Iterator for Bfs<'_> {
     }
 }
 
-/// Returns the set of nodes reachable from `root` (inclusive) following
-/// `direction`, as a boolean mask.
-pub fn reachable_mask(graph: &UncertainGraph, root: NodeId, direction: Direction) -> Vec<bool> {
-    let mut mask = vec![false; graph.num_nodes()];
-    for (v, _) in Bfs::new(graph, root, direction) {
-        mask[v.index()] = true;
-    }
-    mask
-}
-
 /// Counts nodes reachable from `root` (inclusive).
 pub fn reachable_count(graph: &UncertainGraph, root: NodeId, direction: Direction) -> usize {
     Bfs::new(graph, root, direction).count()
@@ -113,52 +104,6 @@ pub fn downstream(
         }
     }
     Some(reach.into_iter().collect())
-}
-
-/// Number of weakly-connected components (edges treated as undirected).
-pub fn weakly_connected_components(graph: &UncertainGraph) -> usize {
-    let n = graph.num_nodes();
-    let mut comp = vec![usize::MAX; n];
-    let mut count = 0;
-    let mut stack = Vec::new();
-    for s in 0..n {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        comp[s] = count;
-        stack.push(s as u32);
-        while let Some(v) = stack.pop() {
-            let v = NodeId(v);
-            for &w in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
-                if comp[w as usize] == usize::MAX {
-                    comp[w as usize] = count;
-                    stack.push(w);
-                }
-            }
-        }
-        count += 1;
-    }
-    count
-}
-
-/// Topological order of the nodes if the graph is a DAG, `None` otherwise
-/// (Kahn's algorithm). The exact default-probability evaluator uses this to
-/// decide whether the closed-form recursion of Definition 1 applies.
-pub fn topological_order(graph: &UncertainGraph) -> Option<Vec<NodeId>> {
-    let n = graph.num_nodes();
-    let mut indeg: Vec<u32> = (0..n).map(|v| graph.in_degree(NodeId(v as u32)) as u32).collect();
-    let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(NodeId(v));
-        for &w in graph.out_neighbors(NodeId(v)) {
-            indeg[w as usize] -= 1;
-            if indeg[w as usize] == 0 {
-                queue.push_back(w);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 #[cfg(test)]
@@ -227,8 +172,6 @@ mod tests {
         assert_eq!(reachable_count(&g, NodeId(0), Direction::Forward), 4);
         assert_eq!(reachable_count(&g, NodeId(3), Direction::Forward), 1);
         assert_eq!(reachable_count(&g, NodeId(3), Direction::Reverse), 4);
-        let mask = reachable_mask(&g, NodeId(1), Direction::Forward);
-        assert_eq!(mask, vec![false, true, false, true]);
     }
 
     #[test]
@@ -243,38 +186,5 @@ mod tests {
         // Past the cap the probe gives up.
         assert_eq!(downstream(&g, &[0], &[], 3), None);
         assert_eq!(downstream(&g, &[], &[], 0), Some(vec![]));
-    }
-
-    #[test]
-    fn wcc_counts() {
-        let g =
-            from_parts(&[0.0; 5], &[(0, 1, 0.5), (2, 3, 0.5)], DuplicateEdgePolicy::Error).unwrap();
-        assert_eq!(weakly_connected_components(&g), 3); // {0,1}, {2,3}, {4}
-    }
-
-    #[test]
-    fn topo_order_on_dag() {
-        let g = diamond();
-        let order = topological_order(&g).expect("diamond is a DAG");
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, v) in order.iter().enumerate() {
-                p[v.index()] = i;
-            }
-            p
-        };
-        assert!(pos[0] < pos[1] && pos[0] < pos[2]);
-        assert!(pos[1] < pos[3] && pos[2] < pos[3]);
-    }
-
-    #[test]
-    fn topo_order_rejects_cycle() {
-        let g = from_parts(
-            &[0.0; 3],
-            &[(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)],
-            DuplicateEdgePolicy::Error,
-        )
-        .unwrap();
-        assert!(topological_order(&g).is_none());
     }
 }

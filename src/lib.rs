@@ -35,7 +35,7 @@
 //!
 //! * [`ugraph`] — uncertain graph storage, I/O and statistics.
 //! * [`sampling`] — possible-world samplers (forward / reverse / parallel).
-//! * [`sketch`] — bottom-k sketches.
+//! * [`sketch`] — the bottom-k estimator behind the bottom-k scorer.
 //! * [`core`] — the `Detector` engine, bounds, pruning, the five
 //!   detection algorithms, metrics.
 //! * [`baselines`] — centralities, influence maximization, from-scratch ML.

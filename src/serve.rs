@@ -951,7 +951,7 @@ pub fn detect_response_json(response: &DetectResponse) -> Json {
 }
 
 /// Encodes the algorithm-level diagnostics of one answer.
-pub fn run_stats_json(stats: &RunStats) -> Json {
+fn run_stats_json(stats: &RunStats) -> Json {
     Json::obj([
         ("algorithm", stats.algorithm.label().into()),
         ("sample_budget", stats.sample_budget.into()),
@@ -964,7 +964,7 @@ pub fn run_stats_json(stats: &RunStats) -> Json {
 }
 
 /// Encodes the session-cache diagnostics of one answer.
-pub fn engine_stats_json(engine: &EngineStats) -> Json {
+fn engine_stats_json(engine: &EngineStats) -> Json {
     Json::obj([
         ("samples_drawn", engine.samples_drawn.into()),
         ("samples_reused", engine.samples_reused.into()),
@@ -981,7 +981,7 @@ pub fn engine_stats_json(engine: &EngineStats) -> Json {
 
 /// Encodes cumulative session counters (the `stats` command, and the
 /// session line of `--format json` CLI output).
-pub fn session_stats_json(session: &SessionStats) -> Json {
+pub(crate) fn session_stats_json(session: &SessionStats) -> Json {
     Json::obj([
         ("queries", session.queries.into()),
         ("queries_degraded", session.queries_degraded.into()),
@@ -1009,7 +1009,7 @@ pub fn session_stats_json(session: &SessionStats) -> Json {
 }
 
 /// Encodes all-node scores (`vulnds score --format json`).
-pub fn scores_json(method: &str, scores: &[f64]) -> Json {
+pub(crate) fn scores_json(method: &str, scores: &[f64]) -> Json {
     Json::obj([
         ("method", method.into()),
         ("scores", Json::Arr(scores.iter().map(|&s| Json::Num(s)).collect())),

@@ -1330,12 +1330,21 @@ impl Detector {
         ctx
     }
 
-    /// Outcome accounting shared by [`Detector::detect`] and
-    /// [`Detector::detect_many`]: a completed query counts as a query
-    /// (and as degraded when cut short); a query cancelled before any
-    /// sample counts only as cancelled.
-    fn note_outcome(&self, outcome: &Result<DetectResponse>) {
-        match outcome {
+    /// Runs one resolved request on `epoch`, the step shared by
+    /// [`Detector::detect`] and [`Detector::detect_many`]: stamps the
+    /// answer with the epoch it read, then accounts the outcome. A
+    /// completed query counts as a query (and as degraded when cut
+    /// short); a query cancelled before any sample counts only as
+    /// cancelled.
+    fn run_on(&self, epoch: &Epoch, resolved: &ResolvedRequest) -> Result<DetectResponse> {
+        let mut ctx = self.ctx_for(epoch, resolved);
+        let outcome = algorithms::run(&mut ctx, resolved).map(|mut response| {
+            response.engine = ctx.request;
+            response.engine.epoch = epoch.number;
+            response.engine.graph_version = epoch.graph.version();
+            response
+        });
+        match &outcome {
             Ok(response) => {
                 SessionTotals::add(&self.state.totals.queries, 1);
                 if response.degraded {
@@ -1347,6 +1356,7 @@ impl Detector {
             }
             Err(_) => {}
         }
+        outcome
     }
 
     /// Records a request a serving layer refused under load (shed before
@@ -1362,15 +1372,7 @@ impl Detector {
         let epoch = self.state.pin();
         let resolved = request.resolve(&epoch.graph, &self.config)?;
         let _in_flight = self.state.totals.enter();
-        let mut ctx = self.ctx_for(&epoch, &resolved);
-        let outcome = algorithms::run(&mut ctx, &resolved).map(|mut response| {
-            response.engine = ctx.request;
-            response.engine.epoch = epoch.number;
-            response.engine.graph_version = epoch.graph.version();
-            response
-        });
-        self.note_outcome(&outcome);
-        outcome
+        self.run_on(&epoch, &resolved)
     }
 
     /// Answers a batch of requests, sharing one sampling pass per
@@ -1414,15 +1416,7 @@ impl Detector {
 
         let mut responses: Vec<Option<DetectResponse>> = vec![None; resolved.len()];
         for i in order {
-            let mut ctx = self.ctx_for(&epoch, &resolved[i]);
-            let outcome = algorithms::run(&mut ctx, &resolved[i]).map(|mut response| {
-                response.engine = ctx.request;
-                response.engine.epoch = epoch.number;
-                response.engine.graph_version = epoch.graph.version();
-                response
-            });
-            self.note_outcome(&outcome);
-            responses[i] = Some(outcome?);
+            responses[i] = Some(self.run_on(&epoch, &resolved[i])?);
         }
         // xlint: allow(panic-hygiene) — the loop above writes `Some`
         // at every index of `order`, a permutation of `0..len`.

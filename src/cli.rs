@@ -33,8 +33,8 @@ use vulnds_datasets::Dataset;
 
 use crate::json::Json;
 use crate::serve::{
-    detect_response_json, scores_json, serve_durable, serve_tcp, session_stats_json, ServeOptions,
-    UpdateLog,
+    detect_response_json, parse_algorithm, scores_json, serve_durable, serve_tcp,
+    session_stats_json, ServeOptions, UpdateLog,
 };
 use crate::wal::FsyncPolicy;
 
@@ -452,18 +452,6 @@ fn expect_empty<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), Vuln
     match it.next() {
         None => Ok(()),
         Some(extra) => Err(err(format!("unexpected argument {extra}"))),
-    }
-}
-
-/// Parses an algorithm label (shared with the `serve` request decoder).
-pub(crate) fn parse_algorithm(s: &str) -> Result<AlgorithmKind, VulnError> {
-    match s.to_ascii_lowercase().as_str() {
-        "n" | "naive" => Ok(AlgorithmKind::Naive),
-        "sn" => Ok(AlgorithmKind::SampledNaive),
-        "sr" => Ok(AlgorithmKind::SampleReverse),
-        "bsr" => Ok(AlgorithmKind::BoundedSampleReverse),
-        "bsrbk" => Ok(AlgorithmKind::BottomK),
-        other => Err(err(format!("unknown algorithm {other} (n|sn|sr|bsr|bsrbk)"))),
     }
 }
 

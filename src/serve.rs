@@ -56,7 +56,7 @@
 //! as its `sample_cap` reproduces the degraded answer bit-identically —
 //! a cut-off pass is a valid (ε′, δ) answer, not a corrupted one.
 //!
-//! When the task queue is full the reader **sheds** instead of
+//! When the request queue is full the reader **sheds** instead of
 //! buffering without bound: the request is answered immediately with
 //! `{"error": "overloaded", "retry_after_ms": …}` and never queued.
 //! A `shutdown` request (or end-of-input) stops the intake, then gives
@@ -64,6 +64,10 @@
 //! is still running when it expires is cancelled at the next superblock
 //! boundary and answered degraded. Either way every accepted request
 //! gets a response and the loop exits cleanly.
+//!
+//! Each connection runs only a reader and its worker pool. The reader
+//! answers sheds, parse errors, oversized lines and the shutdown ack
+//! itself; every thread writes whole lines under one output lock.
 //!
 //! The same loop serves stdin (the default) or a TCP listener
 //! (`--tcp addr`, one connection handler per client, all sharing the
@@ -75,15 +79,14 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use ugraph::{EdgeId, GraphDelta, NodeId};
 use vulnds_core::engine::{DetectRequest, DetectResponse, Detector};
-use vulnds_core::{DeltaOutcome, EngineStats, RunStats, SessionStats, VulnError};
+use vulnds_core::{AlgorithmKind, DeltaOutcome, EngineStats, RunStats, SessionStats, VulnError};
 use vulnds_sampling::CancelToken;
 
-use crate::cli::parse_algorithm;
 use crate::json::Json;
 use crate::wal::{self, Wal};
 
@@ -117,8 +120,8 @@ pub struct ServeOptions {
     /// Concurrent TCP connections accepted before refusing with a
     /// structured `overloaded` response ([`serve_tcp`] only).
     pub max_connections: usize,
-    /// Depth of the task and response queues; requests beyond it are
-    /// shed, not buffered.
+    /// Depth of the request queue between the reader and the workers;
+    /// requests beyond it are shed, not buffered.
     pub queue_depth: usize,
 }
 
@@ -171,7 +174,7 @@ impl UpdateLog {
     fn lock(&self) -> std::sync::MutexGuard<'_, Wal> {
         // A thread that panicked mid-commit leaves the log in its
         // last-durable state, which is exactly what recovery tolerates.
-        self.wal.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Commits one delta durably: validate against the live graph,
@@ -209,10 +212,9 @@ impl UpdateLog {
 /// grow the server's memory without bound.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// Default depth of the task and response queues between the reader,
-/// the worker pool, and the writer. A client that floods past it is
-/// shed with `overloaded` responses instead of growing server memory:
-/// at most `2 · queue_depth` lines are ever in flight per connection.
+/// Default depth of the request queue between a connection's reader and
+/// its worker pool. A client that floods past it is shed with
+/// `overloaded` responses instead of growing server memory.
 pub const QUEUE_DEPTH: usize = 256;
 
 /// Default hard cap on any one query's sample budget in serve mode
@@ -228,7 +230,7 @@ pub const DEFAULT_SERVE_MAX_SAMPLES: u64 = 5_000_000;
 /// `--max-connections`); further clients are refused with one
 /// structured `overloaded` line and disconnected, so hostile connection
 /// floods cannot multiply worker pools without bound (threads per
-/// connection = `workers` + 3).
+/// connection = `workers` + 1).
 pub const MAX_CONNECTIONS: usize = 64;
 
 /// Default drain window after shutdown/end-of-input (override with
@@ -365,20 +367,20 @@ fn read_request_line(
     }
 }
 
-/// One unit of work handed from the reader to the pool: a parsed
-/// request, or a parse failure to be answered in request order.
-enum Task {
-    Request(Json),
-    Malformed { id: Json, error: String },
-}
-
-impl Task {
-    fn id(&self) -> Json {
-        match self {
-            Task::Request(json) => json.get("id").cloned().unwrap_or(Json::Null),
-            Task::Malformed { id, .. } => id.clone(),
+/// Writes and flushes one whole response line under the connection's
+/// output lock; `false` once the output has failed. The first write error
+/// replaces the sink, and a poisoned lock (a writer panicked, perhaps
+/// mid-line) counts as failed.
+fn emit<W: Write>(output: &Mutex<std::io::Result<W>>, response: &Json) -> bool {
+    // Encode outside the lock, so workers contend only for the write.
+    let line = response.to_string();
+    let Ok(mut output) = output.lock() else { return false };
+    if let Ok(sink) = &mut *output {
+        if let Err(e) = writeln!(sink, "{line}").and_then(|()| sink.flush()) {
+            *output = Err(e);
         }
     }
+    output.is_ok()
 }
 
 /// Per-loop context the workers answer requests against.
@@ -389,7 +391,7 @@ struct ServeCtx<'a> {
     /// expires, turning in-flight work into degraded answers.
     drain: &'a CancelToken,
     default_timeout_ms: Option<u64>,
-    /// Tasks accepted but not yet popped by a worker (queue gauge).
+    /// Requests queued but not yet popped by a worker (queue gauge).
     queued: &'a AtomicU64,
     /// Write-ahead log for `update` commits; `None` serves updates
     /// non-durably (applied atomically, lost on restart).
@@ -432,21 +434,22 @@ fn serve_inner(
     detector: &Detector,
     options: &ServeOptions,
     updates: Option<&UpdateLog>,
-    input: impl BufRead,
+    mut input: impl BufRead,
     output: impl Write + Send,
     control: &ServeControl,
 ) -> Result<ServeSummary, VulnError> {
-    let workers = options.workers.max(1);
-    let queue_depth = options.queue_depth.max(1);
-    let requests = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
     let queued = AtomicU64::new(0);
     let drain = CancelToken::new();
-    let shutdown = AtomicBool::new(false);
-    let io_result: std::io::Result<()> = std::thread::scope(|s| {
-        let (task_tx, task_rx) = mpsc::sync_channel::<Task>(queue_depth);
+    let output = Mutex::new(Ok(output));
+    // Every non-empty line is answered exactly once while the output
+    // holds, so the reader alone keeps the tallies.
+    let mut summary = ServeSummary::default();
+    let read: std::io::Result<()> = std::thread::scope(|s| {
+        let (task_tx, task_rx) = mpsc::sync_channel::<Json>(options.queue_depth.max(1));
         let task_rx = Arc::new(Mutex::new(task_rx));
-        let (response_tx, response_rx) = mpsc::sync_channel::<String>(queue_depth);
+        // Each worker holds a `done` sender, so the drain wait below
+        // ends as soon as the last worker exits.
+        let (done_tx, done_rx) = mpsc::channel::<()>();
         let ctx = ServeCtx {
             detector,
             drain: &drain,
@@ -454,154 +457,105 @@ fn serve_inner(
             queued: &queued,
             updates,
         };
-        for _ in 0..workers {
-            let task_rx = Arc::clone(&task_rx);
-            let response_tx = response_tx.clone();
-            let requests = &requests;
-            s.spawn(move || loop {
-                // Hold the receiver lock only to pop one task, not
+        for _ in 0..options.workers.max(1) {
+            let (task_rx, done_tx, output) = (Arc::clone(&task_rx), done_tx.clone(), &output);
+            s.spawn(move || {
+                let _done = done_tx;
+                // Hold the receiver lock only to pop one request, not
                 // while answering it.
-                let task = match task_rx.lock() {
-                    Ok(rx) => rx.recv(),
-                    Err(_) => break,
-                };
-                let Ok(task) = task else { break };
-                // ORDERING: Relaxed — a momentary gauge; the reader's
-                // increment for this task happened before its send.
-                ctx.queued.fetch_sub(1, Ordering::Relaxed);
-                // ORDERING: Relaxed — a pure tally; the final read
-                // happens after the scope joins every thread.
-                requests.fetch_add(1, Ordering::Relaxed);
-                let response = match task {
-                    Task::Request(json) => respond_parsed(&ctx, &json),
-                    Task::Malformed { id, error } => failure(id, error),
-                };
-                if response_tx.send(response.to_string()).is_err() {
-                    break;
-                }
-            });
-        }
-        let inline_tx = response_tx.clone();
-        drop(response_tx);
-        let writer = s.spawn(move || -> std::io::Result<()> {
-            let mut output = output;
-            for line in response_rx {
-                writeln!(output, "{line}")?;
-                output.flush()?;
-            }
-            Ok(())
-        });
-        let mut input = input;
-        let mut buf = Vec::new();
-        let stop_observed = || control.stop_requested();
-        loop {
-            match read_request_line(&mut input, &mut buf, &stop_observed)? {
-                LineRead::Eof => break,
-                LineRead::Stopped => {
-                    // Another connection asked the server to shut down.
-                    // ORDERING: Relaxed — read after the scope joins.
-                    shutdown.store(true, Ordering::Relaxed);
-                    break;
-                }
-                LineRead::Oversized => {
-                    // Answer in-line (the request is gone, there is
-                    // nothing to hand a worker) and keep serving.
-                    // ORDERING: Relaxed — same pure tally as above.
-                    requests.fetch_add(1, Ordering::Relaxed);
-                    let error = failure(
-                        Json::Null,
-                        format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-                    );
-                    if inline_tx.send(error.to_string()).is_err() {
+                while let Ok(Ok(request)) = task_rx.lock().map(|rx| rx.recv()) {
+                    // ORDERING: Relaxed — a momentary gauge; the reader's
+                    // increment for this request happened before its send.
+                    ctx.queued.fetch_sub(1, Ordering::Relaxed);
+                    if !emit(output, &respond_parsed(&ctx, &request)) {
                         break;
                     }
                 }
+            });
+        }
+        // The workers own the receiver now: once every one has exited on
+        // a failed output, the queue reports itself disconnected.
+        drop((task_rx, done_tx));
+        let mut buf = Vec::new();
+        let stop_observed = || control.stop_requested();
+        loop {
+            // A line the pool cannot take is answered here, in line.
+            let request = match read_request_line(&mut input, &mut buf, &stop_observed)? {
+                LineRead::Eof => break,
+                LineRead::Stopped => {
+                    // Another connection asked the server to shut down.
+                    summary.shutdown = true;
+                    break;
+                }
+                LineRead::Oversized => Err(failure(
+                    Json::Null,
+                    format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                )),
                 LineRead::Line => {
                     let line = String::from_utf8_lossy(&buf);
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let task = match Json::parse_salvaging_id(&line) {
-                        (Ok(json), _) => {
-                            if json.get("cmd").and_then(Json::as_str) == Some("shutdown") {
-                                // Ack, stop the intake everywhere, and
-                                // fall through to the drain below.
-                                // ORDERING: Relaxed — pure tallies.
-                                requests.fetch_add(1, Ordering::Relaxed);
-                                shutdown.store(true, Ordering::Relaxed);
-                                let id = json.get("id").cloned().unwrap_or(Json::Null);
-                                let ack = Json::obj([
-                                    ("id", id),
-                                    ("ok", Json::Bool(true)),
-                                    ("draining", Json::Bool(true)),
-                                ]);
-                                let _ = inline_tx.send(ack.to_string());
-                                control.request_stop();
-                                break;
-                            }
-                            Task::Request(json)
-                        }
-                        (Err(e), salvaged) => Task::Malformed {
-                            id: salvaged.unwrap_or(Json::Null),
-                            error: e.to_string(),
-                        },
-                    };
-                    // ORDERING: Relaxed — incremented before the send
-                    // so a worker's decrement can never observe the
-                    // gauge at zero first.
-                    queued.fetch_add(1, Ordering::Relaxed);
-                    match task_tx.try_send(task) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(task)) => {
-                            // Shed: answer now, never queue. Bounded
-                            // memory beats unbounded latency.
-                            // ORDERING: Relaxed — gauge + tallies.
-                            queued.fetch_sub(1, Ordering::Relaxed);
-                            shed.fetch_add(1, Ordering::Relaxed);
-                            requests.fetch_add(1, Ordering::Relaxed);
-                            detector.note_shed();
-                            let refusal = overloaded(task.id());
-                            if inline_tx.send(refusal.to_string()).is_err() {
-                                break;
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            // ORDERING: Relaxed — gauge, loop is ending.
-                            queued.fetch_sub(1, Ordering::Relaxed);
-                            break;
-                        }
+                    match Json::parse_salvaging_id(&line) {
+                        (Ok(json), _) => Ok(json),
+                        (Err(e), id) => Err(failure(id.unwrap_or(Json::Null), e.to_string())),
                     }
                 }
+            };
+            summary.requests += 1;
+            let refusal = match request {
+                Err(refusal) => refusal,
+                Ok(json) if json.get("cmd").and_then(Json::as_str) == Some("shutdown") => {
+                    // Ack, stop the intake everywhere, and fall through
+                    // to the drain below.
+                    summary.shutdown = true;
+                    let ack = Json::obj([
+                        ("id", request_id(&json)),
+                        ("ok", Json::Bool(true)),
+                        ("draining", Json::Bool(true)),
+                    ]);
+                    emit(&output, &ack);
+                    control.request_stop();
+                    break;
+                }
+                Ok(json) => {
+                    // ORDERING: Relaxed — incremented before the send so
+                    // a worker's decrement can never observe the gauge at
+                    // zero first.
+                    queued.fetch_add(1, Ordering::Relaxed);
+                    match task_tx.try_send(json) {
+                        Ok(()) => continue,
+                        Err(TrySendError::Full(json)) => {
+                            // Shed: answer now, never queue. Bounded
+                            // memory beats unbounded latency.
+                            // ORDERING: Relaxed — see the increment above.
+                            queued.fetch_sub(1, Ordering::Relaxed);
+                            summary.shed += 1;
+                            detector.note_shed();
+                            overloaded(request_id(&json))
+                        }
+                        // Every worker has exited on a failed output.
+                        Err(TrySendError::Disconnected(_)) => break,
+                    }
+                }
+            };
+            if !emit(&output, &refusal) {
+                break;
             }
         }
-        drop(inline_tx);
         drop(task_tx);
-        // Drain watchdog: give in-flight queries `drain_ms` to finish,
-        // then cancel them into degraded answers. The writer finishing
-        // first disconnects the channel and retires the watchdog
-        // without cancelling anything.
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let drain_ms = options.drain_ms;
-        let drain_token = &drain;
-        s.spawn(move || {
-            if let Err(RecvTimeoutError::Timeout) =
-                done_rx.recv_timeout(Duration::from_millis(drain_ms))
-            {
-                drain_token.cancel();
-            }
-        });
-        let joined = writer.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        drop(done_tx);
-        joined
+        // Drain: give in-flight queries `drain_ms` to finish, then cancel
+        // them into degraded answers.
+        if let Err(RecvTimeoutError::Timeout) =
+            done_rx.recv_timeout(Duration::from_millis(options.drain_ms))
+        {
+            drain.cancel();
+        }
+        Ok(())
     });
-    io_result.map_err(|e| VulnError::Usage(format!("serve: I/O error: {e}")))?;
-    Ok(ServeSummary {
-        // ORDERING: Relaxed — the scope above joined every writer of
-        // these counters, so the reads race with nothing.
-        requests: requests.load(Ordering::Relaxed),
-        shed: shed.load(Ordering::Relaxed),
-        shutdown: shutdown.load(Ordering::Relaxed),
-    })
+    read.and(output.into_inner().unwrap_or_else(PoisonError::into_inner).map(drop))
+        .map_err(|e| VulnError::Usage(format!("serve: I/O error: {e}")))?;
+    Ok(summary)
 }
 
 /// Accepts TCP connections, answering each client's newline-delimited
@@ -684,6 +638,11 @@ pub fn serve_tcp(
     })
 }
 
+/// The `id` a response echoes: the request's own, or `null`.
+fn request_id(request: &Json) -> Json {
+    request.get("id").cloned().unwrap_or(Json::Null)
+}
+
 /// Shapes one engine/parse failure as a response line.
 fn failure(id: Json, error: impl Into<String>) -> Json {
     Json::obj([("id", id), ("ok", Json::Bool(false)), ("error", Json::Str(error.into()))])
@@ -703,8 +662,7 @@ fn overloaded(id: Json) -> Json {
 /// Answers one parsed request as a response object; engine errors
 /// become `ok: false` responses rather than killing the connection.
 fn respond_parsed(ctx: &ServeCtx<'_>, request: &Json) -> Json {
-    let id = request.get("id").cloned().unwrap_or(Json::Null);
-    let mut fields = vec![("id".to_string(), id)];
+    let mut fields = vec![("id".to_string(), request_id(request))];
     match dispatch(ctx, request) {
         Ok(Json::Obj(payload)) => {
             fields.push(("ok".to_string(), Json::Bool(true)));
@@ -868,6 +826,18 @@ fn usage(msg: &str) -> VulnError {
     VulnError::Usage(msg.to_string())
 }
 
+/// Parses an algorithm label (shared with the CLI's `--algorithm`).
+pub(crate) fn parse_algorithm(s: &str) -> Result<AlgorithmKind, VulnError> {
+    match s.to_ascii_lowercase().as_str() {
+        "n" | "naive" => Ok(AlgorithmKind::Naive),
+        "sn" => Ok(AlgorithmKind::SampledNaive),
+        "sr" => Ok(AlgorithmKind::SampleReverse),
+        "bsr" => Ok(AlgorithmKind::BoundedSampleReverse),
+        "bsrbk" => Ok(AlgorithmKind::BottomK),
+        other => Err(usage(&format!("unknown algorithm {other} (n|sn|sr|bsr|bsrbk)"))),
+    }
+}
+
 /// Extracts a [`DetectRequest`] from a request object (used both for
 /// `detect` and for each element of `batch`'s `requests`).
 fn parse_detect(request: &Json) -> Result<DetectRequest, VulnError> {
@@ -877,7 +847,7 @@ fn parse_detect(request: &Json) -> Result<DetectRequest, VulnError> {
         .filter(|&k| k > 0)
         .ok_or_else(|| usage("detect: \"k\" (positive integer) is required"))? as usize;
     let algorithm = match request.get("algorithm") {
-        None => vulnds_core::AlgorithmKind::BottomK,
+        None => AlgorithmKind::BottomK,
         Some(a) => parse_algorithm(
             a.as_str().ok_or_else(|| usage("detect: \"algorithm\" must be a string"))?,
         )?,
@@ -1019,7 +989,6 @@ pub(crate) fn scores_json(method: &str, scores: &[f64]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vulnds_core::AlgorithmKind;
     use vulnds_datasets::Dataset;
 
     fn service() -> Detector {
@@ -1498,12 +1467,26 @@ mod tests {
                 "{{\"id\": {id}, \"k\": 3, \"algorithm\": \"sn\", \"epsilon\": 0.03, \"seed\": {id}}}\n"
             ));
         }
+        // Every fifth line of the burst is also followed by a malformed
+        // one: the reader answers those itself, so a full queue never
+        // sheds them.
+        let mut malformed = Vec::new();
         for id in 2..40u64 {
             input.push_str(&format!("{{\"id\": {id}, \"cmd\": \"stats\"}}\n"));
+            if id % 5 == 0 {
+                malformed.push(100 + id);
+                input.push_str(&format!("{{\"id\": {}, \"k\": }}\n", 100 + id));
+            }
         }
         let options = ServeOptions { workers: 1, queue_depth: 1, ..ServeOptions::default() };
         let (summary, lines) = run_lines_with(&detector, &options, &input);
-        assert_eq!(summary.requests, 40);
+        assert_eq!(summary.requests, 40 + malformed.len() as u64);
+        for id in malformed {
+            let bad = by_id(&lines, id);
+            assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+            let error = bad.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.starts_with("invalid JSON"), "{bad}");
+        }
         let refusals: Vec<&Json> = lines
             .iter()
             .filter(|l| l.get("error").and_then(Json::as_str) == Some("overloaded"))
@@ -1519,6 +1502,50 @@ mod tests {
             );
         }
         assert_eq!(detector.session_stats().requests_shed, summary.shed);
+    }
+
+    /// An output whose every write fails, as a reset socket's does.
+    struct BrokenOutput;
+
+    impl Write for BrokenOutput {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer gone"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failing_output_ends_the_loop_with_an_io_error() {
+        let detector = service();
+        let detect = |id: u64| format!("{{\"id\": {id}, \"k\": 3, \"algorithm\": \"sn\"}}\n");
+        // Each worker exits on its first failed line, so the loop must end
+        // without them: queued requests find the queue disconnected, and
+        // lines the reader answers itself (malformed, shed, shutdown) find
+        // the output failed. A drain window far longer than the bound
+        // shows the drain wait ends with the last worker, not on a timer.
+        let only_queued: String = (0..300).map(detect).collect();
+        let with_inline: String = (0..300)
+            .map(|id| if id % 2 == 0 { detect(id) } else { format!("{{\"id\": {id}, \"k\": }}\n") })
+            .collect();
+        let with_shutdown = format!("{}{{\"id\": 9, \"cmd\": \"shutdown\"}}\n", detect(8));
+        for input in [only_queued, with_inline, with_shutdown] {
+            for workers in [1, 3] {
+                let options = ServeOptions {
+                    workers,
+                    queue_depth: 2,
+                    drain_ms: 600_000,
+                    ..ServeOptions::default()
+                };
+                let started = std::time::Instant::now();
+                let err = serve_durable(&detector, &options, None, input.as_bytes(), BrokenOutput)
+                    .expect_err("a failed output fails the loop");
+                assert_eq!(err.to_string(), "serve: I/O error: peer gone");
+                assert!(started.elapsed() < Duration::from_secs(60), "{:?}", started.elapsed());
+            }
+        }
     }
 
     #[test]

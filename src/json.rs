@@ -4,11 +4,12 @@
 //! The workspace builds with zero external dependencies, so this module
 //! provides the small subset of JSON the wire format needs: a value
 //! tree ([`Json`]), a strict recursive-descent parser ([`Json::parse`]),
-//! and a compact single-line renderer (`Display`). Object key order is
+//! and a compact single-line encoder ([`Json::encode_into`], which
+//! `Display` delegates to). Object key order is
 //! preserved; numbers are `f64` (every request field the service reads
 //! is well inside `f64`'s exact-integer range).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use vulnds_core::VulnError;
 
@@ -105,6 +106,40 @@ impl Json {
     pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
+
+    /// Appends the value's compact single-line encoding to `out` — the
+    /// one encoder behind `Display`, the CLI's `--format json` output
+    /// and every `serve` response line.
+    pub fn encode_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => encode_number(*n, out),
+            Json::Str(s) => encode_str(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.encode_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    encode_str(key, out);
+                    out.push(':');
+                    value.encode_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl From<bool> for Json {
@@ -151,57 +186,54 @@ impl From<Vec<Json>> for Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    // JSON has no Inf/NaN; null is the conventional spelling.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '\\' => f.write_str("\\\\")?,
-            '"' => f.write_str("\\\"")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_str(c.encode_utf8(&mut [0u8; 4]))?,
-        }
+/// Below 2^53 every integral `f64` is an exact `i64`, whose digits are
+/// the ones `f64`'s `Display` prints for it.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+fn encode_number(n: f64, out: &mut String) {
+    if !n.is_finite() {
+        // JSON has no Inf/NaN; null is the conventional spelling.
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT && !(n == 0.0 && n.is_sign_negative()) {
+        // Node ids and counters: the integer formatter, no float digits.
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
-    f.write_str("\"")
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of bytes that
+/// needs no escape as one slice. Every escaped byte is ASCII, so run
+/// boundaries always fall on `char` boundaries.
+fn encode_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'\\' => '\\',
+            b'"' => '"',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(escape);
+        if escape == 'u' {
+            let _ = write!(out, "{b:04x}");
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Maximum container nesting the parser accepts. Service requests are
@@ -440,6 +472,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vulnds_sampling::Xoshiro256pp;
 
     #[test]
     fn parses_scalars() {
@@ -546,6 +579,109 @@ mod tests {
     fn non_finite_numbers_render_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    /// `value` encoded through [`Json::encode_into`] after a prefix the
+    /// encoder must append to, not overwrite.
+    fn encoded(value: &Json) -> String {
+        let mut out = String::from(">");
+        value.encode_into(&mut out);
+        let encoded = out.split_off(1);
+        assert_eq!(encoded, value.to_string(), "Display and encode_into disagree");
+        encoded
+    }
+
+    #[test]
+    fn encodes_numbers_like_f64_display() {
+        let two_53 = 2f64.powi(53);
+        for (n, want) in [
+            (-0.0, "-0"),
+            (0.0, "0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e21, "1000000000000000000000"),
+            (1e-7, "0.0000001"),
+            (two_53, "9007199254740992"),
+            (two_53 - 1.0, "9007199254740991"),
+            (-(two_53 - 1.0), "-9007199254740991"),
+            ((two_53 as u64 + 1) as f64, "9007199254740992"),
+            (u64::MAX as f64, "18446744073709552000"),
+            (42.0, "42"),
+            (-7.0, "-7"),
+            (2.5, "2.5"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(encoded(&Json::Num(n)), want, "{n:?}");
+            // The integer fast path prints what f64's Display prints.
+            if n.is_finite() {
+                assert_eq!(want, format!("{n}"), "{n:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn encodes_strings_and_keys_with_minimal_escapes() {
+        // Only `"`, `\` and control characters are escaped; DEL,
+        // non-ASCII text and U+2028 pass through as UTF-8.
+        let text = "a\"b\\c\n\r\t\u{0}\u{1f}\u{7f} é漢\u{2028}😀";
+        let want = "\"a\\\"b\\\\c\\n\\r\\t\\u0000\\u001f\u{7f} é漢\u{2028}😀\"";
+        assert_eq!(encoded(&Json::Str(text.into())), want);
+        let object = Json::Obj(vec![(text.into(), Json::Str(text.into()))]);
+        assert_eq!(encoded(&object), format!("{{{want}:{want}}}"));
+        assert_eq!(Json::parse(&encoded(&object)).unwrap(), object);
+        assert_eq!(encoded(&Json::Str(String::new())), r#""""#);
+        assert_eq!(encoded(&Json::Arr(Vec::new())), "[]");
+        assert_eq!(encoded(&Json::Obj(Vec::new())), "{}");
+        assert_eq!(
+            encoded(&Json::Arr(vec![Json::Arr(Vec::new()), Json::Obj(Vec::new())])),
+            "[[],{}]"
+        );
+        assert_eq!(encoded(&Json::Bool(false)), "false");
+        assert_eq!(encoded(&Json::Null), "null");
+    }
+
+    /// A random value at most `depth` containers deep; numbers are
+    /// finite and strings mix ASCII, escapes and multi-byte text.
+    fn random_json(rng: &mut Xoshiro256pp, depth: usize) -> Json {
+        fn below(rng: &mut Xoshiro256pp, n: u64) -> usize {
+            (rng.next_u64_raw() % n) as usize
+        }
+        fn text(rng: &mut Xoshiro256pp) -> String {
+            const ALPHABET: [char; 12] =
+                ['a', 'Z', '0', ' ', '"', '\\', '\n', '\u{1}', 'é', '漢', '\u{2028}', '😀'];
+            (0..below(rng, 8)).map(|_| ALPHABET[below(rng, 12)]).collect()
+        }
+        match below(rng, if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(below(rng, 2) == 1),
+            2 => {
+                let bits = rng.next_u64_raw();
+                let n = match bits % 3 {
+                    // Integers across the fast path's whole range.
+                    0 => (bits >> 10) as f64 - 2f64.powi(53),
+                    1 => rng.next_f64(),
+                    // Any magnitude, subnormals and huge integers included.
+                    _ => f64::from_bits(bits),
+                };
+                Json::Num(if n.is_finite() { n } else { -0.0 })
+            }
+            3 | 4 => Json::Str(text(rng)),
+            5 => Json::Arr((0..below(rng, 4)).map(|_| random_json(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..below(rng, 4)).map(|_| (text(rng), random_json(rng, depth - 1))).collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip_through_the_encoder() {
+        let mut rng = Xoshiro256pp::new(0x5eed_0034);
+        for _ in 0..2_000 {
+            let value = random_json(&mut rng, 4);
+            let text = encoded(&value);
+            assert_eq!(Json::parse(&text).unwrap(), value, "{text}");
+        }
     }
 
     #[test]

@@ -67,7 +67,10 @@
 //!
 //! Each connection runs only a reader and its worker pool. The reader
 //! answers sheds, parse errors, oversized lines and the shutdown ack
-//! itself; every thread writes whole lines under one output lock.
+//! itself. Every thread encodes into its own reused buffer and writes
+//! each response as one `write_all` of a whole line under one output
+//! lock; TCP streams run with `TCP_NODELAY`, so no line waits on the
+//! client's delayed ACK.
 //!
 //! The same loop serves stdin (the default) or a TCP listener
 //! (`--tcp addr`, one connection handler per client, all sharing the
@@ -329,7 +332,8 @@ fn read_request_line(
             Err(e) => return Err(e),
         }
     }
-    if buf.last() == Some(&b'\n') {
+    let terminated = buf.last() == Some(&b'\n');
+    if terminated {
         buf.pop();
         if buf.last() == Some(&b'\r') {
             buf.pop();
@@ -338,8 +342,12 @@ fn read_request_line(
     if buf.len() <= MAX_REQUEST_BYTES {
         return Ok(LineRead::Line);
     }
-    // Oversized: drain the rest of the line without buffering it.
+    // Oversized: drain the rest of the line without buffering it, unless
+    // its newline is already read (the next bytes are the next line).
     buf.clear();
+    if terminated {
+        return Ok(LineRead::Oversized);
+    }
     loop {
         match input.fill_buf() {
             Ok(chunk) => {
@@ -367,16 +375,26 @@ fn read_request_line(
     }
 }
 
+/// Encodes `response` into `line` (cleared first) as one whole
+/// newline-terminated response line.
+fn encode_line(line: &mut String, response: &Json) {
+    line.clear();
+    response.encode_into(line);
+    line.push('\n');
+}
+
 /// Writes and flushes one whole response line under the connection's
-/// output lock; `false` once the output has failed. The first write error
-/// replaces the sink, and a poisoned lock (a writer panicked, perhaps
-/// mid-line) counts as failed.
-fn emit<W: Write>(output: &Mutex<std::io::Result<W>>, response: &Json) -> bool {
+/// output lock; `false` once the output has failed. `line` is the
+/// caller's reused encode buffer. The line goes out in one `write_all`:
+/// a separate write for its `\n` would sit behind the peer's delayed ACK
+/// (Nagle). The first write error replaces the sink, and a poisoned lock
+/// (a writer panicked, perhaps mid-line) counts as failed.
+fn emit<W: Write>(output: &Mutex<std::io::Result<W>>, line: &mut String, response: &Json) -> bool {
     // Encode outside the lock, so workers contend only for the write.
-    let line = response.to_string();
+    encode_line(line, response);
     let Ok(mut output) = output.lock() else { return false };
     if let Ok(sink) = &mut *output {
-        if let Err(e) = writeln!(sink, "{line}").and_then(|()| sink.flush()) {
+        if let Err(e) = sink.write_all(line.as_bytes()).and_then(|()| sink.flush()) {
             *output = Err(e);
         }
     }
@@ -461,13 +479,14 @@ fn serve_inner(
             let (task_rx, done_tx, output) = (Arc::clone(&task_rx), done_tx.clone(), &output);
             s.spawn(move || {
                 let _done = done_tx;
+                let mut line = String::new();
                 // Hold the receiver lock only to pop one request, not
                 // while answering it.
                 while let Ok(Ok(request)) = task_rx.lock().map(|rx| rx.recv()) {
                     // ORDERING: Relaxed — a momentary gauge; the reader's
                     // increment for this request happened before its send.
                     ctx.queued.fetch_sub(1, Ordering::Relaxed);
-                    if !emit(output, &respond_parsed(&ctx, &request)) {
+                    if !emit(output, &mut line, &respond_parsed(&ctx, &request)) {
                         break;
                     }
                 }
@@ -477,6 +496,7 @@ fn serve_inner(
         // a failed output, the queue reports itself disconnected.
         drop((task_rx, done_tx));
         let mut buf = Vec::new();
+        let mut line = String::new();
         let stop_observed = || control.stop_requested();
         loop {
             // A line the pool cannot take is answered here, in line.
@@ -514,7 +534,7 @@ fn serve_inner(
                         ("ok", Json::Bool(true)),
                         ("draining", Json::Bool(true)),
                     ]);
-                    emit(&output, &ack);
+                    emit(&output, &mut line, &ack);
                     control.request_stop();
                     break;
                 }
@@ -539,7 +559,7 @@ fn serve_inner(
                     }
                 }
             };
-            if !emit(&output, &refusal) {
+            if !emit(&output, &mut line, &refusal) {
                 break;
             }
         }
@@ -594,12 +614,16 @@ pub fn serve_tcp(
                 break; // a handler observed `shutdown` and woke us
             }
             let Ok(mut stream) = stream else { continue };
+            // Responses leave in whole lines, so Nagle only delays them.
+            let _ = stream.set_nodelay(true);
             // ORDERING: AcqRel — reserve-then-release must be exact
             // RMWs against concurrent SlotRelease drops, or a refusal
             // storm could leak slots past the cap.
             if open.fetch_add(1, Ordering::AcqRel) >= max_connections as u64 {
                 open.fetch_sub(1, Ordering::AcqRel);
-                let _ = writeln!(stream, "{}", overloaded(Json::Null));
+                let mut line = String::new();
+                encode_line(&mut line, &overloaded(Json::Null));
+                let _ = stream.write_all(line.as_bytes());
                 continue;
             }
             let open = &open;
@@ -1330,6 +1354,23 @@ mod tests {
     }
 
     #[test]
+    fn a_line_just_past_the_cap_leaves_the_next_line_whole() {
+        // The reader's window holds two bytes past the cap (room for a
+        // CRLF), so a line one byte over arrives with its newline already
+        // read; the next line is a request of its own, not that line's
+        // tail to drain.
+        let detector = service();
+        for (extra, end) in [(1, "\n"), (1, "\r\n"), (2, "\n"), (100, "\n")] {
+            let mut input = "x".repeat(MAX_REQUEST_BYTES + extra);
+            input.push_str(end);
+            input.push_str("{\"id\": 1, \"cmd\": \"stats\"}\n");
+            let lines = run_lines(&detector, 1, &input);
+            assert_eq!(lines.len(), 2, "{extra} bytes over, ending {end:?}");
+            assert_eq!(by_id(&lines, 1).get("ok").and_then(Json::as_bool), Some(true));
+        }
+    }
+
+    #[test]
     fn per_request_overrides_parse() {
         let detector = service();
         let lines = run_lines(
@@ -1546,6 +1587,83 @@ mod tests {
                 assert!(started.elapsed() < Duration::from_secs(60), "{:?}", started.elapsed());
             }
         }
+    }
+
+    /// An output that records every `write` call's bytes separately.
+    #[derive(Default)]
+    struct RecordingOutput {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingOutput {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        // A line split across writes leaves its tail behind the client's
+        // delayed ACK on a TCP stream; every response must be one write.
+        let detector = service();
+        let mut input = String::from(concat!(
+            "{\"id\": 1, \"k\": 3, \"algorithm\": \"bsrbk\"}\n",
+            "{\"id\": 2, \"cmd\": \"batch\", \"requests\": [{\"k\": 2, \"algorithm\": \"sn\"}]}\n",
+            "{\"id\": 3, \"cmd\": \"update\", \"self_risk\": [[3, 0.6]]}\n",
+            "{\"id\": 4, \"cmd\": \"stats\"}\n",
+            "{\"id\": 5, \"k\": }\n",
+        ));
+        input.push_str(&"x".repeat(MAX_REQUEST_BYTES + 100));
+        input.push_str("\n{\"id\": 6, \"cmd\": \"shutdown\"}\n");
+        for workers in [1, 3] {
+            let mut output = RecordingOutput::default();
+            let summary = serve(&detector, workers, input.as_bytes(), &mut output).unwrap();
+            assert_eq!(summary.requests, 7);
+            assert_eq!(output.writes.len(), 7, "one write per response line");
+            for write in &output.writes {
+                let text = std::str::from_utf8(write).unwrap();
+                assert_eq!(text.find('\n'), Some(text.len() - 1), "{text:?}");
+                Json::parse(text.trim_end()).expect("a whole JSON line");
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_round_trips_skip_the_delayed_ack_floor() {
+        use std::io::{BufRead, BufReader, Write};
+        let graph = Dataset::Interbank.generate_scaled(3, 1.0);
+        let detector = Arc::new(Detector::builder(graph).seed(7).threads(1).build().unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Detached acceptor: lives until the test process exits.
+        std::thread::spawn(move || {
+            let _ = serve_tcp(&detector, listener, &ServeOptions::default(), None);
+        });
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut round_trip = |id: u64| {
+            let request = format!("{{\"id\": {id}, \"k\": 3, \"algorithm\": \"sn\"}}\n");
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let answer = Json::parse(line.trim_end()).unwrap();
+            assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(true), "{answer}");
+        };
+        round_trip(0); // cold: draws the samples the timed requests reuse
+        let started = std::time::Instant::now();
+        for id in 1..=20 {
+            round_trip(id);
+        }
+        // A response whose newline waits on a delayed ACK costs >= 40 ms
+        // on Linux, so twenty of them take >= 800 ms.
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(400), "20 cached round trips took {elapsed:?}");
     }
 
     #[test]

@@ -1,11 +1,20 @@
-//! One function per paper algorithm (N, SN, SR, BSR, BSRBK), dispatched
-//! by [`run`].
+//! The paper's five algorithms (N, SN, SR, BSR, BSRBK) as one query
+//! path: [`plan`] derives what a request samples, and [`run`] reads that
+//! stream, ranks, and builds the response.
+//!
+//! The five refine one approach, and differ only in their [`Plan`]: the
+//! stream (forward over every node, reverse over a candidate set `B`, or
+//! none when the bounds decide), the budget and its looks, the verified
+//! nodes, and the Eq. 3/4 pair count. `run` keeps a branch only where an
+//! algorithm really differs: BSRBK's certified stop, N's
+//! `max(ε, delivered)`, and the bounds-only ranking of a degenerate plan.
 //!
 //! The algorithms are stateless: all reusable state (bounds, candidate
 //! reductions, sampled-world counts) lives in the session and is reached
 //! through [`EngineCtx`], so two sessions never share state and one
 //! session's queries amortize each other's work.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ugraph::NodeId;
@@ -16,374 +25,131 @@ use crate::error::{Result, VulnError};
 use crate::sample_size::{
     achieved_epsilon, basic_sample_size, kl_lower_bound, kl_upper_bound, reduced_sample_size,
 };
-use crate::topk::{select_top_k, select_top_k_dense, ScoredNode};
+use crate::topk::{select_top_k, ScoredNode};
 
 use super::cache::looks_below;
 use super::request::{AlgorithmKind, DetectResponse, EngineStats, ResolvedRequest, RunStats};
-use super::EngineCtx;
+use super::{BoundsPair, EngineCtx};
+
+/// What a request samples.
+pub(super) enum Stream {
+    /// Forward over every node (N, SN): counts index node ids.
+    Forward,
+    /// Reverse over the candidate set `B` (SR, BSR, BSRBK): counts index
+    /// positions in `B`.
+    Reverse(Vec<NodeId>),
+    /// Nothing: the bounds alone decide a degenerate BSR/BSRBK plan, and
+    /// `B` ranks by its bound midpoints.
+    Bounds(Vec<NodeId>),
+}
+
+/// How one request executes.
+///
+/// Derived in exactly one place — [`plan`] — for all five algorithms,
+/// and consumed both by [`run`] and by `detect_many`'s batch planner, so
+/// the grouping key can never drift from what a run actually samples.
+pub(super) struct Plan {
+    pub stream: Stream,
+    /// N's fixed budget, Eq. 3 (SN) or Eq. 4 (SR, BSR, BSRBK); 0 for
+    /// [`Stream::Bounds`].
+    pub budget: u64,
+    /// The ascending prefixes a reverse read looks at: BSRBK's looks
+    /// below the budget and then the budget, or just the budget.
+    looks: Vec<u64>,
+    /// Nodes the bounds verified into the top-k (`k'`; BSR/BSRBK only).
+    pub verified: Vec<NodeId>,
+    /// Result slots the stream fills (`k − k'`).
+    pub k_rem: usize,
+    /// The pair count `(a, b)` of the budget's bound (Eq. 3/4).
+    pairs: (u64, u64),
+    /// Bound vectors, for midpoint scores (empty for a forward plan,
+    /// which scores no node by its bounds).
+    bounds: Arc<BoundsPair>,
+}
+
+impl Plan {
+    /// Score of a node that skips estimation (a verified node, or any
+    /// node of a bounds-only plan): the bound-interval midpoint, the best
+    /// point estimate available without sampling.
+    fn midpoint(&self, v: NodeId) -> f64 {
+        0.5 * (self.bounds.0[v.index()] + self.bounds.1[v.index()])
+    }
+
+    /// The final ranking: verified nodes first, by their bound midpoints,
+    /// then the best `k − k'` of `scored`, truncated to `k`.
+    fn rank(&self, scored: impl IntoIterator<Item = ScoredNode>, k: usize) -> Vec<ScoredNode> {
+        let mut out: Vec<ScoredNode> = self
+            .verified
+            .iter()
+            .map(|&node| ScoredNode { node, score: self.midpoint(node) })
+            .collect();
+        out.extend(select_top_k(scored, self.k_rem));
+        out.truncate(k);
+        out
+    }
+}
+
+/// Derives the [`Plan`] for one resolved request. Reverse plans read the
+/// session's bounds and the candidate reduction for `k`.
+pub(super) fn plan(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Plan {
+    let (k, n) = (req.k, ctx.graph().num_nodes());
+    let forward = |budget| Plan {
+        stream: Stream::Forward,
+        budget,
+        looks: vec![budget],
+        verified: Vec::new(),
+        k_rem: k,
+        pairs: (k as u64, n.saturating_sub(k) as u64),
+        bounds: Arc::default(),
+    };
+    match req.algorithm {
+        AlgorithmKind::Naive => return forward(ctx.config().naive_samples),
+        AlgorithmKind::SampledNaive => {
+            let t = basic_sample_size(n, k, req.approx);
+            return forward(ctx.config().cap_samples(t).max(1));
+        }
+        _ => {}
+    }
+    let bounds = ctx.bounds();
+    let reduction = ctx.reduction(k);
+    let hint = req.candidates.as_deref();
+    let (candidates, verified) = match req.algorithm {
+        AlgorithmKind::SampleReverse => (sr_candidates(&reduction, hint), Vec::new()),
+        _ => (bsr_candidates(&reduction, hint), reduction.verified.clone()),
+    };
+    let k_rem = k - verified.len().min(k);
+    let pairs = (k_rem as u64, candidates.len().saturating_sub(k_rem) as u64);
+    let bounded = req.algorithm != AlgorithmKind::SampleReverse;
+    let (stream, budget) = if bounded && (k_rem == 0 || candidates.len() <= k_rem) {
+        (Stream::Bounds(candidates), 0)
+    } else {
+        let t = reduced_sample_size(candidates.len(), k_rem, req.approx);
+        (Stream::Reverse(candidates), ctx.config().cap_samples(t).max(1))
+    };
+    let mut looks: Vec<u64> = match req.algorithm {
+        AlgorithmKind::BottomK => looks_below(budget).collect(),
+        _ => Vec::new(),
+    };
+    looks.push(budget);
+    Plan { stream, budget, looks, verified, k_rem, pairs, bounds }
+}
 
 /// Answers one resolved request with the algorithm it names, using (and
-/// filling) the session's caches. The `engine` field of the returned
-/// response is left defaulted: the session overwrites it with the cache
-/// counters it observed.
-pub(super) fn run(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-    match req.algorithm {
-        AlgorithmKind::Naive => naive(ctx, req),
-        AlgorithmKind::SampledNaive => {
-            let t = sn_budget(ctx, req);
-            forward_detect(ctx, req, t, AlgorithmKind::SampledNaive)
-        }
-        AlgorithmKind::SampleReverse => sample_reverse(ctx, req),
-        AlgorithmKind::BoundedSampleReverse => bounded_sample_reverse(ctx, req),
-        AlgorithmKind::BottomK => bottom_k_early_stop(ctx, req),
-    }
-}
-
-/// The degradation outcome of one sampling pass: whether the pass fell
-/// short of its budget and the `ε` the answer still satisfies. `a · b`
-/// is the pair count of the algorithm's bound (Eq. 3/4).
-fn epsilon_outcome(req: &ResolvedRequest, a: u64, b: u64, budget: u64, used: u64) -> (bool, f64) {
-    let degraded = used < budget;
-    let achieved = if degraded {
-        achieved_epsilon(a, b, req.approx.delta(), used)
-    } else {
-        req.approx.epsilon()
-    };
-    (degraded, achieved)
-}
-
-/// Shared by N and SN: forward-sample `t` worlds (through the session
-/// cache), estimate every node's default probability, return the top-k.
-/// A pass cut short by cancellation returns the degraded prefix answer,
-/// or [`VulnError::Cancelled`] when no samples were drawn at all.
-fn forward_detect(
-    ctx: &mut EngineCtx<'_>,
-    req: &ResolvedRequest,
-    t: u64,
-    kind: AlgorithmKind,
-) -> Result<DetectResponse> {
-    // xlint: allow(no-wall-clock) — `elapsed` is a reported
-    // diagnostic; no answer bit depends on the clock.
-    let start = Instant::now();
-    let counts = ctx.forward_counts(t, req.seed);
-    let samples_used = counts.samples();
-    if samples_used == 0 && t > 0 {
-        return Err(VulnError::Cancelled);
-    }
-    let n = ctx.graph().num_nodes();
-    let (degraded, achieved) =
-        epsilon_outcome(req, req.k as u64, n.saturating_sub(req.k) as u64, t, samples_used);
-    let top_k = select_top_k_dense(&counts.estimates(), req.k);
-    Ok(DetectResponse {
-        top_k,
-        stats: RunStats {
-            algorithm: kind,
-            sample_budget: t,
-            samples_used,
-            candidates: n,
-            verified: 0,
-            early_stopped: false,
-            elapsed: start.elapsed(),
-        },
-        engine: EngineStats::default(),
-        degraded,
-        achieved_epsilon: achieved,
-    })
-}
-
-/// `N` — Algorithm 1 with the fixed budget of
-/// [`VulnConfig::naive_samples`](crate::VulnConfig::naive_samples).
+/// filling) the session's caches: reads the plan's stream, ranks, and
+/// builds the response. The `engine` field of the returned response is
+/// left defaulted: the session overwrites it with the cache counters it
+/// observed. A pass cut short by cancellation returns the degraded
+/// prefix answer, or [`VulnError::Cancelled`] when no samples were drawn
+/// at all.
 ///
-/// The budget ignores `(ε, δ)`, so a full pass reports the requested `ε`
-/// or, when the budget is below Eq. 3's, the wider `ε` its samples
-/// deliver at the request's `δ`.
-fn naive(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-    let t = ctx.config().naive_samples;
-    let mut response = forward_detect(ctx, req, t, AlgorithmKind::Naive)?;
-    if !response.degraded {
-        let (a, b) = (req.k as u64, ctx.graph().num_nodes().saturating_sub(req.k) as u64);
-        let delivered = achieved_epsilon(a, b, req.approx.delta(), response.stats.samples_used);
-        response.achieved_epsilon = response.achieved_epsilon.max(delivered);
-    }
-    Ok(response)
-}
-
-/// `SN` — Algorithm 1 with the Equation-3 sample size (Theorem 4): its
-/// budget, shared with the batch planner.
-pub(super) fn sn_budget(ctx: &EngineCtx<'_>, req: &ResolvedRequest) -> u64 {
-    ctx.config().cap_samples(basic_sample_size(ctx.graph().num_nodes(), req.k, req.approx)).max(1)
-}
-
-/// SR's candidate set: rule 2 only — verified nodes fold back into the
-/// candidate pool (or the request's hint replaces the whole set).
-pub(super) fn sr_candidates(
-    reduction: &CandidateReduction,
-    hint: Option<&[NodeId]>,
-) -> Vec<NodeId> {
-    if let Some(hint) = hint {
-        return hint.to_vec();
-    }
-    let mut candidates = reduction.verified.clone();
-    candidates.extend(reduction.candidates.iter().copied());
-    candidates.sort_unstable_by_key(|v| v.0);
-    candidates
-}
-
-/// BSR/BSRBK's candidate set `B`: the reduction's candidates, or the
-/// request's hint minus the already-verified nodes.
-pub(super) fn bsr_candidates(
-    reduction: &CandidateReduction,
-    hint: Option<&[NodeId]>,
-) -> Vec<NodeId> {
-    match hint {
-        None => reduction.candidates.clone(),
-        Some(hint) => hint.iter().copied().filter(|v| !reduction.verified.contains(v)).collect(),
-    }
-}
-
-/// How a reverse-sampling request (SR/BSR/BSRBK) will execute: its
-/// candidate set, verification split, and sample budget.
-///
-/// Derived in exactly one place — [`reverse_plan`] — and consumed both by
-/// the algorithm runs and by `detect_many`'s batch planner,
-/// so the grouping key can never drift from what a run actually samples.
-pub(super) struct ReversePlan {
-    /// The set `B` sampling estimates (candidate positions index counts).
-    pub candidates: Vec<NodeId>,
-    /// Nodes the bounds verified into the top-k (`k'`; 0 for SR).
-    pub k_verified: usize,
-    /// Result slots left open (`k − k'`; `k` for SR).
-    pub k_rem: usize,
-    /// The bounds alone decide everything: no sampling (BSR/BSRBK only).
-    pub degenerate: bool,
-    /// Equation-4 budget (0 when degenerate).
-    pub budget: u64,
-}
-
-/// Derives the [`ReversePlan`] for one resolved request.
-pub(super) fn reverse_plan(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> ReversePlan {
-    let reduction = ctx.reduction(req.k);
-    let hint = req.candidates.as_deref();
-    if req.algorithm == AlgorithmKind::SampleReverse {
-        let candidates = sr_candidates(&reduction, hint);
-        let budget = ctx
-            .config()
-            .cap_samples(reduced_sample_size(candidates.len(), req.k, req.approx))
-            .max(1);
-        return ReversePlan { candidates, k_verified: 0, k_rem: req.k, degenerate: false, budget };
-    }
-    let k_verified = reduction.verified_count();
-    let k_rem = req.k - k_verified.min(req.k);
-    let candidates = bsr_candidates(&reduction, hint);
-    let degenerate = k_rem == 0 || candidates.len() <= k_rem;
-    let budget = if degenerate {
-        0
-    } else {
-        ctx.config().cap_samples(reduced_sample_size(candidates.len(), k_rem, req.approx)).max(1)
-    };
-    ReversePlan { candidates, k_verified, k_rem, degenerate, budget }
-}
-
-/// Borrowed view of the pruning phase: bound vectors plus the candidate
-/// reduction built from them. The session owns the cached bounds and
-/// reductions; the reverse-sampling algorithms only borrow them.
-struct Pruned<'a> {
-    lower: &'a [f64],
-    upper: &'a [f64],
-    reduction: &'a CandidateReduction,
-}
-
-impl Pruned<'_> {
-    /// Score assigned to nodes that skip estimation (verified nodes, and
-    /// candidates auto-included when `|B| ≤ k − k'`): the bound-interval
-    /// midpoint, which is the best available point estimate without
-    /// sampling.
-    fn midpoint_score(&self, v: NodeId) -> f64 {
-        0.5 * (self.lower[v.index()] + self.upper[v.index()])
-    }
-}
-
-/// Assembles the final ranking: verified nodes first (scored by their
-/// bound midpoints, clamped to dominate), then the best `k − k'`
-/// estimated candidates.
-fn assemble_result(
-    pruned: &Pruned<'_>,
-    candidates: &[NodeId],
-    estimates: &DefaultCounts,
-    k: usize,
-) -> Vec<ScoredNode> {
-    let k_rem = k - pruned.reduction.verified.len().min(k);
-    let chosen = select_top_k(
-        candidates
-            .iter()
-            .enumerate()
-            .map(|(i, &node)| ScoredNode { node, score: estimates.estimate(i) }),
-        k_rem,
-    );
-    merge_verified(pruned, chosen, k)
-}
-
-/// Places verified nodes ahead of the estimated selection, preserving both
-/// orders, truncated to `k`.
-fn merge_verified(pruned: &Pruned<'_>, chosen: Vec<ScoredNode>, k: usize) -> Vec<ScoredNode> {
-    let mut out: Vec<ScoredNode> = pruned
-        .reduction
-        .verified
-        .iter()
-        .map(|&node| ScoredNode { node, score: pruned.midpoint_score(node) })
-        .collect();
-    out.extend(chosen);
-    out.truncate(k);
-    out
-}
-
-/// The sampling-free answer for a degenerate BSR/BSRBK plan: open slots
-/// are filled by bound midpoints, verified nodes lead. Never degraded:
-/// there is no sampling pass to cut short.
-fn degenerate_response(
-    req: &ResolvedRequest,
-    pruned: &Pruned<'_>,
-    plan: &ReversePlan,
-    k: usize,
-    kind: AlgorithmKind,
-    start: Instant,
-) -> DetectResponse {
-    let chosen = select_top_k(
-        plan.candidates.iter().map(|&node| ScoredNode { node, score: pruned.midpoint_score(node) }),
-        plan.k_rem,
-    );
-    let top_k = merge_verified(pruned, chosen, k);
-    DetectResponse {
-        top_k,
-        stats: RunStats {
-            algorithm: kind,
-            sample_budget: 0,
-            samples_used: 0,
-            candidates: plan.candidates.len(),
-            verified: plan.k_verified,
-            early_stopped: false,
-            elapsed: start.elapsed(),
-        },
-        engine: EngineStats::default(),
-        degraded: false,
-        achieved_epsilon: req.approx.epsilon(),
-    }
-}
-
-/// `SR` — reverse sampling over the rule-2 candidate set, no
-/// verification.
-fn sample_reverse(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
-    // xlint: allow(no-wall-clock) — `elapsed` is a reported
-    // diagnostic; no answer bit depends on the clock.
-    let start = Instant::now();
-    let bounds = ctx.bounds();
-    let reduction = ctx.reduction(req.k);
-    let plan = reverse_plan(ctx, req);
-    let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
-    let samples_used = counts.samples();
-    if samples_used == 0 && plan.budget > 0 {
-        return Err(VulnError::Cancelled);
-    }
-    let (degraded, achieved) = epsilon_outcome(
-        req,
-        req.k as u64,
-        plan.candidates.len().saturating_sub(req.k) as u64,
-        plan.budget,
-        samples_used,
-    );
-
-    // Rank purely by estimates: an empty verified set in the view.
-    let unverified = CandidateReduction {
-        verified: Vec::new(),
-        candidates: plan.candidates.clone(),
-        t_lower: reduction.t_lower,
-        t_upper: reduction.t_upper,
-    };
-    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &unverified };
-    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
-    Ok(DetectResponse {
-        top_k,
-        stats: RunStats {
-            algorithm: AlgorithmKind::SampleReverse,
-            sample_budget: plan.budget,
-            samples_used,
-            candidates: plan.candidates.len(),
-            verified: 0,
-            early_stopped: false,
-            elapsed: start.elapsed(),
-        },
-        engine: EngineStats::default(),
-        degraded,
-        achieved_epsilon: achieved,
-    })
-}
-
-/// `BSR` — bounds + verification + reverse sampling with the Equation-4
-/// budget (Theorem 5).
-fn bounded_sample_reverse(
-    ctx: &mut EngineCtx<'_>,
-    req: &ResolvedRequest,
-) -> Result<DetectResponse> {
-    // xlint: allow(no-wall-clock) — `elapsed` is a reported
-    // diagnostic; no answer bit depends on the clock.
-    let start = Instant::now();
-    let bounds = ctx.bounds();
-    let reduction = ctx.reduction(req.k);
-    let plan = reverse_plan(ctx, req);
-    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
-
-    // Degenerate cases: everything decided by the bounds alone.
-    if plan.degenerate {
-        return Ok(degenerate_response(
-            req,
-            &pruned,
-            &plan,
-            req.k,
-            AlgorithmKind::BoundedSampleReverse,
-            start,
-        ));
-    }
-
-    let counts = ctx.reverse_counts(&plan.candidates, plan.budget, req.seed);
-    let samples_used = counts.samples();
-    if samples_used == 0 && plan.budget > 0 {
-        return Err(VulnError::Cancelled);
-    }
-    let (degraded, achieved) = epsilon_outcome(
-        req,
-        plan.k_rem as u64,
-        plan.candidates.len().saturating_sub(plan.k_rem) as u64,
-        plan.budget,
-        samples_used,
-    );
-    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
-    Ok(DetectResponse {
-        top_k,
-        stats: RunStats {
-            algorithm: AlgorithmKind::BoundedSampleReverse,
-            sample_budget: plan.budget,
-            samples_used,
-            candidates: plan.candidates.len(),
-            verified: plan.k_verified,
-            early_stopped: false,
-            elapsed: start.elapsed(),
-        },
-        engine: EngineStats::default(),
-        degraded,
-        achieved_epsilon: achieved,
-    })
-}
-
-/// `BSRBK` — BSR with a sound sequential early stop (paper §3.3, in
-/// the spirit of its bottom-k stopping rule).
-///
-/// BSRBK reads BSR's own reverse stream `(seed, B)` through
-/// [`EngineCtx::reverse_counts_until`] at a fixed doubling schedule of
-/// *looks* — 64, 128, 256, … worlds, every one below BSR's Eq. 4 budget
-/// `t` — and then at `t` itself. Every reverse-stream draw snapshots
-/// the looks it crosses, so a BSRBK read of a stream BSR already drew
-/// is a cache hit, and a cold BSRBK draws the same aligned superblocks
-/// BSR would, stopping at a look.
+/// BSRBK — BSR with a sound sequential early stop (paper §3.3, in the
+/// spirit of its bottom-k stopping rule) — reads BSR's own reverse
+/// stream `(seed, B)` through [`EngineCtx::reverse_counts_until`] at a
+/// fixed doubling schedule of *looks* — 64, 128, 256, … worlds, every
+/// one below BSR's Eq. 4 budget `t` — and then at `t` itself. Every
+/// reverse-stream draw snapshots the looks it crosses, so a BSRBK read of
+/// a stream BSR already drew is a cache hit, and a cold BSRBK draws the
+/// same aligned superblocks BSR would, stopping at a look.
 ///
 /// At each look, `S` is the top-`k − k'` candidates by count. Chernoff–KL
 /// bounds `[L_v, U_v]` on every candidate's default probability
@@ -400,65 +166,109 @@ fn bounded_sample_reverse(
 /// The stop look is a pure function of the graph, seed and request, so
 /// `sample_cap` replays stay bit-exact; a cut (cancellation or cap)
 /// degrades exactly as BSR's does, at the Eq. 4 inversion for `δ/2`.
-fn bottom_k_early_stop(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
+///
+/// N's budget ignores `(ε, δ)`, so a full N pass reports the requested
+/// `ε` or, when the budget is below Eq. 3's, the wider `ε` its samples
+/// deliver at the request's `δ`.
+pub(super) fn run(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Result<DetectResponse> {
     // xlint: allow(no-wall-clock) — `elapsed` is a reported
     // diagnostic; no answer bit depends on the clock.
     let start = Instant::now();
-    let bounds = ctx.bounds();
-    let reduction = ctx.reduction(req.k);
-    let plan = reverse_plan(ctx, req);
-    let pruned = Pruned { lower: &bounds.0, upper: &bounds.1, reduction: &reduction };
-
-    if plan.degenerate {
-        return Ok(degenerate_response(req, &pruned, &plan, req.k, AlgorithmKind::BottomK, start));
-    }
-    let (t, k_rem) = (plan.budget, plan.k_rem);
-    let mut looks: Vec<u64> = looks_below(t).collect();
-    looks.push(t);
-    let half_delta = req.approx.delta() / 2.0;
-    // δ/2 spread over both sides of all |B| candidates at every look.
-    let log_inv_alpha =
-        (4.0 * plan.candidates.len() as f64 * looks.len() as f64 / req.approx.delta()).ln();
+    let plan = plan(ctx, req);
+    let (epsilon, delta) = (req.approx.epsilon(), req.approx.delta());
+    // BSRBK's certified stop: δ/2 spread over both sides of all |B|
+    // candidates at every look.
+    let stop = match (&plan.stream, req.algorithm) {
+        (Stream::Reverse(b), AlgorithmKind::BottomK) => {
+            Some((4.0 * b.len() as f64 * plan.looks.len() as f64 / delta).ln())
+        }
+        _ => None,
+    };
     // The certified ε at the last look read (a cap below a look is
     // read but never certified: the union bound covers looks only).
     let mut certified: Option<(u64, f64)> = None;
-    let counts = ctx.reverse_counts_until(&plan.candidates, &looks, req.seed, |counts| {
-        if looks.binary_search(&counts.samples()).is_err() {
-            return Some(0);
-        }
-        let look = certified_epsilon(counts, k_rem, log_inv_alpha);
-        certified = Some((counts.samples(), look.epsilon));
-        (look.epsilon > req.approx.epsilon()).then(|| look.ahead(req.approx.epsilon()))
-    });
+    let counts = match &plan.stream {
+        Stream::Forward => ctx.forward_counts(plan.budget, req.seed),
+        Stream::Reverse(b) => ctx.reverse_counts_until(b, &plan.looks, req.seed, |counts| {
+            // SR and BSR accept their one look, the budget.
+            let log_inv_alpha = stop?;
+            if plan.looks.binary_search(&counts.samples()).is_err() {
+                return Some(0);
+            }
+            let look = certified_epsilon(counts, plan.k_rem, log_inv_alpha);
+            certified = Some((counts.samples(), look.epsilon));
+            (look.epsilon > epsilon).then(|| look.ahead(epsilon))
+        }),
+        Stream::Bounds(_) => Arc::new(DefaultCounts::new(0)),
+    };
     let samples_used = counts.samples();
-    if samples_used == 0 {
+    if samples_used == 0 && plan.budget > 0 {
         return Err(VulnError::Cancelled);
     }
+    let short = samples_used < plan.budget;
     let at_used = certified.filter(|&(n, _)| n == samples_used).map(|(_, e)| e);
-    let early_stopped = samples_used < t && at_used.is_some_and(|e| e <= req.approx.epsilon());
-    let degraded = samples_used < t && !early_stopped;
-    let achieved = if early_stopped {
-        req.approx.epsilon()
+    let early_stopped = short && at_used.is_some_and(|e| e <= epsilon);
+    let degraded = short && !early_stopped;
+    let (a, b) = plan.pairs;
+    let achieved_epsilon = if stop.is_some() && !early_stopped {
+        achieved_epsilon(a, b, delta / 2.0, samples_used).min(at_used.unwrap_or(f64::INFINITY))
+    } else if degraded {
+        achieved_epsilon(a, b, delta, samples_used)
+    } else if req.algorithm == AlgorithmKind::Naive {
+        epsilon.max(achieved_epsilon(a, b, delta, samples_used))
     } else {
-        let (a, b) = (k_rem as u64, plan.candidates.len().saturating_sub(k_rem) as u64);
-        achieved_epsilon(a, b, half_delta, samples_used).min(at_used.unwrap_or(f64::INFINITY))
+        epsilon
     };
-    let top_k = assemble_result(&pruned, &plan.candidates, &counts, req.k);
+    let estimate = |i: usize, node: NodeId| ScoredNode { node, score: counts.estimate(i) };
+    let (candidates, top_k) = match &plan.stream {
+        Stream::Forward => {
+            let n = counts.len();
+            (n, plan.rank((0..n).map(|i| estimate(i, NodeId(i as u32))), req.k))
+        }
+        Stream::Reverse(b) => {
+            (b.len(), plan.rank(b.iter().enumerate().map(|(i, &v)| estimate(i, v)), req.k))
+        }
+        Stream::Bounds(b) => {
+            let midpoints = b.iter().map(|&node| ScoredNode { node, score: plan.midpoint(node) });
+            (b.len(), plan.rank(midpoints, req.k))
+        }
+    };
     Ok(DetectResponse {
         top_k,
         stats: RunStats {
-            algorithm: AlgorithmKind::BottomK,
-            sample_budget: t,
+            algorithm: req.algorithm,
+            sample_budget: plan.budget,
             samples_used,
-            candidates: plan.candidates.len(),
-            verified: plan.k_verified,
+            candidates,
+            verified: plan.verified.len(),
             early_stopped,
             elapsed: start.elapsed(),
         },
         engine: EngineStats::default(),
         degraded,
-        achieved_epsilon: achieved,
+        achieved_epsilon,
     })
+}
+
+/// SR's candidate set: rule 2 only — verified nodes fold back into the
+/// candidate pool (or the request's hint replaces the whole set).
+fn sr_candidates(reduction: &CandidateReduction, hint: Option<&[NodeId]>) -> Vec<NodeId> {
+    if let Some(hint) = hint {
+        return hint.to_vec();
+    }
+    let mut candidates = reduction.verified.clone();
+    candidates.extend(reduction.candidates.iter().copied());
+    candidates.sort_unstable_by_key(|v| v.0);
+    candidates
+}
+
+/// BSR/BSRBK's candidate set `B`: the reduction's candidates, or the
+/// request's hint minus the already-verified nodes.
+fn bsr_candidates(reduction: &CandidateReduction, hint: Option<&[NodeId]>) -> Vec<NodeId> {
+    match hint {
+        None => reduction.candidates.clone(),
+        Some(hint) => hint.iter().copied().filter(|v| !reduction.verified.contains(v)).collect(),
+    }
 }
 
 /// What one look certifies, and how far off a certifying look is.
@@ -485,12 +295,13 @@ impl Look {
 /// The `ε` one look certifies: with `S` the top-`k_rem` candidates by
 /// count, `max(0, max_{v∉S} U_v − min_{u∈S} L_u)`. Both bounds are
 /// monotone in the count, so the extremes are the bounds of the
-/// `(k_rem + 1)`-th and the `k_rem`-th largest counts.
+/// `(k_rem + 1)`-th and the `k_rem`-th largest counts, which one
+/// selection finds without sorting all `|B|`.
 fn certified_epsilon(counts: &DefaultCounts, k_rem: usize, log_inv_alpha: f64) -> Look {
     let n = counts.samples();
-    let mut sorted: Vec<u64> = (0..counts.len()).map(|i| counts.count(i)).collect();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let (inside, outside) = (sorted[k_rem - 1], sorted[k_rem]);
+    let mut all: Vec<u64> = (0..counts.len()).map(|i| counts.count(i)).collect();
+    let (above, &mut outside, _) = all.select_nth_unstable_by(k_rem, |a, b| b.cmp(a));
+    let inside = above.iter().copied().min().unwrap_or(outside);
     let gap = kl_upper_bound(outside, n, log_inv_alpha) - kl_lower_bound(inside, n, log_inv_alpha);
     Look { n, epsilon: gap.max(0.0), gap: (outside as f64 - inside as f64) / n as f64 }
 }
@@ -572,19 +383,21 @@ mod tests {
     #[test]
     fn assemble_orders_verified_first() {
         let g = from_parts(&[0.9, 0.2, 0.1], &[(0, 1, 0.9)], DuplicateEdgePolicy::Error).unwrap();
+        let d = Detector::builder(&g).build().unwrap();
+        let epoch = d.state.pin();
+        let req = DetectRequest::new(2, AlgorithmKind::BoundedSampleReverse);
+        let resolved = req.resolve(&epoch.graph, d.config()).unwrap();
+        let plan = plan(&mut d.ctx(&epoch), &resolved);
         let (lower, upper, reduction) = prune(&g, 2);
-        let pruned = Pruned { lower: &lower, upper: &upper, reduction: &reduction };
         let cands = reduction.candidates.clone();
-        let mut est = DefaultCounts::new(cands.len());
-        est.begin_sample();
-        for i in 0..cands.len() {
-            est.bump(i);
-        }
-        let out = assemble_result(&pruned, &cands, &est, 2);
+        let scored = cands.iter().map(|&node| ScoredNode { node, score: 1.0 });
+        let out = plan.rank(scored, 2);
         assert_eq!(out.len(), 2);
-        // Any verified node must appear before non-verified ones.
+        // Any verified node must appear before non-verified ones, scored
+        // by its bound midpoint.
         for (i, v) in reduction.verified.iter().enumerate() {
             assert_eq!(out[i].node, *v);
+            assert_eq!(out[i].score, 0.5 * (lower[v.index()] + upper[v.index()]));
         }
     }
 

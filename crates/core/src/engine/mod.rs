@@ -149,10 +149,11 @@ use vulnds_sampling::{
 };
 
 use crate::candidates::{reduce_candidates, CandidateReduction};
-use crate::config::{ApproxParams, BoundsMethod, VulnConfig};
+use crate::config::{BoundsMethod, VulnConfig};
 use crate::dynamic::BoundLevels;
 use crate::error::Result;
 
+use algorithms::Stream;
 use cache::{lock_tracked, Flight, FlightMap, SampleCache, StreamMap};
 use request::ResolvedRequest;
 
@@ -218,13 +219,6 @@ impl DetectorBuilder {
     /// Session RNG seed (identical seeds give identical results).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Default `(ε, δ)` approximation contract for requests that do not
-    /// override it.
-    pub fn approx(mut self, approx: ApproxParams) -> Self {
-        self.config.approx = approx;
         self
     }
 
@@ -951,20 +945,6 @@ impl<'a> EngineCtx<'a> {
         self.stream_counts(&stream, &[t], false, |_| None, |pass| pass.forward(graph, coins, seed))
     }
 
-    /// Cumulative reverse-sample counts over ids `0..t` for
-    /// `(seed, candidates)`, served through the session's
-    /// prefix-extendable cache (locked across the draw, like
-    /// [`EngineCtx::forward_counts`]). Counts are indexed by candidate
-    /// position.
-    pub fn reverse_counts(
-        &mut self,
-        candidates: &[NodeId],
-        t: u64,
-        seed: u64,
-    ) -> Arc<DefaultCounts> {
-        self.reverse_counts_until(candidates, &[t], seed, |_| None)
-    }
-
     /// Sequential reads of the reverse stream `(seed, candidates)`: the
     /// cumulative counts at each of the ascending prefixes `looks` in
     /// turn, until `next` accepts one. Returns the accepted counts, or
@@ -978,8 +958,7 @@ impl<'a> EngineCtx<'a> {
     /// order, from the snapshots that pass leaves, so `ahead` changes
     /// what is drawn, never what is returned.
     ///
-    /// Every draw into a reverse stream — this one or a plain
-    /// [`EngineCtx::reverse_counts`] — snapshots each look of BSRBK's
+    /// Every draw into a reverse stream snapshots each look of BSRBK's
     /// schedule it crosses, in the same single pass, so reading a
     /// stream another query already drew costs one cache hit per look.
     /// The cell stays locked across all the looks, and the request
@@ -1430,28 +1409,18 @@ impl Detector {
     fn plan(&self, epoch: &Epoch, index: usize, req: &ResolvedRequest) -> (PlanKey, u64) {
         let mut ctx = self.ctx(epoch);
         ctx.record_usage = false;
-        match req.algorithm {
-            AlgorithmKind::Naive => {
-                (PlanKey::Forward { seed: req.seed }, ctx.config().naive_samples)
+        // Same derivation the run will use. BSRBK reads at most BSR's
+        // budget, so sorting it with that budget still draws the group
+        // once.
+        let plan = algorithms::plan(&mut ctx, req);
+        let key = match plan.stream {
+            Stream::Forward => PlanKey::Forward { seed: req.seed },
+            Stream::Reverse(b) => {
+                PlanKey::Reverse { seed: req.seed, candidates: b.iter().map(|v| v.0).collect() }
             }
-            AlgorithmKind::SampledNaive => {
-                let t = algorithms::sn_budget(&ctx, req);
-                (PlanKey::Forward { seed: req.seed }, t)
-            }
-            AlgorithmKind::SampleReverse
-            | AlgorithmKind::BoundedSampleReverse
-            | AlgorithmKind::BottomK => {
-                // Same derivation the run will use — see `reverse_plan`.
-                // BSRBK reads at most BSR's budget, so sorting it with
-                // that budget still draws the group once.
-                let plan = algorithms::reverse_plan(&mut ctx, req);
-                if plan.degenerate {
-                    return (PlanKey::Solo { index }, 0);
-                }
-                let ids = plan.candidates.iter().map(|v| v.0).collect();
-                (PlanKey::Reverse { seed: req.seed, candidates: ids }, plan.budget)
-            }
-        }
+            Stream::Bounds(_) => PlanKey::Solo { index },
+        };
+        (key, plan.budget)
     }
 }
 
@@ -2635,13 +2604,14 @@ mod tests {
             let epoch = d.state.pin();
             let mut ctx = d.ctx(&epoch);
             let resolved = req.resolve(&epoch.graph, d.config()).unwrap();
-            let plan = algorithms::reverse_plan(&mut ctx, &resolved);
-            let counts = ctx.reverse_counts(&plan.candidates, used, resolved.seed);
+            let plan = algorithms::plan(&mut ctx, &resolved);
+            let Stream::Reverse(candidates) = &plan.stream else { panic!("a sampling plan") };
+            let counts = ctx.reverse_counts_until(candidates, &[used], resolved.seed, |_| None);
             let mut expected: Vec<(u64, u32)> =
-                plan.candidates.iter().enumerate().map(|(i, v)| (counts.count(i), v.0)).collect();
+                candidates.iter().enumerate().map(|(i, v)| (counts.count(i), v.0)).collect();
             expected.sort_unstable_by_key(|&(c, v)| (std::cmp::Reverse(c), v));
             let got: Vec<(u32, f64)> =
-                bk.top_k[plan.k_verified..].iter().map(|s| (s.node.0, s.score)).collect();
+                bk.top_k[plan.verified.len()..].iter().map(|s| (s.node.0, s.score)).collect();
             let want: Vec<(u32, f64)> =
                 expected[..plan.k_rem].iter().map(|&(c, v)| (v, c as f64 / used as f64)).collect();
             assert_eq!(got, want);
@@ -2700,7 +2670,8 @@ mod tests {
         assert_eq!(read.samples(), 128);
         assert_eq!(ctx.request.samples_drawn, 300, "the hint drew to the last look");
         let fresh = session(&g);
-        let plain = fresh.ctx(&fresh.state.pin()).reverse_counts(&candidates, 128, 5);
+        let plain =
+            fresh.ctx(&fresh.state.pin()).reverse_counts_until(&candidates, &[128], 5, |_| None);
         assert_eq!(*read, *plain);
     }
 }

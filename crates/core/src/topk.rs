@@ -37,12 +37,20 @@ impl Ord for OrderedF64 {
 }
 
 /// Selects the `k` highest-scored nodes from `(node, score)` pairs, sorted
-/// descending (ties by ascending id). `O(n log n)` via sort — selection
-/// runs once per query, far from the hot path.
+/// descending (ties by ascending id). Runs once per query over every
+/// scored node (all `n` for N/SN), so it selects the top `k` in `O(n)`
+/// and sorts only those: the key is a total order, so the result is the
+/// same as sorting everything.
 pub fn select_top_k(scores: impl IntoIterator<Item = ScoredNode>, k: usize) -> Vec<ScoredNode> {
     let mut all: Vec<ScoredNode> = scores.into_iter().collect();
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < all.len() {
+        all.select_nth_unstable_by_key(k - 1, |s| s.key());
+        all.truncate(k);
+    }
     all.sort_unstable_by_key(|s| s.key());
-    all.truncate(k);
     all
 }
 
@@ -124,6 +132,32 @@ mod tests {
     fn kth_largest_with_duplicates() {
         let v = [0.5, 0.5, 0.5];
         assert_eq!(kth_largest(&v, 2), Some(0.5));
+    }
+
+    #[test]
+    fn selection_matches_a_full_sort_under_heavy_ties() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1usize, 2, 7, 64, 301] {
+            // Eight distinct scores over n nodes in shuffled id order.
+            let scores: Vec<ScoredNode> = (0..n)
+                .map(|_| ScoredNode {
+                    node: NodeId((next() % 10_000) as u32),
+                    score: (next() % 8) as f64 / 8.0,
+                })
+                .collect();
+            let mut reference = scores.clone();
+            reference.sort_unstable_by_key(|s| s.key());
+            for k in [0, 1, n / 2, n - 1, n, n + 3] {
+                let want = &reference[..k.min(n)];
+                assert_eq!(select_top_k(scores.iter().copied(), k), want, "n {n}, k {k}");
+            }
+        }
     }
 
     #[test]

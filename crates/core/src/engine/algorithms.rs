@@ -54,7 +54,8 @@ pub(super) struct Plan {
     /// [`Stream::Bounds`].
     pub budget: u64,
     /// The ascending prefixes a reverse read looks at: BSRBK's looks
-    /// below the budget and then the budget, or just the budget.
+    /// below the budget and then the budget, or just the budget (empty
+    /// for a forward plan, which reads the budget alone).
     looks: Vec<u64>,
     /// Nodes the bounds verified into the top-k (`k'`; BSR/BSRBK only).
     pub verified: Vec<NodeId>,
@@ -96,7 +97,7 @@ pub(super) fn plan(ctx: &mut EngineCtx<'_>, req: &ResolvedRequest) -> Plan {
     let forward = |budget| Plan {
         stream: Stream::Forward,
         budget,
-        looks: vec![budget],
+        looks: Vec::new(),
         verified: Vec::new(),
         k_rem: k,
         pairs: (k as u64, n.saturating_sub(k) as u64),

@@ -42,10 +42,10 @@ impl Ord for OrderedF64 {
 /// and sorts only those: the key is a total order, so the result is the
 /// same as sorting everything.
 pub fn select_top_k(scores: impl IntoIterator<Item = ScoredNode>, k: usize) -> Vec<ScoredNode> {
-    let mut all: Vec<ScoredNode> = scores.into_iter().collect();
     if k == 0 {
         return Vec::new();
     }
+    let mut all: Vec<ScoredNode> = scores.into_iter().collect();
     if k < all.len() {
         all.select_nth_unstable_by_key(k - 1, |s| s.key());
         all.truncate(k);
